@@ -369,11 +369,13 @@ def error_norms(solution, case, degree=6):
 
 @dataclass
 class ConvergenceRecord:
-    """Per-level errors with fitted log-log slopes (last three levels)."""
+    """Per-level errors with fitted log-log slopes (last three levels) and
+    the finest level's FieldSolution."""
 
     case_name: str
     rows: list = field(default_factory=list)
     slopes: dict = field(default_factory=dict)
+    finest: object = None
 
     COLUMNS = ["err_l2_u", "err_h1_u", "err_l2_p", "err_p0p", "err_div"]
 
@@ -428,6 +430,7 @@ def run_convergence(case, levels, bc_mode=None, gamma=None):
         errors = error_norms(solution, case)
         mesh = space.mesh
         record.add(idx, n, mesh.num_vertices, mesh.mesh_size(), errors)
+    record.finest = solution
     record.fit_slopes()
     return record
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure. Flag values
 take precedence over the config file, which takes precedence over defaults.
-Single-threaded runs write byte-identical outputs for identical configs
-(assembly and solves are deterministic and serial regardless of --threads).
+Runs write byte-identical outputs for identical configs (assembly and
+solves are deterministic and serial).
 """
 
 import argparse
@@ -37,9 +37,7 @@ _DEFAULTS = {
     "bc": None,           # case default
     "mesh_file": None,
     "out": ".",
-    "threads": 1,
     "grid": 40,
-    "seed": 0,
     "scenario": "both",
 }
 
@@ -55,9 +53,7 @@ class RunConfig:
     bc: str = _DEFAULTS["bc"]
     mesh_file: str = _DEFAULTS["mesh_file"]
     out: str = _DEFAULTS["out"]
-    threads: int = _DEFAULTS["threads"]
     grid: int = _DEFAULTS["grid"]
-    seed: int = _DEFAULTS["seed"]
     scenario: str = _DEFAULTS["scenario"]
 
     def validate(self):
@@ -65,8 +61,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown subcommand {self.subcommand!r}")
         if self.bc not in (None, "strong", "nitsche-tangential", "nitsche-slip"):
             raise ConfigurationError(f"unknown bc mode {self.bc!r}")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be >= 1")
         if self.grid < 1:
             raise ConfigurationError("grid must be >= 1")
         if any(n < 1 for n in self.levels):
@@ -96,9 +90,7 @@ _CONFIG_PARSERS = {
     "bc": str,
     "mesh_file": str,
     "out": str,
-    "threads": int,
     "grid": int,
-    "seed": int,
     "scenario": str,
 }
 
@@ -155,10 +147,8 @@ def build_parser():
                        choices=["strong", "nitsche-tangential", "nitsche-slip"])
         p.add_argument("--mesh-file", dest="mesh_file", default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--grid", type=int, default=None,
                        help="cells per side for the coupling runs / mesh-info")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--scenario", default=None,
                        choices=["normal", "tangential", "both"])
         p.add_argument("--config", default=None, help="key=value config file")
@@ -181,38 +171,25 @@ def _ensure_out(config):
     return config.out
 
 
-def run_stokes(config):
-    case = bench.case_stokes()
+def run_flow(config):
+    """Stokes or Darcy convergence study: CSV of all levels, VTK of the
+    finest level's solution."""
+    name = config.subcommand
+    if name == "stokes":
+        case = bench.case_stokes()
+    else:
+        mu = config.mu[0] if config.mu else 0.0
+        case = bench.case_darcy(mu=mu, sigma=config.sigma)
     record = bench.run_convergence(case, config.levels, bc_mode=config.bc,
                                    gamma=config.gamma)
     out = _ensure_out(config)
-    csv_path = os.path.join(out, "stokes_convergence.csv")
+    csv_path = os.path.join(out, f"{name}_convergence.csv")
     record.to_csv(csv_path)
-    solution, _, _, _ = bench.solve_case(case, config.levels[-1],
-                                         bc_mode=config.bc, gamma=config.gamma)
-    write_vtk(solution, os.path.join(out, "stokes_solution.vtk"),
-              title="stokes benchmark")
+    write_vtk(record.finest, os.path.join(out, f"{name}_solution.vtk"),
+              title=f"{name} benchmark")
     log.info("wrote %s", csv_path)
-    for name, slope in sorted(record.slopes.items()):
-        log.info("  %s = %.3f", name, slope)
-    return 0
-
-
-def run_darcy(config):
-    mu = config.mu[0] if config.mu else 0.0
-    case = bench.case_darcy(mu=mu, sigma=config.sigma)
-    record = bench.run_convergence(case, config.levels, bc_mode=config.bc,
-                                   gamma=config.gamma)
-    out = _ensure_out(config)
-    csv_path = os.path.join(out, "darcy_convergence.csv")
-    record.to_csv(csv_path)
-    solution, _, _, _ = bench.solve_case(case, config.levels[-1],
-                                         bc_mode=config.bc, gamma=config.gamma)
-    write_vtk(solution, os.path.join(out, "darcy_solution.vtk"),
-              title="darcy benchmark")
-    log.info("wrote %s", csv_path)
-    for name, slope in sorted(record.slopes.items()):
-        log.info("  %s = %.3f", name, slope)
+    for slope_name, slope in sorted(record.slopes.items()):
+        log.info("  %s = %.3f", slope_name, slope)
     return 0
 
 
@@ -288,8 +265,8 @@ def run_mesh_info(config):
 
 
 _RUNNERS = {
-    "stokes": run_stokes,
-    "darcy": run_darcy,
+    "stokes": run_flow,
+    "darcy": run_flow,
     "cooks": run_cooks,
     "brinkman": run_brinkman,
     "mesh-info": run_mesh_info,

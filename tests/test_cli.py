@@ -30,6 +30,21 @@ class TestStokesCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+    def test_finest_level_solved_once(self, tmp_path, monkeypatch):
+        from mce import bench
+
+        calls = []
+        real_solve = bench.solve
+
+        def counting_solve(system):
+            calls.append(system.size)
+            return real_solve(system)
+
+        monkeypatch.setattr(bench, "solve", counting_solve)
+        assert run(["stokes", "--levels", "2,3,4", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 3
+
+
 class TestDarcyCommand:
     def test_writes_csv(self, tmp_path):
         code = run(["darcy", "--levels", "2,3,4", "--out", str(tmp_path)])
@@ -110,6 +125,10 @@ class TestConfigHandling:
         assert code == 0
         assert (tmp_path / "cli" / "stokes_convergence.csv").exists()
         assert not (tmp_path / "cfgout").exists()
+
+    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    def test_removed_flags_rejected(self, flag):
+        assert run(["stokes", flag, "1"]) == 1
 
     def test_config_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

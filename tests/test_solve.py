@@ -1,11 +1,18 @@
+import importlib
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from mce import bench
 from mce.forms import ProblemCoefficients, assemble_brinkman
 from mce.mesh import generate_unit_square_mesh, subdivide
 from mce.solve import SolverError, refine_iteratively, solve
 from mce.space import build_space
+
+# the package re-exports the function solve under the module's name
+solve_module = importlib.import_module("mce.solve")
 
 
 class FakeSystem:
@@ -89,3 +96,56 @@ def test_determinism():
     x1 = solve(system).solution
     x2 = solve(system).solution
     assert np.array_equal(x1, x2)
+
+
+def _case_system(case, n, bc_mode=None):
+    return bench.solve_case(case, n, bc_mode=bc_mode)[2]
+
+
+def _coupling_system(scenario, mu_value, n=8):
+    _, sub, co = bench.coupling_problem(scenario, mu_value, n=n)
+    space = build_space(sub, co.boundary)
+    return assemble_brinkman(space, co, pressure_multiplier=False)
+
+
+PENALTY_SYSTEMS = {
+    "stokes-strong-16": lambda: _case_system(bench.case_stokes(), 16),
+    "darcy-nitsche-tangential-16": lambda: _case_system(
+        bench.case_darcy(), 16, bc_mode="nitsche-tangential"),
+    "coupling-normal-mu1e-6": lambda: _coupling_system("normal", 1e-6),
+    "coupling-tangential-mu1e-2": lambda: _coupling_system("tangential", 1e-2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PENALTY_SYSTEMS))
+def test_penalty_solution_matches_saddle_lu(name):
+    system = PENALTY_SYSTEMS[name]()
+    report = solve(system)
+    assert report.diagnostics["penalty"] is not None
+    assert report.diagnostics["iterations"] >= 1
+    reference = splu(system.matrix.tocsc()).solve(system.rhs)
+    error = np.linalg.norm(report.solution - reference)
+    assert error <= 1e-7 * np.linalg.norm(reference)
+
+
+def test_penalty_factor_fill_is_bounded():
+    # the dense multiplier row and the pressure block stay out of the
+    # factorization: nnz(L+U) was 61 x nnz(A) for the saddle LU at n = 32
+    system = _case_system(bench.case_stokes(), 32)
+    report = solve(system)
+    nnz_lu = report.diagnostics["nnz_L"] + report.diagnostics["nnz_U"]
+    assert nnz_lu <= 10 * system.matrix.nnz
+
+
+def test_nitsche_slip_certifies_through_lu():
+    system = _case_system(bench.case_darcy(), 8, bc_mode="nitsche-slip")
+    report = solve(system)
+    assert report.diagnostics["penalty"] is None
+    assert min(report.residual, report.backward_error) < 1e-9
+
+
+def test_penalty_step_cap_raises(monkeypatch):
+    system = _case_system(bench.case_stokes(), 4)
+    monkeypatch.setattr(solve_module, "PENALTY_STEP_LIMIT", 1)
+    with pytest.raises(SolverError, match="after 1 steps"):
+        solve(system)
