@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mce import bench
 from mce.cli import main, read_config_file
 from mce.forms import ConfigurationError
 from mce.mesh import generate_unit_square_mesh, subdivide, write_mesh
@@ -29,10 +30,7 @@ class TestStokesCommand:
         for name in ("stokes_convergence.csv", "stokes_solution.vtk"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-
     def test_finest_level_solved_once(self, tmp_path, monkeypatch):
-        from mce import bench
-
         calls = []
         real_solve = bench.solve
 
