@@ -352,7 +352,7 @@ def error_norms(solution, case, degree=6):
         p_ex = case.pressure(flat).reshape(pts.shape[:3])
         ph = solution.pressure
         l2_p_t = cell_int((p_ex - ph[:, None, None]) ** 2)
-        p0 = project_p0(case.pressure, space.subdiv)
+        p0 = project_p0(case.pressure, tables)
         p0p_t = tables.areas * (p0 - ph) ** 2
         record.l2_p = float(np.sqrt(l2_p_t.sum()))
         record.p0p = float(np.sqrt(p0p_t.sum()))
@@ -564,7 +564,11 @@ def solve_cooks_affine(problem, n=16):
 
 @dataclass
 class LockingRecord:
+    """Tip displacements per Poisson ratio and the compatible element's
+    FieldSolution for the last ratio."""
+
     rows: list = field(default_factory=list)
+    last: object = None
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -585,7 +589,7 @@ def run_locking_study(nus, n=16):
     record = LockingRecord()
     for nu in nus:
         problem = case_cooks(nu)
-        tip_c, _, _ = solve_cooks(problem, n=n)
+        tip_c, record.last, _ = solve_cooks(problem, n=n)
         tip_a = solve_cooks_affine(problem, n=n)
         record.rows.append(
             {"nu": nu, "tip_compatible": tip_c, "tip_affine": tip_a}

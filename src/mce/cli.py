@@ -70,6 +70,8 @@ class RunConfig:
         for nu in self.nu:
             if not 0.0 < nu < 0.5:
                 raise ConfigurationError("nu values must lie in (0, 0.5)")
+        if self.subcommand == "cooks" and not self.nu:
+            raise ConfigurationError("cooks needs at least one nu value")
         return self
 
 
@@ -194,14 +196,14 @@ def run_flow(config):
 
 
 def run_cooks(config):
+    """Locking study over the Poisson ratios: CSV of the tip displacements,
+    VTK of the compatible solution for the last ratio."""
     n = max(config.levels) if config.levels else 16
     record = bench.run_locking_study(config.nu, n=n)
     out = _ensure_out(config)
     csv_path = os.path.join(out, "cooks_tips.csv")
     record.to_csv(csv_path)
-    problem = bench.case_cooks(config.nu[-1])
-    _, solution, _ = bench.solve_cooks(problem, n=n)
-    write_vtk(solution, os.path.join(out, "cooks_solution.vtk"),
+    write_vtk(record.last, os.path.join(out, "cooks_solution.vtk"),
               title="cooks membrane displacement")
     log.info("wrote %s", csv_path)
     return 0

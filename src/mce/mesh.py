@@ -113,7 +113,6 @@ def build_mesh(vertices, triangles, boundary_tags=None):
     """
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
     triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    nt = len(triangles)
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
         raise MeshError("triangle refers to a vertex index out of range")
 
@@ -122,41 +121,50 @@ def build_mesh(vertices, triangles, boundary_tags=None):
         bad = int(np.flatnonzero(areas <= 0)[0])
         raise MeshError(f"non-positive area at triangle {bad}")
 
-    edge_index = {}
-    edges = []
-    edge_tris = []
-    tri_edges = np.empty((nt, 3), dtype=np.int64)
-    for t, (i, j, k) in enumerate(triangles):
-        for loc, (a, b) in enumerate(((j, k), (k, i), (i, j))):
-            key = (min(a, b), max(a, b))
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edges)
-                edge_index[key] = e
-                edges.append((a, b))
-                edge_tris.append([t, -1])
-            else:
-                if edge_tris[e][1] >= 0:
-                    raise MeshError(
-                        f"edge {key} shared by more than two triangles"
-                    )
-                edge_tris[e][1] = t
-            tri_edges[t, loc] = e
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    edge_tris = np.asarray(edge_tris, dtype=np.int64).reshape(-1, 2)
+    # half-edge h = 3 t + loc runs from src to dst, opposite local vertex
+    # loc; edges are numbered in order of first occurrence and keep the
+    # orientation of their first triangle
+    src = triangles[:, [1, 2, 0]].ravel()
+    dst = triangles[:, [2, 0, 1]].ravel()
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    _, first, inverse, counts = np.unique(
+        lo * len(vertices) + hi,
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    # half-edges grouped by key, in traversal order within each group
+    grouped = np.argsort(inverse, kind="stable")
+    starts = np.cumsum(counts) - counts
+    if counts.size and counts.max() > 2:
+        h = grouped[starts[counts > 2] + 2].min()
+        key = (lo[h], hi[h])
+        raise MeshError(f"edge {key} shared by more than two triangles")
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    head = first[order]
+    edges = np.column_stack([src[head], dst[head]])
+    edge_tris = np.full((len(order), 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = head // 3
+    shared = np.flatnonzero(counts[order] == 2)
+    edge_tris[shared, 1] = grouped[starts[order[shared]] + 1] // 3
+    tri_edges = number[inverse].reshape(-1, 3)
 
-    tags = [INTERIOR] * len(edges)
-    lookup = {}
+    boundary = np.flatnonzero(edge_tris[:, 1] < 0)
+    tags = np.full(len(edges), INTERIOR, dtype=object)
+    tags[boundary] = DEFAULT_BOUNDARY_TAG
     if boundary_tags:
         lookup = {
             (min(a, b), max(a, b)): tag for (a, b), tag in boundary_tags.items()
         }
-    for e, (a, b) in enumerate(edges):
-        if edge_tris[e, 1] < 0:
-            tags[e] = lookup.pop((min(a, b), max(a, b)), DEFAULT_BOUNDARY_TAG)
-    if lookup:
-        pair = next(iter(lookup))
-        raise MeshError(f"boundary tag given for non-boundary edge {pair}")
+        index = dict(zip(
+            zip(lo[head[boundary]].tolist(), hi[head[boundary]].tolist()),
+            boundary.tolist(),
+        ))
+        for pair, tag in lookup.items():
+            e = index.get(pair)
+            if e is None:
+                raise MeshError(f"boundary tag given for non-boundary edge {pair}")
+            tags[e] = tag
 
     return MacroMesh(
         vertices=vertices,
@@ -164,7 +172,7 @@ def build_mesh(vertices, triangles, boundary_tags=None):
         edges=edges,
         edge_tris=edge_tris,
         tri_edges=tri_edges,
-        boundary_tags=tuple(tags),
+        boundary_tags=tuple(tags.tolist()),
     )
 
 
@@ -178,22 +186,23 @@ def generate_unit_square_mesh(n):
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ur, ul = vid(i + 1, j + 1), vid(i, j + 1)
-            triangles.append((ll, lr, ur))
-            triangles.append((ll, ur, ul))
-    tags = {}
-    for i in range(n):
-        tags[(vid(i, 0), vid(i + 1, 0))] = "bottom"
-        tags[(vid(i, n), vid(i + 1, n))] = "top"
-        tags[(vid(0, i), vid(0, i + 1))] = "left"
-        tags[(vid(n, i), vid(n, i + 1))] = "right"
+    # vertex (i, j) has index j (n + 1) + i; cells run row by row, each
+    # giving (ll, lr, ur) and (ll, ur, ul)
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    lr, ur, ul = ll + 1, ll + n + 2, ll + n + 1
+    triangles = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
+    i = np.arange(n)
+    sides = {
+        "bottom": (i, i + 1),
+        "top": (n * (n + 1) + i, n * (n + 1) + i + 1),
+        "left": (i * (n + 1), (i + 1) * (n + 1)),
+        "right": (i * (n + 1) + n, (i + 1) * (n + 1) + n),
+    }
+    tags = {
+        pair: tag
+        for tag, (a, b) in sides.items()
+        for pair in zip(a.tolist(), b.tolist())
+    }
     return build_mesh(vertices, triangles, tags)
 
 
@@ -280,11 +289,16 @@ class SubdividedMesh:
         return out
 
 
-def _boundary_split(a, b, c):
-    """Foot of the perpendicular from centroid c onto segment (a, b)."""
-    d = b - a
-    t = np.dot(c - a, d) / np.dot(d, d)
-    return t, a + t * d
+def _dot(x, y):
+    """Row-wise dot products of (k, 2) arrays. The stacked matmul runs the
+    same dot kernel as np.dot on each pair of rows, so every value is
+    bit-identical to np.dot(x[i], y[i]) (a row sum or einsum is not)."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _norm(x):
+    """Row-wise Euclidean norms, bit-identical to np.linalg.norm(x[i])."""
+    return np.sqrt(_dot(x, x))
 
 
 def subdivide(mesh, boundary_split="perpendicular"):
@@ -296,55 +310,145 @@ def subdivide(mesh, boundary_split="perpendicular"):
     (`"midpoint"`, needed for sheared meshes such as Cook's membrane where
     the foot can fall outside the edge). Raises MeshError for needle
     configurations where a split point falls within 1e-10 of an edge endpoint
-    (relative to edge length) or the centroid segment misses the open edge.
+    (relative to edge length) or the centroid segment misses the open edge;
+    the message names the first such edge.
     """
     if boundary_split not in ("perpendicular", "midpoint"):
         raise ValueError(f"unknown boundary_split {boundary_split!r}")
     verts = mesh.vertices
     centroids = verts[mesh.triangles].mean(axis=1)
     ne = mesh.num_edges
+    va = verts[mesh.edges[:, 0]]
+    vb = verts[mesh.edges[:, 1]]
+    ab = vb - va
+    t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+    inner = np.flatnonzero(t1 >= 0)
+    outer = np.flatnonzero(t1 < 0)
     splits = np.empty((ne, 2))
-    nus = np.empty((ne, 2))
-    for e in range(ne):
-        va, vb = verts[mesh.edges[e]]
-        t0, t1 = mesh.edge_tris[e]
-        if t1 < 0:
-            if boundary_split == "midpoint":
-                xm = 0.5 * (va + vb)
-            else:
-                t, xm = _boundary_split(va, vb, centroids[t0])
-                if not (_SPLIT_MARGIN < t < 1.0 - _SPLIT_MARGIN):
-                    raise MeshError(
-                        f"edge {e}: centroid projection falls outside the "
-                        f"open edge (t={t:.3g}); mesh quality too poor"
-                    )
+    # t: split point along the edge; s: along the centroid segment
+    t = np.full(ne, 0.5)
+    s = np.full(ne, 0.5)
+    parallel = np.zeros(ne, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # c0 + s*d = va + t*ab
+        c0 = centroids[t0[inner]]
+        d = centroids[t1[inner]] - c0
+        w = va[inner] - c0
+        denom = _cross2(d, ab[inner])
+        parallel[inner] = np.abs(denom) < 1e-14 * _norm(d) * _norm(ab[inner])
+        s[inner] = _cross2(w, ab[inner]) / denom
+        t[inner] = _cross2(w, d) / denom
+        splits[inner] = va[inner] + t[inner, None] * ab[inner]
+        if boundary_split == "midpoint":
+            splits[outer] = 0.5 * (va[outer] + vb[outer])
         else:
-            c0, c1 = centroids[t0], centroids[t1]
-            d = c1 - c0
-            ab = vb - va
-            # c0 + s*d = va + t*ab; s along the centroid segment, t along the edge
-            denom = _cross2(d, ab)
-            if abs(denom) < 1e-14 * np.linalg.norm(d) * np.linalg.norm(ab):
-                raise MeshError(f"edge {e}: centroid segment parallel to edge")
-            s = _cross2(va - c0, ab) / denom
-            t = _cross2(va - c0, d) / denom
-            if not (0.0 < s < 1.0):
-                raise MeshError(
-                    f"edge {e}: centroid-to-centroid segment does not cross "
-                    f"the shared edge (s={s:.3g})"
-                )
-            if not (_SPLIT_MARGIN < t < 1.0 - _SPLIT_MARGIN):
-                raise MeshError(
-                    f"edge {e}: split point within {_SPLIT_MARGIN:g} of an "
-                    f"edge endpoint (t={t:.3g}); mesh quality too poor"
-                )
-            xm = va + t * ab
-        splits[e] = xm
-        nu = xm - centroids[t0]
-        nus[e] = nu / np.linalg.norm(nu)
+            d = ab[outer]
+            t[outer] = _dot(centroids[t0[outer]] - va[outer], d) / _dot(d, d)
+            splits[outer] = va[outer] + t[outer, None] * d
+    misses = ~((0.0 < s) & (s < 1.0))
+    off_edge = ~((_SPLIT_MARGIN < t) & (t < 1.0 - _SPLIT_MARGIN))
+    failed = np.flatnonzero(parallel | misses | off_edge)
+    if failed.size:
+        e = int(failed[0])
+        if parallel[e]:
+            raise MeshError(f"edge {e}: centroid segment parallel to edge")
+        if misses[e]:
+            raise MeshError(
+                f"edge {e}: centroid-to-centroid segment does not cross "
+                f"the shared edge (s={s[e]:.3g})"
+            )
+        if t1[e] < 0:
+            raise MeshError(
+                f"edge {e}: centroid projection falls outside the "
+                f"open edge (t={t[e]:.3g}); mesh quality too poor"
+            )
+        raise MeshError(
+            f"edge {e}: split point within {_SPLIT_MARGIN:g} of an "
+            f"edge endpoint (t={t[e]:.3g}); mesh quality too poor"
+        )
+    nus = splits - centroids[t0]
+    nus /= _norm(nus)[:, None]
     return SubdividedMesh(
         mesh=mesh, centroids=centroids, edge_splits=splits, edge_nu=nus
     )
+
+
+# candidate (edge, vertex) pairs tested per batch in validate_mesh
+_PAIR_CHUNK = 8192
+
+
+def _expand(starts, sizes):
+    """Enumerate (i, starts[i] + j) for 0 <= j < sizes[i], in order of i then
+    j, at most _PAIR_CHUNK pairs at a time."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    for k0 in range(0, total, _PAIR_CHUNK):
+        k = np.arange(k0, min(k0 + _PAIR_CHUNK, total))
+        i = np.searchsorted(ends, k, side="right")
+        yield i, starts[i] + k - (ends[i] - sizes[i])
+
+
+def _hanging_pairs(verts, edges):
+    """(edge, vertex) arrays, ordered by edge then vertex, of every vertex
+    strictly inside an edge: 1e-9 < t < 1 - 1e-9 along it and squared
+    distance below 1e-12 |e|^2 from its line.
+
+    Only vertices in the edge's bounding box padded by 2e-6 |e|, twice the
+    distance tolerance, can pass, so the test runs on the vertices of the
+    cells of a uniform grid that the padded box meets. Edges or vertices
+    with non-finite coordinates cannot pass and are left out.
+    """
+    pa = verts[edges[:, 0]]
+    pb = verts[edges[:, 1]]
+    d = pb - pa
+    len2 = _dot(d, d)
+    live = np.flatnonzero(np.isfinite(len2) & (len2 > 0.0))
+    points = np.flatnonzero(np.isfinite(verts).all(axis=1))
+    found_e, found_v = [], []
+    if live.size and points.size:
+        lo = verts[points].min(axis=0)
+        span = verts[points].max(axis=0) - lo
+        # about one vertex per cell
+        cell = max(np.sqrt(span[0] * span[1] / points.size),
+                   span.max() / points.size) or 1.0
+        nx, ny = (span // cell).astype(np.int64) + 1
+
+        def cell_index(x, axis, n):
+            return np.clip(np.floor((x - lo[axis]) / cell), 0, n - 1).astype(
+                np.int64)
+
+        key = (cell_index(verts[points, 0], 0, nx) * ny
+               + cell_index(verts[points, 1], 1, ny))
+        sort = np.argsort(key, kind="stable")
+        by_cell = points[sort]
+        bounds = np.searchsorted(key[sort], np.arange(nx * ny + 1))
+
+        pad = 2e-6 * np.sqrt(len2[live])
+        box_lo = np.minimum(pa[live], pb[live]) - pad[:, None]
+        box_hi = np.maximum(pa[live], pb[live]) + pad[:, None]
+        ix0 = cell_index(box_lo[:, 0], 0, nx)
+        ix1 = cell_index(box_hi[:, 0], 0, nx)
+        iy0 = cell_index(box_lo[:, 1], 1, ny)
+        iy1 = cell_index(box_hi[:, 1], 1, ny)
+        # the cells (col, iy0..iy1) of one grid column are contiguous in
+        # by_cell, so each (edge, column) pair is one range of vertices
+        for j, col in _expand(ix0, ix1 - ix0 + 1):
+            first = bounds[col * ny + iy0[j]]
+            stop = bounds[col * ny + iy1[j] + 1]
+            for q, pos in _expand(first, stop - first):
+                e = live[j[q]]
+                v = by_cell[pos]
+                w = verts[v] - pa[e]
+                t = _dot(w, d[e]) / len2[e]
+                dist2 = np.sum((w - t[:, None] * d[e]) ** 2, axis=1)
+                inside = (t > 1e-9) & (t < 1.0 - 1e-9) & (dist2 < 1e-12 * len2[e])
+                inside &= (v != edges[e, 0]) & (v != edges[e, 1])
+                found_e.append(e[inside])
+                found_v.append(v[inside])
+    e = np.concatenate(found_e or [np.empty(0, np.int64)])
+    v = np.concatenate(found_v or [np.empty(0, np.int64)])
+    order = np.lexsort((v, e))
+    return e[order], v[order]
 
 
 def validate_mesh(mesh):
@@ -359,31 +463,21 @@ def validate_mesh(mesh):
     scale = lengths.max() if len(lengths) else 1.0
     for e in np.flatnonzero(lengths <= 1e-14 * max(scale, 1.0)):
         report.append(f"degenerate edge {e} (coincident endpoints)")
-    for e in range(mesh.num_edges):
-        tag = mesh.boundary_tags[e]
-        if mesh.edge_tris[e, 1] < 0 and not tag:
+    boundary = mesh.edge_tris[:, 1] < 0
+    tagged = np.asarray(mesh.boundary_tags, dtype=object) != INTERIOR
+    for e in np.flatnonzero(boundary != tagged):
+        if boundary[e]:
             report.append(f"boundary edge {e} missing a tag")
-        if mesh.edge_tris[e, 1] >= 0 and tag:
+        else:
+            tag = mesh.boundary_tags[e]
             report.append(f"interior edge {e} carries boundary tag {tag!r}")
     counts = np.zeros(mesh.num_vertices, dtype=int)
     np.add.at(counts, mesh.triangles.ravel(), 1)
     for v in np.flatnonzero(counts == 0):
         report.append(f"dangling vertex {v}")
     # conformity: no vertex may sit strictly inside another edge (T-junction)
-    verts = mesh.vertices
-    for e, (a, b) in enumerate(mesh.edges):
-        pa, pb = verts[a], verts[b]
-        d = pb - pa
-        len2 = float(d @ d)
-        if len2 == 0.0:
-            continue
-        t = ((verts - pa) @ d) / len2
-        dist2 = np.sum((verts - pa - np.outer(t, d)) ** 2, axis=1)
-        margin = 1e-12 * len2
-        inside = (t > 1e-9) & (t < 1.0 - 1e-9) & (dist2 < margin)
-        inside[[a, b]] = False
-        for v in np.flatnonzero(inside):
-            report.append(f"hanging vertex {v} on edge {e}")
+    for e, v in zip(*_hanging_pairs(mesh.vertices, mesh.edges)):
+        report.append(f"hanging vertex {v} on edge {e}")
     return report
 
 

@@ -174,6 +174,24 @@ class TestErrorNorms:
         )
 
 
+    def test_element_tables_built_once(self, monkeypatch):
+        from mce.space import ElementTables
+
+        builds = []
+        real_init = ElementTables.__init__
+
+        def counting_init(self, subdiv):
+            builds.append(subdiv)
+            real_init(self, subdiv)
+
+        monkeypatch.setattr(ElementTables, "__init__", counting_init)
+        case = case_stokes()
+        solution, _, _, _ = solve_case(case, 4)
+        record = error_norms(solution, case)
+        assert len(builds) == 1
+        assert np.isfinite(record.p0p)
+
+
 class TestElasticityCase:
     def test_consistency(self):
         assert case_elasticity(1.0).check_consistency(100) < 1e-8

@@ -61,6 +61,29 @@ class TestCooksCommand:
         assert lines[0] == "nu,tip_compatible,tip_affine"
         assert len(lines) == 3
 
+    def test_one_compatible_solve_per_nu(self, tmp_path, monkeypatch):
+        calls = []
+        real_solve = bench.solve
+
+        def counting_solve(system):
+            calls.append(system.size)
+            return real_solve(system)
+
+        monkeypatch.setattr(bench, "solve", counting_solve)
+        assert run(["cooks", "--nu", "0.3,0.45", "--levels", "4",
+                    "--out", str(tmp_path)]) == 0
+        assert len(calls) == 2
+        assert (tmp_path / "cooks_solution.vtk").exists()
+
+    def test_vtk_is_the_last_nu_solution(self, tmp_path):
+        assert run(["cooks", "--nu", "0.3,0.45", "--levels", "4",
+                    "--out", str(tmp_path)]) == 0
+        _, solution, _ = bench.solve_cooks(bench.case_cooks(0.45), n=4)
+        expected = tmp_path / "expected.vtk"
+        write_vtk(solution, str(expected), title="cooks membrane displacement")
+        assert (tmp_path / "cooks_solution.vtk").read_bytes() == \
+            expected.read_bytes()
+
 
 class TestBrinkmanCommand:
     def test_tangential_profile(self, tmp_path):
@@ -106,6 +129,10 @@ class TestConfigHandling:
     def test_unknown_flag_exits_1(self, capsys):
         assert run(["stokes", "--frobnicate", "1"]) == 1
         assert "usage" in capsys.readouterr().err
+
+    def test_cooks_without_nu_exits_1(self, tmp_path, capsys):
+        assert run(["cooks", "--nu", "", "--out", str(tmp_path)]) == 1
+        assert "at least one nu" in capsys.readouterr().err
 
     def test_no_subcommand_exits_1(self):
         assert run([]) == 1
