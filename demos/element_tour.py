@@ -11,13 +11,12 @@ import numpy as np
 from mce import (
     build_mesh,
     build_space,
-    compute_bubble,
     fortin_interpolate,
     generate_unit_square_mesh,
     macro_divergence,
     subdivide,
 )
-from mce.space import ElementTables, bubble_centroid_closed_form
+from mce.space import ElementTables
 
 print("=" * 72)
 print("1. One reference triangle (0,0), (1,0), (0,1)")
@@ -31,17 +30,21 @@ for e in range(mesh.num_edges):
           f"nu = {sub.edge_nu[e]}")
 
 bottom = next(e for e in range(mesh.num_edges) if set(mesh.edges[e]) == {0, 1})
-bubble = compute_bubble(sub, bottom)
-print(f"\nbubble of the bottom edge: centroid value u_m = "
-      f"{bubble.centroid_values[0]}, constant divergence = "
-      f"{bubble.div_values[0]:.12f}")
-print("closed form d*(centroid - opposite vertex):",
-      bubble_centroid_closed_form(sub, bottom, 0))
-
+loc = list(mesh.tri_edges[0]).index(bottom)
 tables = ElementTables(sub)
-k = 6 + list(mesh.tri_edges[0]).index(bottom)
+print(f"\nbubble of the bottom edge: centroid value u_m = "
+      f"{tables.bubble_um[0, loc]}, constant divergence = "
+      f"{tables.bubble_div[0, loc]:.12f}")
+# closed form: d = nu . N / (2 |T|) with N the outward edge normal scaled
+# by the edge length, times (centroid - opposite vertex)
+verts = mesh.vertices[mesh.triangles[0]]
+edge = verts[(loc + 2) % 3] - verts[(loc + 1) % 3]
+d = sub.edge_nu[bottom] @ np.array([edge[1], -edge[0]]) / (2 * tables.areas[0])
+print("closed form d*(centroid - opposite vertex):",
+      d * (sub.centroids[0] - verts[loc]))
+
 print("divergence of that bubble on each of the 6 subtriangles:")
-print("  ", np.array2string(tables.basis_div_sub[0, k], precision=14))
+print("  ", np.array2string(tables.basis_div_sub[0, 6 + loc], precision=14))
 
 print()
 print("=" * 72)

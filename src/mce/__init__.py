@@ -33,14 +33,12 @@ from .mesh import (
 from .solve import SolveReport, SolverError, refine_iteratively, solve
 from .space import (
     Dirichlet,
-    EdgeBubble,
     FESpace,
     FieldSolution,
     Free,
     GeometryError,
     NormalZero,
     build_space,
-    compute_bubble,
     eval_velocity,
     eval_velocity_gradient,
     fortin_interpolate,
@@ -54,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigurationError",
     "Dirichlet",
-    "EdgeBubble",
     "FESpace",
     "FieldSolution",
     "Free",
@@ -75,7 +72,6 @@ __all__ = [
     "assemble_nitsche_slip",
     "build_mesh",
     "build_space",
-    "compute_bubble",
     "eval_velocity",
     "eval_velocity_gradient",
     "fortin_interpolate",

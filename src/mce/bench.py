@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from .forms import (
     ProblemCoefficients,
@@ -27,6 +29,7 @@ from .space import (
     FieldSolution,
     Free,
     NormalZero,
+    _hat_gradients,
     build_space,
     project_p0,
 )
@@ -460,12 +463,11 @@ def case_cooks(nu, young=200.0):
     return CookProblem(nu=nu, young=young, mu=mu, lam=lam)
 
 
-def solve_cooks(problem, n=16):
-    """Solve Cook's membrane with the compatible element; returns
-    (tip vertical displacement, FieldSolution, space)."""
-    mesh = generate_cook_mesh(n)
-    sub = subdivide(mesh, boundary_split="midpoint")
-    space = build_space(
+def _cooks_space(n):
+    """The compatible space on Cook's membrane at level n: clamped left
+    side, free elsewhere."""
+    sub = subdivide(generate_cook_mesh(n), boundary_split="midpoint")
+    return build_space(
         sub,
         {
             "clamped": Dirichlet((0.0, 0.0)),
@@ -473,14 +475,23 @@ def solve_cooks(problem, n=16):
             "traction-free": Free(),
         },
     )
+
+
+def _solve_cooks_on(space, problem):
     co = ProblemCoefficients(mu=problem.mu, lam=problem.lam)
     system = assemble_elasticity(
         space, co, tractions={"loaded": problem.traction}
     )
     report = solve(system)
     u, _, _ = system.expand(report.solution)
-    tip = _vertex_at(mesh, problem.tip)
+    tip = _vertex_at(space.mesh, problem.tip)
     return float(u[2 * tip + 1]), FieldSolution(space, u), space
+
+
+def solve_cooks(problem, n=16):
+    """Solve Cook's membrane with the compatible element; returns
+    (tip vertical displacement, FieldSolution, space)."""
+    return _solve_cooks_on(_cooks_space(n), problem)
 
 
 def _vertex_at(mesh, point):
@@ -500,20 +511,7 @@ def solve_cooks_affine(problem, n=16):
     nv = len(verts)
     ndof = 2 * nv
 
-    corners = verts[tris]
-    p0, p1, p2 = corners[:, 0], corners[:, 1], corners[:, 2]
-    twoA = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
-        p1[:, 1] - p0[:, 1]
-    ) * (p2[:, 0] - p0[:, 0])
-    areas = 0.5 * twoA
-    g = np.empty_like(corners)
-    g[:, 0, 0] = p1[:, 1] - p2[:, 1]
-    g[:, 0, 1] = p2[:, 0] - p1[:, 0]
-    g[:, 1, 0] = p2[:, 1] - p0[:, 1]
-    g[:, 1, 1] = p0[:, 0] - p2[:, 0]
-    g[:, 2, 0] = p0[:, 1] - p1[:, 1]
-    g[:, 2, 1] = p1[:, 0] - p0[:, 0]
-    g /= twoA[:, None, None]
+    g, areas = _hat_gradients(verts[tris])
 
     # basis gradients for the 6 local dofs (vertex a, component c)
     G = np.zeros((len(tris), 6, 2, 2))
@@ -530,8 +528,6 @@ def solve_cooks_affine(problem, n=16):
     l2g = np.empty((len(tris), 6), dtype=np.int64)
     l2g[:, 0:6:2] = 2 * tris
     l2g[:, 1:6:2] = 2 * tris + 1
-
-    from scipy import sparse
 
     rows = np.repeat(l2g[:, :, None], 6, axis=2).ravel()
     cols = np.repeat(l2g[:, None, :], 6, axis=1).ravel()
@@ -555,8 +551,6 @@ def solve_cooks_affine(problem, n=16):
     keep = ~fixed
     A_red = A[keep][:, keep]
     x = np.zeros(ndof)
-    from scipy.sparse.linalg import spsolve
-
     x[keep] = spsolve(A_red.tocsc(), rhs[keep])
     tip = _vertex_at(mesh, problem.tip)
     return float(x[2 * tip + 1])
@@ -587,9 +581,10 @@ class LockingRecord:
 def run_locking_study(nus, n=16):
     """Tip displacements of the compatible vs plain affine element."""
     record = LockingRecord()
+    space = _cooks_space(n)  # only the Lame coefficients change with nu
     for nu in nus:
         problem = case_cooks(nu)
-        tip_c, record.last, _ = solve_cooks(problem, n=n)
+        tip_c, record.last, _ = _solve_cooks_on(space, problem)
         tip_a = solve_cooks_affine(problem, n=n)
         record.rows.append(
             {"nu": nu, "tip_compatible": tip_c, "tip_affine": tip_a}

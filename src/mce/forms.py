@@ -16,8 +16,9 @@ import numpy as np
 from scipy import io as scipy_io
 from scipy import sparse
 
+from .mesh import _norm
 from .quadrature import edge_rule, triangle_barycentric, triangle_rule
-from .space import Dirichlet, NormalZero
+from .space import Dirichlet, NormalZero, _perp_out
 
 # re-exported here because assembly owns the quadrature contract
 quadrature_rule = triangle_rule
@@ -241,41 +242,42 @@ def _reduce(space, builder, n_pressure, has_multiplier):
     return SaddleSystem(space, K_red, b_red, n_pressure, has_multiplier)
 
 
-def _space_has_dirichlet(space):
-    return any(isinstance(bc, Dirichlet) for bc in space.bc.values())
+def _elasticity_interior(space, coeffs):
+    """Validated (mu, lam) and a builder holding the volume terms: the
+    2 mu sym-grad : sym-grad + lambda div div block and the body load."""
+    tables = space.tables
+    mu, lam = coeffs.validate_elasticity(space.mesh.num_triangles)
+    builder = _Builder(space.n_velocity)
+    _element_block(builder, tables, _elastic_matrix(tables, mu, lam))
+    _body_force_rhs(builder, tables, coeffs.f)
+    return builder, mu, lam
+
+
+def _brinkman_interior(space, coeffs, pressure_multiplier):
+    """Validated (mu, sigma) and a builder holding the volume terms: the
+    viscous + mass block, the body load, the pressure coupling with its
+    source and, if asked for, the mean-zero pressure multiplier row."""
+    tables = space.tables
+    nt = space.mesh.num_triangles
+    mu, sigma = coeffs.validate_brinkman(nt)
+    builder = _Builder(space.n_velocity + nt + int(pressure_multiplier))
+    K = _viscous_matrix(tables, mu) + _mass_matrix(tables, sigma)
+    _element_block(builder, tables, K)
+    _body_force_rhs(builder, tables, coeffs.f)
+    _coupling_and_source(builder, tables, space.n_velocity, coeffs.g)
+    if pressure_multiplier:
+        _multiplier_row(builder, tables, space.n_velocity, nt)
+    return builder, mu, sigma
 
 
 def assemble_elasticity(space, coeffs, tractions=None):
     """Linear elasticity velocity block: int 2 mu sym-grad : sym-grad +
     lambda div div, with body load and optional boundary tractions
     (dict tag -> callable or constant traction density)."""
-    tables = space.tables
-    nt = space.mesh.num_triangles
-    mu, lam = coeffs.validate_elasticity(nt)
-    builder = _Builder(space.n_velocity)
-    _element_block(builder, tables, _elastic_matrix(tables, mu, lam))
-    _body_force_rhs(builder, tables, coeffs.f)
+    builder, _, _ = _elasticity_interior(space, coeffs)
     if tractions:
         _traction_rhs(builder, space, tractions)
     return _reduce(space, builder, 0, False)
-
-
-def _traction_rhs(builder, space, tractions):
-    qx, qw = edge_rule(3)
-    for face in _boundary_faces(space):
-        spec = tractions.get(face.tag)
-        if spec is None:
-            continue
-        for seg in face.segments:
-            pts = seg.points(qx)
-            tv = (
-                _eval_field(spec, pts)
-                if callable(spec)
-                else np.broadcast_to(np.asarray(spec, float), (len(qx), 2))
-            )
-            traces = seg.traces(qx)  # (9, nq, 2)
-            vals = seg.length * np.einsum("q,qi,kqi->k", qw, tv, traces)
-            np.add.at(builder.rhs, space.tables.loc2glob[face.tri], vals)
 
 
 def assemble_brinkman(space, coeffs, pressure_multiplier=True):
@@ -284,90 +286,144 @@ def assemble_brinkman(space, coeffs, pressure_multiplier=True):
     Appends one mean-zero pressure multiplier row unless disabled (natural
     boundaries fix the pressure level themselves).
     """
-    tables = space.tables
-    nt = space.mesh.num_triangles
-    mu, sigma = coeffs.validate_brinkman(nt)
-    if mu.min() == 0.0 and _space_has_dirichlet(space):
+    builder, mu, _ = _brinkman_interior(space, coeffs, pressure_multiplier)
+    if mu.min() == 0.0 and any(
+        isinstance(bc, Dirichlet) for bc in space.bc.values()
+    ):
         raise ConfigurationError(
             "mu = 0 with full Dirichlet constraints is ill-posed; use the "
             "normal-only mode with tangential Nitsche conditions"
         )
-    size = space.n_velocity + nt + int(pressure_multiplier)
-    builder = _Builder(size)
-    K = _viscous_matrix(tables, mu) + _mass_matrix(tables, sigma)
-    _element_block(builder, tables, K)
-    _body_force_rhs(builder, tables, coeffs.f)
-    _coupling_and_source(builder, tables, space.n_velocity, coeffs.g)
-    if pressure_multiplier:
-        _multiplier_row(builder, tables, space.n_velocity, nt)
-    return _reduce(space, builder, nt, pressure_multiplier)
+    return _reduce(space, builder, space.mesh.num_triangles,
+                   pressure_multiplier)
 
 
-class _Segment:
-    """Half of a boundary face trace, backed by one subtriangle."""
+def _tag_mask(mesh, tags=None):
+    """Mask over `mesh.boundary_edges` of the edges tagged with one of
+    `tags` (all of them for None)."""
+    found = np.asarray(mesh.boundary_tags, dtype=object)[mesh.boundary_edges]
+    if tags is None:
+        return np.full(len(found), True)
+    return np.isin(found, list(tags))
 
-    def __init__(self, tables, tri, n0, n1, child):
-        self.tables = tables
-        self.tri = tri
-        self.n0, self.n1 = n0, n1
-        self.child = child
-        p0 = tables.nodes[tri, n0]
-        p1 = tables.nodes[tri, n1]
-        self.p0, self.p1 = p0, p1
-        self.length = float(np.linalg.norm(p1 - p0))
 
-    def points(self, qx):
-        return self.p0 + np.outer(qx, self.p1 - self.p0)
+class _Faces:
+    """Batched boundary faces, in `mesh.boundary_edges` order.
 
-    def traces(self, qx):
-        V = self.tables.basis_node_values[self.tri]  # (9,7,2)
+    Every face selected by `keep` (a boolean mask over the boundary edges)
+    is traced from its one triangle as two halves, vertex to split node and
+    split node to vertex, each backed by the child subtriangle on it.
+    Per face: `tri`, `l2g` (nf, 9), `tag`, length `h`, unit `normal` and
+    `tangent` (nf, 2). Per face and half: `length` (nf, 2), quadrature
+    `points` (nf, 2, nq, 2), basis `traces` (nf, 2, 9, nq, 2) and basis
+    `grads` (nf, 2, 9, 2, 2). `end_values` (nf, 3, 9, 2) holds the basis
+    values at the ends of the two halves.
+
+    Lengths come from `_norm`, which is bit-identical to np.linalg.norm of
+    each row, and every contraction keeps the per-face einsum subscripts
+    with a leading face (and half) index, so each value equals the one a
+    loop over faces computes.
+    """
+
+    def __init__(self, space, keep):
+        mesh, tables = space.mesh, space.tables
+        edges = mesh.boundary_edges[keep]
+        self.tag = np.asarray(mesh.boundary_tags, dtype=object)[edges]
+        self.tri = mesh.edge_tris[edges, 0]
+        self.l2g = tables.loc2glob[self.tri]
+        loc = np.argmax(mesh.tri_edges[self.tri] == edges[:, None], axis=1)
+        ends = np.stack([(loc + 1) % 3, 3 + loc, (loc + 2) % 3], axis=1)
+        p = np.take_along_axis(tables.nodes[self.tri], ends[..., None], 1)
+        d = p[:, 2] - p[:, 0]
+        self.h = _norm(d)
+        self.normal = _perp_out(d) / self.h[:, None]
+        self.tangent = d / self.h[:, None]
+
+        half = p[:, 1:] - p[:, :2]
+        self.length = _norm(half.reshape(-1, 2)).reshape(-1, 2)
+        qx, self.qw = edge_rule(3)
+        self.points = p[:, :2, None, :] + qx[:, None] * half[:, :, None, :]
+        V = np.take_along_axis(
+            tables.basis_node_values[self.tri], ends[:, None, :, None], axis=2
+        )
+        V = self.end_values = np.swapaxes(V, 1, 2)  # (nf, 3, 9, 2)
+        self.traces = (
+            V[:, :2, :, None, :] * (1.0 - qx)[:, None]
+            + V[:, 1:, :, None, :] * qx[:, None]
+        )
+        child = 2 * loc[:, None] + np.arange(2)
+        self.grads = tables.basis_grads[self.tri[:, None], :, child]
+
+    def along(self, direction):
+        """Basis traces dotted with a per-face direction: (nf, 2, 9, nq)."""
+        return np.einsum("fskqi,fi->fskq", self.traces, direction)
+
+    def integrals(self, tr):
+        """Integrals of tr (nf, 2, 9, nq) and of its outer products over
+        each half: (nf, 2, 9) and (nf, 2, 9, 9)."""
+        L, qw = self.length, self.qw
         return (
-            V[:, self.n0][:, None, :] * (1.0 - qx)[None, :, None]
-            + V[:, self.n1][:, None, :] * qx[None, :, None]
+            L[..., None] * np.einsum("q,fskq->fsk", qw, tr),
+            L[..., None, None] * np.einsum("q,fskq,fslq->fskl", qw, tr, tr),
         )
 
-    def grads(self):
-        return self.tables.basis_grads[self.tri, :, self.child]  # (9,2,2)
+    def moments(self, g, tr):
+        """Integrals of g tr and of g over each half, for values g
+        (nf, 2, nq) at the quadrature points: (nf, 2, 9) and (nf, 2)."""
+        L, qw = self.length, self.qw
+        return (
+            L[..., None] * np.einsum("q,fsq,fskq->fsk", qw, g, tr),
+            L * np.einsum("q,fsq->fs", qw, g),
+        )
 
 
-class _Face:
-    def __init__(self, space, edge):
-        mesh = space.mesh
-        tables = space.tables
-        self.edge = edge
-        self.tag = mesh.boundary_tags[edge]
-        t = int(mesh.edge_tris[edge, 0])
-        self.tri = t
-        loc = int(np.flatnonzero(mesh.tri_edges[t] == edge)[0])
-        self.loc = loc
-        va, vb = (loc + 1) % 3, (loc + 2) % 3
-        a = tables.nodes[t, va]
-        b = tables.nodes[t, vb]
-        d = b - a
-        self.length = float(np.linalg.norm(d))
-        self.normal = np.array([d[1], -d[0]]) / self.length
-        self.tangent = d / self.length
-        self.segments = [
-            _Segment(tables, t, va, 3 + loc, 2 * loc),
-            _Segment(tables, t, 3 + loc, vb, 2 * loc + 1),
-        ]
-
-    def mean_normal_trace(self, space):
-        """Exact face means of (basis . n), shape (9,)."""
-        V = space.tables.basis_node_values[self.tri]
-        total = np.zeros(9)
-        for seg in self.segments:
-            avg = 0.5 * (V[:, seg.n0] + V[:, seg.n1]) @ self.normal
-            total += seg.length * avg
-        return total / self.length
+def _sandwich(a, M, b):
+    """a . M b per face, half and basis field: (nf, 2, 9)."""
+    return np.einsum("fi,fskij,fj->fsk", a, M, b)
 
 
-def _boundary_faces(space, tags=None):
-    mesh = space.mesh
-    for e in mesh.boundary_edges:
-        if tags is not None and mesh.boundary_tags[e] not in tags:
-            continue
-        yield _Face(space, e)
+def _outer(x, y):
+    """Per-(face, half) outer products x y^T of (nf, 2, 9) arrays."""
+    return x[..., :, None] * y[..., None, :]
+
+
+def _add_face_blocks(builder, faces, blocks, keep=None):
+    """Add local (nf, nb, 9, 9) blocks face by face, then block by block:
+    the builder's insertion order fixes the order in which duplicates sum.
+    `keep` (nf, nb) drops the blocks a face does not have."""
+    rows = np.broadcast_to(faces.l2g[:, None, :, None], blocks.shape)
+    cols = np.broadcast_to(faces.l2g[:, None, None, :], blocks.shape)
+    if keep is not None:
+        rows, cols, blocks = rows[keep], cols[keep], blocks[keep]
+    builder.add(rows, cols, blocks)
+
+
+def _add_face_rhs(builder, faces, vals, keep=None):
+    """np.add.at of local (nf, nb, 9) loads, face by face, then block by
+    block, so every right-hand-side entry sums in the same order."""
+    idx = np.broadcast_to(faces.l2g[:, None, :], vals.shape)
+    if keep is not None:
+        idx, vals = idx[keep], vals[keep]
+    np.add.at(builder.rhs, idx, vals)
+
+
+def _traction_rhs(builder, space, tractions):
+    loaded = [tag for tag, spec in tractions.items() if spec is not None]
+    faces = _Faces(space, _tag_mask(space.mesh, loaded))
+    density = np.empty(faces.points.shape)
+    for tag in np.unique(faces.tag):
+        spec = tractions[tag]
+        on = faces.tag == tag
+        pts = faces.points[on]
+        density[on] = (
+            _eval_field(spec, pts).reshape(pts.shape)
+            if callable(spec)
+            else np.asarray(spec, float)
+        )
+    vals = faces.length[..., None] * np.einsum(
+        "q,fsqi,fskqi->fsk", faces.qw, density, faces.traces
+    )
+    _add_face_rhs(builder, faces, vals)
 
 
 def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g_n=None,
@@ -381,10 +437,7 @@ def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g_n=None,
     and the data terms for g_n (scalar normal datum) and g_t (tangential
     datum on the Dirichlet part).
     """
-    tables = space.tables
-    nt = space.mesh.num_triangles
-    mu, lam = coeffs.validate_elasticity(nt)
-    gamma = coeffs.gamma
+    builder, mu, lam = _elasticity_interior(space, coeffs)
     dirichlet_tags = set(dirichlet_tags)
     if not dirichlet_tags:
         warnings.warn(
@@ -392,78 +445,63 @@ def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g_n=None,
             "leave a rigid-motion nullspace"
         )
 
-    builder = _Builder(space.n_velocity)
-    _element_block(builder, tables, _elastic_matrix(tables, mu, lam))
-    _body_force_rhs(builder, tables, coeffs.f)
+    faces = _Faces(space, _tag_mask(space.mesh))
+    nf, L, h = len(faces.tri), faces.length, faces.h
+    n, tau = faces.normal, faces.tangent
+    on_d = np.isin(faces.tag, list(dirichlet_tags))
+    pen = coeffs.gamma / h
+    mu_t = mu[faces.tri]
+    pen_mu = (pen * mu_t)[:, None, None]
 
-    qx, qw = edge_rule(3)
-    for face in _boundary_faces(space):
-        t = face.tri
-        n, tau = face.normal, face.tangent
-        h = face.length
-        mu_t = mu[t]
-        l2g = tables.loc2glob[t]
-        on_d = face.tag in dirichlet_tags
+    G = faces.grads
+    E = 0.5 * (G + np.swapaxes(G, -1, -2))
+    div = np.trace(G, axis1=-2, axis2=-1)
+    two_mu = (2.0 * mu_t)[:, None, None]
+    sig_nn = two_mu * _sandwich(n, E, n) + lam * div
+    sig_nt = two_mu * _sandwich(tau, E, n)
+    tr_n, tr_t = faces.along(n), faces.along(tau)
+    int_trn, int_trn_trn = faces.integrals(tr_n)
+    int_trt, int_trt_trt = faces.integrals(tr_t)
 
-        mean_n = face.mean_normal_trace(space)
-        # lambda-penalty on face means: (gamma/h) lam |E| mean mean
-        pen_mean = (gamma / h) * lam * face.length
-        builder.add(
-            np.repeat(l2g, 9), np.tile(l2g, 9),
-            pen_mean * np.outer(mean_n, mean_n),
-        )
+    # exact face means of (basis . n), the running sum starting at 0.0
+    V = faces.end_values
+    avg = ((0.5 * (V[:, :2] + V[:, 1:])) @ n[:, None, :, None])[..., 0]
+    mean_n = (0.0 + L[:, :1] * avg[:, 0] + L[:, 1:] * avg[:, 1]) / h[:, None]
 
-        mean_gn = 0.0
-        for seg in face.segments:
-            traces = seg.traces(qx)  # (9,nq,2)
-            G = seg.grads()  # (9,2,2)
-            E = 0.5 * (G + np.swapaxes(G, 1, 2))
-            div = np.trace(G, axis1=1, axis2=2)
-            sig_nn = 2.0 * mu_t * np.einsum("i,kij,j->k", n, E, n) + lam * div
-            sig_nt = 2.0 * mu_t * np.einsum("i,kij,j->k", tau, E, n)
-            tr_n = np.einsum("kqi,i->kq", traces, n)
-            tr_t = np.einsum("kqi,i->kq", traces, tau)
-            int_trn = seg.length * np.einsum("q,kq->k", qw, tr_n)
-            int_trt = seg.length * np.einsum("q,kq->k", qw, tr_t)
-            int_trn_trn = seg.length * np.einsum("q,kq,lq->kl", qw, tr_n, tr_n)
-            int_trt_trt = seg.length * np.einsum("q,kq,lq->kl", qw, tr_t, tr_t)
+    # per face: the lambda-penalty on face means (gamma/h) lam |E| mean mean;
+    # per half: -c(u,v) - c(v,u) and the mu-penalty on normal traces, then
+    # the same two tangential terms on the Dirichlet part
+    cmat_n = _outer(int_trn, sig_nn)  # test k trace, trial l stress
+    cmat_t = _outer(int_trt, sig_nt)
+    halves = np.stack([
+        -(cmat_n + np.swapaxes(cmat_n, -1, -2)),
+        pen_mu[..., None] * int_trn_trn,
+        -(cmat_t + np.swapaxes(cmat_t, -1, -2)),
+        pen_mu[..., None] * int_trt_trt,
+    ], axis=2).reshape(nf, 8, 9, 9)
+    means = (pen * lam * h)[:, None, None] * _outer(mean_n, mean_n)
+    keep = np.ones((nf, 9), dtype=bool)
+    keep[:, [3, 4, 7, 8]] = on_d[:, None]
+    blocks = np.concatenate([means[:, None], halves], axis=1)
+    _add_face_blocks(builder, faces, blocks, keep)
 
-            rows = np.repeat(l2g, 9)
-            cols = np.tile(l2g, 9)
-            # -c(u,v) - c(v,u), normal part on every boundary face
-            cmat = np.outer(int_trn, sig_nn)  # test k trace, trial l stress
-            builder.add(rows, cols, -(cmat + cmat.T))
-            # mu-penalty on normal traces
-            builder.add(rows, cols, (gamma / h) * mu_t * int_trn_trn)
-            if on_d:
-                cmat_t = np.outer(int_trt, sig_nt)
-                builder.add(rows, cols, -(cmat_t + cmat_t.T))
-                builder.add(rows, cols, (gamma / h) * mu_t * int_trt_trt)
-
-            pts = seg.points(qx)
-            if g_n is not None:
-                gv = np.asarray(g_n(pts), dtype=float).ravel()
-                int_g_trn = seg.length * np.einsum("q,q,kq->k", qw, gv, tr_n)
-                int_g = seg.length * float(np.einsum("q,q->", qw, gv))
-                mean_gn += int_g
-                np.add.at(
-                    builder.rhs, l2g,
-                    (gamma / h) * mu_t * int_g_trn - sig_nn * int_g,
-                )
-            if on_d and g_t is not None:
-                gtv = _eval_field(g_t, pts)
-                gt_tau = gtv @ tau
-                int_gt_trt = seg.length * np.einsum("q,q,kq->k", qw, gt_tau, tr_t)
-                int_gt = seg.length * float(np.einsum("q,q->", qw, gt_tau))
-                np.add.at(
-                    builder.rhs, l2g,
-                    (gamma / h) * mu_t * int_gt_trt - sig_nt * int_gt,
-                )
-        if g_n is not None:
-            np.add.at(
-                builder.rhs, l2g,
-                (gamma / h) * lam * mean_gn * mean_n,
-            )
+    # loads: per half g_n then g_t (Dirichlet part), then the face-mean g_n
+    rhs = np.zeros((nf, 5, 9))
+    keep = np.zeros((nf, 5), dtype=bool)
+    if g_n is not None:
+        gv = _eval_field(g_n, faces.points).reshape(faces.points.shape[:3])
+        int_g_trn, int_g = faces.moments(gv, tr_n)
+        rhs[:, 0:4:2] = pen_mu * int_g_trn - sig_nn * int_g[..., None]
+        mean_gn = 0.0 + int_g[:, 0] + int_g[:, 1]
+        rhs[:, 4] = (pen * lam * mean_gn)[:, None] * mean_n
+        keep[:, [0, 2, 4]] = True
+    if g_t is not None:
+        gtv = _eval_field(g_t, faces.points).reshape(faces.points.shape)
+        gt_tau = (gtv @ tau[:, None, :, None])[..., 0]
+        int_gt_trt, int_gt = faces.moments(gt_tau, tr_t)
+        rhs[:, 1:4:2] = pen_mu * int_gt_trt - sig_nt * int_gt[..., None]
+        keep[:, 1:4:2] = on_d[:, None]
+    _add_face_rhs(builder, faces, rhs, keep)
     return _reduce(space, builder, 0, False)
 
 
@@ -475,42 +513,24 @@ def assemble_nitsche_brinkman_tangential(space, coeffs,
     faces; for mu = 0 every added term vanishes, so the Darcy limit is the
     plain saddle system on the constrained space.
     """
-    tables = space.tables
-    nt = space.mesh.num_triangles
-    mu, sigma = coeffs.validate_brinkman(nt)
-    gamma = coeffs.gamma
-    size = space.n_velocity + nt + int(pressure_multiplier)
-    builder = _Builder(size)
-    K = _viscous_matrix(tables, mu) + _mass_matrix(tables, sigma)
-    _element_block(builder, tables, K)
-    _body_force_rhs(builder, tables, coeffs.f)
-    _coupling_and_source(builder, tables, space.n_velocity, coeffs.g)
-    if pressure_multiplier:
-        _multiplier_row(builder, tables, space.n_velocity, nt)
-
-    qx, qw = edge_rule(3)
-    for face in _boundary_faces(space):
-        if not isinstance(space.bc.get(face.tag), NormalZero):
-            continue
-        t = face.tri
-        if mu[t] == 0.0:
-            continue
-        n, tau = face.normal, face.tangent
-        h = face.length
-        l2g = tables.loc2glob[t]
-        rows = np.repeat(l2g, 9)
-        cols = np.tile(l2g, 9)
-        for seg in face.segments:
-            traces = seg.traces(qx)
-            G = seg.grads()
-            dun_t = mu[t] * np.einsum("i,kij,j->k", tau, G, n)  # t.(mu grad u n)
-            tr_t = np.einsum("kqi,i->kq", traces, tau)
-            int_trt = seg.length * np.einsum("q,kq->k", qw, tr_t)
-            int_trt_trt = seg.length * np.einsum("q,kq,lq->kl", qw, tr_t, tr_t)
-            cmat = np.outer(int_trt, dun_t)
-            builder.add(rows, cols, -(cmat + cmat.T))
-            builder.add(rows, cols, (gamma / h) * mu[t] * int_trt_trt)
-    return _reduce(space, builder, nt, pressure_multiplier)
+    builder, mu, _ = _brinkman_interior(space, coeffs, pressure_multiplier)
+    mesh = space.mesh
+    tags = [tag for tag, bc in space.bc.items() if isinstance(bc, NormalZero)]
+    viscous = mu[mesh.edge_tris[mesh.boundary_edges, 0]] != 0.0
+    faces = _Faces(space, _tag_mask(mesh, tags) & viscous)
+    mu_t = mu[faces.tri]
+    n, tau = faces.normal, faces.tangent
+    # t.(mu grad u n)
+    dun_t = mu_t[:, None, None] * _sandwich(tau, faces.grads, n)
+    int_trt, int_trt_trt = faces.integrals(faces.along(tau))
+    cmat = _outer(int_trt, dun_t)
+    pen_mu = (coeffs.gamma / faces.h) * mu_t
+    halves = np.stack([
+        -(cmat + np.swapaxes(cmat, -1, -2)),
+        pen_mu[:, None, None, None] * int_trt_trt,
+    ], axis=2)
+    _add_face_blocks(builder, faces, halves.reshape(len(faces.tri), 4, 9, 9))
+    return _reduce(space, builder, mesh.num_triangles, pressure_multiplier)
 
 
 def assemble_nitsche_slip(space, coeffs, pressure_multiplier=True,
@@ -523,59 +543,42 @@ def assemble_nitsche_slip(space, coeffs, pressure_multiplier=True,
     c-form, which keeps per-triangle mass conservation exact but makes the
     matrix non-symmetric in the pressure / boundary-velocity coupling.
     """
-    tables = space.tables
-    nt = space.mesh.num_triangles
-    mu, sigma = coeffs.validate_brinkman(nt)
-    gamma = coeffs.gamma
-    size = space.n_velocity + nt + int(pressure_multiplier)
-    builder = _Builder(size)
-    K = _viscous_matrix(tables, mu) + _mass_matrix(tables, sigma)
-    _element_block(builder, tables, K)
-    _body_force_rhs(builder, tables, coeffs.f)
-    _coupling_and_source(builder, tables, space.n_velocity, coeffs.g)
-    if pressure_multiplier:
-        _multiplier_row(builder, tables, space.n_velocity, nt)
+    builder, mu, sigma = _brinkman_interior(space, coeffs, pressure_multiplier)
+    faces = _Faces(space, _tag_mask(space.mesh, slip_tags))
+    nf, t, n = len(faces.tri), faces.tri, faces.normal
+    # n.(mu grad u n)
+    dun_n = mu[t][:, None, None] * _sandwich(n, faces.grads, n)
+    int_trn, int_trn_trn = faces.integrals(faces.along(n))
+    cmat = _outer(int_trn, dun_n)
+    weight = (coeffs.gamma / faces.h) * (mu[t] + sigma[t])
 
-    qx, qw = edge_rule(3)
-    for face in _boundary_faces(space, slip_tags):
-        t = face.tri
-        n = face.normal
-        h = face.length
-        l2g = tables.loc2glob[t]
-        rows = np.repeat(l2g, 9)
-        cols = np.tile(l2g, 9)
-        prow = space.n_velocity + t
-        weight = (gamma / h) * (mu[t] + sigma[t])
-        for seg in face.segments:
-            traces = seg.traces(qx)
-            G = seg.grads()
-            dun_n = mu[t] * np.einsum("i,kij,j->k", n, G, n)  # n.(mu grad u n)
-            tr_n = np.einsum("kqi,i->kq", traces, n)
-            int_trn = seg.length * np.einsum("q,kq->k", qw, tr_n)
-            int_trn_trn = seg.length * np.einsum("q,kq,lq->kl", qw, tr_n, tr_n)
-            # -c((u,p),v): test-trace x trial-stress, and +int p (v.n)
-            cmat = np.outer(int_trn, dun_n)
-            builder.add(rows, cols, -cmat)
-            builder.add(l2g, np.full(9, prow), int_trn)
-            # -c((v,0),u): test-stress x trial-trace, no pressure column
-            builder.add(rows, cols, -cmat.T)
-            builder.add(rows, cols, weight * int_trn_trn)
-    return _reduce(space, builder, nt, pressure_multiplier)
+    # per half: -c((u,p),v) as test-trace x trial-stress and +int p (v.n),
+    # then -c((v,0),u) as test-stress x trial-trace (no pressure column),
+    # then the penalty
+    block, half = (nf, 2, 81), (nf, 2, 9, 9)
+    rows = np.broadcast_to(faces.l2g[:, None, :, None], half).reshape(block)
+    cols = np.broadcast_to(faces.l2g[:, None, None, :], half).reshape(block)
+    l2g = np.broadcast_to(faces.l2g[:, None, :], (nf, 2, 9))
+    prow = np.broadcast_to((space.n_velocity + t)[:, None, None], (nf, 2, 9))
+    builder.add(
+        np.concatenate([rows, l2g, rows, rows], axis=-1),
+        np.concatenate([cols, prow, cols, cols], axis=-1),
+        np.concatenate([
+            (-cmat).reshape(block),
+            int_trn,
+            (-np.swapaxes(cmat, -1, -2)).reshape(block),
+            (weight[:, None, None, None] * int_trn_trn).reshape(block),
+        ], axis=-1),
+    )
+    return _reduce(space, builder, space.mesh.num_triangles,
+                   pressure_multiplier)
 
 
 def boundary_normal_norm(space, coeffs, tags=None):
     """L2 norm of the velocity's normal trace over the (tagged) boundary."""
-    qx, qw = edge_rule(3)
-    local = space.tables.local_coeffs(coeffs)
-    total = 0.0
-    for face in _boundary_faces(space, tags):
-        for seg in face.segments:
-            traces = np.einsum("k,kqi->qi", local[face.tri], seg.traces(qx))
-            un = traces @ face.normal
-            total += seg.length * float(np.einsum("q,q->", qw, un**2))
-    return np.sqrt(total)
-
-
-def write_matrix_market(system, path):
-    """MatrixMarket coordinate export of the reduced system matrix."""
-    system.export_matrix_market(path)
+    faces = _Faces(space, _tag_mask(space.mesh, tags))
+    local = space.tables.local_coeffs(coeffs)[faces.tri]
+    traces = np.einsum("fk,fskqi->fsqi", local, faces.traces)
+    un = (traces @ faces.normal[:, None, :, None])[..., 0]
+    return np.sqrt(np.sum(faces.length * np.einsum("q,fsq->fs", faces.qw,
+                                                   un**2)))

@@ -260,10 +260,6 @@ class SubdividedMesh:
     SUBTRIANGLES = np.array(
         [[1, 3, 6], [3, 2, 6], [2, 4, 6], [4, 0, 6], [0, 5, 6], [5, 1, 6]]
     )
-    NODE_ROLES = (
-        "macro-vertex", "macro-vertex", "macro-vertex",
-        "edge-node", "edge-node", "edge-node", "centroid",
-    )
 
     def local_nodes(self, t):
         """The 7 subdivision nodes of macro triangle t, ordered

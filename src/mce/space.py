@@ -10,7 +10,6 @@ elementwise constant divergence and the pressure space of per-triangle
 constants is matched exactly.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,114 +46,14 @@ def _hat_gradients(corners):
     return g / twoA[..., None, None], 0.5 * twoA
 
 
-@dataclass(frozen=True)
-class EdgeBubble:
-    """Bubble function of one edge: nodal tables per incident triangle.
-
-    `centroid_values[t]` is the centroid vector u_m of incident triangle t,
-    `div_values[t]` the constant divergence there (unit amplitude).
-    """
-
-    edge: int
-    nu: np.ndarray
-    tris: tuple
-    centroid_values: dict
-    div_values: dict
-
-    def nodal_table(self, subdiv, t):
-        """Values at the 7 local nodes [v0 v1 v2 m0 m1 m2 c] on triangle t."""
-        mesh = subdiv.mesh
-        table = np.zeros((7, 2))
-        loc = list(mesh.tri_edges[t]).index(self.edge)
-        table[3 + loc] = self.nu
-        table[6] = self.centroid_values[t]
-        return table
-
-
-def _bubble_centroid_value(verts, nu, iedge):
-    """Solve the two equal-divergence conditions for the centroid value.
-
-    verts: (3, 2) CCW corners; iedge: local edge opposite vertex iedge.
-    Returns (u_m, div_constant).
-    """
-    N = _perp_out(np.stack([verts[(i + 2) % 3] - verts[(i + 1) % 3]
-                            for i in range(3)]))
-    twoA = float(_cross2(verts[1] - verts[0], verts[2] - verts[0]))
-    beta = float(nu @ N[iedge])
-    others = [j for j in range(3) if j != iedge]
-    M = N[others]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(det) < 1e-14 * max(abs(M).max() ** 2, 1e-300):
-        raise GeometryError("degenerate triangle in bubble construction")
-    rhs = np.array([-beta / 3.0, -beta / 3.0])
-    um = np.array(
-        [
-            (M[1, 1] * rhs[0] - M[0, 1] * rhs[1]) / det,
-            (-M[1, 0] * rhs[0] + M[0, 0] * rhs[1]) / det,
-        ]
-    )
-    return um, beta / twoA
-
-
-def compute_bubble(subdiv, edge):
-    """Construct the EdgeBubble of `edge` on all incident triangles."""
-    mesh = subdiv.mesh
-    nu = subdiv.edge_nu[edge]
-    tris = [t for t in mesh.edge_tris[edge] if t >= 0]
-    centroid_values, div_values = {}, {}
-    for t in tris:
-        verts = mesh.vertices[mesh.triangles[t]]
-        loc = list(mesh.tri_edges[t]).index(edge)
-        um, d = _bubble_centroid_value(verts, nu, loc)
-        centroid_values[t] = um
-        div_values[t] = d
-    return EdgeBubble(
-        edge=edge,
-        nu=nu,
-        tris=tuple(tris),
-        centroid_values=centroid_values,
-        div_values=div_values,
-    )
-
-
-def bubble_centroid_closed_form(subdiv, edge, t):
-    """Closed-form centroid value: d * (centroid - opposite vertex).
-
-    Cross-check for the linear-system route in `compute_bubble`; the two
-    agree to roundoff for any valid split.
-    """
-    mesh = subdiv.mesh
-    verts = mesh.vertices[mesh.triangles[t]]
-    loc = list(mesh.tri_edges[t]).index(edge)
-    nu = subdiv.edge_nu[edge]
-    N = _perp_out(verts[(loc + 2) % 3] - verts[(loc + 1) % 3])
-    twoA = float(_cross2(verts[1] - verts[0], verts[2] - verts[0]))
-    d = float(nu @ N) / twoA
-    return d * (subdiv.centroids[t] - verts[loc])
-
-
-def dump_bubble_csv(subdiv, path):
-    """Debug dump of all bubble nodal tables as CSV."""
-    roles = subdiv.NODE_ROLES
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edge", "triangle", "node", "role", "vx", "vy"])
-        for e in range(subdiv.mesh.num_edges):
-            bubble = compute_bubble(subdiv, e)
-            for t in bubble.tris:
-                table = bubble.nodal_table(subdiv, t)
-                for n in range(7):
-                    writer.writerow(
-                        [e, t, n, roles[n], repr(table[n, 0]), repr(table[n, 1])]
-                    )
-
-
 class ElementTables:
     """Batched per-triangle basis data shared by assembly and evaluation.
 
     Local velocity dofs per macro triangle (9): the two components at each
     of the three vertices, then the three edge bubbles (edge i opposite
-    local vertex i).
+    local vertex i). The bubble of local edge i is nu_i at its split node
+    and `bubble_um[t, i]` at the centroid, which makes its divergence the
+    constant `bubble_div[t, i]` on all 6 subtriangles (unit amplitude).
     """
 
     def __init__(self, subdiv):
@@ -167,12 +66,10 @@ class ElementTables:
         sub = subdiv.SUBTRIANGLES  # (6,3)
 
         corners = nodes[:, sub]  # (nt,6,3,2)
-        self.sub_corner_nodes = sub
         self.sub_corners = corners
         grads, areas = _hat_gradients(corners)
         if np.any(areas <= 0):
             raise GeometryError("subtriangle with non-positive area")
-        self.sub_grads = grads  # (nt,6,3,2)
         self.sub_areas = areas  # (nt,6)
         self.areas = areas.sum(axis=1)  # (nt,)
         self.nodes = nodes
@@ -190,7 +87,6 @@ class ElementTables:
             )
             bary[:, 3 + i, (i + 1) % 3] = 1.0 - t
             bary[:, 3 + i, (i + 2) % 3] = t
-        self.node_bary = bary
 
         # bubble data per local edge
         nu = subdiv.edge_nu[mesh.tri_edges]  # (nt,3,2)
@@ -210,7 +106,6 @@ class ElementTables:
             um[:, i, 0] = (d_ * r - b_ * r) / det
             um[:, i, 1] = (-c_ * r + a_ * r) / det
         self.bubble_um = um
-        self.edge_nu_local = nu
 
         # nodal values of the 9 local basis fields at the 7 nodes: (nt,9,7,2)
         vals = np.zeros((nt, 9, 7, 2))
@@ -247,11 +142,6 @@ class ElementTables:
         """Nodal values (nt, 7, 2) of the velocity field."""
         return np.einsum("tk,tkni->tni", self.local_coeffs(coeffs),
                          self.basis_node_values)
-
-    def field_gradients(self, coeffs):
-        """Constant gradients (nt, 6, 2, 2) of the field per subtriangle."""
-        return np.einsum("tk,tksij->tsij", self.local_coeffs(coeffs),
-                         self.basis_grads)
 
     def field_divergence(self, coeffs):
         """Per-macro-triangle constant divergence (nt,)."""

@@ -346,6 +346,26 @@ class TestLockingStudy:
         assert lines[0] == "nu,tip_compatible,tip_affine"
         assert len(lines) == 3
 
+    def test_space_built_once(self, monkeypatch):
+        # only the Lame coefficients change with nu: one mesh, subdivision
+        # and space serve the whole study, with the tips of separate solves
+        from mce import bench
+
+        spaces = []
+
+        def counting_build_space(*args, **kwargs):
+            spaces.append(build_space(*args, **kwargs))
+            return spaces[-1]
+
+        monkeypatch.setattr(bench, "build_space", counting_build_space)
+        record = bench.run_locking_study([0.3, 0.4], n=2)
+        assert len(spaces) == 1
+        assert record.last.space is spaces[0]
+        monkeypatch.undo()
+        for row in record.rows:
+            tip, _, _ = bench.solve_cooks(case_cooks(row["nu"]), n=2)
+            assert row["tip_compatible"] == tip
+
 
 class TestRobustnessSweeps:
     def test_lambda_sweep_small(self):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import io as scipy_io
 
+from mce import forms
 from mce.forms import (
     ConfigurationError,
     ProblemCoefficients,
@@ -13,9 +16,10 @@ from mce.forms import (
     boundary_normal_norm,
     quadrature_rule,
 )
-from mce.mesh import generate_unit_square_mesh, subdivide
+from mce.mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
+from mce.quadrature import edge_rule
 from mce.solve import solve
-from mce.space import build_space, fortin_interpolate
+from mce.space import Dirichlet, Free, NormalZero, build_space, fortin_interpolate
 
 
 def sym_defect(A):
@@ -284,3 +288,410 @@ class TestExport:
         system.export_matrix_market(str(path))
         loaded = scipy_io.mmread(str(path)).tocsr()
         assert (loaded != system.matrix).nnz == 0
+
+
+# Reference assemblers: the per-face loops over _Face/_Segment objects that
+# the batched face table in mce.forms replaced. The interior parts call the
+# same private helpers as mce.forms, so these differ from the library only
+# in how the boundary terms are formed; the builder receives every triplet
+# and every right-hand-side update in the same order, hence the bitwise
+# comparisons below.
+
+
+class _Segment:
+    """Half of a boundary face trace, backed by one subtriangle."""
+
+    def __init__(self, tables, tri, n0, n1, child):
+        self.tables = tables
+        self.tri = tri
+        self.n0, self.n1 = n0, n1
+        self.child = child
+        p0 = tables.nodes[tri, n0]
+        p1 = tables.nodes[tri, n1]
+        self.p0, self.p1 = p0, p1
+        self.length = float(np.linalg.norm(p1 - p0))
+
+    def points(self, qx):
+        return self.p0 + np.outer(qx, self.p1 - self.p0)
+
+    def traces(self, qx):
+        V = self.tables.basis_node_values[self.tri]  # (9,7,2)
+        return (
+            V[:, self.n0][:, None, :] * (1.0 - qx)[None, :, None]
+            + V[:, self.n1][:, None, :] * qx[None, :, None]
+        )
+
+    def grads(self):
+        return self.tables.basis_grads[self.tri, :, self.child]  # (9,2,2)
+
+
+class _Face:
+    def __init__(self, space, edge):
+        mesh = space.mesh
+        tables = space.tables
+        self.edge = edge
+        self.tag = mesh.boundary_tags[edge]
+        t = int(mesh.edge_tris[edge, 0])
+        self.tri = t
+        loc = int(np.flatnonzero(mesh.tri_edges[t] == edge)[0])
+        self.loc = loc
+        va, vb = (loc + 1) % 3, (loc + 2) % 3
+        a = tables.nodes[t, va]
+        b = tables.nodes[t, vb]
+        d = b - a
+        self.length = float(np.linalg.norm(d))
+        self.normal = np.array([d[1], -d[0]]) / self.length
+        self.tangent = d / self.length
+        self.segments = [
+            _Segment(tables, t, va, 3 + loc, 2 * loc),
+            _Segment(tables, t, 3 + loc, vb, 2 * loc + 1),
+        ]
+
+    def mean_normal_trace(self, space):
+        """Exact face means of (basis . n), shape (9,)."""
+        V = space.tables.basis_node_values[self.tri]
+        total = np.zeros(9)
+        for seg in self.segments:
+            avg = 0.5 * (V[:, seg.n0] + V[:, seg.n1]) @ self.normal
+            total += seg.length * avg
+        return total / self.length
+
+
+def _boundary_faces(space, tags=None):
+    mesh = space.mesh
+    for e in mesh.boundary_edges:
+        if tags is not None and mesh.boundary_tags[e] not in tags:
+            continue
+        yield _Face(space, e)
+
+
+def _reference_brinkman_interior(space, coeffs, pressure_multiplier):
+    tables = space.tables
+    nt = space.mesh.num_triangles
+    mu, sigma = coeffs.validate_brinkman(nt)
+    builder = forms._Builder(space.n_velocity + nt + int(pressure_multiplier))
+    K = forms._viscous_matrix(tables, mu) + forms._mass_matrix(tables, sigma)
+    forms._element_block(builder, tables, K)
+    forms._body_force_rhs(builder, tables, coeffs.f)
+    forms._coupling_and_source(builder, tables, space.n_velocity, coeffs.g)
+    if pressure_multiplier:
+        forms._multiplier_row(builder, tables, space.n_velocity, nt)
+    return builder, mu, sigma
+
+
+def _reference_elasticity_interior(space, coeffs):
+    tables = space.tables
+    mu, lam = coeffs.validate_elasticity(space.mesh.num_triangles)
+    builder = forms._Builder(space.n_velocity)
+    forms._element_block(builder, tables, forms._elastic_matrix(tables, mu, lam))
+    forms._body_force_rhs(builder, tables, coeffs.f)
+    return builder, mu, lam
+
+
+def reference_assemble_elasticity(space, coeffs, tractions=None):
+    builder, _, _ = _reference_elasticity_interior(space, coeffs)
+    if tractions:
+        qx, qw = edge_rule(3)
+        for face in _boundary_faces(space):
+            spec = tractions.get(face.tag)
+            if spec is None:
+                continue
+            for seg in face.segments:
+                pts = seg.points(qx)
+                tv = (
+                    forms._eval_field(spec, pts)
+                    if callable(spec)
+                    else np.broadcast_to(np.asarray(spec, float), (len(qx), 2))
+                )
+                traces = seg.traces(qx)  # (9, nq, 2)
+                vals = seg.length * np.einsum("q,qi,kqi->k", qw, tv, traces)
+                np.add.at(builder.rhs, space.tables.loc2glob[face.tri], vals)
+    return forms._reduce(space, builder, 0, False)
+
+
+def reference_assemble_nitsche_elasticity(space, coeffs, dirichlet_tags,
+                                          g_n=None, g_t=None):
+    builder, mu, lam = _reference_elasticity_interior(space, coeffs)
+    tables = space.tables
+    gamma = coeffs.gamma
+    dirichlet_tags = set(dirichlet_tags)
+    qx, qw = edge_rule(3)
+    for face in _boundary_faces(space):
+        t = face.tri
+        n, tau = face.normal, face.tangent
+        h = face.length
+        mu_t = mu[t]
+        l2g = tables.loc2glob[t]
+        on_d = face.tag in dirichlet_tags
+
+        mean_n = face.mean_normal_trace(space)
+        # lambda-penalty on face means: (gamma/h) lam |E| mean mean
+        pen_mean = (gamma / h) * lam * face.length
+        builder.add(
+            np.repeat(l2g, 9), np.tile(l2g, 9),
+            pen_mean * np.outer(mean_n, mean_n),
+        )
+
+        mean_gn = 0.0
+        for seg in face.segments:
+            traces = seg.traces(qx)  # (9,nq,2)
+            G = seg.grads()  # (9,2,2)
+            E = 0.5 * (G + np.swapaxes(G, 1, 2))
+            div = np.trace(G, axis1=1, axis2=2)
+            sig_nn = 2.0 * mu_t * np.einsum("i,kij,j->k", n, E, n) + lam * div
+            sig_nt = 2.0 * mu_t * np.einsum("i,kij,j->k", tau, E, n)
+            tr_n = np.einsum("kqi,i->kq", traces, n)
+            tr_t = np.einsum("kqi,i->kq", traces, tau)
+            int_trn = seg.length * np.einsum("q,kq->k", qw, tr_n)
+            int_trt = seg.length * np.einsum("q,kq->k", qw, tr_t)
+            int_trn_trn = seg.length * np.einsum("q,kq,lq->kl", qw, tr_n, tr_n)
+            int_trt_trt = seg.length * np.einsum("q,kq,lq->kl", qw, tr_t, tr_t)
+
+            rows = np.repeat(l2g, 9)
+            cols = np.tile(l2g, 9)
+            # -c(u,v) - c(v,u), normal part on every boundary face
+            cmat = np.outer(int_trn, sig_nn)  # test k trace, trial l stress
+            builder.add(rows, cols, -(cmat + cmat.T))
+            # mu-penalty on normal traces
+            builder.add(rows, cols, (gamma / h) * mu_t * int_trn_trn)
+            if on_d:
+                cmat_t = np.outer(int_trt, sig_nt)
+                builder.add(rows, cols, -(cmat_t + cmat_t.T))
+                builder.add(rows, cols, (gamma / h) * mu_t * int_trt_trt)
+
+            pts = seg.points(qx)
+            if g_n is not None:
+                gv = np.asarray(g_n(pts), dtype=float).ravel()
+                int_g_trn = seg.length * np.einsum("q,q,kq->k", qw, gv, tr_n)
+                int_g = seg.length * float(np.einsum("q,q->", qw, gv))
+                mean_gn += int_g
+                np.add.at(
+                    builder.rhs, l2g,
+                    (gamma / h) * mu_t * int_g_trn - sig_nn * int_g,
+                )
+            if on_d and g_t is not None:
+                gtv = forms._eval_field(g_t, pts)
+                gt_tau = gtv @ tau
+                int_gt_trt = seg.length * np.einsum("q,q,kq->k", qw, gt_tau, tr_t)
+                int_gt = seg.length * float(np.einsum("q,q->", qw, gt_tau))
+                np.add.at(
+                    builder.rhs, l2g,
+                    (gamma / h) * mu_t * int_gt_trt - sig_nt * int_gt,
+                )
+        if g_n is not None:
+            np.add.at(
+                builder.rhs, l2g,
+                (gamma / h) * lam * mean_gn * mean_n,
+            )
+    return forms._reduce(space, builder, 0, False)
+
+
+def reference_assemble_nitsche_brinkman_tangential(space, coeffs,
+                                                   pressure_multiplier=True):
+    builder, mu, _ = _reference_brinkman_interior(
+        space, coeffs, pressure_multiplier)
+    tables = space.tables
+    gamma = coeffs.gamma
+    qx, qw = edge_rule(3)
+    for face in _boundary_faces(space):
+        if not isinstance(space.bc.get(face.tag), NormalZero):
+            continue
+        t = face.tri
+        if mu[t] == 0.0:
+            continue
+        n, tau = face.normal, face.tangent
+        h = face.length
+        l2g = tables.loc2glob[t]
+        rows = np.repeat(l2g, 9)
+        cols = np.tile(l2g, 9)
+        for seg in face.segments:
+            traces = seg.traces(qx)
+            G = seg.grads()
+            dun_t = mu[t] * np.einsum("i,kij,j->k", tau, G, n)  # t.(mu grad u n)
+            tr_t = np.einsum("kqi,i->kq", traces, tau)
+            int_trt = seg.length * np.einsum("q,kq->k", qw, tr_t)
+            int_trt_trt = seg.length * np.einsum("q,kq,lq->kl", qw, tr_t, tr_t)
+            cmat = np.outer(int_trt, dun_t)
+            builder.add(rows, cols, -(cmat + cmat.T))
+            builder.add(rows, cols, (gamma / h) * mu[t] * int_trt_trt)
+    return forms._reduce(space, builder, space.mesh.num_triangles,
+                         pressure_multiplier)
+
+
+def reference_assemble_nitsche_slip(space, coeffs, pressure_multiplier=True,
+                                    slip_tags=None):
+    builder, mu, sigma = _reference_brinkman_interior(
+        space, coeffs, pressure_multiplier)
+    tables = space.tables
+    gamma = coeffs.gamma
+    qx, qw = edge_rule(3)
+    for face in _boundary_faces(space, slip_tags):
+        t = face.tri
+        n = face.normal
+        h = face.length
+        l2g = tables.loc2glob[t]
+        rows = np.repeat(l2g, 9)
+        cols = np.tile(l2g, 9)
+        prow = space.n_velocity + t
+        weight = (gamma / h) * (mu[t] + sigma[t])
+        for seg in face.segments:
+            traces = seg.traces(qx)
+            G = seg.grads()
+            dun_n = mu[t] * np.einsum("i,kij,j->k", n, G, n)  # n.(mu grad u n)
+            tr_n = np.einsum("kqi,i->kq", traces, n)
+            int_trn = seg.length * np.einsum("q,kq->k", qw, tr_n)
+            int_trn_trn = seg.length * np.einsum("q,kq,lq->kl", qw, tr_n, tr_n)
+            # -c((u,p),v): test-trace x trial-stress, and +int p (v.n)
+            cmat = np.outer(int_trn, dun_n)
+            builder.add(rows, cols, -cmat)
+            builder.add(l2g, np.full(9, prow), int_trn)
+            # -c((v,0),u): test-stress x trial-trace, no pressure column
+            builder.add(rows, cols, -cmat.T)
+            builder.add(rows, cols, weight * int_trn_trn)
+    return forms._reduce(space, builder, space.mesh.num_triangles,
+                         pressure_multiplier)
+
+
+def reference_boundary_normal_norm(space, coeffs, tags=None):
+    qx, qw = edge_rule(3)
+    local = space.tables.local_coeffs(coeffs)
+    total = 0.0
+    for face in _boundary_faces(space, tags):
+        for seg in face.segments:
+            traces = np.einsum("k,kqi->qi", local[face.tri], seg.traces(qx))
+            un = traces @ face.normal
+            total += seg.length * float(np.einsum("q,q->", qw, un**2))
+    return np.sqrt(total)
+
+
+def assert_bitwise(system, reference):
+    """Same reduced matrix (data, indices, indptr) and rhs, bit for bit."""
+    a, b = system.matrix, reference.matrix
+    assert a.shape == b.shape
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert system.rhs.tobytes() == reference.rhs.tobytes()
+
+
+def jittered_square(n, seed, jitter=0.3):
+    """Unit-square grid with each interior vertex moved by up to jitter*h."""
+    mesh = generate_unit_square_mesh(n)
+    vertices = mesh.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-jitter / n, jitter / n,
+                                      (int(interior.sum()), 2))
+    return mesh.with_vertices(vertices)
+
+
+SQUARE_TAGS = ("bottom", "right", "top", "left")
+ORACLE_MESHES = {
+    "square-3": lambda: generate_unit_square_mesh(3),
+    "jittered-6": lambda: jittered_square(6, seed=5),
+}
+
+
+def _load(p):
+    return np.column_stack([np.sin(3.0 * p[:, 1]), p[:, 0] ** 2 - p[:, 1]])
+
+
+def _g_n(p):
+    return np.cos(2.0 * p[:, 0]) * p[:, 1] + 0.25
+
+
+def _g_t(p):
+    return np.column_stack([p[:, 1] ** 3, np.exp(p[:, 0]) - 1.0])
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_MESHES))
+def oracle_sub(request):
+    return subdivide(ORACLE_MESHES[request.param]())
+
+
+@pytest.fixture(scope="module", params=["free", "normal", "dirichlet"])
+def oracle_space(request, oracle_sub):
+    return build_space(oracle_sub, request.param)
+
+
+class TestBoundaryTermsMatchFaceLoops:
+    """Every assembler with boundary terms against the per-face loops."""
+
+    def test_tractions(self, oracle_space):
+        coeffs = ProblemCoefficients(mu=1.3, lam=7.0, f=_load)
+        tractions = {"right": (0.5, -2.0), "top": _load, "left": None}
+        assert_bitwise(
+            assemble_elasticity(oracle_space, coeffs, tractions=tractions),
+            reference_assemble_elasticity(oracle_space, coeffs, tractions),
+        )
+
+    @pytest.mark.parametrize("tags", [SQUARE_TAGS, ("left", "top"), ()])
+    @pytest.mark.parametrize("data", [False, True])
+    def test_nitsche_elasticity(self, oracle_space, tags, data):
+        nt = oracle_space.mesh.num_triangles
+        mu = 1.0 + 0.5 * np.cos(np.arange(nt))
+        coeffs = ProblemCoefficients(mu=mu, lam=40.0, gamma=12.0, f=_load)
+        g_n, g_t = (_g_n, _g_t) if data else (None, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            system = assemble_nitsche_elasticity(
+                oracle_space, coeffs, set(tags), g_n=g_n, g_t=g_t)
+            reference = reference_assemble_nitsche_elasticity(
+                oracle_space, coeffs, set(tags), g_n=g_n, g_t=g_t)
+        assert_bitwise(system, reference)
+
+    @pytest.mark.parametrize("multiplier", [True, False])
+    def test_tangential(self, oracle_space, multiplier):
+        mesh = oracle_space.mesh
+        # zero viscosity on every other triangle next to the boundary
+        mu = np.full(mesh.num_triangles, 0.7)
+        first = mesh.edge_tris[mesh.boundary_edges, 0]
+        mu[first[::2]] = 0.0
+        coeffs = ProblemCoefficients(mu=mu, sigma=2.0, gamma=9.0, f=_load,
+                                     g=lambda p: p[:, 0] - 0.5)
+        assert_bitwise(
+            assemble_nitsche_brinkman_tangential(oracle_space, coeffs,
+                                                 multiplier),
+            reference_assemble_nitsche_brinkman_tangential(
+                oracle_space, coeffs, multiplier),
+        )
+
+    @pytest.mark.parametrize("slip_tags", [None, {"bottom", "right"}])
+    @pytest.mark.parametrize("multiplier", [True, False])
+    def test_slip(self, oracle_space, slip_tags, multiplier):
+        nt = oracle_space.mesh.num_triangles
+        coeffs = ProblemCoefficients(
+            mu=1.0 + 0.1 * np.arange(nt) / nt, sigma=0.5, gamma=11.0, f=_load)
+        assert_bitwise(
+            assemble_nitsche_slip(oracle_space, coeffs, multiplier,
+                                  slip_tags=slip_tags),
+            reference_assemble_nitsche_slip(oracle_space, coeffs, multiplier,
+                                            slip_tags=slip_tags),
+        )
+
+    @pytest.mark.parametrize("tags", [None, {"top"}, {"left", "bottom"}])
+    def test_boundary_normal_norm(self, oracle_space, tags):
+        u = fortin_interpolate(_load, oracle_space)
+        value = boundary_normal_norm(oracle_space, u, tags)
+        expected = reference_boundary_normal_norm(oracle_space, u, tags)
+        assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+        tangential = fortin_interpolate(
+            lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
+            oracle_space)
+        assert reference_boundary_normal_norm(
+            oracle_space, tangential, {"top", "bottom"}) == 0.0
+        assert boundary_normal_norm(
+            oracle_space, tangential, {"top", "bottom"}) == 0.0
+
+    @pytest.mark.parametrize("traction", [(0.0, 6.25), _load],
+                             ids=["constant", "callable"])
+    def test_cook_tractions(self, traction):
+        sub = subdivide(generate_cook_mesh(4), boundary_split="midpoint")
+        space = build_space(sub, {"clamped": Dirichlet((0.0, 0.0)),
+                                  "loaded": Free(), "traction-free": Free()})
+        coeffs = ProblemCoefficients(mu=80.0, lam=1e4)
+        tractions = {"loaded": traction}
+        assert_bitwise(
+            assemble_elasticity(space, coeffs, tractions=tractions),
+            reference_assemble_elasticity(space, coeffs, tractions),
+        )

@@ -11,9 +11,8 @@ from mce.space import (
     V_FIXED,
     V_FREE,
     V_NORMAL,
-    bubble_centroid_closed_form,
+    ElementTables,
     build_space,
-    compute_bubble,
     eval_velocity,
     eval_velocity_gradient,
     fortin_interpolate,
@@ -67,56 +66,94 @@ def p1_divergences(corners, values):
     return sum(values[c] @ g[c] for c in range(3))
 
 
+def local_edge(mesh, t, e):
+    return list(mesh.tri_edges[t]).index(e)
+
+
+def per_edge_bubble(subdiv, edge, t):
+    """Oracle: the bubble of `edge` on triangle t, one 2x2 solve of the two
+    equal-divergence conditions. Returns (centroid value u_m, divergence)."""
+    mesh = subdiv.mesh
+    verts = mesh.vertices[mesh.triangles[t]]
+    iedge = local_edge(mesh, t, edge)
+    nu = subdiv.edge_nu[edge]
+    d = np.array([verts[(i + 2) % 3] - verts[(i + 1) % 3] for i in range(3)])
+    N = np.column_stack([d[:, 1], -d[:, 0]])  # outward, |N_i| = |E_i|
+    twoA = (verts[1, 0] - verts[0, 0]) * (verts[2, 1] - verts[0, 1]) - (
+        verts[1, 1] - verts[0, 1]) * (verts[2, 0] - verts[0, 0])
+    beta = float(nu @ N[iedge])
+    M = N[[j for j in range(3) if j != iedge]]
+    um = np.linalg.solve(M, [-beta / 3.0, -beta / 3.0])
+    return um, beta / twoA
+
+
+def closed_form_bubble(subdiv, edge, t):
+    """Oracle: centroid value d * (centroid - opposite vertex)."""
+    mesh = subdiv.mesh
+    verts = mesh.vertices[mesh.triangles[t]]
+    loc = local_edge(mesh, t, edge)
+    e = verts[(loc + 2) % 3] - verts[(loc + 1) % 3]
+    twoA = (verts[1, 0] - verts[0, 0]) * (verts[2, 1] - verts[0, 1]) - (
+        verts[1, 1] - verts[0, 1]) * (verts[2, 0] - verts[0, 0])
+    d = float(subdiv.edge_nu[edge] @ np.array([e[1], -e[0]])) / twoA
+    return d * (subdiv.centroids[t] - verts[loc])
+
+
 class TestBubble:
     def test_reference_triangle_oracle(self):
         # independent oracle: build and solve the 2x2 equal-divergence
         # system from raw geometry
         sub = reference_subdiv()
         e = edge_between(sub.mesh, 0, 1)
-        bubble = compute_bubble(sub, e)
-        np.testing.assert_allclose(bubble.nu, [0.0, -1.0], atol=1e-15)
+        loc = local_edge(sub.mesh, 0, e)
+        tables = ElementTables(sub)
+        nu = sub.edge_nu[e]
+        np.testing.assert_allclose(nu, [0.0, -1.0], atol=1e-15)
 
         area = 0.5
         n_hyp_in = -np.array([1.0, 1.0]) / np.sqrt(2.0)
         h_hyp = (1.0 / 3.0) / np.sqrt(2.0)
         n_left_in = np.array([1.0, 0.0])
         h_left = 1.0 / 3.0
-        d = 1.0 * (bubble.nu @ np.array([0.0, -1.0])) / (2 * area)
+        d = 1.0 * (nu @ np.array([0.0, -1.0])) / (2 * area)
         M = np.array([n_hyp_in / h_hyp, n_left_in / h_left])
         um_oracle = np.linalg.solve(M, [d, d])
 
         np.testing.assert_allclose(um_oracle, [1 / 3, -2 / 3], rtol=1e-13)
-        np.testing.assert_allclose(bubble.centroid_values[0], um_oracle, rtol=1e-13)
-        assert bubble.div_values[0] == pytest.approx(1.0, rel=1e-13)
+        np.testing.assert_allclose(tables.bubble_um[0, loc], um_oracle,
+                                   rtol=1e-13)
+        assert tables.bubble_div[0, loc] == pytest.approx(1.0, rel=1e-13)
 
     def test_sign_flip_negates(self):
         sub = reference_subdiv()
         e = edge_between(sub.mesh, 0, 1)
+        loc = local_edge(sub.mesh, 0, e)
         flipped = type(sub)(
             mesh=sub.mesh,
             centroids=sub.centroids,
             edge_splits=sub.edge_splits,
             edge_nu=-sub.edge_nu,
         )
-        b0 = compute_bubble(sub, e)
-        b1 = compute_bubble(flipped, e)
+        b0 = ElementTables(sub)
+        b1 = ElementTables(flipped)
         np.testing.assert_allclose(
-            b1.centroid_values[0], -b0.centroid_values[0], rtol=1e-13
+            b1.bubble_um[0, loc], -b0.bubble_um[0, loc], rtol=1e-13
         )
-        assert b1.div_values[0] == pytest.approx(-1.0, rel=1e-13)
+        assert b1.bubble_div[0, loc] == pytest.approx(-1.0, rel=1e-13)
 
     def test_divergence_theorem_flux(self):
         # area * div equals the boundary flux int_E hat * (nu . n) = |E|/2 * nu.n
         sub = reference_subdiv()
         mesh = sub.mesh
+        tables = ElementTables(sub)
         for a, b, n in [((0, 1), None, [0, -1]), ((2, 0), None, [-1, 0])]:
             e = edge_between(mesh, *a)
-            bubble = compute_bubble(sub, e)
             length = np.linalg.norm(
                 mesh.vertices[mesh.edges[e, 1]] - mesh.vertices[mesh.edges[e, 0]]
             )
-            flux = 0.5 * length * (bubble.nu @ np.asarray(n, dtype=float))
-            assert 0.5 * bubble.div_values[0] == pytest.approx(flux, rel=1e-12)
+            flux = 0.5 * length * (sub.edge_nu[e] @ np.asarray(n, dtype=float))
+            div = tables.bubble_div[0, local_edge(mesh, 0, e)]
+            assert 0.5 * div == pytest.approx(flux, rel=1e-12)
 
     def test_equal_divergence_on_random_triangles(self):
         rng = np.random.default_rng(7)
@@ -125,18 +162,18 @@ class TestBubble:
             verts = random_quality_triangle(rng)
             mesh = build_mesh(verts, [[0, 1, 2]])
             sub = subdivide(mesh, boundary_split="midpoint")
+            tables = ElementTables(sub)
             tables_nodes = sub.local_nodes(0)
             for e in range(3):
-                bubble = compute_bubble(sub, e)
                 vals = np.zeros((7, 2))
-                loc = list(mesh.tri_edges[0]).index(e)
-                vals[3 + loc] = bubble.nu
-                vals[6] = bubble.centroid_values[0]
+                loc = local_edge(mesh, 0, e)
+                vals[3 + loc] = sub.edge_nu[e]
+                vals[6] = tables.bubble_um[0, loc]
                 divs = [
                     p1_divergences(tables_nodes[ids], vals[ids])
                     for ids in sub.SUBTRIANGLES
                 ]
-                d = bubble.div_values[0]
+                d = tables.bubble_div[0, loc]
                 worst = max(worst, np.abs(np.asarray(divs) - d).max() / abs(d))
         assert worst < 1e-10
 
@@ -146,11 +183,12 @@ class TestBubble:
             verts = random_quality_triangle(rng)
             mesh = build_mesh(verts, [[0, 1, 2]])
             sub = subdivide(mesh, boundary_split="midpoint")
+            tables = ElementTables(sub)
             for e in range(3):
-                bubble = compute_bubble(sub, e)
-                cf = bubble_centroid_closed_form(sub, e, 0)
+                cf = closed_form_bubble(sub, e, 0)
                 np.testing.assert_allclose(
-                    cf, bubble.centroid_values[0], rtol=1e-11, atol=1e-13
+                    cf, tables.bubble_um[0, local_edge(mesh, 0, e)],
+                    rtol=1e-11, atol=1e-13,
                 )
 
     def test_trace_vanishes_off_own_edge(self):
@@ -184,38 +222,19 @@ class TestBubble:
                     else:
                         np.testing.assert_allclose(val, 0.0, atol=1e-12)
 
-    def test_batched_tables_match_compute_bubble(self):
+    def test_batched_tables_match_per_edge_solve(self):
         # ElementTables solves the centroid values in a vectorized sweep;
         # it must agree with the per-edge construction everywhere
-        from mce.space import ElementTables
-
         mesh = generate_unit_square_mesh(3)
         sub = subdivide(mesh)
         tables = ElementTables(sub)
         for t in range(mesh.num_triangles):
             for loc, e in enumerate(mesh.tri_edges[t]):
-                bubble = compute_bubble(sub, e)
+                um, div = per_edge_bubble(sub, e, t)
                 np.testing.assert_allclose(
-                    tables.bubble_um[t, loc], bubble.centroid_values[t],
-                    rtol=1e-13, atol=1e-15,
+                    tables.bubble_um[t, loc], um, rtol=1e-13, atol=1e-15,
                 )
-                assert tables.bubble_div[t, loc] == pytest.approx(
-                    bubble.div_values[t], rel=1e-13
-                )
-
-    def test_bubble_csv_dump(self, tmp_path):
-        from mce.space import dump_bubble_csv
-
-        sub = subdivide(generate_unit_square_mesh(1))
-        path = tmp_path / "bubbles.csv"
-        dump_bubble_csv(sub, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "edge,triangle,node,role,vx,vy"
-        # 4 boundary edges with one table + 1 interior edge with two tables,
-        # 7 nodes each
-        assert len(lines) == 1 + 7 * (4 + 2)
-        roles = {line.split(",")[3] for line in lines[1:]}
-        assert roles == {"macro-vertex", "edge-node", "centroid"}
+                assert tables.bubble_div[t, loc] == pytest.approx(div, rel=1e-13)
 
     def test_interior_edge_tables_on_both_sides(self):
         mesh = build_mesh(
@@ -224,11 +243,12 @@ class TestBubble:
         )
         sub = subdivide(mesh)
         e = edge_between(mesh, 0, 2)
-        bubble = compute_bubble(sub, e)
-        assert set(bubble.tris) == {0, 1}
+        assert set(mesh.edge_tris[e]) == {0, 1}
+        tables = ElementTables(sub)
+        loc0, loc1 = local_edge(mesh, 0, e), local_edge(mesh, 1, e)
         # opposite outward normals: divergence constants have opposite signs
-        assert bubble.div_values[0] * bubble.div_values[1] < 0
-        t0 = bubble.nodal_table(sub, 0)
+        assert tables.bubble_div[0, loc0] * tables.bubble_div[1, loc1] < 0
+        t0 = tables.basis_node_values[0, 6 + loc0]
         np.testing.assert_allclose(t0[:3], 0.0, atol=1e-15)
 
 
