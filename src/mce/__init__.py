@@ -30,7 +30,7 @@ from .mesh import (
     validate_mesh,
     write_mesh,
 )
-from .solve import SolveReport, SolverError, refine_iteratively, solve
+from .solve import SolveReport, SolverError, solve
 from .space import (
     Dirichlet,
     FESpace,
@@ -81,7 +81,6 @@ __all__ = [
     "project_p0",
     "quadrature_rule",
     "read_mesh",
-    "refine_iteratively",
     "solve",
     "subdivide",
     "validate_mesh",

@@ -604,57 +604,59 @@ NORMAL_MUS = (1.0, 1e-2, 1e-3, 1e-6)
 TANGENTIAL_MUS = (10.0, 1.0, 1e-1, 1e-2)
 
 
+def _coupling_boundary(scenario):
+    """Boundary setup of a coupling scenario: the left side clamped
+    (normal) or normal-only (tangential), the right side clamped, natural
+    top and bottom."""
+    left = {"normal": Dirichlet((0.0, 0.0)), "tangential": NormalZero()}
+    if scenario not in left:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    return {
+        "left": left[scenario],
+        "right": Dirichlet((0.0, 0.0)),
+        "top": Free(),
+        "bottom": Free(),
+    }
+
+
+def _coupling_coefficients(scenario, mu_value, centers):
+    """Per-triangle viscosity and drag of one coupling run, body force
+    (0, 100)."""
+    boundary = _coupling_boundary(scenario)
+    if scenario == "normal":
+        lower = centers[:, 1] <= 1.0
+        mu = np.where(lower, 1.0, mu_value)
+        sigma = np.where(lower, 0.0, 1.0)
+    else:
+        left = centers[:, 0] <= 1.0
+        mu = np.where(left, mu_value, 100.0)
+        sigma = np.where(left, 1e3, 0.0)
+    f = lambda p: np.column_stack(
+        [np.zeros(len(np.atleast_2d(p))), np.full(len(np.atleast_2d(p)), 100.0)]
+    )
+    return ProblemCoefficients(mu=mu, sigma=sigma, f=f, boundary=boundary)
+
+
 def coupling_problem(scenario, mu_value, n=40):
     """Coefficients and boundary setup of one coupling run on (0,2)^2 with
     body force (0, 100)."""
     mesh = _square2_mesh(n)
     sub = subdivide(mesh)
-    centers = sub.centroids
-    nt = mesh.num_triangles
-    mu = np.empty(nt)
-    sigma = np.empty(nt)
-    if scenario == "normal":
-        lower = centers[:, 1] <= 1.0
-        mu[lower] = 1.0
-        mu[~lower] = mu_value
-        sigma[lower] = 0.0
-        sigma[~lower] = 1.0
-        bc = {
-            "left": Dirichlet((0.0, 0.0)),
-            "right": Dirichlet((0.0, 0.0)),
-            "top": Free(),
-            "bottom": Free(),
-        }
-    elif scenario == "tangential":
-        left = centers[:, 0] <= 1.0
-        mu[left] = mu_value
-        mu[~left] = 100.0
-        sigma[left] = 1e3
-        sigma[~left] = 0.0
-        bc = {
-            "left": NormalZero(),
-            "right": Dirichlet((0.0, 0.0)),
-            "top": Free(),
-            "bottom": Free(),
-        }
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    f = lambda p: np.column_stack(
-        [np.zeros(len(np.atleast_2d(p))), np.full(len(np.atleast_2d(p)), 100.0)]
-    )
-    co = ProblemCoefficients(mu=mu, sigma=sigma, f=f, boundary=bc)
-    return mesh, sub, co
+    return mesh, sub, _coupling_coefficients(scenario, mu_value, sub.centroids)
+
+
+def _solve_coupling_on(space, co):
+    system = assemble_brinkman(space, co, pressure_multiplier=False)
+    report = solve(system)
+    u, p, _ = system.expand(report.solution)
+    return FieldSolution(space, u, p), space, report
 
 
 def solve_coupling(scenario, mu_value, n=40):
     """Solve one coupling run; natural top/bottom boundaries fix the
     pressure level, so no multiplier row is used."""
     mesh, sub, co = coupling_problem(scenario, mu_value, n=n)
-    space = build_space(sub, co.boundary)
-    system = assemble_brinkman(space, co, pressure_multiplier=False)
-    report = solve(system)
-    u, p, _ = system.expand(report.solution)
-    return FieldSolution(space, u, p), space, report
+    return _solve_coupling_on(build_space(sub, co.boundary), co)
 
 
 def velocity_profile(solution, y=1.0):
@@ -708,12 +710,16 @@ class CouplingResult:
 
 
 def run_brinkman_coupling(scenario, mu_values=None, n=40):
-    """Run the coupling scenario for each viscosity value."""
+    """Run the coupling scenario for each viscosity value; the mesh,
+    subdivision and space are built once, only the coefficients change."""
     if mu_values is None:
         mu_values = NORMAL_MUS if scenario == "normal" else TANGENTIAL_MUS
+    sub = subdivide(_square2_mesh(n))
+    space = build_space(sub, _coupling_boundary(scenario))
     solutions, profiles = {}, {}
     for mu_value in mu_values:
-        solution, space, report = solve_coupling(scenario, mu_value, n=n)
+        co = _coupling_coefficients(scenario, mu_value, sub.centroids)
+        solution, _, _ = _solve_coupling_on(space, co)
         solutions[mu_value] = solution
         profiles[mu_value] = velocity_profile(solution, y=1.0)
     return CouplingResult(

@@ -65,6 +65,13 @@ class RunConfig:
             raise ConfigurationError("grid must be >= 1")
         if any(n < 1 for n in self.levels):
             raise ConfigurationError("levels must be positive")
+        if self.subcommand in ("stokes", "darcy"):
+            if len(self.levels) < 3:
+                raise ConfigurationError(
+                    f"{self.subcommand} needs at least 3 levels to fit slopes"
+                )
+            if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+                raise ConfigurationError("levels must be strictly increasing")
         if self.scenario not in ("normal", "tangential", "both"):
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         for nu in self.nu:

@@ -81,9 +81,6 @@ class MacroMesh:
     def num_edges(self):
         return len(self.edges)
 
-    def is_boundary_edge(self, e):
-        return self.edge_tris[e, 1] < 0
-
     @property
     def boundary_edges(self):
         return np.flatnonzero(self.edge_tris[:, 1] < 0)

@@ -1,17 +1,18 @@
 """Solution of the assembled sparse systems.
 
-A symmetric saddle system (velocity-pressure block C equal to the
-transpose of the pressure-velocity block D, empty pressure-pressure block)
-is solved by the iterated-penalty (augmented-Lagrangian) method: the SPD
-velocity operator K = A + r C W^-1 D, with W the diagonal of macro areas,
-is factored once, and corrections on the full saddle residual are taken
-until it reaches 1e-13 of the load. Because div V_h equals the P0 pressure
-space exactly, a few steps suffice, and the pressure block and the dense
-mean-zero multiplier row never enter a factorization. Every other system
-(elasticity, and the non-symmetric Nitsche slip system, on which the
-iteration stalls) goes through sparse LU with partial pivoting and
-iterative refinement. Both paths are certified against the original
-matrix: relative residual or normwise backward error below 1e-9.
+Every system goes through one path. The SPD velocity operator
+K = A + r D^T W^-1 D, with D the pressure-velocity block and W the
+diagonal of macro areas, is factored once (K = A when there is no
+pressure block, as for elasticity). Right-preconditioned GMRES then runs
+on the full saddle matrix, with the iterated-penalty step as the
+preconditioner: du = K^-1 (r_u + r D^T W^-1 r_p), dp = r W^-1 (D du - r_p).
+Because div V_h equals the P0 pressure space exactly, K^-1 is a
+near-exact augmented-Lagrangian preconditioner, a few steps suffice, and
+the pressure block and the dense mean-zero multiplier row never enter a
+factorization. Building K from D^T rather than from the velocity-pressure
+block lets the non-symmetric Nitsche slip system share the path. Every
+solve is certified against the original matrix: relative residual or
+normwise backward error below 1e-9.
 """
 
 import time
@@ -22,9 +23,9 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 RESIDUAL_LIMIT = 1e-9
-PENALTY_TOLERANCE = 1e-13  # stop once ||b - Mx|| <= this * ||b||
-PENALTY_STEP_LIMIT = 50
-PENALTY_SCALE = 1e3  # r = this * max diag(A) / max diag(C W^-1 D)
+KRYLOV_TOLERANCE = 1e-13  # stop once the estimated ||b - Mx|| <= this * ||b||
+KRYLOV_STEP_LIMIT = 30
+PENALTY_SCALE = 1e3  # r = this * max diag(A) / max diag(D^T W^-1 D)
 
 
 class SolverError(Exception):
@@ -40,8 +41,8 @@ class SolveReport:
     backward error ||Ax-b|| / (||A||_inf ||x|| + ||b||), the meaningful
     certificate when the matrix scale dwarfs the load (lambda -> inf).
     `diagnostics` holds the factor's fill (`nnz_L`, `nnz_U`) and pivot
-    range, `iterations` (solves with the factor) and `penalty` (r, None
-    on the LU path).
+    range, `iterations` (Krylov steps, one solve with the factor each) and
+    `penalty` (r, None without a pressure block).
     """
 
     solution: np.ndarray
@@ -100,27 +101,6 @@ def _checked_pivots(lu, matrix, system):
     return pivots
 
 
-def _factorize(system):
-    try:
-        lu = splu(system.matrix.tocsc())
-    except RuntimeError as exc:
-        raise SolverError(
-            f"factorization failed ({exc}); {_structural_diagnosis(system)}"
-        ) from exc
-    return lu, _checked_pivots(lu, system.matrix, system)
-
-
-def _diagnostics(lu, pivots, iterations, penalty=None):
-    return {
-        "nnz_L": lu.L.nnz,
-        "nnz_U": lu.U.nnz,
-        "min_pivot": float(pivots.min()) if pivots.size else None,
-        "max_pivot": float(pivots.max()) if pivots.size else None,
-        "iterations": iterations,
-        "penalty": penalty,
-    }
-
-
 def _constant_in_kernel(C):
     """True when the constant pressure lies in the kernel of C (up to
     rounding): no boundary term fixes the pressure level."""
@@ -128,48 +108,23 @@ def _constant_in_kernel(C):
     return np.abs(C @ ones).max() <= 1e-10 * (np.abs(C) @ ones).max()
 
 
-def _symmetric_saddle_blocks(system):
-    """(A, C, D) when the system is a symmetric saddle system the iterated
-    penalty applies to, else None."""
-    if not system.n_pressure:
-        return None
-    M = system.matrix.tocsr()
+def _penalty_preconditioner(system):
+    """Factor K once; return the penalty step as a map from a residual
+    of the full saddle system to a correction, the factor with its
+    pivots, and r (None without a pressure block)."""
+    M = system.matrix
     vel, pre = system.blocks["velocity"], system.blocks["pressure"]
-    C, D = M[vel, pre], M[pre, vel]
-    if M[pre, pre].count_nonzero():
-        return None
-    scale = np.abs(C).max()
-    if abs(C - D.T).max() > 1e-12 * scale:
-        return None
-    if system.has_multiplier and not _constant_in_kernel(C):
-        return None
-    return M[vel, vel], C, D
-
-
-def _solve_lu(system):
-    lu, pivots = _factorize(system)
-    x = lu.solve(system.rhs)
-    if not np.all(np.isfinite(x)):
-        raise SolverError(
-            f"non-finite solution; {_structural_diagnosis(system)}"
-        )
-    res = _relative_residual(system.matrix, x, system.rhs)
-    sweeps = 0
-    while sweeps < 3 and res >= RESIDUAL_LIMIT:
-        x = x + lu.solve(system.rhs - system.matrix @ x)
-        res = _relative_residual(system.matrix, x, system.rhs)
-        sweeps += 1
-    return x, _diagnostics(lu, pivots, 1 + sweeps)
-
-
-def _solve_penalty(system, A, C, D):
-    """Iterated penalty in correction form on the full saddle residual."""
-    if not system.has_multiplier and _constant_in_kernel(C):
-        raise SolverError(_NULLSPACE_MESSAGE)
-    w_inv = 1.0 / system.space.tables.areas
-    CWD = (C @ sparse.diags(w_inv) @ D).tocsc()
-    r = PENALTY_SCALE * A.diagonal().max() / CWD.diagonal().max()
-    K = (A + r * CWD).tocsc()
+    A = M[vel, vel]
+    r = None
+    if system.n_pressure:
+        if not system.has_multiplier and _constant_in_kernel(M[vel, pre]):
+            raise SolverError(_NULLSPACE_MESSAGE)
+        D = M[pre, vel]
+        w_inv = 1.0 / system.space.tables.areas
+        DWD = (D.T @ sparse.diags(w_inv) @ D).tocsc()
+        r = PENALTY_SCALE * A.diagonal().max() / DWD.diagonal().max()
+        A = A + r * DWD
+    K = A.tocsc()
     try:
         lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -179,52 +134,94 @@ def _solve_penalty(system, A, C, D):
             f"({exc}); {_structural_diagnosis(system)}"
         ) from exc
     pivots = _checked_pivots(lu, K, system)
+    if r is None:
+        return lu.solve, lu, pivots, r
 
-    M, b = system.matrix, system.rhs
-    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
-    x = np.zeros_like(b)
     if system.has_multiplier:
-        # C 1 = 0, so summing the pressure rows leaves m sum(w) = sum(h)
         mrow = system.blocks["multiplier"].start
         weights = M[pre, mrow].toarray().ravel()
-        x[mrow] = b[pre].sum() / weights.sum()
-    tolerance = PENALTY_TOLERANCE * np.linalg.norm(b)
-    steps = 0
-    while True:
-        res = b - M @ x
-        norm_res = np.linalg.norm(res)
-        if norm_res <= tolerance:
-            break
-        if steps == PENALTY_STEP_LIMIT or not np.isfinite(norm_res):
-            raise SolverError(
-                f"iterated penalty stopped after {steps} steps at relative "
-                f"residual {norm_res / np.linalg.norm(b):.3e} (r = {r:.3e})"
-            )
-        res_u, res_p = res[vel], res[pre]
-        du = lu.solve(res_u + r * (C @ (w_inv * res_p)))
-        x[vel] += du
-        x[pre] += r * w_inv * (D @ du - res_p)
+
+    def step(res):
+        res_p = res[pre]
+        dx = np.zeros_like(res)
+        if system.has_multiplier:
+            # where D^T 1 = 0 (no flux through the boundary), summing the
+            # pressure rows leaves m sum(w) = sum(res_p); elsewhere the
+            # Krylov loop corrects this estimate
+            dx[mrow] = res_p.sum() / weights.sum()
+            res_p = res_p - weights * dx[mrow]
+        du = lu.solve(res[vel] + r * (D.T @ (w_inv * res_p)))
+        dx[vel] = du
+        dx[pre] = r * w_inv * (D @ du - res_p)
         if system.has_multiplier:  # shift p onto the multiplier row
-            x[pre] += (b[mrow] - weights @ x[pre]) / weights.sum()
-        steps += 1
-    return x, _diagnostics(lu, pivots, steps, r)
+            dx[pre] += (res[mrow] - weights @ dx[pre]) / weights.sum()
+        return dx
+
+    return step, lu, pivots, r
+
+
+def _gmres(M, b, precondition):
+    """Right-preconditioned GMRES in flexible form from x = 0: the
+    preconditioned directions Z are kept, so x = Z y needs no further
+    solve. Stops once the least-squares residual estimate reaches
+    KRYLOV_TOLERANCE * ||b||, after KRYLOV_STEP_LIMIT steps, or at a step
+    that adds no direction (singular or non-finite), and leaves the rest
+    to the caller's certificate. Returns x and the number of steps."""
+    beta = np.linalg.norm(b)
+    if beta == 0:
+        return np.zeros_like(b), 0
+    m = KRYLOV_STEP_LIMIT
+    V, Z = [b / beta], []
+    H = np.zeros((m + 1, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    k = 0
+    while k < m and abs(g[k]) > KRYLOV_TOLERANCE * beta:
+        Z.append(precondition(V[k]))
+        w = M @ Z[k]
+        for i in range(k + 1):  # modified Gram-Schmidt
+            H[i, k] = V[i] @ w
+            w -= H[i, k] * V[i]
+        H[k + 1, k] = np.linalg.norm(w)
+        V.append(w / H[k + 1, k] if H[k + 1, k] else w)
+        for i in range(k):  # the earlier Givens rotations
+            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                    -sn[i] * H[i, k] + cs[i] * H[i + 1, k])
+        rho = np.hypot(H[k, k], H[k + 1, k])
+        if not rho > 0:
+            break
+        cs[k], sn[k] = H[k, k] / rho, H[k + 1, k] / rho
+        H[k, k], H[k + 1, k] = rho, 0.0
+        g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+        k += 1
+    x = np.zeros_like(b)
+    for z, y in zip(Z, np.linalg.solve(H[:k, :k], g[:k])):  # H triangular
+        x += y * z
+    return x, k
 
 
 def solve(system):
-    """Solve by iterated penalty (symmetric saddle systems) or sparse LU
-    (all others); raises SolverError on structural singularity, on a
-    penalty iteration that does not converge, or on failure to certify the
-    solve (both the relative residual and the normwise backward error
-    above 1e-9)."""
+    """Solve by GMRES preconditioned with the factored penalized velocity
+    operator; raises SolverError on structural singularity, or on failure
+    to certify the solve (both the relative residual and the normwise
+    backward error above 1e-9), naming the step count when the step limit
+    was reached."""
     start = time.perf_counter()
-    blocks = _symmetric_saddle_blocks(system)
-    if blocks is None:
-        x, diagnostics = _solve_lu(system)
-    else:
-        x, diagnostics = _solve_penalty(system, *blocks)
+    precondition, lu, pivots, r = _penalty_preconditioner(system)
+    x, steps = _gmres(system.matrix, system.rhs, precondition)
+    if not np.all(np.isfinite(x)):
+        raise SolverError(
+            f"non-finite solution; {_structural_diagnosis(system)}"
+        )
     res = _relative_residual(system.matrix, x, system.rhs)
     bwd = _backward_error(system.matrix, x, system.rhs)
     if res >= RESIDUAL_LIMIT and bwd >= RESIDUAL_LIMIT:
+        if steps == KRYLOV_STEP_LIMIT:
+            raise SolverError(
+                f"GMRES stopped after {steps} steps at relative residual "
+                f"{res:.3e} (backward error {bwd:.3e})"
+            )
         raise SolverError(
             f"relative residual {res:.3e} and backward error {bwd:.3e} "
             f"above 1e-9; {_structural_diagnosis(system)}"
@@ -233,31 +230,13 @@ def solve(system):
         solution=x,
         residual=res,
         backward_error=bwd,
-        diagnostics=diagnostics,
-        wall_time=time.perf_counter() - start,
-    )
-
-
-def refine_iteratively(system, x0, rounds=3):
-    """Iterative refinement from an initial guess; the residual never
-    increases (each correction is kept only if it improves)."""
-    start = time.perf_counter()
-    lu, pivots = _factorize(system)
-    x = np.asarray(x0, dtype=float).copy()
-    res = _relative_residual(system.matrix, x, system.rhs)
-    applied = 0
-    for _ in range(rounds):
-        dx = lu.solve(system.rhs - system.matrix @ x)
-        applied += 1
-        candidate = x + dx
-        cand_res = _relative_residual(system.matrix, candidate, system.rhs)
-        if cand_res >= res:
-            break
-        x, res = candidate, cand_res
-    return SolveReport(
-        solution=x,
-        residual=res,
-        backward_error=_backward_error(system.matrix, x, system.rhs),
-        diagnostics=_diagnostics(lu, pivots, applied),
+        diagnostics={
+            "nnz_L": lu.L.nnz,
+            "nnz_U": lu.U.nnz,
+            "min_pivot": float(pivots.min()) if pivots.size else None,
+            "max_pivot": float(pivots.max()) if pivots.size else None,
+            "iterations": steps,
+            "penalty": r,
+        },
         wall_time=time.perf_counter() - start,
     )

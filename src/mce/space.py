@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .mesh import MeshError, _cross2
+from .mesh import MeshError, _cross2, _norm
 from .quadrature import edge_rule, triangle_barycentric
 
 _NORMAL_ANGLE_TOL = 1e-8
@@ -295,10 +295,9 @@ def build_space(subdiv, constraint="dirichlet", boundary_data=None):
     edge_normal = np.zeros((ne, 2))
 
     bverts = mesh.vertices
-    for e in mesh.boundary_edges:
-        va, vb = mesh.edges[e]
-        d = bverts[vb] - bverts[va]
-        edge_normal[e] = _perp_out(d) / np.linalg.norm(d)
+    ends = mesh.edges[mesh.boundary_edges]
+    d = bverts[ends[:, 1]] - bverts[ends[:, 0]]
+    edge_normal[mesh.boundary_edges] = _perp_out(d) / _norm(d)[:, None]
 
     # Dirichlet edges first (Dirichlet wins at corners), in sorted tag order
     # for determinism.

@@ -313,6 +313,28 @@ class TestCoupling:
         with pytest.raises(ValueError):
             run_brinkman_coupling("sideways", (1.0,), n=4)
 
+    @pytest.mark.parametrize("scenario", ["normal", "tangential"])
+    def test_space_built_once(self, monkeypatch, scenario):
+        # only mu and sigma change with the viscosity: one mesh, subdivision
+        # and space serve the scenario, with the fields of separate solves
+        from mce import bench
+
+        spaces = []
+
+        def counting_build_space(*args, **kwargs):
+            spaces.append(build_space(*args, **kwargs))
+            return spaces[-1]
+
+        monkeypatch.setattr(bench, "build_space", counting_build_space)
+        result = run_brinkman_coupling(scenario, (1.0, 1e-2), n=4)
+        assert len(spaces) == 1
+        monkeypatch.undo()
+        for mu_value, solution in result.solutions.items():
+            assert solution.space is spaces[0]
+            separate, _, _ = solve_coupling(scenario, mu_value, n=4)
+            assert np.array_equal(solution.velocity, separate.velocity)
+            assert np.array_equal(solution.pressure, separate.pressure)
+
 
 class TestLockingStudy:
     def test_compressible_regime_agreement(self):

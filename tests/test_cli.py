@@ -134,6 +134,18 @@ class TestConfigHandling:
         assert run(["cooks", "--nu", "", "--out", str(tmp_path)]) == 1
         assert "at least one nu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["stokes", "darcy"])
+    @pytest.mark.parametrize("levels, message", [
+        ("16", "at least 3 levels"),
+        ("4,8", "at least 3 levels"),
+        ("4,16,8", "strictly increasing"),
+    ])
+    def test_unfittable_levels_exit_1(self, tmp_path, capsys, subcommand,
+                                      levels, message):
+        code = run([subcommand, "--levels", levels, "--out", str(tmp_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_no_subcommand_exits_1(self):
         assert run([]) == 1
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from mce.mesh import build_mesh, generate_unit_square_mesh, subdivide
+from mce.mesh import (
+    build_mesh,
+    generate_cook_mesh,
+    generate_unit_square_mesh,
+    subdivide,
+)
 from mce.quadrature import triangle_barycentric
 from mce.space import (
     Dirichlet,
@@ -502,7 +507,42 @@ class TestFieldSolution:
         )
 
 
+def loop_edge_normals(mesh):
+    """Unit outward normals of the boundary edges, one edge at a time: the
+    loop build_space ran before it was batched, kept as the oracle."""
+    normals = np.zeros((mesh.num_edges, 2))
+    for e in mesh.boundary_edges:
+        va, vb = mesh.edges[e]
+        d = mesh.vertices[vb] - mesh.vertices[va]
+        normals[e] = np.array([d[1], -d[0]]) / np.linalg.norm(d)
+    return normals
+
+
+def rotated_jittered_square(n, seed, angle=0.3):
+    mesh = generate_unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    vertices = mesh.vertices + rng.uniform(-0.2 / n, 0.2 / n,
+                                           mesh.vertices.shape)
+    c, s = np.cos(angle), np.sin(angle)
+    return mesh.with_vertices(vertices @ np.array([[c, s], [-s, c]]))
+
+
+NORMAL_ORACLE_MESHES = {
+    "square-3": lambda: generate_unit_square_mesh(3),
+    "rotated-jittered-7": lambda: rotated_jittered_square(7, seed=3),
+    "cook-9": lambda: generate_cook_mesh(9),
+}
+
+
 class TestBuildSpace:
+    @pytest.mark.parametrize("constraint", ["free", "normal"])
+    @pytest.mark.parametrize("name", sorted(NORMAL_ORACLE_MESHES))
+    def test_edge_normals_match_loop(self, name, constraint):
+        sub = subdivide(NORMAL_ORACLE_MESHES[name](), boundary_split="midpoint")
+        space = build_space(sub, constraint)
+        oracle = loop_edge_normals(sub.mesh)
+        assert space.edge_outward_normal.tobytes() == oracle.tobytes()
+
     def test_unit_square_n1_dirichlet(self):
         sub = subdivide(generate_unit_square_mesh(1))
         space = build_space(sub, "dirichlet")
