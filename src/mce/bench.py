@@ -7,11 +7,9 @@ macro mesh), and the two coupled Stokes-Brinkman scenarios on (0,2)^2.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .forms import (
     ProblemCoefficients,
@@ -29,7 +27,6 @@ from .space import (
     FieldSolution,
     Free,
     NormalZero,
-    _hat_gradients,
     build_space,
     project_p0,
 )
@@ -246,11 +243,7 @@ def solve_case(case, n, bc_mode=None, gamma=None):
             )
         else:
             raise ValueError(f"unsupported mode {mode!r} for elasticity")
-        report = solve(system)
-        u, _, _ = system.expand(report.solution)
-        return FieldSolution(space, u), space, system, report
-
-    if mode == "strong":
+    elif mode == "strong":
         space = build_space(sub, case.boundary)
         system = assemble_brinkman(
             space, co, pressure_multiplier=case.needs_multiplier
@@ -267,9 +260,15 @@ def solve_case(case, n, bc_mode=None, gamma=None):
         )
     else:
         raise ValueError(f"unknown bc mode {mode!r}")
+    solution, report = _field(system)
+    return solution, space, system, report
+
+
+def _field(system):
+    """Solve a system and expand the solution over its space; returns
+    (FieldSolution, SolveReport)."""
     report = solve(system)
-    u, p, m = system.expand(report.solution)
-    return FieldSolution(space, u, p, m), space, system, report
+    return FieldSolution(system.space, *system.expand(report.solution)), report
 
 
 def _normal_datum(case, points):
@@ -477,15 +476,30 @@ def _cooks_space(n):
     )
 
 
+def _plain_affine(space):
+    """Plain vector P1 on the macro mesh, the locking reference: the vertex
+    fields of the compatible space are the macro hats, so fixing every
+    bubble at zero (keeping only the constraint columns of vertex dofs)
+    leaves exactly P1 under the same vertex constraints."""
+    nv2 = 2 * space.mesh.num_vertices
+    vertex_columns = space.constraint[:nv2].getnnz(axis=0) > 0
+    lift = space.lift.copy()
+    lift[nv2:] = 0.0
+    return replace(
+        space,
+        constraint=space.constraint[:, vertex_columns],
+        lift=lift,
+        bubble_fixed=np.ones_like(space.bubble_fixed),
+    )
+
+
 def _solve_cooks_on(space, problem):
     co = ProblemCoefficients(mu=problem.mu, lam=problem.lam)
-    system = assemble_elasticity(
-        space, co, tractions={"loaded": problem.traction}
+    solution, _ = _field(
+        assemble_elasticity(space, co, tractions={"loaded": problem.traction})
     )
-    report = solve(system)
-    u, _, _ = system.expand(report.solution)
     tip = _vertex_at(space.mesh, problem.tip)
-    return float(u[2 * tip + 1]), FieldSolution(space, u), space
+    return float(solution.velocity[2 * tip + 1]), solution, space
 
 
 def solve_cooks(problem, n=16):
@@ -503,57 +517,10 @@ def _vertex_at(mesh, point):
 
 
 def solve_cooks_affine(problem, n=16):
-    """Plain vector P1 elements on the same type-I mesh (the locking
-    reference): pure displacement form, no subdivision, no bubbles."""
-    mesh = generate_cook_mesh(n)
-    verts = mesh.vertices
-    tris = mesh.triangles
-    nv = len(verts)
-    ndof = 2 * nv
-
-    g, areas = _hat_gradients(verts[tris])
-
-    # basis gradients for the 6 local dofs (vertex a, component c)
-    G = np.zeros((len(tris), 6, 2, 2))
-    for a in range(3):
-        for c in range(2):
-            G[:, 2 * a + c, c, :] = g[:, a]
-    E = 0.5 * (G + np.swapaxes(G, 2, 3))
-    K = 2.0 * problem.mu * np.einsum(
-        "tkij,tlij,t->tkl", E, E, areas, optimize=True
-    )
-    D = np.trace(G, axis1=2, axis2=3)
-    K += problem.lam * np.einsum("t,tk,tl->tkl", areas, D, D)
-
-    l2g = np.empty((len(tris), 6), dtype=np.int64)
-    l2g[:, 0:6:2] = 2 * tris
-    l2g[:, 1:6:2] = 2 * tris + 1
-
-    rows = np.repeat(l2g[:, :, None], 6, axis=2).ravel()
-    cols = np.repeat(l2g[:, None, :], 6, axis=1).ravel()
-    A = sparse.coo_matrix((K.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
-
-    rhs = np.zeros(ndof)
-    tr = np.asarray(problem.traction, dtype=float)
-    for e in mesh.boundary_edges:
-        if mesh.boundary_tags[e] != "loaded":
-            continue
-        a, b = mesh.edges[e]
-        length = np.linalg.norm(verts[b] - verts[a])
-        for v in (a, b):  # trapezoid on the linear trace
-            rhs[2 * v : 2 * v + 2] += 0.5 * length * tr
-
-    fixed = np.zeros(ndof, dtype=bool)
-    for e in mesh.boundary_edges:
-        if mesh.boundary_tags[e] == "clamped":
-            for v in mesh.edges[e]:
-                fixed[2 * v : 2 * v + 2] = True
-    keep = ~fixed
-    A_red = A[keep][:, keep]
-    x = np.zeros(ndof)
-    x[keep] = spsolve(A_red.tocsc(), rhs[keep])
-    tip = _vertex_at(mesh, problem.tip)
-    return float(x[2 * tip + 1])
+    """Tip vertical displacement of plain vector P1 elements on the same
+    type-I mesh (the locking reference): the compatible space with its
+    bubbles fixed at zero, on the same assembler and solver."""
+    return _solve_cooks_on(_plain_affine(_cooks_space(n)), problem)[0]
 
 
 @dataclass
@@ -582,10 +549,11 @@ def run_locking_study(nus, n=16):
     """Tip displacements of the compatible vs plain affine element."""
     record = LockingRecord()
     space = _cooks_space(n)  # only the Lame coefficients change with nu
+    affine = _plain_affine(space)
     for nu in nus:
         problem = case_cooks(nu)
         tip_c, record.last, _ = _solve_cooks_on(space, problem)
-        tip_a = solve_cooks_affine(problem, n=n)
+        tip_a, _, _ = _solve_cooks_on(affine, problem)
         record.rows.append(
             {"nu": nu, "tip_compatible": tip_c, "tip_affine": tip_a}
         )
@@ -646,10 +614,10 @@ def coupling_problem(scenario, mu_value, n=40):
 
 
 def _solve_coupling_on(space, co):
-    system = assemble_brinkman(space, co, pressure_multiplier=False)
-    report = solve(system)
-    u, p, _ = system.expand(report.solution)
-    return FieldSolution(space, u, p), space, report
+    solution, report = _field(
+        assemble_brinkman(space, co, pressure_multiplier=False)
+    )
+    return solution, space, report
 
 
 def solve_coupling(scenario, mu_value, n=40):

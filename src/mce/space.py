@@ -10,7 +10,7 @@ elementwise constant divergence and the pressure space of per-triangle
 constants is matched exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -203,7 +203,6 @@ class FESpace:
     vertex_mode: np.ndarray
     bubble_fixed: np.ndarray
     edge_outward_normal: np.ndarray
-    free_dof_of_vertex: np.ndarray = field(repr=False, default=None)
 
     @property
     def mesh(self):
@@ -218,13 +217,12 @@ class FESpace:
         return self.constraint @ x + self.lift
 
 
-def boundary_flux_amplitudes(space_or_subdiv, value, edges):
+def boundary_flux_amplitudes(subdiv, value, edges):
     """Bubble amplitudes reproducing the edge fluxes of `value` on `edges`.
 
     a_E = int_E (value - vertex interpolant) . n ds / ((|E|/2)(nu . n)),
     which makes the interpolated flux through each edge exact.
     """
-    subdiv = getattr(space_or_subdiv, "subdiv", space_or_subdiv)
     mesh = subdiv.mesh
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
@@ -340,7 +338,6 @@ def build_space(subdiv, constraint="dirichlet", boundary_data=None):
 
     rows, cols, data = [], [], []
     lift = np.zeros(n_velocity)
-    free_dof_of_vertex = np.full(nv, -1, dtype=np.int64)
     nfree = 0
     for v in range(nv):
         if vertex_mode[v] == V_FREE:
@@ -350,7 +347,6 @@ def build_space(subdiv, constraint="dirichlet", boundary_data=None):
                 data.append(1.0)
                 nfree += 1
         elif vertex_mode[v] == V_NORMAL:
-            free_dof_of_vertex[v] = nfree
             t = vertex_tangent[v]
             rows += [2 * v, 2 * v + 1]
             cols += [nfree, nfree]
@@ -381,7 +377,6 @@ def build_space(subdiv, constraint="dirichlet", boundary_data=None):
         vertex_mode=vertex_mode,
         bubble_fixed=bubble_fixed,
         edge_outward_normal=edge_normal,
-        free_dof_of_vertex=free_dof_of_vertex,
     )
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from mce.bench import (
     ManufacturedCase,
@@ -17,7 +19,14 @@ from mce.bench import (
 )
 from mce.forms import ProblemCoefficients, assemble_elasticity
 from mce.mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
-from mce.space import Dirichlet, FieldSolution, build_space, fortin_interpolate
+from mce.space import (
+    Dirichlet,
+    V_FREE,
+    FieldSolution,
+    _hat_gradients,
+    build_space,
+    fortin_interpolate,
+)
 
 
 class TestStokesCase:
@@ -334,6 +343,95 @@ class TestCoupling:
             separate, _, _ = solve_coupling(scenario, mu_value, n=4)
             assert np.array_equal(solution.velocity, separate.velocity)
             assert np.array_equal(solution.pressure, separate.pressure)
+
+
+def _p1_reference_tip(problem, n):
+    """Tip vertical displacement of plain vector P1 on Cook's type-I mesh,
+    assembled and solved on its own: element matrices from the hat
+    gradients, trapezoid traction on the loaded edges, clamped vertices
+    removed, one sparse direct solve. The reference for the library's
+    plain-P1 locking reference."""
+    mesh = generate_cook_mesh(n)
+    verts = mesh.vertices
+    tris = mesh.triangles
+    ndof = 2 * len(verts)
+
+    g, areas = _hat_gradients(verts[tris])
+    G = np.zeros((len(tris), 6, 2, 2))  # local dof (vertex a, component c)
+    for a in range(3):
+        for c in range(2):
+            G[:, 2 * a + c, c, :] = g[:, a]
+    E = 0.5 * (G + np.swapaxes(G, 2, 3))
+    K = 2.0 * problem.mu * np.einsum(
+        "tkij,tlij,t->tkl", E, E, areas, optimize=True
+    )
+    D = np.trace(G, axis1=2, axis2=3)
+    K += problem.lam * np.einsum("t,tk,tl->tkl", areas, D, D)
+
+    l2g = np.empty((len(tris), 6), dtype=np.int64)
+    l2g[:, 0:6:2] = 2 * tris
+    l2g[:, 1:6:2] = 2 * tris + 1
+    rows = np.repeat(l2g[:, :, None], 6, axis=2).ravel()
+    cols = np.repeat(l2g[:, None, :], 6, axis=1).ravel()
+    A = sparse.coo_matrix((K.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+
+    rhs = np.zeros(ndof)
+    tr = np.asarray(problem.traction, dtype=float)
+    for e in mesh.boundary_edges:
+        if mesh.boundary_tags[e] != "loaded":
+            continue
+        a, b = mesh.edges[e]
+        length = np.linalg.norm(verts[b] - verts[a])
+        for v in (a, b):  # trapezoid on the linear trace
+            rhs[2 * v : 2 * v + 2] += 0.5 * length * tr
+
+    fixed = np.zeros(ndof, dtype=bool)
+    for e in mesh.boundary_edges:
+        if mesh.boundary_tags[e] == "clamped":
+            for v in mesh.edges[e]:
+                fixed[2 * v : 2 * v + 2] = True
+    keep = ~fixed
+    x = np.zeros(ndof)
+    x[keep] = spsolve(A[keep][:, keep].tocsc(), rhs[keep])
+    tip = int(np.argmin(np.linalg.norm(verts - np.asarray(problem.tip), axis=1)))
+    return float(x[2 * tip + 1])
+
+
+class TestPlainAffineReference:
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("nu", [0.3, 0.4999, 0.49999])
+    def test_tip_matches_standalone_p1(self, nu, n):
+        from mce.bench import solve_cooks_affine
+
+        problem = case_cooks(nu)
+        expected = _p1_reference_tip(problem, n)
+        assert solve_cooks_affine(problem, n=n) == pytest.approx(
+            expected, rel=1e-8
+        )
+
+    def test_bubbles_zero_and_solve_certified(self):
+        from mce import bench
+
+        space = bench._cooks_space(4)
+        lift = space.lift.copy()
+        affine = bench._plain_affine(space)
+        nv = space.mesh.num_vertices
+        # the compatible space is left as it was
+        assert space.n_free_velocity > affine.n_free_velocity
+        assert np.array_equal(space.lift, lift)
+        assert affine.bubble_fixed.all()
+        free_vertices = np.count_nonzero(space.vertex_mode == V_FREE)
+        assert affine.n_free_velocity == 2 * free_vertices
+
+        problem = case_cooks(0.49999)
+        system = assemble_elasticity(
+            affine, ProblemCoefficients(mu=problem.mu, lam=problem.lam),
+            tractions={"loaded": problem.traction},
+        )
+        solution, report = bench._field(system)
+        assert np.all(solution.velocity[2 * nv :] == 0.0)
+        assert np.abs(solution.velocity[: 2 * nv]).max() > 0.0
+        assert min(report.residual, report.backward_error) < 1e-9
 
 
 class TestLockingStudy:

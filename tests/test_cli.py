@@ -72,7 +72,13 @@ class TestCooksCommand:
         monkeypatch.setattr(bench, "solve", counting_solve)
         assert run(["cooks", "--nu", "0.3,0.45", "--levels", "4",
                     "--out", str(tmp_path)]) == 0
-        assert len(calls) == 2
+        # one compatible and one plain-P1 solve per nu, told apart by size
+        compatible = bench._cooks_space(4)
+        affine = bench._plain_affine(compatible)
+        assert affine.n_free_velocity < compatible.n_free_velocity
+        assert calls.count(compatible.n_free_velocity) == 2
+        assert calls.count(affine.n_free_velocity) == 2
+        assert len(calls) == 4
         assert (tmp_path / "cooks_solution.vtk").exists()
 
     def test_vtk_is_the_last_nu_solution(self, tmp_path):
