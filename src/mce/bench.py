@@ -214,6 +214,10 @@ def case_elasticity(lam, mu=1.0):
     )
 
 
+# boundary modes of the flow cases in solve_case
+BC_MODES = ("strong", "nitsche-tangential", "nitsche-slip")
+
+
 def solve_case(case, n, bc_mode=None, gamma=None):
     """Mesh, assemble, and solve one case at refinement level n.
 
@@ -568,6 +572,7 @@ def _square2_mesh(n):
     return mesh.with_vertices(mesh.vertices * 2.0)
 
 
+SCENARIOS = ("normal", "tangential")
 NORMAL_MUS = (1.0, 1e-2, 1e-3, 1e-6)
 TANGENTIAL_MUS = (10.0, 1.0, 1e-1, 1e-2)
 

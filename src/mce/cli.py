@@ -1,16 +1,18 @@
 """Command-line front end for the benchmark experiments.
 
-Exit codes: 0 success, 1 configuration error, 2 solver failure. Flag values
-take precedence over the config file, which takes precedence over defaults.
-Runs write byte-identical outputs for identical configs (assembly and
-solves are deterministic and serial).
+OPTIONS gives every option's type, default, help and choices; SUBCOMMANDS
+gives each subcommand the options its runner reads, and a subcommand
+accepts no other flag or config key. Flag values take precedence over the
+config file, which takes precedence over defaults. Exit codes: 0 success,
+1 configuration error, 2 solver failure. Runs write byte-identical outputs
+for identical configs (assembly and solves are deterministic and serial).
 """
 
 import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bench
 from .forms import ConfigurationError
@@ -26,61 +28,6 @@ from .vtk import write_vtk
 
 log = logging.getLogger("mce")
 
-SUBCOMMANDS = ("stokes", "darcy", "cooks", "brinkman", "mesh-info")
-
-_DEFAULTS = {
-    "levels": (4, 8, 16),
-    "nu": (0.3, 0.4999, 0.49999),
-    "mu": None,           # per-subcommand default
-    "sigma": 1.0,
-    "gamma": 10.0,
-    "bc": None,           # case default
-    "mesh_file": None,
-    "out": ".",
-    "grid": 40,
-    "scenario": "both",
-}
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    levels: tuple = _DEFAULTS["levels"]
-    nu: tuple = _DEFAULTS["nu"]
-    mu: tuple = _DEFAULTS["mu"]
-    sigma: float = _DEFAULTS["sigma"]
-    gamma: float = _DEFAULTS["gamma"]
-    bc: str = _DEFAULTS["bc"]
-    mesh_file: str = _DEFAULTS["mesh_file"]
-    out: str = _DEFAULTS["out"]
-    grid: int = _DEFAULTS["grid"]
-    scenario: str = _DEFAULTS["scenario"]
-
-    def validate(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise ConfigurationError(f"unknown subcommand {self.subcommand!r}")
-        if self.bc not in (None, "strong", "nitsche-tangential", "nitsche-slip"):
-            raise ConfigurationError(f"unknown bc mode {self.bc!r}")
-        if self.grid < 1:
-            raise ConfigurationError("grid must be >= 1")
-        if any(n < 1 for n in self.levels):
-            raise ConfigurationError("levels must be positive")
-        if self.subcommand in ("stokes", "darcy"):
-            if len(self.levels) < 3:
-                raise ConfigurationError(
-                    f"{self.subcommand} needs at least 3 levels to fit slopes"
-                )
-            if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-                raise ConfigurationError("levels must be strictly increasing")
-        if self.scenario not in ("normal", "tangential", "both"):
-            raise ConfigurationError(f"unknown scenario {self.scenario!r}")
-        for nu in self.nu:
-            if not 0.0 < nu < 0.5:
-                raise ConfigurationError("nu values must lie in (0, 0.5)")
-        if self.subcommand == "cooks" and not self.nu:
-            raise ConfigurationError("cooks needs at least one nu value")
-        return self
-
 
 def _int_list(text):
     return tuple(int(v) for v in str(text).split(",") if v)
@@ -90,22 +37,36 @@ def _float_list(text):
     return tuple(float(v) for v in str(text).split(",") if v)
 
 
-_CONFIG_PARSERS = {
-    "levels": _int_list,
-    "nu": _float_list,
-    "mu": _float_list,
-    "sigma": float,
-    "gamma": float,
-    "bc": str,
-    "mesh_file": str,
-    "out": str,
-    "grid": int,
-    "scenario": str,
+# name -> (type, default, help, choices); the flag is --name with "_" as "-"
+Option = namedtuple("Option", "type default help choices", defaults=(None,))
+OPTIONS = {
+    "levels": Option(_int_list, (4, 8, 16),
+                     "comma-separated refinement levels (cooks: the largest)"),
+    "nu": Option(_float_list, (0.3, 0.4999, 0.49999),
+                 "comma-separated Poisson ratios"),
+    "mu": Option(_float_list, None, "viscosity; brinkman takes a list"),
+    "sigma": Option(float, 1.0, "drag coefficient"),
+    "gamma": Option(float, 10.0, "Nitsche penalty parameter"),
+    "bc": Option(str, None, "boundary condition mode", bench.BC_MODES),
+    "mesh_file": Option(str, None, "mesh text file"),
+    "out": Option(str, ".", "output directory"),
+    "grid": Option(int, 40, "cells per side of the grid"),
+    "scenario": Option(str, "both", "coupling scenario",
+                       bench.SCENARIOS + ("both",)),
+}
+
+# the options each subcommand's runner reads
+SUBCOMMANDS = {
+    "stokes": ("levels", "bc", "gamma", "out"),
+    "darcy": ("levels", "mu", "sigma", "bc", "gamma", "out"),
+    "cooks": ("levels", "nu", "out"),
+    "brinkman": ("grid", "mu", "scenario", "out"),
+    "mesh-info": ("grid", "mesh_file"),
 }
 
 
-def read_config_file(path):
-    """Flat key=value config file; unknown keys are rejected."""
+def read_config_file(path, keys=tuple(OPTIONS)):
+    """Flat key=value config file; keys outside `keys` are rejected."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -118,10 +79,17 @@ def read_config_file(path):
                 )
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_PARSERS:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in keys:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: unknown key {key!r} "
+                    f"(expected one of {', '.join(keys)})"
+                )
+            option = OPTIONS[key]
             try:
-                values[key] = _CONFIG_PARSERS[key](value.strip())
+                values[key] = option.type(value.strip())
+                if option.choices and values[key] not in option.choices:
+                    raise ValueError(f"{values[key]!r} is not one of "
+                                     f"{', '.join(option.choices)}")
             except ValueError as exc:
                 raise ConfigurationError(
                     f"{path}:{lineno}: bad value for {key}: {exc}"
@@ -140,39 +108,52 @@ def build_parser():
         description="Benchmarks for the compatible macro element: Stokes and "
         "Darcy convergence, Cook's membrane locking, coupled Stokes-Brinkman.",
     )
-    sub = parser.add_subparsers(dest="subcommand")
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, add_help=True)
-        p.add_argument("--levels", type=_int_list, default=None,
-                       help="comma-separated refinement levels, e.g. 4,8,16")
-        p.add_argument("--nu", type=_float_list, default=None,
-                       help="comma-separated Poisson ratios (cooks)")
-        p.add_argument("--mu", type=_float_list, default=None,
-                       help="comma-separated viscosities (brinkman)")
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None,
-                       help="Nitsche penalty parameter")
-        p.add_argument("--bc", default=None,
-                       choices=["strong", "nitsche-tangential", "nitsche-slip"])
-        p.add_argument("--mesh-file", dest="mesh_file", default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--grid", type=int, default=None,
-                       help="cells per side for the coupling runs / mesh-info")
-        p.add_argument("--scenario", default=None,
-                       choices=["normal", "tangential", "both"])
-        p.add_argument("--config", default=None, help="key=value config file")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, keys in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        for key in keys:
+            option = OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=option.type, choices=option.choices,
+                           help=option.help)
+        p.add_argument("--config", help="key=value config file")
     return parser
 
 
+def _validate(name, values):
+    if values.get("grid", 1) < 1:
+        raise ConfigurationError("grid must be >= 1")
+    levels = values.get("levels", ())
+    if any(n < 1 for n in levels):
+        raise ConfigurationError("levels must be positive")
+    if name in ("stokes", "darcy"):
+        if len(levels) < 3:
+            raise ConfigurationError(
+                f"{name} needs at least 3 levels to fit slopes"
+            )
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ConfigurationError("levels must be strictly increasing")
+    if name == "darcy" and len(values["mu"] or ()) > 1:
+        raise ConfigurationError("darcy takes a single mu value")
+    for nu in values.get("nu", ()):
+        if not 0.0 < nu < 0.5:
+            raise ConfigurationError("nu values must lie in (0, 0.5)")
+    if name == "cooks" and not values["nu"]:
+        raise ConfigurationError("cooks needs at least one nu value")
+
+
 def make_config(args):
-    values = dict(_DEFAULTS)
+    """The subcommand's own options: flags over config file over defaults."""
+    keys = SUBCOMMANDS[args.subcommand]
+    values = {key: OPTIONS[key].default for key in keys}
     if args.config:
-        values.update(read_config_file(args.config))
-    for key in _CONFIG_PARSERS:
-        flag = getattr(args, key, None)
+        values.update(read_config_file(args.config, keys))
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    return RunConfig(subcommand=args.subcommand, **values).validate()
+    _validate(args.subcommand, values)
+    return argparse.Namespace(subcommand=args.subcommand, **values)
 
 
 def _ensure_out(config):
@@ -219,15 +200,11 @@ def run_cooks(config):
 def run_brinkman(config):
     out = _ensure_out(config)
     scenarios = (
-        ("normal", "tangential") if config.scenario == "both"
-        else (config.scenario,)
+        bench.SCENARIOS if config.scenario == "both" else (config.scenario,)
     )
     for scenario in scenarios:
-        mus = config.mu
-        if mus is None:
-            mus = (bench.NORMAL_MUS if scenario == "normal"
-                   else bench.TANGENTIAL_MUS)
-        result = bench.run_brinkman_coupling(scenario, mus, n=config.grid)
+        result = bench.run_brinkman_coupling(scenario, config.mu,
+                                             n=config.grid)
         for mu in result.mu_values:
             tag = f"{scenario}_mu{mu:g}"
             if scenario == "tangential":
@@ -287,9 +264,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not args.subcommand:
-            parser.print_usage()
-            return 1
         config = make_config(args)
         return _RUNNERS[config.subcommand](config)
     except ConfigurationError as exc:

@@ -18,7 +18,7 @@ from scipy import sparse
 
 from .mesh import _norm
 from .quadrature import edge_rule, triangle_barycentric, triangle_rule
-from .space import Dirichlet, NormalZero, _perp_out
+from .space import Dirichlet, NormalZero, _eval_vec, _perp_out
 
 # re-exported here because assembly owns the quadrature contract
 quadrature_rule = triangle_rule
@@ -415,11 +415,7 @@ def _traction_rhs(builder, space, tractions):
         spec = tractions[tag]
         on = faces.tag == tag
         pts = faces.points[on]
-        density[on] = (
-            _eval_field(spec, pts).reshape(pts.shape)
-            if callable(spec)
-            else np.asarray(spec, float)
-        )
+        density[on] = _eval_vec(spec, pts.reshape(-1, 2)).reshape(pts.shape)
     vals = faces.length[..., None] * np.einsum(
         "q,fsqi,fskqi->fsk", faces.qw, density, faces.traces
     )

@@ -225,12 +225,8 @@ def generate_cook_mesh(n):
     )
     rename = {"left": "clamped", "right": "loaded",
               "bottom": "traction-free", "top": "traction-free"}
-    tags = {}
-    for e, tag in enumerate(square.boundary_tags):
-        if tag:
-            a, b = square.edges[e]
-            tags[(a, b)] = rename[tag]
-    return build_mesh(mapped, square.triangles, tags)
+    tags = tuple(rename.get(tag, tag) for tag in square.boundary_tags)
+    return replace(square, vertices=mapped, boundary_tags=tags)
 
 
 @dataclass(frozen=True)

@@ -156,14 +156,6 @@ class Dirichlet:
 
     value: object = (0.0, 0.0)
 
-    def evaluate(self, points):
-        points = np.atleast_2d(points)
-        if callable(self.value):
-            return np.asarray(self.value(points), dtype=float).reshape(-1, 2)
-        return np.broadcast_to(
-            np.asarray(self.value, dtype=float), (len(points), 2)
-        ).copy()
-
 
 @dataclass(frozen=True)
 class NormalZero:
@@ -308,7 +300,7 @@ def build_space(subdiv, constraint="dirichlet", boundary_data=None):
             for e in tag_edges:
                 for v in mesh.edges[e]:
                     vertex_mode[v] = V_FIXED
-                    vertex_value[v] = spec.evaluate(bverts[v])[0]
+                    vertex_value[v] = _eval_vec(spec.value, bverts[v])[0]
             bubble_fixed[tag_edges] = True
             bubble_value[tag_edges] = boundary_flux_amplitudes(
                 subdiv, spec.value, tag_edges

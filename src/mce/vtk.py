@@ -9,10 +9,6 @@ data replicated over the 6 children.
 import numpy as np
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def write_vtk(solution, path, title="mce solution"):
     """Write a FieldSolution as legacy ASCII VTK (triangle cells)."""
     space = solution.space
@@ -52,17 +48,17 @@ def write_vtk(solution, path, title="mce solution"):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {npoints} float",
     ]
-    lines += [f"{_fmt(x)} {_fmt(y)} 0.0" for x, y in points]
+    lines += [f"{x!r} {y!r} 0.0" for x, y in points.tolist()]
     lines.append(f"CELLS {ncells} {4 * ncells}")
-    lines += [f"3 {a} {b} {c}" for a, b, c in cells]
+    lines += [f"3 {a} {b} {c}" for a, b, c in cells.tolist()]
     lines.append(f"CELL_TYPES {ncells}")
     lines += ["5"] * ncells
     lines.append(f"POINT_DATA {npoints}")
     lines.append("VECTORS velocity float")
-    lines += [f"{_fmt(vx)} {_fmt(vy)} 0.0" for vx, vy in velocity]
+    lines += [f"{vx!r} {vy!r} 0.0" for vx, vy in velocity.tolist()]
     lines.append(f"CELL_DATA {ncells}")
     lines.append("SCALARS pressure float 1")
     lines.append("LOOKUP_TABLE default")
-    lines += [_fmt(p) for p in cell_pressure]
+    lines += [repr(p) for p in cell_pressure.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

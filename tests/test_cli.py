@@ -1,8 +1,12 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mce import bench
-from mce.cli import main, read_config_file
+from mce.cli import build_parser, main, read_config_file
 from mce.forms import ConfigurationError
 from mce.mesh import generate_unit_square_mesh, subdivide, write_mesh
 from mce.space import FieldSolution, build_space, fortin_interpolate
@@ -179,6 +183,119 @@ class TestConfigHandling:
         with pytest.raises(ConfigurationError):
             read_config_file(str(cfg))
         assert run(["stokes", "--config", str(cfg)]) == 1
+
+
+# The options each subcommand reads, written out independently of mce.cli.
+ACCEPTED = {
+    "stokes": {"levels", "bc", "gamma", "out"},
+    "darcy": {"levels", "mu", "sigma", "bc", "gamma", "out"},
+    "cooks": {"levels", "nu", "out"},
+    "brinkman": {"grid", "mu", "scenario", "out"},
+    "mesh-info": {"grid", "mesh-file"},
+}
+# a value each option's own parser accepts
+SAMPLE_VALUES = {
+    "levels": "4,8,16", "nu": "0.3", "mu": "1.0", "sigma": "1.0",
+    "gamma": "10", "bc": "strong", "mesh-file": "m.mesh", "out": "OUT",
+    "grid": "4", "scenario": "normal",
+}
+REJECTED = [
+    (sub, option)
+    for sub, accepted in ACCEPTED.items()
+    for option in SAMPLE_VALUES
+    if option not in accepted
+]
+
+
+class TestOptionTable:
+    def test_rejected_pairs_count(self):
+        assert len(REJECTED) == 31
+
+    @pytest.mark.parametrize("subcommand, option", REJECTED)
+    def test_flag_outside_table_exits_1(self, tmp_path, capsys, subcommand,
+                                        option):
+        value = SAMPLE_VALUES[option].replace("OUT", str(tmp_path / "out"))
+        assert run([subcommand, f"--{option}", value]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "usage" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", sorted(ACCEPTED))
+    def test_help_lists_exactly_the_table(self, capsys, subcommand):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"^  (-[-\w]+)", capsys.readouterr().out,
+                                re.MULTILINE))
+        expected = {f"--{o}" for o in ACCEPTED[subcommand]}
+        assert listed == expected | {"--config", "-h"}
+
+    def test_config_key_outside_table_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("levels=2,3,4\nnu=0.3\n")
+        assert run(["stokes", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and "'nu'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_key_of_the_subcommand_is_read(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nu=0.3\nlevels=2\nout=" + str(tmp_path / "o") + "\n")
+        assert run(["cooks", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "o" / "cooks_tips.csv").read_text().splitlines()
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == 0.3
+
+    def test_darcy_takes_one_mu(self, tmp_path, capsys):
+        code = run(["darcy", "--levels", "2,3,4", "--mu", "0.1,0.2",
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "single mu" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand, line", [
+        ("stokes", "bc=weak"),
+        ("darcy", "bc=nitsche"),
+        ("brinkman", "scenario=sideways"),
+    ])
+    def test_config_value_outside_choices(self, tmp_path, capsys, subcommand,
+                                          line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n" + line + "\n")
+        assert run([subcommand, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: bad value" in err and "not one of" in err
+
+
+def readme_cli_section():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_command_block():
+    """The `mce ...` lines of the README's "Command line" code block."""
+    block = readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("mce ")]
+
+
+class TestReadme:
+    def test_command_block_has_every_subcommand(self):
+        names = {shlex.split(line)[1] for line in readme_command_block()}
+        assert names == set(ACCEPTED)
+
+    def test_option_table_matches_parser(self):
+        rows = re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", readme_cli_section(),
+                          re.MULTILINE)
+        table = {sub: set(re.findall(r"--([a-z-]+)", cells))
+                 for sub, cells in rows}
+        assert table == ACCEPTED
+
+    @pytest.mark.parametrize("line", readme_command_block())
+    def test_command_line_parses(self, line):
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert args.subcommand in ACCEPTED
 
 
 class TestVtkWriter:

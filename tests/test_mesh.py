@@ -485,6 +485,28 @@ INPUTS = {
 }
 
 
+def reference_cook_mesh(n):
+    """Cook's membrane as built before the generator reused the square's
+    edge table: map the grid, rename the side tags, run build_mesh again."""
+    square = generate_unit_square_mesh(n)
+    xi, eta = square.vertices[:, 0], square.vertices[:, 1]
+    c00, c10, c11, c01 = COOK_CORNERS
+    mapped = (
+        np.outer((1 - xi) * (1 - eta), c00)
+        + np.outer(xi * (1 - eta), c10)
+        + np.outer(xi * eta, c11)
+        + np.outer((1 - xi) * eta, c01)
+    )
+    rename = {"left": "clamped", "right": "loaded",
+              "bottom": "traction-free", "top": "traction-free"}
+    tags = {}
+    for e, tag in enumerate(square.boundary_tags):
+        if tag:
+            a, b = square.edges[e]
+            tags[(a, b)] = rename[tag]
+    return build_mesh(mapped, square.triangles, tags)
+
+
 def assert_bitwise(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
@@ -511,6 +533,12 @@ class TestAgainstReference:
             generate_unit_square_mesh(n),
             reference_build_mesh(*reference_unit_square(n)),
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_cook_generator(self, n):
+        mesh = generate_cook_mesh(n)
+        assert_same_mesh(mesh, reference_cook_mesh(n))
+        assert np.all(triangle_areas(mesh.vertices, mesh.triangles) > 0)
 
     @pytest.mark.parametrize("name", sorted(INPUTS))
     def test_build_mesh(self, name):
