@@ -140,6 +140,10 @@ def _validate(name, values):
             raise ConfigurationError("nu values must lie in (0, 0.5)")
     if name == "cooks" and not values["nu"]:
         raise ConfigurationError("cooks needs at least one nu value")
+    if name == "cooks" and not levels:
+        raise ConfigurationError("cooks needs at least one level")
+    if name == "brinkman" and values["mu"] == ():
+        raise ConfigurationError("brinkman needs at least one mu value")
 
 
 def make_config(args):
@@ -186,8 +190,7 @@ def run_flow(config):
 def run_cooks(config):
     """Locking study over the Poisson ratios: CSV of the tip displacements,
     VTK of the compatible solution for the last ratio."""
-    n = max(config.levels) if config.levels else 16
-    record = bench.run_locking_study(config.nu, n=n)
+    record = bench.run_locking_study(config.nu, n=max(config.levels))
     out = _ensure_out(config)
     csv_path = os.path.join(out, "cooks_tips.csv")
     record.to_csv(csv_path)

@@ -4,7 +4,17 @@ All variational forms are integrated exactly where the integrands are
 piecewise polynomial: gradient/divergence products are closed-form per
 subtriangle, mass terms use a degree-2 rule, load terms a degree-4 rule,
 and the pressure-velocity coupling uses the elementwise-constant divergence
-times the macro area. Strong constraints are eliminated through the
+times the macro area.
+
+Every velocity basis field is P1 on the 6 subtriangles, so the Brinkman
+volume terms are contracted on the 7-node patch (vertices, edge split
+nodes, centroid) rather than per quadrature point. Viscous and mass terms
+become one scalar 7x7 P1 patch matrix N, summed from each subtriangle's
+3x3 hat-gradient and hat-mass blocks, and the element matrix is
+sum_i V_i N V_i^T with V_i the i-th component of the basis values at the
+patch nodes. The load is contracted the same way: the degree-4 moments of
+f against each subtriangle's hats are summed per patch node, then dotted
+with those basis values. Strong constraints are eliminated through the
 space's affine map (never penalized); the symmetric-indefinite Brinkman
 matrix is produced by negating the pressure test block, so the assembled
 matrix is [[A, -B^T], [-B, 0]] with right-hand side [f, -g].
@@ -18,7 +28,13 @@ from scipy import sparse
 
 from .mesh import _norm
 from .quadrature import edge_rule, triangle_barycentric, triangle_rule
-from .space import Dirichlet, NormalZero, _eval_vec, _perp_out
+from .space import (
+    Dirichlet,
+    NormalZero,
+    _eval_vec,
+    _hat_gradients,
+    _perp_out,
+)
 
 # re-exported here because assembly owns the quadrature contract
 quadrature_rule = triangle_rule
@@ -160,24 +176,46 @@ def _eval_field(fn, points):
     return np.asarray(fn(pts), dtype=float)
 
 
+def _patch_sum(values, slots, size):
+    """Sum per-subtriangle values (nt, 6, m, ...) into `size` patch slots:
+    entry j of subtriangle s adds into slot slots[s, j]."""
+    out = np.zeros((len(values), size) + values.shape[3:])
+    for s, into in enumerate(slots):
+        out[:, into] += values[:, s]
+    return out
+
+
 def _body_force_rhs(builder, tables, f, degree=4):
+    """Load sum_a V[k, a] . F_a, contracted on the patch: F_a is the
+    integral of f times the hat of patch node a."""
     if f is None:
         return
     bary, wts = triangle_barycentric(degree)
     pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
     fv = _eval_field(f, pts).reshape(pts.shape)
-    basis_q = np.einsum("qc,tksci->tksqi", bary, tables.basis_corner_values)
-    loc = 2.0 * np.einsum(
-        "q,tsqi,tksqi,ts->tk", wts, fv, basis_q, tables.sub_areas
+    corner_moments = (2.0 * tables.sub_areas[..., None, None]) * (
+        (wts * bary.T) @ fv
     )
+    F = _patch_sum(corner_moments, tables.subdiv.SUBTRIANGLES, 7)
+    loc = np.einsum("tkai,tai->tk", tables.basis_node_values, F)
     np.add.at(builder.rhs, tables.loc2glob, loc)
 
 
-def _viscous_matrix(tables, mu):
-    G = tables.basis_grads
-    return np.einsum(
-        "t,tksij,tlsij,ts->tkl", mu, G, G, tables.sub_areas, optimize=True
-    )
+def _brinkman_matrix(tables, mu, sigma):
+    """Element matrices (nt, 9, 9) of mu grad:grad + sigma u.v, as
+    sum_i V_i N V_i^T over the 7-node patch (see the module docstring)."""
+    grads, _ = _hat_gradients(tables.sub_corners)  # (nt,6,3,2)
+    bary, wts = triangle_barycentric(2)
+    mass = 2.0 * np.einsum("q,qc,qd->cd", wts, bary, bary)
+    a = tables.sub_areas
+    blocks = (mu[:, None] * a)[..., None, None] * (
+        grads @ np.swapaxes(grads, -1, -2)
+    ) + (sigma[:, None] * a)[..., None, None] * mass
+    sub = tables.subdiv.SUBTRIANGLES
+    pairs = (7 * sub[:, :, None] + sub[:, None, :]).reshape(6, 9)
+    N = _patch_sum(blocks.reshape(-1, 6, 9), pairs, 49).reshape(-1, 1, 7, 7)
+    V = np.moveaxis(tables.basis_node_values, 3, 1)  # (nt,2,9,7)
+    return (V @ N @ np.swapaxes(V, -1, -2)).sum(axis=1)
 
 
 def _elastic_matrix(tables, mu, lam):
@@ -189,17 +227,6 @@ def _elastic_matrix(tables, mu, lam):
     D = tables.basis_div
     K += lam * np.einsum("t,tk,tl->tkl", tables.areas, D, D)
     return K
-
-
-def _mass_matrix(tables, sigma):
-    if np.all(sigma == 0.0):
-        return 0.0
-    bary, wts = triangle_barycentric(2)
-    basis_q = np.einsum("qc,tksci->tksqi", bary, tables.basis_corner_values)
-    return 2.0 * np.einsum(
-        "t,q,tksqi,tlsqi,ts->tkl", sigma, wts, basis_q, basis_q,
-        tables.sub_areas, optimize=True,
-    )
 
 
 def _coupling_and_source(builder, tables, n_vel, g, fold_sign=-1.0):
@@ -261,8 +288,7 @@ def _brinkman_interior(space, coeffs, pressure_multiplier):
     nt = space.mesh.num_triangles
     mu, sigma = coeffs.validate_brinkman(nt)
     builder = _Builder(space.n_velocity + nt + int(pressure_multiplier))
-    K = _viscous_matrix(tables, mu) + _mass_matrix(tables, sigma)
-    _element_block(builder, tables, K)
+    _element_block(builder, tables, _brinkman_matrix(tables, mu, sigma))
     _body_force_rhs(builder, tables, coeffs.f)
     _coupling_and_source(builder, tables, space.n_velocity, coeffs.g)
     if pressure_multiplier:

@@ -39,26 +39,25 @@ def write_vtk(solution, path, title="mce solution"):
     pressure = solution.pressure
     if pressure is None:
         pressure = np.zeros(nt)
-    cell_pressure = np.repeat(np.asarray(pressure, dtype=float), 6)
-
-    lines = [
-        "# vtk DataFile Version 2.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {npoints} float",
-    ]
-    lines += [f"{x!r} {y!r} 0.0" for x, y in points.tolist()]
-    lines.append(f"CELLS {ncells} {4 * ncells}")
-    lines += [f"3 {a} {b} {c}" for a, b, c in cells.tolist()]
-    lines.append(f"CELL_TYPES {ncells}")
-    lines += ["5"] * ncells
-    lines.append(f"POINT_DATA {npoints}")
-    lines.append("VECTORS velocity float")
-    lines += [f"{vx!r} {vy!r} 0.0" for vx, vy in velocity.tolist()]
-    lines.append(f"CELL_DATA {ncells}")
-    lines.append("SCALARS pressure float 1")
-    lines.append("LOOKUP_TABLE default")
-    lines += [repr(p) for p in cell_pressure.tolist()]
+    # each macro pressure formatted once, repeated over its 6 cells
+    cell_pressure = "".join(
+        [(repr(p) + "\n") * 6 for p in np.asarray(pressure, float).tolist()]
+    )
+    # %r of a Python float is its repr, as %d of a Python int is its str
+    point_rows = "%r %r 0.0\n" * npoints
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"# vtk DataFile Version 2.0\n{title}\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {npoints} float\n"
+        )
+        fh.write(point_rows % tuple(points.ravel().tolist()))
+        fh.write(f"CELLS {ncells} {4 * ncells}\n")
+        fh.write(("3 %d %d %d\n" * ncells) % tuple(cells.ravel().tolist()))
+        fh.write(f"CELL_TYPES {ncells}\n" + "5\n" * ncells)
+        fh.write(f"POINT_DATA {npoints}\nVECTORS velocity float\n")
+        fh.write(point_rows % tuple(velocity.ravel().tolist()))
+        fh.write(
+            f"CELL_DATA {ncells}\nSCALARS pressure float 1\n"
+            "LOOKUP_TABLE default\n"
+        )
+        fh.write(cell_pressure)

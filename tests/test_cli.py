@@ -144,6 +144,24 @@ class TestConfigHandling:
         assert run(["cooks", "--nu", "", "--out", str(tmp_path)]) == 1
         assert "at least one nu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, key, message", [
+        ("brinkman", "mu", "at least one mu"),
+        ("cooks", "levels", "at least one level"),
+    ])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_empty_list_exits_1(self, tmp_path, capsys, subcommand, key,
+                                message, from_config):
+        out = tmp_path / "out"
+        if from_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}=\nout={out}\n")
+            args = [subcommand, "--config", str(cfg)]
+        else:
+            args = [subcommand, "--" + key, "", "--out", str(out)]
+        assert run(args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["stokes", "darcy"])
     @pytest.mark.parametrize("levels, message", [
         ("16", "at least 3 levels"),
@@ -298,6 +316,55 @@ class TestReadme:
         assert args.subcommand in ACCEPTED
 
 
+def reference_write_vtk(solution, path, title="mce solution"):
+    """Line-by-line writer: one f-string per line, one repr per value."""
+    space = solution.space
+    mesh = space.mesh
+    tables = space.tables
+    nv, ne, nt = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
+    npoints = nv + ne + nt
+    points = np.vstack(
+        [mesh.vertices, space.subdiv.edge_splits, space.subdiv.centroids]
+    )
+    velocity = np.zeros((npoints, 2))
+    node_values = tables.field_node_values(solution.velocity)
+    gids = np.hstack(
+        [
+            mesh.triangles,
+            nv + mesh.tri_edges,
+            (nv + ne + np.arange(nt))[:, None],
+        ]
+    )
+    velocity[gids.ravel()] = node_values.reshape(-1, 2)
+    cells = gids[:, space.subdiv.SUBTRIANGLES].reshape(-1, 3)
+    ncells = len(cells)
+    pressure = solution.pressure
+    if pressure is None:
+        pressure = np.zeros(nt)
+    cell_pressure = np.repeat(np.asarray(pressure, dtype=float), 6)
+    lines = [
+        "# vtk DataFile Version 2.0",
+        title,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {npoints} float",
+    ]
+    lines += [f"{x!r} {y!r} 0.0" for x, y in points.tolist()]
+    lines.append(f"CELLS {ncells} {4 * ncells}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in cells.tolist()]
+    lines.append(f"CELL_TYPES {ncells}")
+    lines += ["5"] * ncells
+    lines.append(f"POINT_DATA {npoints}")
+    lines.append("VECTORS velocity float")
+    lines += [f"{vx!r} {vy!r} 0.0" for vx, vy in velocity.tolist()]
+    lines.append(f"CELL_DATA {ncells}")
+    lines.append("SCALARS pressure float 1")
+    lines.append("LOOKUP_TABLE default")
+    lines += [repr(p) for p in cell_pressure.tolist()]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 class TestVtkWriter:
     def make_solution(self, n=1):
         sub = subdivide(generate_unit_square_mesh(n))
@@ -345,6 +412,25 @@ class TestVtkWriter:
         assert lines[i] == f"CELL_DATA {ncells}"
         assert lines[i + 1] == "SCALARS pressure float 1"
         assert lines[i + 2] == "LOOKUP_TABLE default"
+
+    @pytest.mark.parametrize("make", [
+        lambda: bench.solve_case(bench.case_stokes(), 4)[0],
+        lambda: bench.solve_coupling("tangential", 1e-2, n=4)[0],
+        lambda: bench.solve_cooks(bench.case_cooks(0.4999), n=4)[1],
+        "hand-set",
+    ], ids=["stokes", "coupling", "cooks", "hand-set"])
+    def test_bytes_match_line_by_line_writer(self, tmp_path, make):
+        if make == "hand-set":
+            sol = self.make_solution(2)
+            special = [-0.0, 1e-300, 1e300, -2.5, 0.1]
+            sol.velocity = np.resize(special, sol.velocity.shape)
+            sol.pressure = np.resize(special, sol.pressure.shape)
+        else:
+            sol = make()
+        path, expected = tmp_path / "f.vtk", tmp_path / "expected.vtk"
+        write_vtk(sol, str(path), title="case")
+        reference_write_vtk(sol, str(expected), title="case")
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_constant_field_constant_point_data(self, tmp_path):
         sol = self.make_solution(2)
