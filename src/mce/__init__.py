@@ -15,7 +15,6 @@ from .forms import (
     assemble_nitsche_brinkman_tangential,
     assemble_nitsche_elasticity,
     assemble_nitsche_slip,
-    quadrature_rule,
 )
 from .mesh import (
     MacroMesh,
@@ -79,7 +78,6 @@ __all__ = [
     "generate_unit_square_mesh",
     "macro_divergence",
     "project_p0",
-    "quadrature_rule",
     "read_mesh",
     "solve",
     "subdivide",

@@ -326,7 +326,9 @@ def error_norms(solution, case, degree=6):
     gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
 
     local = tables.local_coeffs(solution.velocity)
-    corner_vals = np.einsum("tk,tksci->tsci", local, tables.basis_corner_values)
+    corner_vals = tables.field_node_values(solution.velocity)[
+        :, tables.subdiv.SUBTRIANGLES
+    ]
     uh = np.einsum("qc,tsci->tsqi", bary, corner_vals)
     gh = np.einsum("tk,tksij->tsij", local, tables.basis_grads)
 
@@ -384,6 +386,8 @@ class ConvergenceRecord:
     finest: object = None
 
     COLUMNS = ["err_l2_u", "err_h1_u", "err_l2_p", "err_p0p", "err_div"]
+    # err_div is round-off under strong constraints: its slope is noise
+    RATED = COLUMNS[:-1]
 
     def add(self, level, n, nno, h, errors):
         self.rows.append(
@@ -392,7 +396,7 @@ class ConvergenceRecord:
 
     def fit_slopes(self, window=3):
         hs = np.array([r["h"] for r in self.rows])
-        for col in self.COLUMNS:
+        for col in self.RATED:
             errs = np.array([r[col] for r in self.rows])
             take = slice(-window, None)
             h_w, e_w = hs[take], errs[take]

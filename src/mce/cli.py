@@ -41,7 +41,7 @@ def _float_list(text):
 Option = namedtuple("Option", "type default help choices", defaults=(None,))
 OPTIONS = {
     "levels": Option(_int_list, (4, 8, 16),
-                     "comma-separated refinement levels (cooks: the largest)"),
+                     "comma-separated refinement levels (cooks: exactly one)"),
     "nu": Option(_float_list, (0.3, 0.4999, 0.49999),
                  "comma-separated Poisson ratios"),
     "mu": Option(_float_list, None, "viscosity; brinkman takes a list"),
@@ -63,6 +63,9 @@ SUBCOMMANDS = {
     "brinkman": ("grid", "mu", "scenario", "out"),
     "mesh-info": ("grid", "mesh_file"),
 }
+
+# defaults that differ from OPTIONS for one subcommand
+DEFAULTS = {"cooks": {"levels": (16,)}}
 
 
 def read_config_file(path, keys=tuple(OPTIONS)):
@@ -142,6 +145,8 @@ def _validate(name, values):
         raise ConfigurationError("cooks needs at least one nu value")
     if name == "cooks" and not levels:
         raise ConfigurationError("cooks needs at least one level")
+    if name == "cooks" and len(levels) > 1:
+        raise ConfigurationError("cooks takes exactly one level")
     if name == "brinkman" and values["mu"] == ():
         raise ConfigurationError("brinkman needs at least one mu value")
 
@@ -150,6 +155,7 @@ def make_config(args):
     """The subcommand's own options: flags over config file over defaults."""
     keys = SUBCOMMANDS[args.subcommand]
     values = {key: OPTIONS[key].default for key in keys}
+    values.update(DEFAULTS.get(args.subcommand, {}))
     if args.config:
         values.update(read_config_file(args.config, keys))
     for key in keys:
@@ -190,7 +196,7 @@ def run_flow(config):
 def run_cooks(config):
     """Locking study over the Poisson ratios: CSV of the tip displacements,
     VTK of the compatible solution for the last ratio."""
-    record = bench.run_locking_study(config.nu, n=max(config.levels))
+    record = bench.run_locking_study(config.nu, n=config.levels[0])
     out = _ensure_out(config)
     csv_path = os.path.join(out, "cooks_tips.csv")
     record.to_csv(csv_path)

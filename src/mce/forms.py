@@ -27,17 +27,15 @@ from scipy import io as scipy_io
 from scipy import sparse
 
 from .mesh import _norm
-from .quadrature import edge_rule, triangle_barycentric, triangle_rule
+from .quadrature import edge_rule, triangle_barycentric
 from .space import (
     Dirichlet,
     NormalZero,
     _eval_vec,
     _hat_gradients,
     _perp_out,
+    cell_integrals,
 )
-
-# re-exported here because assembly owns the quadrature contract
-quadrature_rule = triangle_rule
 
 
 class ConfigurationError(Exception):
@@ -238,10 +236,7 @@ def _coupling_and_source(builder, tables, n_vel, g, fold_sign=-1.0):
     builder.add(prows, ucols, fold_sign * D.ravel())
     builder.add(ucols, prows, fold_sign * D.ravel())
     if g is not None:
-        bary, wts = triangle_barycentric(6)
-        pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
-        gv = _eval_field(g, pts).reshape(pts.shape[:3])
-        ints = 2.0 * np.einsum("q,tsq,ts->t", wts, gv, tables.sub_areas)
+        ints = cell_integrals(g, tables)
         builder.rhs[n_vel : n_vel + nt] += fold_sign * ints
 
 

@@ -254,20 +254,6 @@ class SubdividedMesh:
         [[1, 3, 6], [3, 2, 6], [2, 4, 6], [4, 0, 6], [0, 5, 6], [5, 1, 6]]
     )
 
-    def local_nodes(self, t):
-        """The 7 subdivision nodes of macro triangle t, ordered
-        [v0, v1, v2, m0, m1, m2, centroid]."""
-        mesh = self.mesh
-        out = np.empty((7, 2))
-        out[:3] = mesh.vertices[mesh.triangles[t]]
-        out[3:6] = self.edge_splits[mesh.tri_edges[t]]
-        out[6] = self.centroids[t]
-        return out
-
-    def subtriangles(self, t):
-        """Corner coordinates (6, 3, 2) of the subtriangles of triangle t."""
-        return self.local_nodes(t)[self.SUBTRIANGLES]
-
     def all_local_nodes(self):
         """Node coordinates for every triangle, shape (nt, 7, 2)."""
         mesh = self.mesh

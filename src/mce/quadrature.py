@@ -72,12 +72,3 @@ def edge_rule(npoints=3):
     x, w = leggauss(npoints)
     return 0.5 * (x + 1.0), 0.5 * w
 
-
-def map_to_triangle(verts, pts):
-    """Map reference points (n, 2) into the physical triangle verts (3, 2)."""
-    verts = np.asarray(verts, dtype=float)
-    return (
-        verts[0]
-        + np.outer(pts[:, 0], verts[1] - verts[0])
-        + np.outer(pts[:, 1], verts[2] - verts[0])
-    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .mesh import MeshError, _cross2, _norm
+from .mesh import MeshError, _cross2, _dot, _norm
 from .quadrature import edge_rule, triangle_barycentric
 
 _NORMAL_ANGLE_TOL = 1e-8
@@ -118,9 +118,8 @@ class ElementTables:
         self.basis_node_values = vals
 
         # constant basis gradients per subtriangle: (nt,9,6,2,2)
-        corner_vals = vals[:, :, sub]  # (nt,9,6,3,2)
-        self.basis_grads = np.einsum("tksci,tscj->tksij", corner_vals, grads)
-        self.basis_corner_values = corner_vals
+        self.basis_grads = np.einsum("tksci,tscj->tksij", vals[:, :, sub],
+                                     grads)
 
         div_sub = np.trace(self.basis_grads, axis1=3, axis2=4)  # (nt,9,6)
         self.basis_div_sub = div_sub
@@ -246,26 +245,23 @@ def _eval_vec(value, points):
     ).copy()
 
 
-def build_space(subdiv, constraint="dirichlet", boundary_data=None):
+def build_space(subdiv, constraint="dirichlet"):
     """Build the FESpace with strong constraints applied per boundary tag.
 
     Parameters
     ----------
     constraint : "dirichlet" | "normal" | "free" applied to every tag, or a
         dict mapping tag -> Dirichlet/NormalZero/Free.
-    boundary_data : optional callable or pair used as the Dirichlet value
-        when `constraint` is the string "dirichlet".
     """
     mesh = subdiv.mesh
     tables = ElementTables(subdiv)
-    tags = sorted({t for t in mesh.boundary_tags if t})
+    boundary = mesh.boundary_edges
+    boundary_tags = np.asarray(mesh.boundary_tags)[boundary]
+    tags = sorted(set(boundary_tags.tolist()) - {""})
     if isinstance(constraint, str):
         if constraint not in _MODE_ALIASES:
             raise ValueError(f"unknown constraint mode {constraint!r}")
-        bc_spec = _MODE_ALIASES[constraint]
-        if constraint == "dirichlet" and boundary_data is not None:
-            bc_spec = Dirichlet(boundary_data)
-        bc = {tag: bc_spec for tag in tags}
+        bc = {tag: _MODE_ALIASES[constraint] for tag in tags}
     else:
         bc = dict(constraint)
         unknown = set(bc) - set(tags)
@@ -275,97 +271,72 @@ def build_space(subdiv, constraint="dirichlet", boundary_data=None):
             bc.setdefault(tag, Free())
 
     nv, ne = mesh.num_vertices, mesh.num_edges
-    n_velocity = 2 * nv + ne
-
     vertex_mode = np.full(nv, V_FREE, dtype=np.int8)
     vertex_value = np.zeros((nv, 2))
-    vertex_normals = [[] for _ in range(nv)]
     bubble_fixed = np.zeros(ne, dtype=bool)
     bubble_value = np.zeros(ne)
     edge_normal = np.zeros((ne, 2))
 
-    bverts = mesh.vertices
-    ends = mesh.edges[mesh.boundary_edges]
-    d = bverts[ends[:, 1]] - bverts[ends[:, 0]]
-    edge_normal[mesh.boundary_edges] = _perp_out(d) / _norm(d)[:, None]
+    ends = mesh.vertices[mesh.edges[boundary]]
+    d = ends[:, 1] - ends[:, 0]
+    edge_normal[boundary] = _perp_out(d) / _norm(d)[:, None]
 
-    # Dirichlet edges first (Dirichlet wins at corners), in sorted tag order
-    # for determinism.
+    # Dirichlet fixes its vertices whatever their normals; the NormalZero
+    # edges are gathered in sorted tag order for determinism
+    normal_edges = [np.zeros(0, dtype=np.int64)]
     for tag in tags:
         spec = bc[tag]
-        tag_edges = [
-            e for e in mesh.boundary_edges if mesh.boundary_tags[e] == tag
-        ]
+        edges = boundary[boundary_tags == tag]
         if isinstance(spec, Dirichlet):
-            for e in tag_edges:
-                for v in mesh.edges[e]:
-                    vertex_mode[v] = V_FIXED
-                    vertex_value[v] = _eval_vec(spec.value, bverts[v])[0]
-            bubble_fixed[tag_edges] = True
-            bubble_value[tag_edges] = boundary_flux_amplitudes(
-                subdiv, spec.value, tag_edges
-            )
+            verts = np.unique(mesh.edges[edges])
+            vertex_mode[verts] = V_FIXED
+            vertex_value[verts] = _eval_vec(spec.value, mesh.vertices[verts])
+            bubble_value[edges] = boundary_flux_amplitudes(subdiv, spec.value,
+                                                           edges)
         elif isinstance(spec, NormalZero):
-            for e in tag_edges:
-                for v in mesh.edges[e]:
-                    vertex_normals[v].append(edge_normal[e])
-            bubble_fixed[tag_edges] = True
-        elif not isinstance(spec, Free):
-            raise TypeError(f"unsupported boundary condition {spec!r}")
-
-    vertex_tangent = np.zeros((nv, 2))
-    for v in range(nv):
-        if vertex_mode[v] == V_FIXED or not vertex_normals[v]:
+            normal_edges.append(edges)
+        elif isinstance(spec, Free):
             continue
-        normals = vertex_normals[v]
-        n0 = normals[0]
-        distinct = any(
-            1.0 - abs(float(n0 @ n)) > _NORMAL_ANGLE_TOL for n in normals[1:]
-        )
-        if distinct:
-            vertex_mode[v] = V_FIXED  # corner: two independent normals
         else:
-            vertex_mode[v] = V_NORMAL
-            vertex_tangent[v] = np.array([-n0[1], n0[0]])
+            raise TypeError(f"unsupported boundary condition {spec!r}")
+        bubble_fixed[edges] = True
 
-    rows, cols, data = [], [], []
-    lift = np.zeros(n_velocity)
-    nfree = 0
-    for v in range(nv):
-        if vertex_mode[v] == V_FREE:
-            for c in range(2):
-                rows.append(2 * v + c)
-                cols.append(nfree)
-                data.append(1.0)
-                nfree += 1
-        elif vertex_mode[v] == V_NORMAL:
-            t = vertex_tangent[v]
-            rows += [2 * v, 2 * v + 1]
-            cols += [nfree, nfree]
-            data += [t[0], t[1]]
-            nfree += 1
-        else:
-            lift[2 * v : 2 * v + 2] = vertex_value[v]
-    for e in range(ne):
-        dof = 2 * nv + e
-        if bubble_fixed[e]:
-            lift[dof] = bubble_value[e]
-        else:
-            rows.append(dof)
-            cols.append(nfree)
-            data.append(1.0)
-            nfree += 1
-    C = sparse.csr_matrix(
-        (data, (rows, cols)), shape=(n_velocity, nfree)
-    )
+    # (vertex, normal) pairs grouped by vertex in gathering order: a vertex
+    # whose normals differ from its first one is a corner (fixed), the
+    # others slide along the tangent of their first normal
+    edges = np.concatenate(normal_edges)
+    pair_vertex = mesh.edges[edges].ravel()
+    order = np.argsort(pair_vertex, kind="stable")
+    pair_vertex = pair_vertex[order]
+    pair_normal = np.repeat(edge_normal[edges], 2, axis=0)[order]
+    first = np.diff(pair_vertex, prepend=-1) != 0
+    n0 = pair_normal[first]
+    bent = 1.0 - np.abs(_dot(n0[np.cumsum(first) - 1], pair_normal))
+    heads = pair_vertex[first]
+    vertex_mode[heads] = np.maximum(vertex_mode[heads], V_NORMAL)
+    vertex_mode[pair_vertex[bent > _NORMAL_ANGLE_TOL]] = V_FIXED
+    slide = np.ones((nv, 2))
+    slide[heads] = np.column_stack([-n0[:, 1], n0[:, 0]])
+
+    # C has one entry per unconstrained row; the columns are numbered in
+    # dof order, 2, 1 or 0 per vertex (free, sliding, fixed) and 1 or 0
+    # per edge bubble (free, fixed)
+    width = np.r_[2 - vertex_mode, ~bubble_fixed].astype(np.int64)
+    offset = np.cumsum(width) - width
+    cols = np.c_[offset[:nv], offset[:nv] + (vertex_mode == V_FREE)]
+    cols = np.r_[cols.ravel(), offset[nv:]]
+    data = np.r_[slide.ravel(), np.ones(ne)]
+    rows = np.flatnonzero(np.r_[np.repeat(width[:nv], 2), width[nv:]])
+    C = sparse.csr_matrix((data[rows], (rows, cols[rows])),
+                          shape=(2 * nv + ne, int(width.sum())))
     return FESpace(
         subdiv=subdiv,
         tables=tables,
         bc=bc,
-        n_velocity=n_velocity,
+        n_velocity=2 * nv + ne,
         n_pressure=mesh.num_triangles,
         constraint=C,
-        lift=lift,
+        lift=np.r_[vertex_value.ravel(), bubble_value],
         vertex_mode=vertex_mode,
         bubble_fixed=bubble_fixed,
         edge_outward_normal=edge_normal,
@@ -388,17 +359,22 @@ def fortin_interpolate(u, space):
     return coeffs
 
 
-def project_p0(f, subdiv, degree=6):
-    """Elementwise mean values of a scalar function (L2 projection on the
-    per-triangle constants), integrated subtriangle-wise."""
-    tables = subdiv if isinstance(subdiv, ElementTables) else ElementTables(subdiv)
+def cell_integrals(f, tables, degree=6):
+    """Integral of a scalar function over every macro triangle, summed
+    from a degree-`degree` rule on each subtriangle."""
     bary, wts = triangle_barycentric(degree)
     pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
     vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(
         pts.shape[:3]
     )
-    integrals = 2.0 * np.einsum("q,tsq,ts->t", wts, vals, tables.sub_areas)
-    return integrals / tables.areas
+    return 2.0 * np.einsum("q,tsq,ts->t", wts, vals, tables.sub_areas)
+
+
+def project_p0(f, subdiv, degree=6):
+    """Elementwise mean values of a scalar function (L2 projection on the
+    per-triangle constants), integrated subtriangle-wise."""
+    tables = subdiv if isinstance(subdiv, ElementTables) else ElementTables(subdiv)
+    return cell_integrals(f, tables, degree) / tables.areas
 
 
 def _locate_subtriangle(tables, t, point, tol=1e-12):
@@ -427,8 +403,8 @@ def eval_velocity(space, coeffs, t, point):
     tables = space.tables
     s, lam = _locate_subtriangle(tables, t, point)
     local = np.asarray(coeffs)[tables.loc2glob[t]]
-    corner_vals = np.einsum("k,kci->ci", local, tables.basis_corner_values[t, :, s])
-    return lam @ corner_vals
+    values = tables.basis_node_values[t][:, tables.subdiv.SUBTRIANGLES[s]]
+    return lam @ np.einsum("k,kci->ci", local, values)
 
 
 def eval_velocity_gradient(space, coeffs, t, point):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mce import bench
-from mce.cli import build_parser, main, read_config_file
+from mce.cli import build_parser, main, make_config, read_config_file
 from mce.forms import ConfigurationError
 from mce.mesh import generate_unit_square_mesh, subdivide, write_mesh
 from mce.space import FieldSolution, build_space, fortin_interpolate
@@ -45,6 +45,14 @@ class TestStokesCommand:
         monkeypatch.setattr(bench, "solve", counting_solve)
         assert run(["stokes", "--levels", "2,3,4", "--out", str(tmp_path)]) == 0
         assert len(calls) == 3
+
+    def test_header_has_no_div_slope(self, tmp_path):
+        assert run(["stokes", "--levels", "2,3,4", "--out", str(tmp_path)]) == 0
+        csv = tmp_path / "stokes_convergence.csv"
+        header = csv.read_text().splitlines()[0].split(",")
+        assert "err_div" in header and "slope_div" not in header
+        assert [name for name in header if name.startswith("slope_")] == [
+            "slope_h1_u", "slope_l2_p", "slope_l2_u", "slope_p0p"]
 
 
 class TestDarcyCommand:
@@ -93,6 +101,18 @@ class TestCooksCommand:
         write_vtk(solution, str(expected), title="cooks membrane displacement")
         assert (tmp_path / "cooks_solution.vtk").read_bytes() == \
             expected.read_bytes()
+
+    @pytest.mark.parametrize("levels", ["2,4,16", "16,4"])
+    def test_more_than_one_level_exits_1(self, tmp_path, capsys, levels):
+        out = tmp_path / "out"
+        assert run(["cooks", "--nu", "0.3", "--levels", levels,
+                    "--out", str(out)]) == 1
+        assert "exactly one level" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_is_one_level(self):
+        config = make_config(build_parser().parse_args(["cooks"]))
+        assert config.levels == (16,)
 
 
 class TestBrinkmanCommand:

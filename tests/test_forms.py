@@ -15,7 +15,6 @@ from mce.forms import (
     assemble_nitsche_elasticity,
     assemble_nitsche_slip,
     boundary_normal_norm,
-    quadrature_rule,
 )
 from mce.mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
 from mce.quadrature import edge_rule, triangle_barycentric
@@ -273,12 +272,6 @@ class TestNitscheSlip:
         v = fortin_interpolate(lambda p: p, space)
         ones = np.ones(extra.shape[1])
         assert v @ (extra @ ones) == pytest.approx(2.0, rel=1e-12)
-
-
-class TestQuadratureContract:
-    def test_reexport(self):
-        pts, wts = quadrature_rule(2)
-        assert wts.sum() == pytest.approx(0.5)
 
 
 class TestExport:
@@ -709,7 +702,8 @@ def reference_mass_matrix(tables, sigma):
     if np.all(sigma == 0.0):
         return 0.0
     bary, wts = triangle_barycentric(2)
-    basis_q = np.einsum("qc,tksci->tksqi", bary, tables.basis_corner_values)
+    corner_values = tables.basis_node_values[:, :, tables.subdiv.SUBTRIANGLES]
+    basis_q = np.einsum("qc,tksci->tksqi", bary, corner_values)
     return 2.0 * np.einsum(
         "t,q,tksqi,tlsqi,ts->tkl", sigma, wts, basis_q, basis_q,
         tables.sub_areas, optimize=True,
@@ -722,7 +716,8 @@ def reference_body_force_rhs(builder, tables, f, degree=4):
     bary, wts = triangle_barycentric(degree)
     pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
     fv = forms._eval_field(f, pts).reshape(pts.shape)
-    basis_q = np.einsum("qc,tksci->tksqi", bary, tables.basis_corner_values)
+    corner_values = tables.basis_node_values[:, :, tables.subdiv.SUBTRIANGLES]
+    basis_q = np.einsum("qc,tksci->tksqi", bary, corner_values)
     loc = 2.0 * np.einsum(
         "q,tsqi,tksqi,ts->tk", wts, fv, basis_q, tables.sub_areas
     )

@@ -282,7 +282,7 @@ class TestSubdivide:
             sub = subdivide(m, boundary_split="midpoint")
         macro = triangle_areas(m.vertices, m.triangles)
         for t in range(m.num_triangles):
-            tris = sub.subtriangles(t)
+            tris = sub.all_local_nodes()[t][sub.SUBTRIANGLES]
             areas = 0.5 * (
                 (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
                 - (tris[:, 1, 1] - tris[:, 0, 1]) * (tris[:, 2, 0] - tris[:, 0, 0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mce.quadrature import edge_rule, map_to_triangle, triangle_rule
+from mce.quadrature import edge_rule, triangle_rule
 
 
 def exact_monomial(i, j):
@@ -51,12 +51,3 @@ def test_edge_rule_exactness():
     x, w = edge_rule(5)
     for k in range(10):  # 5-point Gauss exact through degree 9
         assert np.sum(w * x**k) == pytest.approx(1 / (k + 1), rel=1e-13)
-
-
-def test_map_to_triangle_affine():
-    verts = np.array([[1.0, 2.0], [3.0, 2.5], [1.5, 4.0]])
-    pts, wts = triangle_rule(2)
-    phys = map_to_triangle(verts, pts)
-    # the mapped centroid-rule barycenter is the physical centroid
-    bary = np.sum(wts[:, None] * phys, axis=0) / np.sum(wts)
-    np.testing.assert_allclose(bary, verts.mean(axis=0), rtol=1e-14)

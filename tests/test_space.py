@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+from mce import bench
 from mce.mesh import (
+    _norm,
     build_mesh,
     generate_cook_mesh,
     generate_unit_square_mesh,
@@ -9,6 +12,8 @@ from mce.mesh import (
 )
 from mce.quadrature import triangle_barycentric
 from mce.space import (
+    _MODE_ALIASES,
+    _NORMAL_ANGLE_TOL,
     Dirichlet,
     Free,
     GeometryError,
@@ -17,6 +22,9 @@ from mce.space import (
     V_FREE,
     V_NORMAL,
     ElementTables,
+    _eval_vec,
+    _perp_out,
+    boundary_flux_amplitudes,
     build_space,
     eval_velocity,
     eval_velocity_gradient,
@@ -168,7 +176,7 @@ class TestBubble:
             mesh = build_mesh(verts, [[0, 1, 2]])
             sub = subdivide(mesh, boundary_split="midpoint")
             tables = ElementTables(sub)
-            tables_nodes = sub.local_nodes(0)
+            tables_nodes = sub.all_local_nodes()[0]
             for e in range(3):
                 vals = np.zeros((7, 2))
                 loc = local_edge(mesh, 0, e)
@@ -474,7 +482,7 @@ class TestFortin:
             uex = u(pts.reshape(-1, 2)).reshape(pts.shape[:3] + (2,))
             corner_vals = np.einsum(
                 "tk,tksci->tsci", tables.local_coeffs(coeffs),
-                tables.basis_corner_values,
+                tables.basis_node_values[:, :, sub.SUBTRIANGLES],
             )
             uh = np.einsum("qc,tsci->tsqi", bary, corner_vals)
             err2 = 2.0 * np.einsum(
@@ -596,7 +604,8 @@ class TestBuildSpace:
             [20 * p[:, 0] * p[:, 1] ** 3, 5 * p[:, 0] ** 4 - 5 * p[:, 1] ** 4]
         )
         sub = subdivide(generate_unit_square_mesh(3))
-        space = build_space(sub, "dirichlet", boundary_data=u)
+        space = build_space(sub, {tag: Dirichlet(u) for tag in
+                                 ("bottom", "left", "right", "top")})
         interp = fortin_interpolate(u, space)
         # the lift agrees with the Fortin interpolant on all fixed dofs
         fixed = np.asarray(space.constraint.sum(axis=1)).ravel() == 0
@@ -623,3 +632,176 @@ class TestBuildSpace:
             np.testing.assert_allclose(
                 eval_velocity_gradient(space, coeffs, t, pt), A, atol=1e-12
             )
+
+
+def loop_build_space(subdiv, constraint):
+    """build_space as it was written before it was put in array form: one
+    Python loop over the tagged edges, the vertices and the dofs. Kept as
+    the oracle of the array form; returns (constraint, lift, vertex_mode,
+    bubble_fixed, edge_outward_normal)."""
+    mesh = subdiv.mesh
+    tags = sorted({t for t in mesh.boundary_tags if t})
+    if isinstance(constraint, str):
+        bc = {tag: _MODE_ALIASES[constraint] for tag in tags}
+    else:
+        bc = {tag: constraint.get(tag, Free()) for tag in tags}
+    nv, ne = mesh.num_vertices, mesh.num_edges
+    n_velocity = 2 * nv + ne
+    vertex_mode = np.full(nv, V_FREE, dtype=np.int8)
+    vertex_value = np.zeros((nv, 2))
+    vertex_normals = [[] for _ in range(nv)]
+    bubble_fixed = np.zeros(ne, dtype=bool)
+    bubble_value = np.zeros(ne)
+    edge_normal = np.zeros((ne, 2))
+    bverts = mesh.vertices
+    ends = mesh.edges[mesh.boundary_edges]
+    d = bverts[ends[:, 1]] - bverts[ends[:, 0]]
+    edge_normal[mesh.boundary_edges] = _perp_out(d) / _norm(d)[:, None]
+    for tag in tags:
+        spec = bc[tag]
+        tag_edges = [
+            e for e in mesh.boundary_edges if mesh.boundary_tags[e] == tag
+        ]
+        if isinstance(spec, Dirichlet):
+            for e in tag_edges:
+                for v in mesh.edges[e]:
+                    vertex_mode[v] = V_FIXED
+                    vertex_value[v] = _eval_vec(spec.value, bverts[v])[0]
+            bubble_fixed[tag_edges] = True
+            bubble_value[tag_edges] = boundary_flux_amplitudes(
+                subdiv, spec.value, tag_edges
+            )
+        elif isinstance(spec, NormalZero):
+            for e in tag_edges:
+                for v in mesh.edges[e]:
+                    vertex_normals[v].append(edge_normal[e])
+            bubble_fixed[tag_edges] = True
+    vertex_tangent = np.zeros((nv, 2))
+    for v in range(nv):
+        if vertex_mode[v] == V_FIXED or not vertex_normals[v]:
+            continue
+        normals = vertex_normals[v]
+        n0 = normals[0]
+        distinct = any(
+            1.0 - abs(float(n0 @ n)) > _NORMAL_ANGLE_TOL for n in normals[1:]
+        )
+        if distinct:
+            vertex_mode[v] = V_FIXED
+        else:
+            vertex_mode[v] = V_NORMAL
+            vertex_tangent[v] = np.array([-n0[1], n0[0]])
+    rows, cols, data = [], [], []
+    lift = np.zeros(n_velocity)
+    nfree = 0
+    for v in range(nv):
+        if vertex_mode[v] == V_FREE:
+            for c in range(2):
+                rows.append(2 * v + c)
+                cols.append(nfree)
+                data.append(1.0)
+                nfree += 1
+        elif vertex_mode[v] == V_NORMAL:
+            t = vertex_tangent[v]
+            rows += [2 * v, 2 * v + 1]
+            cols += [nfree, nfree]
+            data += [t[0], t[1]]
+            nfree += 1
+        else:
+            lift[2 * v : 2 * v + 2] = vertex_value[v]
+    for e in range(ne):
+        dof = 2 * nv + e
+        if bubble_fixed[e]:
+            lift[dof] = bubble_value[e]
+        else:
+            rows.append(dof)
+            cols.append(nfree)
+            data.append(1.0)
+            nfree += 1
+    C = sparse.csr_matrix((data, (rows, cols)), shape=(n_velocity, nfree))
+    return C, lift, vertex_mode, bubble_fixed, edge_normal
+
+
+def split_bottom_square(n):
+    """Unit-square grid whose bottom side is two tags, split at x = 1/2."""
+    mesh = generate_unit_square_mesh(n)
+    tags = {}
+    for e in mesh.boundary_edges:
+        a, b = mesh.edges[e]
+        tag = mesh.boundary_tags[e]
+        if tag == "bottom":
+            mid = 0.5 * (mesh.vertices[a, 0] + mesh.vertices[b, 0])
+            tag = "bottom-a" if mid < 0.5 else "bottom-b"
+        tags[(int(a), int(b))] = tag
+    return build_mesh(mesh.vertices, mesh.triangles, tags)
+
+
+DARCY_VELOCITY = bench.case_darcy().velocity
+SPACE_ORACLE_MESHES = {
+    **NORMAL_ORACLE_MESHES,
+    "square-16": lambda: generate_unit_square_mesh(16),
+    "square2-40": lambda: bench._square2_mesh(40),
+    "split-bottom-4": lambda: split_bottom_square(4),
+}
+SPACE_ORACLE_CASES = [
+    (name, mode)
+    for name in sorted(SPACE_ORACLE_MESHES)
+    for mode in ("dirichlet", "normal", "free")
+] + [
+    ("square-3", {"left": Dirichlet(DARCY_VELOCITY), "bottom": NormalZero(),
+                  "right": NormalZero()}),
+    ("square-16", {"left": NormalZero(), "bottom": NormalZero(),
+                   "top": Dirichlet((0.5, -0.25))}),
+    ("rotated-jittered-7", {tag: Dirichlet(DARCY_VELOCITY)
+                            for tag in ("bottom", "left", "right", "top")}),
+    ("square2-40", bench._coupling_boundary("normal")),
+    ("square2-40", bench._coupling_boundary("tangential")),
+    ("split-bottom-4", {"bottom-a": NormalZero(), "bottom-b": NormalZero()}),
+    ("split-bottom-4", {"bottom-a": NormalZero(), "bottom-b": NormalZero(),
+                        "left": NormalZero(), "top": Dirichlet(DARCY_VELOCITY)}),
+]
+
+
+class TestBuildSpaceOracle:
+    @pytest.mark.parametrize(
+        "name, constraint", SPACE_ORACLE_CASES,
+        ids=[f"{name}-{c if isinstance(c, str) else i}"
+             for i, (name, c) in enumerate(SPACE_ORACLE_CASES)],
+    )
+    def test_bitwise_equal_to_loop(self, name, constraint):
+        sub = subdivide(SPACE_ORACLE_MESHES[name](), boundary_split="midpoint")
+        space = build_space(sub, constraint)
+        C, lift, mode, fixed, normal = loop_build_space(sub, constraint)
+        assert space.constraint.shape == C.shape
+        for key in ("data", "indices", "indptr"):
+            got, want = getattr(space.constraint, key), getattr(C, key)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        for got, want in [(space.lift, lift), (space.vertex_mode, mode),
+                          (space.bubble_fixed, fixed),
+                          (space.edge_outward_normal, normal)]:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_split_straight_side_junction_slides(self):
+        mesh = split_bottom_square(4)
+        space = build_space(subdivide(mesh), {"bottom-a": NormalZero(),
+                                              "bottom-b": NormalZero()})
+        x, y = mesh.vertices.T
+        junction = int(np.flatnonzero((x == 0.5) & (y == 0.0))[0])
+        corners = np.flatnonzero((y == 0.0) & ((x == 0.0) | (x == 1.0)))
+        assert space.vertex_mode[junction] == V_NORMAL
+        assert np.all(space.vertex_mode[corners] == V_NORMAL)
+
+    def test_unknown_condition_rejected(self):
+        sub = subdivide(generate_unit_square_mesh(2))
+        with pytest.raises(TypeError, match="unsupported boundary condition"):
+            build_space(sub, {"left": "clamped"})
+
+
+class TestElementTablesFootprint:
+    def test_ndarray_bytes_per_macro_triangle(self):
+        sub = subdivide(generate_unit_square_mesh(8))
+        tables = ElementTables(sub)
+        nbytes = sum(value.nbytes for value in vars(tables).values()
+                     if isinstance(value, np.ndarray))
+        assert nbytes / sub.mesh.num_triangles <= 4096
