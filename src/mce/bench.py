@@ -30,6 +30,7 @@ from .space import (
     build_space,
     project_p0,
 )
+from .vtk import open_new
 
 
 def _stack(fx, fy):
@@ -412,7 +413,7 @@ class ConvergenceRecord:
 
     def to_csv(self, path):
         names = ["level", "n", "NNO", "h"] + self.COLUMNS + sorted(self.slopes)
-        with open(path, "w", newline="") as fh:
+        with open_new(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(names)
             for row in self.rows:
@@ -540,7 +541,7 @@ class LockingRecord:
     last: object = None
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with open_new(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["nu", "tip_compatible", "tip_affine"])
             for row in self.rows:
@@ -677,7 +678,7 @@ class CouplingResult:
 
     def profile_csv(self, path, mu_value):
         xs, values = self.profiles[mu_value]
-        with open(path, "w", newline="") as fh:
+        with open_new(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "ux", "uy"])
             for x, (ux, uy) in zip(xs, values):

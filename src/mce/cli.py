@@ -231,7 +231,7 @@ def run_brinkman(config):
 
 def run_mesh_info(config):
     if config.mesh_file:
-        with open(config.mesh_file) as fh:
+        with open(config.mesh_file, "rb") as fh:
             mesh = read_mesh(fh.read())
         origin = config.mesh_file
     else:

@@ -8,8 +8,11 @@ macro triangle. On boundary edges the cut runs along the perpendicular from
 the centroid to the edge.
 """
 
+import math
 import warnings
+from array import array
 from dataclasses import dataclass, replace
+from itertools import chain, compress, count
 
 import numpy as np
 
@@ -86,8 +89,10 @@ class MacroMesh:
         return np.flatnonzero(self.edge_tris[:, 1] < 0)
 
     def mesh_size(self):
-        """h = 1/sqrt(NNO) with NNO the number of macro vertices."""
-        return 1.0 / np.sqrt(self.num_vertices)
+        """h = 1/sqrt(NNO) with NNO the number of macro vertices (inf for
+        none)."""
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.sqrt(self.num_vertices)
 
     def with_vertices(self, vertices):
         """Same connectivity with new vertex coordinates."""
@@ -429,6 +434,10 @@ def _hanging_pairs(verts, edges):
 def validate_mesh(mesh):
     """Return a list of invariant violations (empty when the mesh is valid)."""
     report = []
+    if mesh.num_triangles == 0:
+        report.append("no triangles")
+    for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1)):
+        report.append(f"non-finite vertex {v}")
     areas = triangle_areas(mesh.vertices, mesh.triangles)
     for t in np.flatnonzero(areas <= 0):
         report.append(f"negative area at triangle {t}")
@@ -462,107 +471,200 @@ MESH_FORMAT_HEADER = "mce-mesh 1"
 def write_mesh(mesh, stream=None):
     """Serialize to the line-oriented text format; returns the text when no
     stream is given. Vertex coordinates round-trip bit-exactly."""
-    lines = [MESH_FORMAT_HEADER, f"vertices {mesh.num_vertices}"]
-    lines += [f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices]
-    lines.append(f"triangles {mesh.num_triangles}")
-    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
-    tagged = [
-        (a, b, mesh.boundary_tags[e])
-        for e, (a, b) in enumerate(mesh.edges)
-        if mesh.boundary_tags[e]
-    ]
-    lines.append(f"boundary {len(tagged)}")
-    lines += [f"{a} {b} {tag}" for a, b, tag in tagged]
-    text = "\n".join(lines) + "\n"
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    tags = mesh.boundary_tags
+    tagged = [e for e, tag in enumerate(tags) if tag]
+    vertices = np.asarray(mesh.vertices, dtype=float)
+    # %r of a Python float is its repr, as %d of a Python int is its str
+    text = "".join([
+        f"{MESH_FORMAT_HEADER}\nvertices {nv}\n",
+        ("%r %r\n" * nv) % tuple(vertices.ravel().tolist()),
+        f"triangles {nt}\n",
+        ("%d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist()),
+        f"boundary {len(tagged)}\n",
+    ] + [
+        f"{a} {b} {tags[e]}\n"
+        for e, (a, b) in zip(tagged, mesh.edges[tagged].tolist())
+    ])
     if stream is None:
         return text
     stream.write(text)
     return None
 
 
+def _decode(data):
+    """UTF-8 text of `data`; an undecodable byte is a MeshFormatError naming
+    its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        # the bad byte is on the last line of head plus one character
+        line = len((head + "x").splitlines())
+        raise MeshFormatError(
+            f"invalid UTF-8 byte {data[exc.start:exc.start + 1]!r}", line
+        ) from None
+
+
+# Per-row checks of each section, in the order the format applies them on
+# one row. They only run when a section is cut short or fails to parse in
+# batch, to name its earliest bad row.
+
+
+def _check_vertex(row, line):
+    parts = row.split()
+    if len(parts) != 2:
+        raise MeshFormatError(f"expected 'x y', got {row!r}", line)
+    try:
+        x, y = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise MeshFormatError(f"bad coordinate in {row!r}", line) from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise MeshFormatError(f"non-finite coordinate in {row!r}", line)
+
+
+def _check_triangle(row, line, nv):
+    try:
+        ijk = [int(p) for p in row.split()]
+    except ValueError:
+        raise MeshFormatError(f"bad triangle line {row!r}", line) from None
+    if len(ijk) != 3:
+        raise MeshFormatError(f"expected 'i j k', got {row!r}", line)
+    for idx in ijk:
+        if idx < 0 or idx >= nv:
+            raise MeshFormatError(f"vertex index {idx} out of range", line)
+
+
+def _check_boundary(row, line, nv):
+    parts = row.split()
+    if len(parts) != 3:
+        raise MeshFormatError(f"expected 'i j tag', got {row!r}", line)
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MeshFormatError(f"bad boundary line {row!r}", line) from None
+    if not (0 <= a < nv and 0 <= b < nv):
+        raise MeshFormatError(f"vertex index out of range in {row!r}", line)
+
+
+def _table(rows, width, convert, dtype):
+    """(len(rows), width) array of convert(token) over the whitespace-
+    separated tokens of `rows`; ValueError unless each row holds `width`.
+    Tokens stream into the array: no list per row or per section is kept,
+    which would set off garbage collection or add megabytes to the peak."""
+    widths = np.fromiter(map(len, map(str.split, rows)), np.intp, len(rows))
+    if np.any(widths != width):
+        raise ValueError("row width")
+    tokens = chain.from_iterable(map(str.split, rows))
+    values = np.fromiter(map(convert, tokens), dtype, len(rows) * width)
+    return values.reshape(-1, width)
+
+
+def _in_range(index, nv):
+    """`index` (int64) after checking that every entry lies in [0, nv)."""
+    if index.size and (index.min() < 0 or index.max() >= nv):
+        raise ValueError("vertex index out of range")
+    return index
+
+
+def _numbered_rows(text):
+    """The non-blank lines of `text`, stripped, their 1-based line numbers
+    and the number of lines. The full line lists die here, before any
+    section is parsed."""
+    lines = text.splitlines()
+    stripped = list(map(str.strip, lines))
+    rows = list(filter(None, stripped))
+    return rows, array("q", compress(count(1), stripped)), len(lines)
+
+
 def read_mesh(source):
     """Parse the text format back into a MacroMesh.
 
-    Accepts a string, bytes, or a readable stream. Non-CCW triangles are
-    reoriented with a warning; structural problems raise MeshFormatError with
-    the offending line number.
+    Accepts a string, UTF-8 bytes, or a readable stream. Each section is
+    tokenized and converted in one numpy call. Non-CCW triangles are
+    reoriented with a warning; structural problems, non-finite coordinates
+    and undecodable bytes raise MeshFormatError with the offending line
+    number (the earliest one).
     """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("ascii")
-    lines = source.splitlines()
+        source = _decode(source)
+    rows, numbers, num_lines = _numbered_rows(source)
 
-    pos = 0
+    def end_of_file():
+        return MeshFormatError("unexpected end of file", num_lines)
 
-    def next_line():
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            stripped = lines[pos - 1].strip()
-            if stripped:
-                return stripped, pos
-        raise MeshFormatError("unexpected end of file", len(lines))
-
-    header, ln = next_line()
-    if header != MESH_FORMAT_HEADER:
+    if not rows:
+        raise end_of_file()
+    if rows[0] != MESH_FORMAT_HEADER:
         raise MeshFormatError(
-            f"expected header {MESH_FORMAT_HEADER!r}, got {header!r}", ln
+            f"expected header {MESH_FORMAT_HEADER!r}, got {rows[0]!r}",
+            numbers[0],
         )
+    pos = 1
 
-    def section(name):
-        text, ln = next_line()
-        parts = text.split()
-        if len(parts) != 2 or parts[0] != name or not parts[1].isdigit():
-            raise MeshFormatError(f"expected '{name} <count>', got {text!r}", ln)
-        return int(parts[1])
-
-    nv = section("vertices")
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        text, ln = next_line()
-        parts = text.split()
-        if len(parts) != 2:
-            raise MeshFormatError(f"expected 'x y', got {text!r}", ln)
+    def section(name, parse, check):
+        """parse(rows) of the next section's rows. When the section is cut
+        short or fails to parse, `check` runs row by row and raises at the
+        earliest bad row; a short section with no bad row is the end of
+        file. Returns the parsed value and the section's first row index."""
+        nonlocal pos
+        if pos == len(rows):
+            raise end_of_file()
+        head = rows[pos]
+        parts = head.split()
+        if len(parts) != 2 or parts[0] != name or not parts[1].isdecimal():
+            raise MeshFormatError(
+                f"expected '{name} <count>', got {head!r}", numbers[pos]
+            )
+        start = pos + 1
         try:
-            vertices[i] = [float(parts[0]), float(parts[1])]
+            pos = start + int(parts[1])
         except ValueError:
-            raise MeshFormatError(f"bad coordinate in {text!r}", ln) from None
-
-    nt = section("triangles")
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        text, ln = next_line()
-        parts = text.split()
+            # more digits than int() reads: far beyond the end of the file
+            pos = start + len(rows)
+        body = rows[start:pos]
         try:
-            ijk = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"bad triangle line {text!r}", ln) from None
-        if len(ijk) != 3:
-            raise MeshFormatError(f"expected 'i j k', got {text!r}", ln)
-        for idx in ijk:
-            if idx < 0 or idx >= nv:
-                raise MeshFormatError(f"vertex index {idx} out of range", ln)
-        p = vertices[ijk]
-        if 0.5 * _cross2(p[1] - p[0], p[2] - p[0]) < 0:
-            warnings.warn(f"line {ln}: reorienting non-CCW triangle {i}")
-            ijk = [ijk[0], ijk[2], ijk[1]]
-        triangles[i] = ijk
+            if pos > len(rows):
+                raise end_of_file()
+            return parse(body), start
+        except (ValueError, OverflowError, MeshFormatError):
+            # a bad row before the end of file is the earlier error
+            for row, line in zip(body, numbers[start:]):
+                check(row, line)
+            raise
 
-    nb = section("boundary")
-    tags = {}
-    for _ in range(nb):
-        text, ln = next_line()
-        parts = text.split()
-        if len(parts) != 3:
-            raise MeshFormatError(f"expected 'i j tag', got {text!r}", ln)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MeshFormatError(f"bad boundary line {text!r}", ln) from None
-        if not (0 <= a < nv and 0 <= b < nv):
-            raise MeshFormatError(f"vertex index out of range in {text!r}", ln)
-        tags[(a, b)] = parts[2]
+    def parse_vertices(body):
+        xy = _table(body, 2, float, float)
+        if not np.isfinite(xy).all():
+            raise ValueError("non-finite coordinate")
+        return xy
+
+    vertices, _ = section("vertices", parse_vertices, _check_vertex)
+    nv = len(vertices)
+    triangles, start = section(
+        "triangles",
+        lambda body: _in_range(_table(body, 3, int, np.int64), nv),
+        lambda row, line: _check_triangle(row, line, nv),
+    )
+    flip = np.flatnonzero(triangle_areas(vertices, triangles) < 0)
+    for i in flip.tolist():
+        line = numbers[start + i]
+        warnings.warn(f"line {line}: reorienting non-CCW triangle {i}")
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+
+    def parse_boundary(body):
+        table = _table(body, 3, str, object)
+        pairs = np.array(list(map(int, table[:, :2].ravel())), np.int64)
+        pairs = _in_range(pairs, nv).reshape(-1, 2).tolist()
+        return dict(zip(map(tuple, pairs), table[:, 2].tolist()))
+
+    tags, _ = section(
+        "boundary",
+        parse_boundary,
+        lambda row, line: _check_boundary(row, line, nv),
+    )
 
     try:
         return build_mesh(vertices, triangles, tags)

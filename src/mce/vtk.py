@@ -6,7 +6,19 @@ cells. Velocity is point data; the per-macro-triangle pressure is cell
 data replicated over the 6 children.
 """
 
+import contextlib
+import os
+
 import numpy as np
+
+
+def open_new(path, newline=None):
+    """Open `path` for writing as a new file. An existing file is unlinked
+    first: rewriting one in place makes ext4 flush its old blocks when the
+    file is closed, tens of milliseconds per megabyte."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, "w", newline=newline)
 
 
 def write_vtk(solution, path, title="mce solution"):
@@ -45,7 +57,7 @@ def write_vtk(solution, path, title="mce solution"):
     )
     # %r of a Python float is its repr, as %d of a Python int is its str
     point_rows = "%r %r 0.0\n" * npoints
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         fh.write(
             f"# vtk DataFile Version 2.0\n{title}\nASCII\n"
             f"DATASET UNSTRUCTURED_GRID\nPOINTS {npoints} float\n"

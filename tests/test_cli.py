@@ -1,10 +1,15 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mce
 from mce import bench
 from mce.cli import build_parser, main, make_config, read_config_file
 from mce.forms import ConfigurationError
@@ -153,6 +158,108 @@ class TestMeshInfo:
         path.write_text(write_mesh(mesh))
         assert run(["mesh-info", "--mesh-file", str(path)]) == 0
         assert "vertices: 9" in capsys.readouterr().out
+
+
+# mesh files that once ended in a traceback (undecodable byte, a count whose
+# array does not fit in memory) or passed as valid (non-finite coordinate,
+# no triangles); each ends in exit 1 and the named message
+BROKEN_MESH_FILES = {
+    "bad-byte.mesh": (b"mce-mesh 1\nvertices 3\n0 0\n1 \xff\n0 1\n",
+                      "error: line 4: invalid UTF-8 byte"),
+    "huge-vertices.mesh": (b"mce-mesh 1\nvertices 99999999999999\n0 0\n",
+                           "error: line 3: unexpected end of file"),
+    "huge-triangles.mesh": (
+        b"mce-mesh 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 99999999999\n"
+        b"0 1 2\n", "error: line 7: unexpected end of file"),
+    "long-count.mesh": (b"mce-mesh 1\nvertices " + b"9" * 5000 + b"\n0 0\n",
+                        "error: line 3: unexpected end of file"),
+    "nan.mesh": (b"mce-mesh 1\nvertices 3\n0 0\nnan 0\n0 1\n",
+                 "error: line 4: non-finite coordinate in 'nan 0'"),
+}
+
+
+class TestMeshInfoErrors:
+    @pytest.mark.parametrize("name", sorted(BROKEN_MESH_FILES))
+    def test_named_error(self, tmp_path, capsys, name):
+        data, message = BROKEN_MESH_FILES[name]
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(["mesh-info", "--mesh-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert "valid: yes" not in captured.out
+
+    def test_named_errors_under_address_space_limit(self, tmp_path):
+        # as the benchmark worker runs the CLI: address space capped at 4 GiB
+        paths = []
+        for name, (data, _) in sorted(BROKEN_MESH_FILES.items()):
+            paths.append(str(tmp_path / name))
+            Path(paths[-1]).write_bytes(data)
+        script = (
+            "import resource, sys\n"
+            "cap = 4 << 30\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "from mce.cli import main\n"
+            "print([main(['mesh-info', '--mesh-file', p])\n"
+            "       for p in sys.argv[1:]])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mce.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([1] * len(paths))
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines()
+                  if line.startswith("error: ")]
+        messages = [BROKEN_MESH_FILES[name][1]
+                    for name in sorted(BROKEN_MESH_FILES)]
+        assert len(errors) == len(messages)
+        assert all(map(str.startswith, errors, messages))
+
+    def test_empty_mesh_invalid(self, tmp_path, capsys):
+        path = tmp_path / "empty.mesh"
+        path.write_text("mce-mesh 1\nvertices 0\ntriangles 0\nboundary 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["mesh-info", "--mesh-file", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID: no triangles" in out
+        assert "valid: yes" not in out
+
+    def test_utf8_tokens_still_read(self, tmp_path, capsys):
+        # fullwidth digits and an ideographic space, as a UTF-8 locale read
+        # them before
+        path = tmp_path / "wide.mesh"
+        path.write_bytes(
+            "mce-mesh 1\nvertices 3\n0 0\n\uff11\u30000\n0 1\ntriangles 1\n"
+            "0 \uff11 2\nboundary 0\n".encode("utf-8"))
+        assert run(["mesh-info", "--mesh-file", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "vertices: 3" in out and "valid: yes" in out
+
+
+class TestRewrittenOutputs:
+    """A rerun into the same --out directory unlinks each output and writes
+    a new file with the same bytes (rewriting in place is far slower)."""
+
+    @pytest.mark.parametrize("args", [
+        ["brinkman", "--grid", "8"],
+        ["stokes", "--levels", "2,3,4"],
+        ["cooks", "--levels", "2"],
+    ])
+    def test_rerun_writes_new_identical_files(self, tmp_path, args):
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        assert run(args + ["--out", str(out)]) == 0
+        kept.mkdir()
+        names = sorted(p.name for p in out.iterdir())
+        assert names
+        for name in names:
+            os.link(out / name, kept / name)
+        assert run(args + ["--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (kept / name).read_bytes()
+            assert not os.path.samefile(out / name, kept / name)
 
 
 class TestConfigHandling:

@@ -1,14 +1,18 @@
 import io
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mce.mesh import (
     _SPLIT_MARGIN,
     COOK_CORNERS,
     DEFAULT_BOUNDARY_TAG,
     INTERIOR,
+    MESH_FORMAT_HEADER,
     MacroMesh,
     MeshError,
     MeshFormatError,
@@ -699,3 +703,480 @@ class TestValidateAgainstReference:
         assert len(hanging) == 5
         edges = [int(r.split()[-1]) for r in hanging]
         assert edges == sorted(edges)
+
+
+# Reference text I/O: the per-line reader and writer that the section-wise
+# read_mesh and write_mesh replaced. Where the reference accepts an input,
+# the batched code must return a bitwise-equal mesh with the same warnings;
+# where it raises MeshFormatError, the same message and line.
+
+
+def reference_write_mesh(mesh):
+    lines = [MESH_FORMAT_HEADER, f"vertices {mesh.num_vertices}"]
+    lines += [f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices]
+    lines.append(f"triangles {mesh.num_triangles}")
+    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
+    tagged = [
+        (a, b, mesh.boundary_tags[e])
+        for e, (a, b) in enumerate(mesh.edges)
+        if mesh.boundary_tags[e]
+    ]
+    lines.append(f"boundary {len(tagged)}")
+    lines += [f"{a} {b} {tag}" for a, b, tag in tagged]
+    return "\n".join(lines) + "\n"
+
+
+def reference_read_mesh(source):
+    lines = source.splitlines()
+    pos = 0
+
+    def next_line():
+        nonlocal pos
+        while pos < len(lines):
+            pos += 1
+            stripped = lines[pos - 1].strip()
+            if stripped:
+                return stripped, pos
+        raise MeshFormatError("unexpected end of file", len(lines))
+
+    header, ln = next_line()
+    if header != MESH_FORMAT_HEADER:
+        raise MeshFormatError(
+            f"expected header {MESH_FORMAT_HEADER!r}, got {header!r}", ln
+        )
+
+    def section(name):
+        text, ln = next_line()
+        parts = text.split()
+        if len(parts) != 2 or parts[0] != name or not parts[1].isdigit():
+            raise MeshFormatError(f"expected '{name} <count>', got {text!r}", ln)
+        return int(parts[1])
+
+    nv = section("vertices")
+    vertices = np.empty((nv, 2))
+    for i in range(nv):
+        text, ln = next_line()
+        parts = text.split()
+        if len(parts) != 2:
+            raise MeshFormatError(f"expected 'x y', got {text!r}", ln)
+        try:
+            vertices[i] = [float(parts[0]), float(parts[1])]
+        except ValueError:
+            raise MeshFormatError(f"bad coordinate in {text!r}", ln) from None
+
+    nt = section("triangles")
+    triangles = np.empty((nt, 3), dtype=np.int64)
+    for i in range(nt):
+        text, ln = next_line()
+        parts = text.split()
+        try:
+            ijk = [int(p) for p in parts]
+        except ValueError:
+            raise MeshFormatError(f"bad triangle line {text!r}", ln) from None
+        if len(ijk) != 3:
+            raise MeshFormatError(f"expected 'i j k', got {text!r}", ln)
+        for idx in ijk:
+            if idx < 0 or idx >= nv:
+                raise MeshFormatError(f"vertex index {idx} out of range", ln)
+        p = vertices[ijk]
+        if 0.5 * _cross2(p[1] - p[0], p[2] - p[0]) < 0:
+            warnings.warn(f"line {ln}: reorienting non-CCW triangle {i}")
+            ijk = [ijk[0], ijk[2], ijk[1]]
+        triangles[i] = ijk
+
+    nb = section("boundary")
+    tags = {}
+    for _ in range(nb):
+        text, ln = next_line()
+        parts = text.split()
+        if len(parts) != 3:
+            raise MeshFormatError(f"expected 'i j tag', got {text!r}", ln)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise MeshFormatError(f"bad boundary line {text!r}", ln) from None
+        if not (0 <= a < nv and 0 <= b < nv):
+            raise MeshFormatError(f"vertex index out of range in {text!r}", ln)
+        tags[(a, b)] = parts[2]
+
+    try:
+        return build_mesh(vertices, triangles, tags)
+    except MeshError as exc:
+        raise MeshFormatError(str(exc), None) from exc
+
+
+def read_outcome(read, source):
+    """(mesh or 'line: message' of the MeshFormatError, warning texts)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(source)
+        except MeshFormatError as exc:
+            result = f"{exc.line}: {exc}"
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_read(text):
+    got, got_warnings = read_outcome(read_mesh, text)
+    ref, ref_warnings = read_outcome(reference_read_mesh, text)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert_same_mesh(got, ref)
+        assert got_warnings == ref_warnings
+    return got, got_warnings
+
+
+def _padded(text):
+    """The same mesh with blank and whitespace-only lines, tabs, padding and
+    CRLF line ends."""
+    out = []
+    for k, line in enumerate(text.splitlines()):
+        if k % 3 == 0:
+            out.append("")
+        if k % 5 == 1:
+            out.append(" \t \x0c")
+        if k:
+            line = line.replace(" ", "\t" if k % 2 else " \t  ")
+        out.append(f"  {line}\t" if k % 4 == 2 else line)
+    return "\r\n".join(out) + "\n\n \t\n"
+
+
+def _text_of(inputs):
+    return reference_write_mesh(reference_build_mesh(*inputs))
+
+
+# coordinates 1_0 = 10, \uff110 = 10 (fullwidth one), +0, 1e-3; separators
+# include a no-break and an ideographic space
+ODD_TOKENS = (
+    "mce-mesh 1\nvertices 4\n0 0\n1_0 +0\n\uff110\t1e-3\n\xa00\u3000 1e-3\n"
+    "triangles 2\n+0 \uff11 2\n0 2 3\nboundary 2\n0_0 +1 bottom\n 3 0 left\n"
+)
+
+VALID_TEXTS = {
+    "square-1": lambda: reference_write_mesh(generate_unit_square_mesh(1)),
+    "square-3": lambda: reference_write_mesh(generate_unit_square_mesh(3)),
+    "square-64": lambda: reference_write_mesh(generate_unit_square_mesh(64)),
+    "cook-2": lambda: reference_write_mesh(generate_cook_mesh(2)),
+    "cook-7": lambda: reference_write_mesh(generate_cook_mesh(7)),
+    "jittered-12-seed0": lambda: _text_of(jittered_inputs(12, 0)),
+    "jittered-20-seed2": lambda: _text_of(jittered_inputs(20, 2)),
+    "jittered-9-strong": lambda: _text_of(jittered_inputs(9, 3, jitter=0.45)),
+    "shuffled-10-seed4": lambda: _text_of(shuffled_inputs(10, 4)),
+    "shuffled-15-seed5": lambda: _text_of(shuffled_inputs(15, 5)),
+    "flipped": lambda: reference_write_mesh(
+        _flipped(_flipped(_flipped(generate_unit_square_mesh(4), 9), 2), 30)),
+    "padded-cook-3": lambda: _padded(reference_write_mesh(generate_cook_mesh(3))),
+    "padded-flipped": lambda: _padded(reference_write_mesh(
+        _flipped(generate_unit_square_mesh(3), 4))),
+    "odd-tokens": lambda: ODD_TOKENS,
+    "untagged": lambda: (
+        "mce-mesh 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 0\n"
+    ),
+    "tag-given-twice": lambda: (
+        "mce-mesh 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n"
+        "boundary 3\n0 1 a\n2 0 b\n1 0 c\n"
+    ),
+    "trailing-lines": lambda: (
+        reference_write_mesh(generate_unit_square_mesh(2)) + "\n# notes\n1 2 3\n"
+    ),
+    # Arabic-Indic digit four: a decimal digit, which int() reads
+    "count-in-other-script": lambda: _edit({2: "vertices \u0664"}),
+    "empty-mesh": lambda: "mce-mesh 1\nvertices 0\ntriangles 0\nboundary 0\n",
+}
+
+# two triangles on the unit square; line numbers are those of this text
+SQUARE = (
+    "mce-mesh 1\nvertices 4\n0 0\n1 0\n1 1\n0 1\n"
+    "triangles 2\n0 1 2\n0 2 3\nboundary 1\n0 1 bottom\n"
+)
+
+
+SQUARE_16 = reference_write_mesh(generate_unit_square_mesh(16))
+
+
+def _edit(changes, text=SQUARE):
+    """`text` with line k (1-based) replaced by changes[k]; None deletes it."""
+    lines = text.splitlines()
+    for k, new in changes.items():
+        lines[k - 1] = new
+    return "\n".join(line for line in lines if line is not None) + "\n"
+
+
+def _cut(after, text=SQUARE, tail=""):
+    return "\n".join(text.splitlines()[:after]) + "\n" + tail
+
+
+BROKEN_TEXTS = {
+    "empty": "",
+    "blank-only": "\n  \n\t\n",
+    "bad-header": "nope 2\n",
+    "header-only": "mce-mesh 1\n\n",
+    "count-missing": _edit({2: "vertices"}),
+    "count-negative": _edit({2: "vertices -4"}),
+    "count-word": _edit({2: "vertices four"}),
+    "count-twice": _edit({2: "vertices 4 4"}),
+    "section-misnamed": _edit({2: "vertex 4"}),
+    "vertex-width-1": _edit({4: "1"}),
+    "vertex-width-3": _edit({4: "1 0 0"}),
+    "vertex-bad-float": _edit({4: "1 zero"}),
+    "vertex-width-before-float": _edit({4: "a b c"}),
+    "triangle-bad-int": _edit({8: "0 1 two"}),
+    "triangle-float-index": _edit({8: "0 1 2.0"}),
+    "triangle-parse-before-width": _edit({8: "0 1 x 5"}),
+    "triangle-width": _edit({8: "0 1"}),
+    "triangle-width-before-range": _edit({8: "0 9"}),
+    "triangle-index-high": _edit({9: "0 2 4"}),
+    "triangle-index-negative": _edit({9: "0 -1 3"}),
+    "triangle-index-huge": _edit({9: "0 2 99999999999999999999999"}),
+    "boundary-width": _edit({11: "0 1"}),
+    "boundary-bad-int": _edit({11: "0 x bottom"}),
+    "boundary-index": _edit({11: "0 7 bottom"}),
+    "boundary-index-huge": _edit({11: "0 99999999999999999999999 bottom"}),
+    "eof-in-vertices": _cut(4),
+    "eof-in-vertices-blank-tail": _cut(5, tail="\n \n\n"),
+    "eof-in-triangles": _cut(8),
+    "eof-before-boundary": _cut(9),
+    "eof-in-boundary": _cut(10),
+    "count-runs-into-next-section": _edit({7: "triangles 3"}),
+    "vertex-count-runs-into-triangles": _edit({2: "vertices 5"}),
+    "short-vertex-section-bad-row": _cut(6, _edit({2: "vertices 40", 5: "1 x"})),
+    "zero-area": _edit({9: "0 2 2"}),
+    "tag-on-interior-edge": _edit({11: "0 2 diagonal"}),
+    "edge-in-three-triangles": (
+        "mce-mesh 1\nvertices 5\n0 0\n1 0\n0.5 1\n0.5 -1\n0.5 2\n"
+        "triangles 3\n0 1 2\n1 0 3\n0 1 4\nboundary 0\n"
+    ),
+    # errors of different kinds on different lines: the earliest line wins
+    "float-then-width": _edit({4: "1 x", 6: "0"}),
+    "width-then-float": _edit({4: "0", 6: "1 x"}),
+    "range-then-parse": _edit({8: "0 1 7", 9: "0 x 3"}),
+    "parse-then-range": _edit({8: "0 x 3", 9: "0 1 7"}),
+    "width-then-parse": _edit({8: "0 1", 9: "0 1 x"}),
+    "range-then-width": _edit({8: "0 1 7", 9: "0 1"}),
+    "vertex-before-triangle": _edit({5: "1", 8: "0 1 9"}),
+    "flipped-then-range": _edit({8: "0 2 1", 9: "0 1 9"}),
+    # errors deep in a long section
+    "late-vertex": _edit({272: "0.5"}, SQUARE_16),
+    "late-triangles": _edit({553: "0 1 999", 563: "0 1"}, SQUARE_16),
+    # a non-finite coordinate on a later line, or after a parse error on its
+    # own line, does not move the reported error
+    "width-then-non-finite": _edit({4: "1", 6: "nan 0"}),
+    "non-finite-and-bad-float": _edit({4: "nan x"}),
+    "width-then-inf": _edit({3: "0 0 0", 4: "inf 0"}),
+    "count-not-decimal": _edit({2: "vertices \u0663x"}),
+    "boundary-width-then-range": _edit(
+        {10: "boundary 2", 11: "0 1", 12: "0 9 x"},
+        SQUARE + "0 1 bottom\n"),
+}
+
+
+class TestTextIOAgainstReference:
+    @pytest.mark.parametrize("name", sorted(VALID_TEXTS))
+    def test_valid_text(self, name):
+        text = VALID_TEXTS[name]()
+        mesh, caught = assert_same_read(text)
+        assert isinstance(mesh, MacroMesh)
+        for source in (text.encode("utf-8"), io.StringIO(text)):
+            again, again_caught = read_outcome(read_mesh, source)
+            assert_same_mesh(again, mesh)
+            assert again_caught == caught
+
+    def test_warnings_in_order(self):
+        _, caught = assert_same_read(VALID_TEXTS["flipped"]())
+        assert [text for _, text in caught] == [
+            "line 31: reorienting non-CCW triangle 2",
+            "line 38: reorienting non-CCW triangle 9",
+            "line 59: reorienting non-CCW triangle 30",
+        ]
+
+    def test_failed_parse_warns_nothing(self):
+        # triangles are reoriented only once their whole section parses, so
+        # a later bad row leaves no warning for an earlier flipped one (the
+        # per-line reader warned before it raised)
+        text = BROKEN_TEXTS["flipped-then-range"]
+        got, caught = read_outcome(read_mesh, text)
+        ref, ref_caught = read_outcome(reference_read_mesh, text)
+        assert got == ref == "9: line 9: vertex index 9 out of range"
+        assert caught == [] and len(ref_caught) == 1
+
+    def test_padded_warning_names_padded_line(self):
+        _, caught = assert_same_read(VALID_TEXTS["padded-flipped"]())
+        assert len(caught) == 1
+        assert caught[0][1].endswith("reorienting non-CCW triangle 4")
+
+    def test_odd_tokens(self):
+        mesh, _ = assert_same_read(ODD_TOKENS)
+        assert mesh.vertices.tolist() == [
+            [0.0, 0.0], [10.0, 0.0], [10.0, 1e-3], [0.0, 1e-3]]
+        assert sorted(set(mesh.boundary_tags)) == ["", "bottom", "left", "wall"]
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_TEXTS))
+    def test_broken_text(self, name):
+        text = BROKEN_TEXTS[name]
+        got, _ = assert_same_read(text)
+        assert isinstance(got, str)
+
+    @pytest.mark.parametrize("name, line", [
+        ("float-then-width", 4), ("width-then-float", 4),
+        ("range-then-parse", 8), ("parse-then-range", 8),
+        ("width-then-parse", 8), ("range-then-width", 8),
+        ("vertex-before-triangle", 5), ("flipped-then-range", 9),
+        ("boundary-width-then-range", 11), ("width-then-non-finite", 4),
+        ("non-finite-and-bad-float", 4), ("width-then-inf", 3),
+        ("late-vertex", 272), ("late-triangles", 553),
+        ("short-vertex-section-bad-row", 5), ("eof-in-vertices-blank-tail", 8),
+    ])
+    def test_named_line(self, name, line):
+        with pytest.raises(MeshFormatError) as err:
+            read_mesh(BROKEN_TEXTS[name])
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("name", sorted(VALID_TEXTS))
+    def test_write_mesh_byte_identical(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mesh = reference_read_mesh(VALID_TEXTS[name]())
+        text = reference_write_mesh(mesh)
+        assert write_mesh(mesh) == text
+        buf = io.StringIO()
+        assert write_mesh(mesh, buf) is None
+        assert buf.getvalue() == text
+
+    def test_write_mesh_skips_untagged_edges(self):
+        mesh = _retagged(generate_unit_square_mesh(3),
+                         lambda m: m.boundary_edges[[0, 4, 5]], "")
+        assert write_mesh(mesh) == reference_write_mesh(mesh)
+        assert "boundary 9\n" in write_mesh(mesh)
+
+
+def _section_text(count_line, rows=()):
+    return "mce-mesh 1\n" + count_line + "\n" + "".join(r + "\n" for r in rows)
+
+
+class TestNewRejections:
+    """Inputs the per-line reader let through or failed on with an exception
+    other than MeshFormatError."""
+
+    @pytest.mark.parametrize("data, line", [
+        (b"mce-mesh 1\nvertices 4\n0 0\n1 \xff\n", 4),
+        (b"mce-mesh 1\r\nvertices 1\r\n\r\n0 0\r1\xc3\n", 5),
+        (b"\xef\xbb\xbfmce-mesh 1\n\x80", 2),
+        (b"mce-mesh 1\nvertices 1\n0 \xe2\x82", 3),
+    ])
+    def test_invalid_utf8_names_line(self, data, line):
+        with pytest.raises(MeshFormatError) as err:
+            read_mesh(data)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: invalid UTF-8 byte")
+
+    def test_utf8_bytes_read_as_text(self):
+        assert_same_mesh(read_mesh(ODD_TOKENS.encode("utf-8")),
+                         read_mesh(ODD_TOKENS))
+
+    @pytest.mark.parametrize("text", [
+        _section_text("vertices 99999999999999", ["0 0", "1 0"]),
+        _cut(9, SQUARE.replace("triangles 2", "triangles 99999999999")),
+        SQUARE.replace("boundary 1", "boundary 99999999999999999999"),
+        # more digits than int() converts by default
+        _section_text("vertices " + "9" * 5000, ["0 0"]),
+    ])
+    def test_count_beyond_end_of_file(self, text):
+        with pytest.raises(MeshFormatError) as err:
+            read_mesh(text)
+        assert str(err.value) == (
+            f"line {len(text.splitlines())}: unexpected end of file")
+
+    def test_count_beyond_end_names_earlier_bad_row(self):
+        text = _section_text("vertices 99999999999999", ["0 0", "1 y", "2"])
+        with pytest.raises(MeshFormatError, match="line 4: bad coordinate"):
+            read_mesh(text)
+
+    @pytest.mark.parametrize("row", [
+        "nan 0", "0 inf", "1e999 0", "-Infinity 1", "0 NaN"])
+    def test_non_finite_coordinate(self, row):
+        with pytest.raises(MeshFormatError) as err:
+            read_mesh(_edit({5: row}))
+        assert str(err.value) == f"line 5: non-finite coordinate in {row!r}"
+
+    def test_non_finite_before_later_width_error(self):
+        with pytest.raises(MeshFormatError, match="line 4: non-finite"):
+            read_mesh(_edit({4: "nan 0", 6: "1"}))
+
+    @pytest.mark.parametrize("count", ["\xb2", "\u2460"])
+    def test_non_decimal_count(self, count):
+        # digits that str.isdigit accepts but int() does not
+        with pytest.raises(MeshFormatError, match="line 2: expected 'vertices"):
+            read_mesh(_section_text(f"vertices {count}"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_validate_reports_non_finite_vertices(self):
+        mesh = generate_unit_square_mesh(2)
+        verts = mesh.vertices.copy()
+        verts[[7, 3], [0, 1]] = [np.nan, np.inf]
+        report = validate_mesh(mesh.with_vertices(verts))
+        assert report[:2] == ["non-finite vertex 3", "non-finite vertex 7"]
+
+    def test_validate_reports_empty_mesh(self):
+        mesh = read_mesh(VALID_TEXTS["empty-mesh"]())
+        assert validate_mesh(mesh) == ["no triangles"]
+        loose = read_mesh(_section_text("vertices 1", ["0 0", "triangles 0",
+                                                       "boundary 0"]))
+        assert validate_mesh(loose) == ["no triangles", "dangling vertex 0"]
+
+
+# fuzzing: mutations of small valid texts
+
+
+FUZZ_BASES = [
+    SQUARE,
+    ODD_TOKENS,
+    reference_write_mesh(generate_cook_mesh(1)),
+    reference_write_mesh(_flipped(generate_unit_square_mesh(2), 3)),
+]
+
+FUZZ_TOKENS = [
+    "0", "1", "2", "3", "-1", "7", "99999999999999999999", "0.5", "-0.0",
+    "1e308", "nan", "inf", "x", "wall", "1_0", "+2", "\uff11", "\xb2",
+    "vertices", "triangles", "boundary", "mce-mesh",
+]
+
+
+@st.composite
+def mutated_texts(draw):
+    lines = draw(st.sampled_from(FUZZ_BASES)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(
+            ["delete", "duplicate", "swap", "token", "bytes"]))
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            tokens = lines[i].split() or [""]
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = draw(st.sampled_from(FUZZ_TOKENS) | st.text(max_size=3))
+            lines[i] = " ".join(tokens)
+    data = "\n".join(lines).encode("utf-8") + b"\n"
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+class TestFuzz:
+    @given(mutated_texts())
+    def test_reads_a_mesh_or_raises_mesh_format_error(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                mesh = read_mesh(data)
+            except MeshFormatError:
+                return
+            assert_same_mesh(read_mesh(write_mesh(mesh)), mesh)
