@@ -44,7 +44,11 @@ print("closed form d*(centroid - opposite vertex):",
       d * (sub.centroids[0] - verts[loc]))
 
 print("divergence of that bubble on each of the 6 subtriangles:")
-print("  ", np.array2string(tables.basis_div_sub[0, 6 + loc], precision=14))
+# the bubble is P1 on every subtriangle: its corner values dotted with the
+# subtriangle's hat gradients
+corner_values = tables.basis_node_values[0, 6 + loc][sub.SUBTRIANGLES]
+div_sub = np.einsum("sci,sci->s", corner_values, tables.hat_grads[0])
+print("  ", np.array2string(div_sub, precision=14))
 
 print()
 print("=" * 72)

@@ -326,12 +326,11 @@ def error_norms(solution, case, degree=6):
     u_ex = case.velocity(flat).reshape(pts.shape)
     gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
 
-    local = tables.local_coeffs(solution.velocity)
     corner_vals = tables.field_node_values(solution.velocity)[
         :, tables.subdiv.SUBTRIANGLES
     ]
     uh = np.einsum("qc,tsci->tsqi", bary, corner_vals)
-    gh = np.einsum("tk,tksij->tsij", local, tables.basis_grads)
+    gh = np.einsum("tsci,tscj->tsij", corner_vals, tables.hat_grads)
 
     du = u_ex - uh
     dg = gu_ex - gh[:, :, None]

@@ -226,6 +226,9 @@ def run_brinkman(config):
                 title=f"brinkman coupling {tag}",
             )
         log.info("scenario %s done (mu = %s)", scenario, list(result.mu_values))
+        # its files are written: release its solutions before the next
+        # scenario is solved
+        del result
     return 0
 
 

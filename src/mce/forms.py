@@ -14,16 +14,23 @@ become one scalar 7x7 P1 patch matrix N, summed from each subtriangle's
 sum_i V_i N V_i^T with V_i the i-th component of the basis values at the
 patch nodes. The load is contracted the same way: the degree-4 moments of
 f against each subtriangle's hats are summed per patch node, then dotted
-with those basis values. Strong constraints are eliminated through the
-space's affine map (never penalized); the symmetric-indefinite Brinkman
-matrix is produced by negating the pressure test block, so the assembled
-matrix is [[A, -B^T], [-B, 0]] with right-hand side [f, -g].
+with those basis values. The elastic term 2 mu eps:eps is a strain-matrix
+contraction on the same patch: per subtriangle s the three rows (xx, yy,
+sqrt(2) xy) of the symmetric gradient of a P1 vector field on the 7 nodes
+(14 values) are read off the hat gradients, stacked into B (18 x 14) and
+contracted with the basis values to Bv = B V^T (18 x 9); the element
+matrix is Bv^T diag(2 mu a_s) Bv, a_s the subtriangle areas, plus the
+lambda div div term from the constant divergences, in fixed-size chunks of
+triangles. Strong constraints are eliminated through the space's affine
+map (never penalized); the symmetric-indefinite Brinkman matrix is
+produced by negating the pressure test block, so the assembled matrix is
+[[A, -B^T], [-B, 0]] with right-hand side [f, -g].
 """
 
 import warnings
+from functools import cached_property
 
 import numpy as np
-from scipy import io as scipy_io
 from scipy import sparse
 
 from .mesh import _norm
@@ -32,7 +39,6 @@ from .space import (
     Dirichlet,
     NormalZero,
     _eval_vec,
-    _hat_gradients,
     _perp_out,
     cell_integrals,
 )
@@ -131,10 +137,6 @@ class SaddleSystem:
         m = float(x[self.blocks["multiplier"]][0]) if self.has_multiplier else None
         return u, p, m
 
-    def export_matrix_market(self, path):
-        """Write the reduced matrix in MatrixMarket coordinate format."""
-        scipy_io.mmwrite(path, self.matrix.tocoo())
-
 
 class _Builder:
     """COO accumulator in fixed insertion order (deterministic sums)."""
@@ -202,7 +204,7 @@ def _body_force_rhs(builder, tables, f, degree=4):
 def _brinkman_matrix(tables, mu, sigma):
     """Element matrices (nt, 9, 9) of mu grad:grad + sigma u.v, as
     sum_i V_i N V_i^T over the 7-node patch (see the module docstring)."""
-    grads, _ = _hat_gradients(tables.sub_corners)  # (nt,6,3,2)
+    grads = tables.hat_grads  # (nt,6,3,2)
     bary, wts = triangle_barycentric(2)
     mass = 2.0 * np.einsum("q,qc,qd->cd", wts, bary, bary)
     a = tables.sub_areas
@@ -216,12 +218,30 @@ def _brinkman_matrix(tables, mu, sigma):
     return (V @ N @ np.swapaxes(V, -1, -2)).sum(axis=1)
 
 
+# triangles per chunk of the elastic kernel: its temporaries stay a few
+# MB whatever the mesh size
+_ELASTIC_CHUNK = 2048
+
+
 def _elastic_matrix(tables, mu, lam):
-    G = tables.basis_grads
-    E = 0.5 * (G + np.swapaxes(G, 3, 4))
-    K = 2.0 * np.einsum(
-        "t,tksij,tlsij,ts->tkl", mu, E, E, tables.sub_areas, optimize=True
-    )
+    """Element matrices (nt, 9, 9) of 2 mu eps:eps + lambda div div, the
+    first as the strain-matrix contraction Bv^T diag(2 mu a_s) Bv of the
+    module docstring."""
+    # B[3s + r, 2a + i]: strain component r (xx, yy, sqrt(2) xy) on
+    # subtriangle s of the P1 field with component i at patch node a
+    rows = 3 * np.arange(6)[:, None, None] + np.array([0, 1, 2, 2])
+    cols = 2 * tables.subdiv.SUBTRIANGLES[:, :, None] + np.array([0, 1, 0, 1])
+    scale = np.array([1.0, 1.0, np.sqrt(0.5), np.sqrt(0.5)])
+    nt = len(tables.areas)
+    K = np.empty((nt, 9, 9))
+    for lo in range(0, nt, _ELASTIC_CHUNK):
+        c = slice(lo, lo + _ELASTIC_CHUNK)
+        V = tables.basis_node_values[c]
+        B = np.zeros((len(V), 18, 14))
+        B[:, rows, cols] = tables.hat_grads[c][..., [0, 1, 1, 0]] * scale
+        Bv = B @ np.swapaxes(V.reshape(len(V), 9, 14), 1, 2)
+        w = np.repeat(2.0 * mu[c, None] * tables.sub_areas[c], 3, axis=1)
+        K[c] = np.swapaxes(Bv, 1, 2) @ (w[..., None] * Bv)
     D = tables.basis_div
     K += lam * np.einsum("t,tk,tl->tkl", tables.areas, D, D)
     return K
@@ -336,9 +356,10 @@ class _Faces:
     split node to vertex, each backed by the child subtriangle on it.
     Per face: `tri`, `l2g` (nf, 9), `tag`, length `h`, unit `normal` and
     `tangent` (nf, 2). Per face and half: `length` (nf, 2), quadrature
-    `points` (nf, 2, nq, 2), basis `traces` (nf, 2, 9, nq, 2) and basis
-    `grads` (nf, 2, 9, 2, 2). `end_values` (nf, 3, 9, 2) holds the basis
-    values at the ends of the two halves.
+    `points` (nf, 2, nq, 2) and basis `traces` (nf, 2, 9, nq, 2).
+    `end_values` (nf, 3, 9, 2) holds the basis values at the ends of the
+    two halves. The basis `grads` (nf, 2, 9, 2, 2) on the child
+    subtriangles are formed on first use, by the Nitsche assemblers only.
 
     Lengths come from `_norm`, which is bit-identical to np.linalg.norm of
     each row, and every contraction keeps the per-face einsum subscripts
@@ -348,6 +369,7 @@ class _Faces:
 
     def __init__(self, space, keep):
         mesh, tables = space.mesh, space.tables
+        self.tables = tables
         edges = mesh.boundary_edges[keep]
         self.tag = np.asarray(mesh.boundary_tags, dtype=object)[edges]
         self.tri = mesh.edge_tris[edges, 0]
@@ -372,8 +394,11 @@ class _Faces:
             V[:, :2, :, None, :] * (1.0 - qx)[:, None]
             + V[:, 1:, :, None, :] * qx[:, None]
         )
-        child = 2 * loc[:, None] + np.arange(2)
-        self.grads = tables.basis_grads[self.tri[:, None], :, child]
+        self.child = 2 * loc[:, None] + np.arange(2)
+
+    @cached_property
+    def grads(self):
+        return self.tables.basis_gradients(self.tri[:, None], self.child)
 
     def along(self, direction):
         """Basis traces dotted with a per-face direction: (nf, 2, 9, nq)."""

@@ -438,12 +438,16 @@ def validate_mesh(mesh):
         report.append("no triangles")
     for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1)):
         report.append(f"non-finite vertex {v}")
-    areas = triangle_areas(mesh.vertices, mesh.triangles)
+    # a non-finite vertex is reported above; its nan or inf areas and
+    # lengths below compare false and need not warn as well
+    with np.errstate(invalid="ignore", over="ignore"):
+        areas = triangle_areas(mesh.vertices, mesh.triangles)
+        lengths = np.linalg.norm(
+            mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]],
+            axis=1,
+        )
     for t in np.flatnonzero(areas <= 0):
         report.append(f"negative area at triangle {t}")
-    lengths = np.linalg.norm(
-        mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]], axis=1
-    )
     scale = lengths.max() if len(lengths) else 1.0
     for e in np.flatnonzero(lengths <= 1e-14 * max(scale, 1.0)):
         report.append(f"degenerate edge {e} (coincident endpoints)")
@@ -584,10 +588,17 @@ def read_mesh(source):
     tokenized and converted in one numpy call. Non-CCW triangles are
     reoriented with a warning; structural problems, non-finite coordinates
     and undecodable bytes raise MeshFormatError with the offending line
-    number (the earliest one).
+    number (the earliest one). A text stream that fails to decode its own
+    bytes raises MeshFormatError naming the byte, without a line number.
     """
     if hasattr(source, "read"):
-        source = source.read()
+        try:
+            source = source.read()
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start:exc.start + 1]
+            raise MeshFormatError(
+                f"invalid {exc.encoding} byte {bad!r}"
+            ) from None
     if isinstance(source, bytes):
         source = _decode(source)
     rows, numbers, num_lines = _numbered_rows(source)

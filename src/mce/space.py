@@ -54,6 +54,15 @@ class ElementTables:
     local vertex i). The bubble of local edge i is nu_i at its split node
     and `bubble_um[t, i]` at the centroid, which makes its divergence the
     constant `bubble_div[t, i]` on all 6 subtriangles (unit amplitude).
+
+    Every basis field is P1 on the 6 subtriangles, so the tables store it
+    in patch form: `basis_node_values` (nt, 9, 7, 2) at the 7 local nodes
+    `nodes` (nt, 7, 2), and the gradients `hat_grads` (nt, 6, 3, 2) of each
+    subtriangle's corner hats. With them `sub_areas` (nt, 6), `areas`,
+    `basis_div` (nt, 9), `bubble_div` and `loc2glob` are stored. The rest
+    is derived where it is read: `sub_corners` and `bubble_um` are views
+    or gathers of the above, and `basis_gradients` forms the constant
+    per-subtriangle basis gradients for the subtriangles asked for.
     """
 
     def __init__(self, subdiv):
@@ -63,16 +72,14 @@ class ElementTables:
         tris = mesh.triangles
         verts = mesh.vertices[tris]  # (nt,3,2)
         nodes = subdiv.all_local_nodes()  # (nt,7,2)
-        sub = subdiv.SUBTRIANGLES  # (6,3)
+        self.nodes = nodes
 
-        corners = nodes[:, sub]  # (nt,6,3,2)
-        self.sub_corners = corners
-        grads, areas = _hat_gradients(corners)
+        grads, areas = _hat_gradients(nodes[:, subdiv.SUBTRIANGLES])
         if np.any(areas <= 0):
             raise GeometryError("subtriangle with non-positive area")
+        self.hat_grads = grads  # (nt,6,3,2)
         self.sub_areas = areas  # (nt,6)
         self.areas = areas.sum(axis=1)  # (nt,)
-        self.nodes = nodes
 
         # barycentric coordinates (wrt the macro triangle) of the 7 nodes
         bary = np.zeros((nt, 7, 3))
@@ -95,34 +102,30 @@ class ElementTables:
             N[:, i] = _perp_out(verts[:, (i + 2) % 3] - verts[:, (i + 1) % 3])
         beta = np.einsum("nik,nik->ni", nu, N)  # (nt,3)
         self.bubble_div = beta / (2.0 * self.areas)[:, None]  # (nt,3)
-        # solve [N_j; N_k] u_m = -(beta/3)[1,1] for each local edge i
-        um = np.empty((nt, 3, 2))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            a_, b_ = N[:, j, 0], N[:, j, 1]
-            c_, d_ = N[:, k, 0], N[:, k, 1]
-            det = a_ * d_ - b_ * c_
-            r = -beta[:, i] / 3.0
-            um[:, i, 0] = (d_ * r - b_ * r) / det
-            um[:, i, 1] = (-c_ * r + a_ * r) / det
-        self.bubble_um = um
 
         # nodal values of the 9 local basis fields at the 7 nodes: (nt,9,7,2)
         vals = np.zeros((nt, 9, 7, 2))
         for a in range(3):
             for c in range(2):
                 vals[:, 2 * a + c, :, c] = bary[:, :, a]
+        # the centroid value u_m of bubble i solves [N_j; N_k] u_m =
+        # -(beta_i / 3)[1, 1]
         for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            a_, b_ = N[:, j, 0], N[:, j, 1]
+            c_, d_ = N[:, k, 0], N[:, k, 1]
+            det = a_ * d_ - b_ * c_
+            r = -beta[:, i] / 3.0
             vals[:, 6 + i, 3 + i, :] = nu[:, i]
-            vals[:, 6 + i, 6, :] = um[:, i]
+            vals[:, 6 + i, 6, 0] = (d_ * r - b_ * r) / det
+            vals[:, 6 + i, 6, 1] = (-c_ * r + a_ * r) / det
         self.basis_node_values = vals
 
-        # constant basis gradients per subtriangle: (nt,9,6,2,2)
-        self.basis_grads = np.einsum("tksci,tscj->tksij", vals[:, :, sub],
-                                     grads)
-
-        div_sub = np.trace(self.basis_grads, axis1=3, axis2=4)  # (nt,9,6)
-        self.basis_div_sub = div_sub
+        # the constant divergence of each basis field, as the mean of its
+        # traces over the subtriangles
+        div_sub = np.empty((nt, 9, 6))
+        for s in range(6):
+            div_sub[:, :, s] = self.sub_divergences(s)
         self.basis_div = div_sub.mean(axis=2)  # (nt,9)
 
         # local-to-global velocity dof map
@@ -132,6 +135,31 @@ class ElementTables:
         loc2glob[:, 1:6:2] = 2 * tris + 1
         loc2glob[:, 6:9] = 2 * nv + mesh.tri_edges
         self.loc2glob = loc2glob
+
+    @property
+    def bubble_um(self):
+        """Centroid values (nt, 3, 2) of the three edge bubbles."""
+        return self.basis_node_values[:, 6:, 6]
+
+    @property
+    def sub_corners(self):
+        """Subtriangle corner coordinates (nt, 6, 3, 2), gathered anew."""
+        return self.nodes[:, self.subdiv.SUBTRIANGLES]
+
+    def basis_gradients(self, t, s):
+        """Constant gradients (..., 9, 2, 2) of the 9 basis fields on
+        subtriangle s of macro triangle t (index arrays that broadcast);
+        entry [k, i, j] is the derivative of component i of field k along
+        x_j."""
+        t = np.asarray(t)
+        vals = self.basis_node_values[t[..., None], :,
+                                      self.subdiv.SUBTRIANGLES[s]]
+        return np.einsum("...cki,...cj->...kij", vals, self.hat_grads[t, s])
+
+    def sub_divergences(self, s):
+        """Divergences (nt, 9) of the 9 basis fields on subtriangle s."""
+        grads = self.basis_gradients(np.arange(len(self.areas)), s)
+        return np.trace(grads, axis1=2, axis2=3)
 
     def local_coeffs(self, coeffs):
         """Gather global velocity coefficients to local (nt, 9)."""
@@ -378,7 +406,7 @@ def project_p0(f, subdiv, degree=6):
 
 
 def _locate_subtriangle(tables, t, point, tol=1e-12):
-    corners = tables.sub_corners[t]  # (6,3,2)
+    corners = tables.nodes[t][tables.subdiv.SUBTRIANGLES]  # (6,3,2)
     point = np.asarray(point, dtype=float)
     best, best_min = None, -np.inf
     for s in range(6):
@@ -412,7 +440,7 @@ def eval_velocity_gradient(space, coeffs, t, point):
     tables = space.tables
     s, _ = _locate_subtriangle(tables, t, point)
     local = np.asarray(coeffs)[tables.loc2glob[t]]
-    return np.einsum("k,kij->ij", local, tables.basis_grads[t, :, s])
+    return np.einsum("k,kij->ij", local, tables.basis_gradients(t, s))
 
 
 def macro_divergence(space, coeffs, t=None, return_deviation=False):
@@ -423,14 +451,16 @@ def macro_divergence(space, coeffs, t=None, return_deviation=False):
     """
     tables = space.tables
     local = tables.local_coeffs(coeffs)
-    div_sub = np.einsum("tk,tks->ts", local, tables.basis_div_sub)
+    nt = len(local)
+    div_sub = np.empty((nt, 6))
+    basis_max = 0.0
+    for s in range(6):
+        basis = tables.sub_divergences(s)
+        div_sub[:, s] = np.einsum("tk,tk->t", local, basis)
+        basis_max = max(basis_max, float(np.abs(basis).max(initial=0.0)))
     value = div_sub.mean(axis=1)
     deviation = np.abs(div_sub - value[:, None]).max(axis=1)
-    scale = max(
-        1.0,
-        float(np.abs(local).max(initial=0.0))
-        * float(np.abs(tables.basis_div_sub).max(initial=0.0)),
-    )
+    scale = max(1.0, float(np.abs(local).max(initial=0.0)) * basis_max)
     if np.any(deviation > 1e-9 * scale):
         worst = int(np.argmax(deviation))
         raise GeometryError(

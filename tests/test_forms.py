@@ -19,7 +19,16 @@ from mce.forms import (
 from mce.mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
 from mce.quadrature import edge_rule, triangle_barycentric
 from mce.solve import solve
-from mce.space import Dirichlet, Free, NormalZero, build_space, fortin_interpolate
+from mce.space import (
+    Dirichlet,
+    Free,
+    NormalZero,
+    _hat_gradients,
+    build_space,
+    fortin_interpolate,
+    macro_divergence,
+    project_p0,
+)
 
 
 def sym_defect(A):
@@ -279,9 +288,20 @@ class TestExport:
         coeffs = ProblemCoefficients(mu=1.0, sigma=0.0)
         system = assemble_brinkman(free3, coeffs)
         path = tmp_path / "system.mtx"
-        system.export_matrix_market(str(path))
+        scipy_io.mmwrite(str(path), system.matrix.tocoo())
         loaded = scipy_io.mmread(str(path)).tocsr()
         assert (loaded != system.matrix).nnz == 0
+
+
+def reference_basis_grads(tables):
+    """Constant basis gradients (nt, 9, 6, 2, 2) per subtriangle by the
+    formula the element tables stored them with: the basis values at the
+    subtriangle corners contracted with the corner hat gradients, both
+    gathered anew from the node coordinates."""
+    sub = tables.subdiv.SUBTRIANGLES
+    grads, _ = _hat_gradients(tables.nodes[:, sub])
+    return np.einsum("tksci,tscj->tksij", tables.basis_node_values[:, :, sub],
+                     grads)
 
 
 # Reference assemblers: the per-face loops over _Face/_Segment objects that
@@ -316,7 +336,8 @@ class _Segment:
         )
 
     def grads(self):
-        return self.tables.basis_grads[self.tri, :, self.child]  # (9,2,2)
+        # (9,2,2)
+        return reference_basis_grads(self.tables)[self.tri, :, self.child]
 
 
 class _Face:
@@ -692,7 +713,7 @@ class TestBoundaryTermsMatchFaceLoops:
 
 
 def reference_viscous_matrix(tables, mu):
-    G = tables.basis_grads
+    G = reference_basis_grads(tables)
     return np.einsum(
         "t,tksij,tlsij,ts->tkl", mu, G, G, tables.sub_areas, optimize=True
     )
@@ -793,6 +814,186 @@ class TestPatchKernelsMatchSubtriangleSums:
         forms._body_force_rhs(new, tables, f)
         reference_body_force_rhs(old, tables, f)
         assert _rel_max(new.rhs, old.rhs) <= self.TOL
+
+
+def reference_elastic_matrix(tables, mu, lam):
+    """Elastic element matrices as the per-subtriangle sum of 2 mu E:E over
+    the stored-form basis gradients, plus the lambda div div term."""
+    G = reference_basis_grads(tables)
+    E = 0.5 * (G + np.swapaxes(G, 3, 4))
+    K = 2.0 * np.einsum(
+        "t,tksij,tlsij,ts->tkl", mu, E, E, tables.sub_areas, optimize=True
+    )
+    D = np.trace(G, axis1=3, axis2=4).mean(axis=2)
+    K += lam * np.einsum("t,tk,tl->tkl", tables.areas, D, D)
+    return K
+
+
+def reference_error_norms(solution, case, degree=6):
+    """`bench.error_norms` with the discrete velocity gradient read from
+    the stored-form basis gradients."""
+    space = solution.space
+    tables = space.tables
+    nt = space.mesh.num_triangles
+    co = case.coefficients
+    mu = np.broadcast_to(np.asarray(co.mu, dtype=float), (nt,))
+    sigma = np.broadcast_to(np.asarray(co.sigma, dtype=float), (nt,))
+    bary, wts = triangle_barycentric(degree)
+    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+    flat = pts.reshape(-1, 2)
+    u_ex = case.velocity(flat).reshape(pts.shape)
+    gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
+    local = tables.local_coeffs(solution.velocity)
+    corner_vals = tables.field_node_values(solution.velocity)[
+        :, tables.subdiv.SUBTRIANGLES
+    ]
+    uh = np.einsum("qc,tsci->tsqi", bary, corner_vals)
+    gh = np.einsum("tk,tksij->tsij", local, reference_basis_grads(tables))
+    du = u_ex - uh
+    dg = gu_ex - gh[:, :, None]
+    w_areas = 2.0 * wts[None, None, :] * tables.sub_areas[:, :, None]
+
+    def cell_int(values):
+        return np.einsum("tsq,tsq->t", w_areas, values)
+
+    l2_u_t = cell_int((du**2).sum(axis=-1))
+    h1_u_t = cell_int((dg**2).sum(axis=(-1, -2)))
+    div_ex = gu_ex[..., 0, 0] + gu_ex[..., 1, 1]
+    div_t = cell_int((div_ex - solution.divergence()[:, None, None]) ** 2)
+    sym = 0.5 * (dg + np.swapaxes(dg, -1, -2))
+    eps_t = cell_int((sym**2).sum(axis=(-1, -2)))
+    record = bench.ErrorRecord(
+        l2_u=float(np.sqrt(l2_u_t.sum())),
+        h1_u=float(np.sqrt(h1_u_t.sum())),
+        div=float(np.sqrt(div_t.sum())),
+    )
+    if co.lam is not None:
+        record.triple_e = float(
+            np.sqrt(np.sum(2.0 * mu * eps_t) + co.lam * div_t.sum())
+        )
+    if case.pressure is not None and solution.pressure is not None:
+        p_ex = case.pressure(flat).reshape(pts.shape[:3])
+        ph = solution.pressure
+        l2_p_t = cell_int((p_ex - ph[:, None, None]) ** 2)
+        p0p_t = tables.areas * (project_p0(case.pressure, tables) - ph) ** 2
+        record.l2_p = float(np.sqrt(l2_p_t.sum()))
+        record.p0p = float(np.sqrt(p0p_t.sum()))
+        record.triple_b = float(np.sqrt(
+            np.sum(mu * h1_u_t) + np.sum(sigma * l2_u_t) + div_t.sum()
+            + np.sum(p0p_t / (mu + sigma))
+        ))
+    return record
+
+
+class TestPatchFormTables:
+    """The element tables keep the basis in patch form (node values and
+    subtriangle hat gradients); every reader that used the stored
+    per-subtriangle basis gradients derives what it needs. Each reader
+    against the stored-form formula: the elastic strain-matrix kernel sums
+    in another order, so it agrees to a tolerance fixed from double
+    precision; the face gradients and the divergence use the same
+    products."""
+
+    TOL = 1e-13
+
+    CASES = dict(PATCH_CASES, **{
+        # more triangles than one chunk of the elastic kernel, the last
+        # chunk partial
+        "cook-48": (lambda: generate_cook_mesh(48), "midpoint",
+                    lambda sub: _varied_fields(sub.mesh.num_triangles)),
+    })
+
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def space(self, request):
+        make_mesh, split, _ = self.CASES[request.param]
+        return build_space(subdivide(make_mesh(), boundary_split=split),
+                           "free")
+
+    @pytest.mark.parametrize("lam", [0.0, 1e4])
+    def test_elastic_matrices(self, space, lam):
+        tables = space.tables
+        nt = space.mesh.num_triangles
+        mu = 1.0 + 0.5 * np.cos(np.arange(nt))
+        K = forms._elastic_matrix(tables, mu, lam)
+        assert _rel_max(K, reference_elastic_matrix(tables, mu, lam)) \
+            <= self.TOL
+
+    def test_basis_div(self, space):
+        G = reference_basis_grads(space.tables)
+        reference = np.trace(G, axis1=3, axis2=4).mean(axis=2)
+        assert _rel_max(space.tables.basis_div, reference) <= self.TOL
+
+    def test_face_grads(self, space):
+        faces = forms._Faces(space, forms._tag_mask(space.mesh))
+        reference = reference_basis_grads(space.tables)[
+            faces.tri[:, None], :, faces.child
+        ]
+        assert faces.grads.shape == reference.shape
+        assert _rel_max(faces.grads, reference) <= self.TOL
+
+    def test_macro_divergence(self, space):
+        tables = space.tables
+        coeffs = np.cos(np.arange(space.n_velocity) * 0.7)
+        local = tables.local_coeffs(coeffs)
+        div_sub = np.trace(reference_basis_grads(tables), axis1=3, axis2=4)
+        per_sub = np.einsum("tk,tks->ts", local, div_sub)
+        value, deviation = macro_divergence(space, coeffs,
+                                            return_deviation=True)
+        scale = np.abs(local).max() * np.abs(div_sub).max()
+        np.testing.assert_allclose(value, per_sub.mean(axis=1), rtol=0,
+                                   atol=self.TOL * scale)
+        reference = np.abs(per_sub - per_sub.mean(axis=1)[:, None]).max(
+            axis=1)
+        np.testing.assert_allclose(deviation, reference, rtol=0,
+                                   atol=self.TOL * scale)
+
+    @pytest.mark.parametrize("make_case", [
+        bench.case_stokes,
+        lambda: bench.case_darcy(mu=0.5, sigma=1.0),
+        lambda: bench.case_elasticity(lam=1e3),
+    ], ids=["stokes", "brinkman", "elasticity"])
+    def test_error_norms(self, make_case):
+        case = make_case()
+        solution, *_ = bench.solve_case(case, 6)
+        record = bench.error_norms(solution, case)
+        reference = reference_error_norms(solution, case)
+        for name, value in vars(reference).items():
+            if np.isnan(value):
+                assert np.isnan(getattr(record, name)), name
+            else:
+                assert getattr(record, name) == pytest.approx(
+                    value, rel=self.TOL), name
+
+    def test_cook_tips(self, monkeypatch):
+        """The tip displacement of Cook's membrane near incompressibility
+        against a solve that assembles with the stored-form kernel."""
+        for nu in (0.3, 0.4999, 0.49999):
+            problem = bench.case_cooks(nu)
+            tip = bench.solve_cooks(problem, n=8)[0]
+            with monkeypatch.context() as patched:
+                patched.setattr(forms, "_elastic_matrix",
+                                reference_elastic_matrix)
+                reference = bench.solve_cooks(problem, n=8)[0]
+            assert tip == pytest.approx(reference, rel=1e-8), nu
+
+
+class TestBuildSpaceMemory:
+    """Peak Python-traced allocation of `build_space` per macro triangle:
+    the element tables and the temporaries of building them (6,520 B on
+    this mesh while the per-subtriangle basis gradients were stored, about
+    3,070 without them)."""
+
+    def test_peak_per_triangle(self):
+        sub = subdivide(generate_cook_mesh(16), boundary_split="midpoint")
+        tracemalloc.start()
+        try:
+            build_space(sub, {"clamped": Dirichlet((0.0, 0.0)),
+                              "loaded": Free(), "traction-free": Free()})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sub.mesh.num_triangles == 512
+        assert peak / sub.mesh.num_triangles <= 4096
 
 
 class TestAssemblyMemory:

@@ -1070,6 +1070,15 @@ class TestNewRejections:
         assert err.value.line == line
         assert str(err.value).startswith(f"line {line}: invalid UTF-8 byte")
 
+    def test_undecodable_text_stream(self, tmp_path):
+        path = tmp_path / "bad.mesh"
+        path.write_bytes(b"mce-mesh 1\nvertices 4\n0 0\n1 \xff\n")
+        with open(path, encoding="utf-8") as stream:
+            with pytest.raises(MeshFormatError) as err:
+                read_mesh(stream)
+        assert err.value.line is None
+        assert str(err.value) == "invalid utf-8 byte b'\\xff'"
+
     def test_utf8_bytes_read_as_text(self):
         assert_same_mesh(read_mesh(ODD_TOKENS.encode("utf-8")),
                          read_mesh(ODD_TOKENS))
@@ -1109,7 +1118,6 @@ class TestNewRejections:
         with pytest.raises(MeshFormatError, match="line 2: expected 'vertices"):
             read_mesh(_section_text(f"vertices {count}"))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_validate_reports_non_finite_vertices(self):
         mesh = generate_unit_square_mesh(2)
         verts = mesh.vertices.copy()
