@@ -39,7 +39,6 @@ from .space import (
     NormalZero,
     build_space,
     eval_velocity,
-    eval_velocity_gradient,
     fortin_interpolate,
     macro_divergence,
     project_p0,
@@ -72,7 +71,6 @@ __all__ = [
     "build_mesh",
     "build_space",
     "eval_velocity",
-    "eval_velocity_gradient",
     "fortin_interpolate",
     "generate_cook_mesh",
     "generate_unit_square_mesh",

@@ -27,6 +27,7 @@ from .space import (
     FieldSolution,
     Free,
     NormalZero,
+    _quadrature_blocks,
     build_space,
     project_p0,
 )
@@ -309,7 +310,13 @@ class ErrorRecord:
 
 
 def error_norms(solution, case, degree=6):
-    """All error norms of a solved case, integrated subtriangle-wise."""
+    """All error norms of a solved case, integrated subtriangle-wise.
+
+    The exact fields are evaluated one block of at most `space._BLOCK`
+    macro triangles at a time, so the per-point tensors in memory do not
+    grow with the mesh. Each norm is kept per macro triangle, (nt,), and
+    summed over the whole mesh at the end, in the same order as when the
+    mesh was evaluated at once."""
     space = solution.space
     tables = space.tables
     nt = space.mesh.num_triangles
@@ -318,34 +325,43 @@ def error_norms(solution, case, degree=6):
         if np.ndim(co.mu) == 0 else np.asarray(co.mu, dtype=float)
     sigma = np.broadcast_to(np.asarray(co.sigma, dtype=float), (nt,)) \
         if np.ndim(co.sigma) == 0 else np.asarray(co.sigma, dtype=float)
+    with_pressure = case.pressure is not None and solution.pressure is not None
+    ph = solution.pressure
 
     bary, wts = triangle_barycentric(degree)
-    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
-    flat = pts.reshape(-1, 2)
-
-    u_ex = case.velocity(flat).reshape(pts.shape)
-    gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
-
-    corner_vals = tables.field_node_values(solution.velocity)[
-        :, tables.subdiv.SUBTRIANGLES
-    ]
-    uh = np.einsum("qc,tsci->tsqi", bary, corner_vals)
-    gh = np.einsum("tsci,tscj->tsij", corner_vals, tables.hat_grads)
-
-    du = u_ex - uh
-    dg = gu_ex - gh[:, :, None]
-    w_areas = 2.0 * wts[None, None, :] * tables.sub_areas[:, :, None]
-
-    def cell_int(values):  # values (nt, 6, nq) -> per-triangle integrals
-        return np.einsum("tsq,tsq->t", w_areas, values)
-
-    l2_u_t = cell_int((du**2).sum(axis=-1))
-    h1_u_t = cell_int((dg**2).sum(axis=(-1, -2)))
-    div_ex = gu_ex[..., 0, 0] + gu_ex[..., 1, 1]
     div_h = solution.divergence()
-    div_t = cell_int((div_ex - div_h[:, None, None]) ** 2)
-    sym = 0.5 * (dg + np.swapaxes(dg, -1, -2))
-    eps_t = cell_int((sym**2).sum(axis=(-1, -2)))
+    l2_u_t, h1_u_t, div_t = np.empty(nt), np.empty(nt), np.empty(nt)
+    eps_t, l2_p_t = np.empty(nt), np.empty(nt)
+    for block, pts in _quadrature_blocks(tables, degree):
+        flat = pts.reshape(-1, 2)
+        u_ex = case.velocity(flat).reshape(pts.shape)
+        gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
+
+        node_vals = np.einsum("tk,tkni->tni",
+                              solution.velocity[tables.loc2glob[block]],
+                              tables.basis_node_values[block])
+        corner_vals = node_vals[:, tables.subdiv.SUBTRIANGLES]
+        uh = np.einsum("qc,tsci->tsqi", bary, corner_vals)
+        gh = np.einsum("tsci,tscj->tsij", corner_vals,
+                       tables.hat_grads[block])
+
+        du = u_ex - uh
+        dg = gu_ex - gh[:, :, None]
+        w_areas = 2.0 * wts[None, None, :] * tables.sub_areas[block, :, None]
+
+        def cell_int(values):  # values (b, 6, nq) -> per-triangle integrals
+            return np.einsum("tsq,tsq->t", w_areas, values)
+
+        l2_u_t[block] = cell_int((du**2).sum(axis=-1))
+        h1_u_t[block] = cell_int((dg**2).sum(axis=(-1, -2)))
+        div_ex = gu_ex[..., 0, 0] + gu_ex[..., 1, 1]
+        div_t[block] = cell_int((div_ex - div_h[block, None, None]) ** 2)
+        if co.lam is not None:
+            sym = 0.5 * (dg + np.swapaxes(dg, -1, -2))
+            eps_t[block] = cell_int((sym**2).sum(axis=(-1, -2)))
+        if with_pressure:
+            p_ex = case.pressure(flat).reshape(pts.shape[:3])
+            l2_p_t[block] = cell_int((p_ex - ph[block, None, None]) ** 2)
 
     record = ErrorRecord(
         l2_u=float(np.sqrt(l2_u_t.sum())),
@@ -356,10 +372,7 @@ def error_norms(solution, case, degree=6):
         record.triple_e = float(
             np.sqrt(np.sum(2.0 * mu * eps_t) + co.lam * div_t.sum())
         )
-    if case.pressure is not None and solution.pressure is not None:
-        p_ex = case.pressure(flat).reshape(pts.shape[:3])
-        ph = solution.pressure
-        l2_p_t = cell_int((p_ex - ph[:, None, None]) ** 2)
+    if with_pressure:
         p0 = project_p0(case.pressure, tables)
         p0p_t = tables.areas * (p0 - ph) ** 2
         record.l2_p = float(np.sqrt(l2_p_t.sum()))
@@ -434,13 +447,13 @@ def run_convergence(case, levels, bc_mode=None, gamma=None):
         raise ValueError("levels must be strictly increasing (h decreasing)")
     record = ConvergenceRecord(case_name=case.name)
     for idx, n in enumerate(levels):
-        solution, space, system, report = solve_case(
-            case, n, bc_mode=bc_mode, gamma=gamma
-        )
-        errors = error_norms(solution, case)
-        mesh = space.mesh
-        record.add(idx, n, mesh.num_vertices, mesh.mesh_size(), errors)
-    record.finest = solution
+        # one live level: the previous level's solution, space and mesh
+        # are dropped before the next level is solved
+        record.finest = mesh = None
+        record.finest = solve_case(case, n, bc_mode=bc_mode, gamma=gamma)[0]
+        mesh = record.finest.space.mesh
+        record.add(idx, n, mesh.num_vertices, mesh.mesh_size(),
+                   error_norms(record.finest, case))
     record.fit_slopes()
     return record
 

@@ -387,15 +387,39 @@ def fortin_interpolate(u, space):
     return coeffs
 
 
+# macro triangles per block of the subtriangle quadrature: the
+# per-point temporaries of a block stay the same size whatever the mesh
+_BLOCK = 256
+
+
+def _quadrature_blocks(tables, degree):
+    """The degree-`degree` rule on every subtriangle, one block of at most
+    `_BLOCK` macro triangles at a time: yields (block, points) with
+    `block` a slice of the macro triangles and `points` (b, 6, nq, 2)."""
+    bary, _ = triangle_barycentric(degree)
+    nt = len(tables.areas)
+    for start in range(0, nt, _BLOCK):
+        block = slice(start, min(start + _BLOCK, nt))
+        corners = tables.nodes[block][:, tables.subdiv.SUBTRIANGLES]
+        yield block, np.einsum("qc,tsci->tsqi", bary, corners)
+
+
 def cell_integrals(f, tables, degree=6):
     """Integral of a scalar function over every macro triangle, summed
-    from a degree-`degree` rule on each subtriangle."""
-    bary, wts = triangle_barycentric(degree)
-    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
-    vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(
-        pts.shape[:3]
-    )
-    return 2.0 * np.einsum("q,tsq,ts->t", wts, vals, tables.sub_areas)
+    from a degree-`degree` rule on each subtriangle.
+
+    `f` is called once per block of at most `_BLOCK` macro triangles, so
+    the quadrature points and values in memory do not grow with the mesh;
+    each triangle's sum is the same as over the whole mesh at once."""
+    _, wts = triangle_barycentric(degree)
+    out = np.empty(len(tables.areas))
+    for block, pts in _quadrature_blocks(tables, degree):
+        vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(
+            pts.shape[:3]
+        )
+        out[block] = 2.0 * np.einsum("q,tsq,ts->t", wts, vals,
+                                     tables.sub_areas[block])
+    return out
 
 
 def project_p0(f, subdiv, degree=6):
@@ -435,19 +459,10 @@ def eval_velocity(space, coeffs, t, point):
     return lam @ np.einsum("k,kci->ci", local, values)
 
 
-def eval_velocity_gradient(space, coeffs, t, point):
-    """Velocity gradient (2, 2) at a point; entry [i, j] is d u_i / d x_j."""
-    tables = space.tables
-    s, _ = _locate_subtriangle(tables, t, point)
-    local = np.asarray(coeffs)[tables.loc2glob[t]]
-    return np.einsum("k,kij->ij", local, tables.basis_gradients(t, s))
-
-
-def macro_divergence(space, coeffs, t=None, return_deviation=False):
+def macro_divergence(space, coeffs):
     """Constant divergence per macro triangle.
 
-    Verifies constancy across the 6 subtriangles (1e-9, scaled) and can
-    return the observed maximum deviation.
+    Verifies constancy across the 6 subtriangles (1e-9, scaled).
     """
     tables = space.tables
     local = tables.local_coeffs(coeffs)
@@ -467,28 +482,17 @@ def macro_divergence(space, coeffs, t=None, return_deviation=False):
             f"divergence not constant on triangle {worst}: "
             f"deviation {deviation[worst]:.3g}"
         )
-    if t is not None:
-        value, deviation = float(value[t]), float(deviation[t])
-    return (value, deviation) if return_deviation else value
+    return value
 
 
 @dataclass
 class FieldSolution:
-    """Velocity coefficients plus per-triangle pressure with evaluators."""
+    """Velocity coefficients plus per-triangle pressure."""
 
     space: FESpace
     velocity: np.ndarray
     pressure: np.ndarray = None
     multiplier: float = None
-
-    def velocity_at(self, t, point):
-        return eval_velocity(self.space, self.velocity, t, point)
-
-    def gradient_at(self, t, point):
-        return eval_velocity_gradient(self.space, self.velocity, t, point)
-
-    def pressure_at(self, t):
-        return self.pressure[t]
 
     def divergence(self):
         return self.space.tables.field_divergence(self.velocity)

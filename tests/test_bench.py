@@ -1,9 +1,14 @@
+import math
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
+from mce import bench, space as space_module
 from mce.bench import (
+    ErrorRecord,
     ManufacturedCase,
     case_cooks,
     case_darcy,
@@ -19,13 +24,16 @@ from mce.bench import (
 )
 from mce.forms import ProblemCoefficients, assemble_elasticity
 from mce.mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
+from mce.quadrature import triangle_barycentric
 from mce.space import (
     Dirichlet,
     V_FREE,
     FieldSolution,
     _hat_gradients,
     build_space,
+    cell_integrals,
     fortin_interpolate,
+    project_p0,
 )
 
 
@@ -241,6 +249,24 @@ class TestConvergenceRunner:
         with pytest.raises(ValueError):
             run_convergence(case_stokes(), [8, 4, 2])
 
+    def test_one_level_alive(self, monkeypatch):
+        # each level's solution, space and system are dropped before the
+        # next level is solved; only the finest stays, in the record
+        real_solve_case = bench.solve_case
+        spaces = []
+
+        def watched_solve_case(case, n, **kwargs):
+            alive = [ref for ref in spaces if ref() is not None]
+            assert not alive, f"{len(alive)} earlier level(s) alive at n={n}"
+            result = real_solve_case(case, n, **kwargs)
+            spaces.append(weakref.ref(result[1]))
+            return result
+
+        monkeypatch.setattr(bench, "solve_case", watched_solve_case)
+        record = run_convergence(case_stokes(), [2, 3, 4])
+        assert len(spaces) == 3
+        assert record.finest.space is spaces[-1]()
+
     def test_h_column_definition(self):
         record = run_convergence(case_stokes(), [2, 3, 4])
         for row in record.rows:
@@ -270,6 +296,158 @@ class TestConvergenceRunner:
             errs.append(error_norms(sol, case).h1_u)
         assert errs[0] > 1e-3  # not machine zero
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.5)
+
+
+def one_shot_cell_integrals(f, tables, degree=6):
+    """`cell_integrals` as it was before the blockwise loop: every
+    quadrature point of the mesh in one call of f. The oracle of the
+    blockwise form."""
+    bary, wts = triangle_barycentric(degree)
+    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+    vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(
+        pts.shape[:3]
+    )
+    return 2.0 * np.einsum("q,tsq,ts->t", wts, vals, tables.sub_areas)
+
+
+def one_shot_error_norms(solution, case, degree=6):
+    """`error_norms` as it was before the blockwise loop: the exact fields
+    at every quadrature point of the mesh at once. The oracle of the
+    blockwise form."""
+    space = solution.space
+    tables = space.tables
+    nt = space.mesh.num_triangles
+    co = case.coefficients
+    mu = np.broadcast_to(np.asarray(co.mu, dtype=float), (nt,)) \
+        if np.ndim(co.mu) == 0 else np.asarray(co.mu, dtype=float)
+    sigma = np.broadcast_to(np.asarray(co.sigma, dtype=float), (nt,)) \
+        if np.ndim(co.sigma) == 0 else np.asarray(co.sigma, dtype=float)
+
+    bary, wts = triangle_barycentric(degree)
+    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+    flat = pts.reshape(-1, 2)
+    u_ex = case.velocity(flat).reshape(pts.shape)
+    gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
+    corner_vals = tables.field_node_values(solution.velocity)[
+        :, tables.subdiv.SUBTRIANGLES
+    ]
+    uh = np.einsum("qc,tsci->tsqi", bary, corner_vals)
+    gh = np.einsum("tsci,tscj->tsij", corner_vals, tables.hat_grads)
+    du = u_ex - uh
+    dg = gu_ex - gh[:, :, None]
+    w_areas = 2.0 * wts[None, None, :] * tables.sub_areas[:, :, None]
+
+    def cell_int(values):
+        return np.einsum("tsq,tsq->t", w_areas, values)
+
+    l2_u_t = cell_int((du**2).sum(axis=-1))
+    h1_u_t = cell_int((dg**2).sum(axis=(-1, -2)))
+    div_ex = gu_ex[..., 0, 0] + gu_ex[..., 1, 1]
+    div_h = solution.divergence()
+    div_t = cell_int((div_ex - div_h[:, None, None]) ** 2)
+    sym = 0.5 * (dg + np.swapaxes(dg, -1, -2))
+    eps_t = cell_int((sym**2).sum(axis=(-1, -2)))
+    record = ErrorRecord(
+        l2_u=float(np.sqrt(l2_u_t.sum())),
+        h1_u=float(np.sqrt(h1_u_t.sum())),
+        div=float(np.sqrt(div_t.sum())),
+    )
+    if co.lam is not None:
+        record.triple_e = float(
+            np.sqrt(np.sum(2.0 * mu * eps_t) + co.lam * div_t.sum())
+        )
+    if case.pressure is not None and solution.pressure is not None:
+        p_ex = case.pressure(flat).reshape(pts.shape[:3])
+        ph = solution.pressure
+        l2_p_t = cell_int((p_ex - ph[:, None, None]) ** 2)
+        p0 = one_shot_cell_integrals(case.pressure, tables) / tables.areas
+        p0p_t = tables.areas * (p0 - ph) ** 2
+        record.l2_p = float(np.sqrt(l2_p_t.sum()))
+        record.p0p = float(np.sqrt(p0p_t.sum()))
+        record.triple_b = float(np.sqrt(
+            np.sum(mu * h1_u_t) + np.sum(sigma * l2_u_t) + div_t.sum()
+            + np.sum(p0p_t / (mu + sigma))
+        ))
+    return record
+
+
+class TestBlockwiseQuadrature:
+    """`cell_integrals` and `error_norms` evaluate the subtriangle rule one
+    block of macro triangles at a time; every value is bitwise the one of
+    the whole mesh at once. n = 2 has fewer triangles than one block,
+    n = 13 (338) one full block and a partial one."""
+
+    LEVELS = (2, 13)
+    # the norms each case must produce (the others are NaN)
+    CASES = {
+        "stokes": (case_stokes, {"l2_p", "p0p", "triple_b"}),
+        "darcy": (case_darcy, {"l2_p", "p0p", "triple_b"}),
+        "elasticity": (lambda: case_elasticity(1e3), {"triple_e"}),
+    }
+
+    def test_levels_cover_partial_blocks(self):
+        block = space_module._BLOCK
+        counts = [2 * n * n for n in self.LEVELS]
+        assert counts[0] < block < counts[1] and counts[1] % block
+
+    @pytest.mark.parametrize("n", LEVELS)
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_error_norms_bitwise(self, name, n):
+        make_case, extra = self.CASES[name]
+        case = make_case()
+        solution = solve_case(case, n)[0]
+        record = vars(error_norms(solution, case))
+        reference = vars(one_shot_error_norms(solution, case))
+        finite = {"l2_u", "h1_u", "div"} | extra
+        assert {k for k, v in reference.items() if not math.isnan(v)} \
+            == finite
+        for key, value in reference.items():
+            if key in finite:
+                assert record[key] == value, key
+            else:
+                assert math.isnan(record[key]), key
+
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_cell_integrals_bitwise(self, n):
+        tables = build_space(subdivide(generate_unit_square_mesh(n)),
+                             "free").tables
+        nq = len(triangle_barycentric(6)[1])
+        calls = []
+
+        def f(p):
+            calls.append(len(p))
+            return np.sin(3.0 * p[:, 0]) * np.exp(p[:, 1])
+
+        values = cell_integrals(f, tables)
+        assert max(calls) <= space_module._BLOCK * 6 * nq
+        assert sum(calls) == len(tables.areas) * 6 * nq
+        assert np.array_equal(values, one_shot_cell_integrals(f, tables))
+        pressure = case_stokes().pressure
+        assert np.array_equal(project_p0(pressure, tables),
+                              one_shot_cell_integrals(pressure, tables)
+                              / tables.areas)
+
+
+class TestErrorNormsMemory:
+    """The traced peak of `error_norms` stays that of one block of macro
+    triangles: on Stokes it was 35.9 MB at n = 32 and 143.6 MB at n = 64
+    with the whole mesh at once, and is about 4.4 and 4.7 MB blockwise.
+    What still grows is the (nt,) per-triangle arrays, about 50 B a
+    triangle."""
+
+    MARGIN_MB = 0.5
+
+    def test_peak_does_not_grow_with_n(self, peak_traced_mb):
+        case = case_stokes()
+        peaks = []
+        for n in (32, 64):
+            sub = subdivide(case.domain(n))
+            space = build_space(sub, case.boundary)
+            solution = FieldSolution(
+                space, fortin_interpolate(case.velocity, space),
+                pressure=project_p0(case.pressure, space.tables))
+            peaks.append(peak_traced_mb(error_norms, solution, case))
+        assert peaks[1] <= peaks[0] + self.MARGIN_MB, peaks
 
 
 class TestCoupling:

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -937,14 +936,15 @@ class TestPatchFormTables:
         local = tables.local_coeffs(coeffs)
         div_sub = np.trace(reference_basis_grads(tables), axis1=3, axis2=4)
         per_sub = np.einsum("tk,tks->ts", local, div_sub)
-        value, deviation = macro_divergence(space, coeffs,
-                                            return_deviation=True)
         scale = np.abs(local).max() * np.abs(div_sub).max()
-        np.testing.assert_allclose(value, per_sub.mean(axis=1), rtol=0,
+        np.testing.assert_allclose(macro_divergence(space, coeffs),
+                                   per_sub.mean(axis=1), rtol=0,
                                    atol=self.TOL * scale)
-        reference = np.abs(per_sub - per_sub.mean(axis=1)[:, None]).max(
-            axis=1)
-        np.testing.assert_allclose(deviation, reference, rtol=0,
+        # the subtriangle divergences whose constancy macro_divergence checks
+        derived = np.stack([np.einsum("tk,tk->t", local,
+                                      tables.sub_divergences(s))
+                            for s in range(6)], axis=1)
+        np.testing.assert_allclose(derived, per_sub, rtol=0,
                                    atol=self.TOL * scale)
 
     @pytest.mark.parametrize("make_case", [
@@ -983,15 +983,11 @@ class TestBuildSpaceMemory:
     this mesh while the per-subtriangle basis gradients were stored, about
     3,070 without them)."""
 
-    def test_peak_per_triangle(self):
+    def test_peak_per_triangle(self, peak_traced_mb):
         sub = subdivide(generate_cook_mesh(16), boundary_split="midpoint")
-        tracemalloc.start()
-        try:
-            build_space(sub, {"clamped": Dirichlet((0.0, 0.0)),
-                              "loaded": Free(), "traction-free": Free()})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_mb(build_space, sub, {
+            "clamped": Dirichlet((0.0, 0.0)), "loaded": Free(),
+            "traction-free": Free()}) * 2**20
         assert sub.mesh.num_triangles == 512
         assert peak / sub.mesh.num_triangles <= 4096
 
@@ -1003,16 +999,12 @@ class TestAssemblyMemory:
 
     @pytest.mark.parametrize("make_case", [bench.case_stokes,
                                            bench.case_darcy])
-    def test_peak_per_triangle(self, make_case):
+    def test_peak_per_triangle(self, make_case, peak_traced_mb):
         case = make_case()
         sub = subdivide(case.domain(64), boundary_split=case.boundary_split)
         space = build_space(sub, case.boundary)
-        tracemalloc.start()
-        try:
-            assemble_brinkman(space, case.coefficients,
-                              pressure_multiplier=case.needs_multiplier)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_mb(assemble_brinkman, space, case.coefficients,
+                              pressure_multiplier=case.needs_multiplier) \
+            * 2**20
         assert sub.mesh.num_triangles == 8192
         assert peak / sub.mesh.num_triangles <= 7 * 1024

@@ -127,6 +127,17 @@ def test_penalty_factor_fill_is_bounded(bc_mode):
     assert nnz_lu <= 10 * system.matrix[vel, vel].nnz
 
 
+def test_nitsche_slip_fill_near_strong():
+    # the slip system's dense mean-zero multiplier row once reached the LU
+    # (nnz(L+U) 365,059 for Darcy at n = 16); the penalty factor keeps it
+    # out, and the slip fill is 86,812 against 82,806 in strong mode
+    fill = {}
+    for bc_mode in ("strong", "nitsche-slip"):
+        report = bench.solve_case(bench.case_darcy(), 16, bc_mode=bc_mode)[3]
+        fill[bc_mode] = report.diagnostics["nnz_L"] + report.diagnostics["nnz_U"]
+    assert fill["nitsche-slip"] <= 1.2 * fill["strong"]
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("case", ["stokes", "darcy"])
 def test_krylov_steps_stay_under_one_constant(case, n):
