@@ -309,8 +309,9 @@ class ErrorRecord:
         }
 
 
-def error_norms(solution, case, degree=6):
-    """All error norms of a solved case, integrated subtriangle-wise.
+def error_norms(solution, case):
+    """All error norms of a solved case, integrated with the degree-6 rule
+    on each subtriangle.
 
     The exact fields are evaluated one block of at most `space._BLOCK`
     macro triangles at a time, so the per-point tensors in memory do not
@@ -321,18 +322,15 @@ def error_norms(solution, case, degree=6):
     tables = space.tables
     nt = space.mesh.num_triangles
     co = case.coefficients
-    mu = np.broadcast_to(np.asarray(co.mu, dtype=float), (nt,)) \
-        if np.ndim(co.mu) == 0 else np.asarray(co.mu, dtype=float)
-    sigma = np.broadcast_to(np.asarray(co.sigma, dtype=float), (nt,)) \
-        if np.ndim(co.sigma) == 0 else np.asarray(co.sigma, dtype=float)
+    mu, sigma = co.fields(nt)
     with_pressure = case.pressure is not None and solution.pressure is not None
     ph = solution.pressure
 
-    bary, wts = triangle_barycentric(degree)
+    bary, wts = triangle_barycentric(6)
     div_h = solution.divergence()
     l2_u_t, h1_u_t, div_t = np.empty(nt), np.empty(nt), np.empty(nt)
     eps_t, l2_p_t = np.empty(nt), np.empty(nt)
-    for block, pts in _quadrature_blocks(tables, degree):
+    for block, pts in _quadrature_blocks(tables, 6):
         flat = pts.reshape(-1, 2)
         u_ex = case.velocity(flat).reshape(pts.shape)
         gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
@@ -388,6 +386,17 @@ def error_norms(solution, case, degree=6):
     return record
 
 
+def _write_csv(path, header, rows):
+    """A header line, then one line per row: floats as .17e, the rest
+    (ints) as they are."""
+    with open_new(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17e") if isinstance(v, float) else v
+                             for v in row])
+
+
 @dataclass
 class ConvergenceRecord:
     """Per-level errors with fitted log-log slopes (last three levels) and
@@ -425,18 +434,10 @@ class ConvergenceRecord:
 
     def to_csv(self, path):
         names = ["level", "n", "NNO", "h"] + self.COLUMNS + sorted(self.slopes)
-        with open_new(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in self.rows:
-                out = []
-                for name in names:
-                    value = row.get(name, self.slopes.get(name))
-                    if isinstance(value, float):
-                        out.append(format(value, ".17e"))
-                    else:
-                        out.append(value)
-                writer.writerow(out)
+        _write_csv(path, names, (
+            [row.get(name, self.slopes.get(name)) for name in names]
+            for row in self.rows
+        ))
 
 
 def run_convergence(case, levels, bc_mode=None, gamma=None):
@@ -553,17 +554,9 @@ class LockingRecord:
     last: object = None
 
     def to_csv(self, path):
-        with open_new(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["nu", "tip_compatible", "tip_affine"])
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        format(row["nu"], ".17e"),
-                        format(row["tip_compatible"], ".17e"),
-                        format(row["tip_affine"], ".17e"),
-                    ]
-                )
+        names = ["nu", "tip_compatible", "tip_affine"]
+        _write_csv(path, names, ([row[name] for name in names]
+                                 for row in self.rows))
 
 
 def run_locking_study(nus, n=16):
@@ -690,13 +683,8 @@ class CouplingResult:
 
     def profile_csv(self, path, mu_value):
         xs, values = self.profiles[mu_value]
-        with open_new(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "ux", "uy"])
-            for x, (ux, uy) in zip(xs, values):
-                writer.writerow(
-                    [format(x, ".17e"), format(ux, ".17e"), format(uy, ".17e")]
-                )
+        _write_csv(path, ["x", "ux", "uy"],
+                   ([x, ux, uy] for x, (ux, uy) in zip(xs, values)))
 
 
 def run_brinkman_coupling(scenario, mu_values=None, n=40):

@@ -20,11 +20,13 @@ sqrt(2) xy) of the symmetric gradient of a P1 vector field on the 7 nodes
 (14 values) are read off the hat gradients, stacked into B (18 x 14) and
 contracted with the basis values to Bv = B V^T (18 x 9); the element
 matrix is Bv^T diag(2 mu a_s) Bv, a_s the subtriangle areas, plus the
-lambda div div term from the constant divergences, in fixed-size chunks of
-triangles. Strong constraints are eliminated through the space's affine
-map (never penalized); the symmetric-indefinite Brinkman matrix is
-produced by negating the pressure test block, so the assembled matrix is
-[[A, -B^T], [-B, 0]] with right-hand side [f, -g].
+lambda div div term from the constant divergences. The elastic kernel and
+the load run over the blocks of macro triangles of `space._blocks`, so
+their temporaries do not grow with the mesh. Strong constraints are
+eliminated through the space's affine map (never penalized); the
+symmetric-indefinite Brinkman matrix is produced by negating the pressure
+test block, so the assembled matrix is [[A, -B^T], [-B, 0]] with
+right-hand side [f, -g].
 """
 
 import warnings
@@ -38,8 +40,10 @@ from .quadrature import edge_rule, triangle_barycentric
 from .space import (
     Dirichlet,
     NormalZero,
+    _blocks,
     _eval_vec,
     _perp_out,
+    _quadrature_blocks,
     cell_integrals,
 )
 
@@ -67,7 +71,8 @@ class ProblemCoefficients:
     mu and sigma may be scalars or per-macro-triangle arrays; lam is the
     first Lame coefficient (elasticity only); gamma the Nitsche penalty;
     f and g the body force / mass source callables; boundary maps tags to
-    Dirichlet/NormalZero/Free specs.
+    Dirichlet/NormalZero/Free specs. A non-finite mu, lam, sigma or gamma
+    is a ConfigurationError.
     """
 
     def __init__(self, mu, lam=None, sigma=0.0, gamma=10.0, f=None, g=None,
@@ -79,6 +84,10 @@ class ProblemCoefficients:
         self.f = f
         self.g = g
         self.boundary = dict(boundary) if boundary else {}
+        for name in ("mu", "lam", "sigma", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.gamma <= 0:
             raise ConfigurationError("gamma must be positive")
 
@@ -185,20 +194,21 @@ def _patch_sum(values, slots, size):
     return out
 
 
-def _body_force_rhs(builder, tables, f, degree=4):
+def _body_force_rhs(builder, tables, f):
     """Load sum_a V[k, a] . F_a, contracted on the patch: F_a is the
-    integral of f times the hat of patch node a."""
+    degree-4 integral of f times the hat of patch node a. Each block of
+    macro triangles is scattered in triangle order."""
     if f is None:
         return
-    bary, wts = triangle_barycentric(degree)
-    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
-    fv = _eval_field(f, pts).reshape(pts.shape)
-    corner_moments = (2.0 * tables.sub_areas[..., None, None]) * (
-        (wts * bary.T) @ fv
-    )
-    F = _patch_sum(corner_moments, tables.subdiv.SUBTRIANGLES, 7)
-    loc = np.einsum("tkai,tai->tk", tables.basis_node_values, F)
-    np.add.at(builder.rhs, tables.loc2glob, loc)
+    bary, wts = triangle_barycentric(4)
+    for block, pts in _quadrature_blocks(tables, 4):
+        fv = _eval_field(f, pts).reshape(pts.shape)
+        corner_moments = (2.0 * tables.sub_areas[block, :, None, None]) * (
+            (wts * bary.T) @ fv
+        )
+        F = _patch_sum(corner_moments, tables.subdiv.SUBTRIANGLES, 7)
+        loc = np.einsum("tkai,tai->tk", tables.basis_node_values[block], F)
+        np.add.at(builder.rhs, tables.loc2glob[block], loc)
 
 
 def _brinkman_matrix(tables, mu, sigma):
@@ -218,11 +228,6 @@ def _brinkman_matrix(tables, mu, sigma):
     return (V @ N @ np.swapaxes(V, -1, -2)).sum(axis=1)
 
 
-# triangles per chunk of the elastic kernel: its temporaries stay a few
-# MB whatever the mesh size
-_ELASTIC_CHUNK = 2048
-
-
 def _elastic_matrix(tables, mu, lam):
     """Element matrices (nt, 9, 9) of 2 mu eps:eps + lambda div div, the
     first as the strain-matrix contraction Bv^T diag(2 mu a_s) Bv of the
@@ -234,8 +239,7 @@ def _elastic_matrix(tables, mu, lam):
     scale = np.array([1.0, 1.0, np.sqrt(0.5), np.sqrt(0.5)])
     nt = len(tables.areas)
     K = np.empty((nt, 9, 9))
-    for lo in range(0, nt, _ELASTIC_CHUNK):
-        c = slice(lo, lo + _ELASTIC_CHUNK)
+    for c in _blocks(nt):
         V = tables.basis_node_values[c]
         B = np.zeros((len(V), 18, 14))
         B[:, rows, cols] = tables.hat_grads[c][..., [0, 1, 1, 0]] * scale

@@ -60,9 +60,9 @@ class ElementTables:
     `nodes` (nt, 7, 2), and the gradients `hat_grads` (nt, 6, 3, 2) of each
     subtriangle's corner hats. With them `sub_areas` (nt, 6), `areas`,
     `basis_div` (nt, 9), `bubble_div` and `loc2glob` are stored. The rest
-    is derived where it is read: `sub_corners` and `bubble_um` are views
-    or gathers of the above, and `basis_gradients` forms the constant
-    per-subtriangle basis gradients for the subtriangles asked for.
+    is derived where it is read: `bubble_um` is a view of the above, and
+    `basis_gradients` forms the constant per-subtriangle basis gradients
+    for the subtriangles asked for.
     """
 
     def __init__(self, subdiv):
@@ -140,11 +140,6 @@ class ElementTables:
     def bubble_um(self):
         """Centroid values (nt, 3, 2) of the three edge bubbles."""
         return self.basis_node_values[:, 6:, 6]
-
-    @property
-    def sub_corners(self):
-        """Subtriangle corner coordinates (nt, 6, 3, 2), gathered anew."""
-        return self.nodes[:, self.subdiv.SUBTRIANGLES]
 
     def basis_gradients(self, t, s):
         """Constant gradients (..., 9, 2, 2) of the 9 basis fields on
@@ -387,33 +382,39 @@ def fortin_interpolate(u, space):
     return coeffs
 
 
-# macro triangles per block of the subtriangle quadrature: the
-# per-point temporaries of a block stay the same size whatever the mesh
+# macro triangles per block of every per-triangle kernel (the elastic
+# element matrices and each subtriangle quadrature): the temporaries of a
+# block stay the same size whatever the mesh
 _BLOCK = 256
 
 
-def _quadrature_blocks(tables, degree):
-    """The degree-`degree` rule on every subtriangle, one block of at most
-    `_BLOCK` macro triangles at a time: yields (block, points) with
-    `block` a slice of the macro triangles and `points` (b, 6, nq, 2)."""
-    bary, _ = triangle_barycentric(degree)
-    nt = len(tables.areas)
+def _blocks(nt):
+    """Consecutive slices of at most `_BLOCK` macro triangles, in order,
+    covering all `nt`."""
     for start in range(0, nt, _BLOCK):
-        block = slice(start, min(start + _BLOCK, nt))
+        yield slice(start, min(start + _BLOCK, nt))
+
+
+def _quadrature_blocks(tables, degree):
+    """The degree-`degree` rule on every subtriangle, one block of macro
+    triangles at a time: yields (block, points) with `block` a slice from
+    `_blocks` and `points` (b, 6, nq, 2)."""
+    bary, _ = triangle_barycentric(degree)
+    for block in _blocks(len(tables.areas)):
         corners = tables.nodes[block][:, tables.subdiv.SUBTRIANGLES]
         yield block, np.einsum("qc,tsci->tsqi", bary, corners)
 
 
-def cell_integrals(f, tables, degree=6):
+def cell_integrals(f, tables):
     """Integral of a scalar function over every macro triangle, summed
-    from a degree-`degree` rule on each subtriangle.
+    from the degree-6 rule on each subtriangle.
 
     `f` is called once per block of at most `_BLOCK` macro triangles, so
     the quadrature points and values in memory do not grow with the mesh;
     each triangle's sum is the same as over the whole mesh at once."""
-    _, wts = triangle_barycentric(degree)
+    _, wts = triangle_barycentric(6)
     out = np.empty(len(tables.areas))
-    for block, pts in _quadrature_blocks(tables, degree):
+    for block, pts in _quadrature_blocks(tables, 6):
         vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(
             pts.shape[:3]
         )
@@ -422,11 +423,11 @@ def cell_integrals(f, tables, degree=6):
     return out
 
 
-def project_p0(f, subdiv, degree=6):
+def project_p0(f, subdiv):
     """Elementwise mean values of a scalar function (L2 projection on the
     per-triangle constants), integrated subtriangle-wise."""
     tables = subdiv if isinstance(subdiv, ElementTables) else ElementTables(subdiv)
-    return cell_integrals(f, tables, degree) / tables.areas
+    return cell_integrals(f, tables) / tables.areas
 
 
 def _locate_subtriangle(tables, t, point, tol=1e-12):

@@ -44,7 +44,12 @@ from mce.bench import (
     solve_coupling,
 )
 from mce.forms import ProblemCoefficients, assemble_brinkman
-from mce.mesh import build_mesh, generate_unit_square_mesh, subdivide
+from mce.mesh import (
+    SubdividedMesh,
+    build_mesh,
+    generate_unit_square_mesh,
+    subdivide,
+)
 from mce.quadrature import triangle_barycentric
 from mce.space import (
     FieldSolution,
@@ -288,7 +293,8 @@ def test_criterion6_fortin_commuting():
     space = build_space(sub, "free")
     tables = space.tables
     bary, wts = triangle_barycentric(6)
-    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+    corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
+    pts = np.einsum("qc,tsci->tsqi", bary, corners)
     flat = pts.reshape(-1, 2)
     worst = 0.0
     for _ in range(20):

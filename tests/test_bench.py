@@ -6,7 +6,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from mce import bench, space as space_module
+from mce import bench, forms, space as space_module
 from mce.bench import (
     ErrorRecord,
     ManufacturedCase,
@@ -22,8 +22,17 @@ from mce.bench import (
     solve_coupling,
     velocity_profile,
 )
-from mce.forms import ProblemCoefficients, assemble_elasticity
-from mce.mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
+from mce.forms import (
+    ProblemCoefficients,
+    assemble_brinkman,
+    assemble_elasticity,
+)
+from mce.mesh import (
+    SubdividedMesh,
+    generate_cook_mesh,
+    generate_unit_square_mesh,
+    subdivide,
+)
 from mce.quadrature import triangle_barycentric
 from mce.space import (
     Dirichlet,
@@ -303,7 +312,8 @@ def one_shot_cell_integrals(f, tables, degree=6):
     quadrature point of the mesh in one call of f. The oracle of the
     blockwise form."""
     bary, wts = triangle_barycentric(degree)
-    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+    corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
+    pts = np.einsum("qc,tsci->tsqi", bary, corners)
     vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(
         pts.shape[:3]
     )
@@ -324,7 +334,8 @@ def one_shot_error_norms(solution, case, degree=6):
         if np.ndim(co.sigma) == 0 else np.asarray(co.sigma, dtype=float)
 
     bary, wts = triangle_barycentric(degree)
-    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+    corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
+    pts = np.einsum("qc,tsci->tsqi", bary, corners)
     flat = pts.reshape(-1, 2)
     u_ex = case.velocity(flat).reshape(pts.shape)
     gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
@@ -369,6 +380,32 @@ def one_shot_error_norms(solution, case, degree=6):
             + np.sum(p0p_t / (mu + sigma))
         ))
     return record
+
+
+def _load(p):
+    return np.column_stack([np.sin(3.0 * p[:, 0]), p[:, 0] * p[:, 1]])
+
+
+def _block_outputs():
+    """Every value that the block loop of `mce.space` produces, on meshes
+    of 338 macro triangles: the Brinkman matrix and load (Darcy with
+    mu = 1e-3), the elastic matrix and load on Cook's membrane (body load
+    and traction), `cell_integrals` and `error_norms`."""
+    darcy = case_darcy(mu=1e-3)
+    space = build_space(subdivide(darcy.domain(13)), darcy.boundary)
+    brinkman = assemble_brinkman(space, darcy.coefficients)
+    cook = bench._cooks_space(13)
+    elastic = assemble_elasticity(
+        cook, ProblemCoefficients(mu=80.0, lam=1e4, f=_load),
+        tractions={"loaded": (0.0, 6.25)})
+    solution = FieldSolution(
+        space, fortin_interpolate(darcy.velocity, space),
+        pressure=project_p0(darcy.pressure, space.tables))
+    return [
+        brinkman.matrix.data, brinkman.rhs, elastic.matrix.data, elastic.rhs,
+        cell_integrals(darcy.pressure, cook.tables),
+        np.array(list(vars(error_norms(solution, darcy)).values())),
+    ]
 
 
 class TestBlockwiseQuadrature:
@@ -427,6 +464,35 @@ class TestBlockwiseQuadrature:
                               one_shot_cell_integrals(pressure, tables)
                               / tables.areas)
 
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_body_load_calls_bounded(self, n):
+        """The body load calls f once per block, on the degree-4 points
+        of the whole mesh in triangle order."""
+        tables = build_space(subdivide(generate_unit_square_mesh(n)),
+                             "free").tables
+        bary, _ = triangle_barycentric(4)
+        points = []
+
+        def f(p):
+            points.append(p.copy())
+            return _load(p)
+
+        builder = forms._Builder(tables.loc2glob.max() + 1)
+        forms._body_force_rhs(builder, tables, f)
+        assert max(map(len, points)) <= space_module._BLOCK * 6 * len(bary)
+        corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
+        whole = np.einsum("qc,tsci->tsqi", bary, corners).reshape(-1, 2)
+        assert np.array_equal(np.concatenate(points), whole)
+
+    @pytest.mark.parametrize("block", [7, 10**6])
+    def test_block_size_changes_no_value(self, monkeypatch, block):
+        """Blocks of 7 triangles (the last one partial) and one block
+        larger than the mesh give every value bit for bit."""
+        reference = _block_outputs()
+        monkeypatch.setattr(space_module, "_BLOCK", block)
+        for got, want in zip(_block_outputs(), reference, strict=True):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestErrorNormsMemory:
     """The traced peak of `error_norms` stays that of one block of macro
@@ -447,6 +513,25 @@ class TestErrorNormsMemory:
                 space, fortin_interpolate(case.velocity, space),
                 pressure=project_p0(case.pressure, space.tables))
             peaks.append(peak_traced_mb(error_norms, solution, case))
+        assert peaks[1] <= peaks[0] + self.MARGIN_MB, peaks
+
+
+class TestBodyLoadMemory:
+    """The traced peak of the body load stays that of one block of macro
+    triangles: on Darcy it was 5.6 MB at n = 32 and 22.5 MB at n = 64 with
+    every quadrature point of the mesh at once, and is about 1 MB at
+    both blockwise."""
+
+    MARGIN_MB = 0.5
+
+    def test_peak_does_not_grow_with_n(self, peak_traced_mb):
+        case = case_darcy()
+        peaks = []
+        for n in (32, 64):
+            space = build_space(subdivide(case.domain(n)), case.boundary)
+            builder = forms._Builder(space.n_velocity)
+            peaks.append(peak_traced_mb(forms._body_force_rhs, builder,
+                                        space.tables, case.coefficients.f))
         assert peaks[1] <= peaks[0] + self.MARGIN_MB, peaks
 
 

@@ -301,6 +301,25 @@ class TestConfigHandling:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name", [
+        ("darcy --sigma nan --levels 2,3,4", "sigma"),
+        ("darcy --mu inf --levels 2,3,4", "mu"),
+        ("darcy --sigma inf --levels 2,3,4", "sigma"),
+        ("stokes --gamma nan --bc nitsche-slip --levels 2,3,4", "gamma"),
+        ("brinkman --mu nan --grid 4 --scenario tangential", "mu"),
+    ])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_non_finite_coefficient_exits_1(self, tmp_path, capsys, command,
+                                            name, from_config):
+        subcommand, *flags = shlex.split(command)
+        if from_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key[2:]}={value}\n" for key, value
+                                   in zip(flags[::2], flags[1::2])))
+            flags = ["--config", str(cfg)]
+        assert run([subcommand, *flags, "--out", str(tmp_path)]) == 1
+        assert f"{name} must be finite" in capsys.readouterr().err
+
     def test_no_subcommand_exits_1(self):
         assert run([]) == 1
 

@@ -15,7 +15,12 @@ from mce.forms import (
     assemble_nitsche_slip,
     boundary_normal_norm,
 )
-from mce.mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
+from mce.mesh import (
+    SubdividedMesh,
+    generate_cook_mesh,
+    generate_unit_square_mesh,
+    subdivide,
+)
 from mce.quadrature import edge_rule, triangle_barycentric
 from mce.solve import solve
 from mce.space import (
@@ -74,6 +79,18 @@ class TestElasticity:
             assemble_elasticity(free3, ProblemCoefficients(mu=1.0, lam=None))
         with pytest.raises(ConfigurationError):
             assemble_elasticity(free3, ProblemCoefficients(mu=0.0, lam=1.0))
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for name in ("mu", "lam", "sigma", "gamma")
+      for value in (np.nan, np.inf, -np.inf)),
+    ("mu", np.array([1.0, np.nan])),
+    ("sigma", np.array([np.inf, 1.0])),
+])
+def test_non_finite_coefficient_rejected(name, value):
+    kwargs = {"mu": 1.0, "lam": 1.0, name: value}
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        ProblemCoefficients(**kwargs)
 
 
 class TestBrinkman:
@@ -734,7 +751,8 @@ def reference_body_force_rhs(builder, tables, f, degree=4):
     if f is None:
         return
     bary, wts = triangle_barycentric(degree)
-    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+    corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
+    pts = np.einsum("qc,tsci->tsqi", bary, corners)
     fv = forms._eval_field(f, pts).reshape(pts.shape)
     corner_values = tables.basis_node_values[:, :, tables.subdiv.SUBTRIANGLES]
     basis_q = np.einsum("qc,tksci->tksqi", bary, corner_values)
@@ -838,7 +856,8 @@ def reference_error_norms(solution, case, degree=6):
     mu = np.broadcast_to(np.asarray(co.mu, dtype=float), (nt,))
     sigma = np.broadcast_to(np.asarray(co.sigma, dtype=float), (nt,))
     bary, wts = triangle_barycentric(degree)
-    pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+    corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
+    pts = np.einsum("qc,tsci->tsqi", bary, corners)
     flat = pts.reshape(-1, 2)
     u_ex = case.velocity(flat).reshape(pts.shape)
     gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
@@ -896,8 +915,7 @@ class TestPatchFormTables:
     TOL = 1e-13
 
     CASES = dict(PATCH_CASES, **{
-        # more triangles than one chunk of the elastic kernel, the last
-        # chunk partial
+        # many blocks of the elastic kernel (`space._BLOCK` triangles each)
         "cook-48": (lambda: generate_cook_mesh(48), "midpoint",
                     lambda sub: _varied_fields(sub.mesh.num_triangles)),
     })

@@ -4,6 +4,7 @@ from scipy import sparse
 
 from mce import bench
 from mce.mesh import (
+    SubdividedMesh,
     _norm,
     build_mesh,
     generate_cook_mesh,
@@ -395,7 +396,8 @@ class TestProjection:
 
         tables = ElementTables(sub)
         bary, wts = triangle_barycentric(6)
-        pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+        corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
+        pts = np.einsum("qc,tsci->tsqi", bary, corners)
         fv = f(pts.reshape(-1, 2)).reshape(pts.shape[:3])
         int_f = 2.0 * np.einsum("q,tsq,ts->", wts, fv, tables.sub_areas)
         int_pf = np.sum(vals * tables.areas)
@@ -411,7 +413,8 @@ class TestProjection:
         vals = project_p0(f, sub)
         norm_proj = np.sqrt(np.sum(vals**2 * tables.areas))
         bary, wts = triangle_barycentric(6)
-        pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+        corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
+        pts = np.einsum("qc,tsci->tsqi", bary, corners)
         fv = f(pts.reshape(-1, 2)).reshape(pts.shape[:3])
         norm_f = np.sqrt(
             2.0 * np.einsum("q,tsq,ts->", wts, fv**2, tables.sub_areas)
@@ -456,7 +459,8 @@ class TestFortin:
 
         tables = space.tables
         bary, wts = triangle_barycentric(6)
-        pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+        corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
+        pts = np.einsum("qc,tsci->tsqi", bary, corners)
         flat = pts.reshape(-1, 2)
         for _ in range(20):
             cx = rng.uniform(-1, 1, (5, 5))
@@ -501,7 +505,8 @@ class TestFortin:
             coeffs = fortin_interpolate(u, space)
             tables = space.tables
             bary, wts = triangle_barycentric(6)
-            pts = np.einsum("qc,tsci->tsqi", bary, tables.sub_corners)
+            corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
+            pts = np.einsum("qc,tsci->tsqi", bary, corners)
             uex = u(pts.reshape(-1, 2)).reshape(pts.shape[:3] + (2,))
             corner_vals = np.einsum(
                 "tk,tksci->tsci", tables.local_coeffs(coeffs),
