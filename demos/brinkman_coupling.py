@@ -17,18 +17,19 @@ import numpy as np
 from mce.bench import (
     NORMAL_MUS,
     TANGENTIAL_MUS,
-    run_brinkman_coupling,
+    run_brinkman_scenarios,
     second_difference_sign_changes,
 )
 from mce.space import macro_divergence
 from mce.vtk import write_vtk
 
 N = 40  # cells per side; the full-size runs use 80
+# both scenarios run on one mesh, each with its default viscosities
+normal, tangential = run_brinkman_scenarios(("normal", "tangential"), n=N)
 
 print("normal coupling (upper-region viscosities", list(NORMAL_MUS), ")")
-result = run_brinkman_coupling("normal", NORMAL_MUS, n=N)
-for mu in result.mu_values:
-    sol = result.solutions[mu]
+for mu in normal.mu_values:
+    sol = normal.solutions[mu]
     div = macro_divergence(sol.space, sol.velocity)
     print(f"  mu = {mu:8.0e}: max |div u_h| = {np.abs(div).max():.2e}, "
           f"max |u| = {np.abs(sol.velocity).max():.3f}")
@@ -37,13 +38,12 @@ for mu in result.mu_values:
 
 print("\ntangential coupling (porous-region viscosities",
       list(TANGENTIAL_MUS), ")")
-result = run_brinkman_coupling("tangential", TANGENTIAL_MUS, n=N)
-for mu in result.mu_values:
-    xs, vals = result.profiles[mu]
+for mu in tangential.mu_values:
+    xs, vals = tangential.profiles[mu]
     count = second_difference_sign_changes(xs, vals[:, 1])
     flag = "oscillating" if count >= 2 else "smooth"
     print(f"  mu = {mu:8.0e}: profile curvature sign changes near x=1: "
           f"{count} ({flag})")
-    result.profile_csv(f"brinkman_tangential_mu{mu:g}_profile.csv", mu)
+    tangential.profile_csv(f"brinkman_tangential_mu{mu:g}_profile.csv", mu)
 
 print("\nwrote VTK fields and y=1 velocity profiles (CSV)")

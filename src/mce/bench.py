@@ -24,6 +24,7 @@ from .quadrature import triangle_barycentric
 from .solve import solve
 from .space import (
     Dirichlet,
+    ElementTables,
     FieldSolution,
     Free,
     NormalZero,
@@ -687,22 +688,27 @@ class CouplingResult:
                    ([x, ux, uy] for x, (ux, uy) in zip(xs, values)))
 
 
+def run_brinkman_scenarios(scenarios, mu_values=None, n=40):
+    """Yield each scenario's CouplingResult, run for every viscosity value.
+    The scenarios share one subdivided mesh and its ElementTables, each has
+    one space; a scenario is solved only when its result is asked for."""
+    tables = ElementTables(subdivide(_square2_mesh(n)))
+    for scenario in scenarios:
+        mus = mu_values
+        if mus is None:
+            mus = NORMAL_MUS if scenario == "normal" else TANGENTIAL_MUS
+        space = build_space(tables, _coupling_boundary(scenario))
+        solutions, profiles = {}, {}
+        for mu_value in mus:
+            co = _coupling_coefficients(scenario, mu_value,
+                                        tables.subdiv.centroids)
+            solution, _, _ = _solve_coupling_on(space, co)
+            solutions[mu_value] = solution
+            profiles[mu_value] = velocity_profile(solution, y=1.0)
+        yield CouplingResult(scenario, tuple(mus), solutions, profiles)
+
+
 def run_brinkman_coupling(scenario, mu_values=None, n=40):
-    """Run the coupling scenario for each viscosity value; the mesh,
+    """Run one coupling scenario for each viscosity value; the mesh,
     subdivision and space are built once, only the coefficients change."""
-    if mu_values is None:
-        mu_values = NORMAL_MUS if scenario == "normal" else TANGENTIAL_MUS
-    sub = subdivide(_square2_mesh(n))
-    space = build_space(sub, _coupling_boundary(scenario))
-    solutions, profiles = {}, {}
-    for mu_value in mu_values:
-        co = _coupling_coefficients(scenario, mu_value, sub.centroids)
-        solution, _, _ = _solve_coupling_on(space, co)
-        solutions[mu_value] = solution
-        profiles[mu_value] = velocity_profile(solution, y=1.0)
-    return CouplingResult(
-        scenario=scenario,
-        mu_values=tuple(mu_values),
-        solutions=solutions,
-        profiles=profiles,
-    )
+    return next(run_brinkman_scenarios((scenario,), mu_values, n))

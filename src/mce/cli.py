@@ -207,16 +207,16 @@ def run_cooks(config):
 
 
 def run_brinkman(config):
-    out = _ensure_out(config)
     scenarios = (
         bench.SCENARIOS if config.scenario == "both" else (config.scenario,)
     )
-    for scenario in scenarios:
-        result = bench.run_brinkman_coupling(scenario, config.mu,
-                                             n=config.grid)
+    # the scenarios share one mesh, its tables and its VTK mesh text
+    for result in bench.run_brinkman_scenarios(scenarios, config.mu,
+                                               n=config.grid):
+        out = _ensure_out(config)
         for mu in result.mu_values:
-            tag = f"{scenario}_mu{mu:g}"
-            if scenario == "tangential":
+            tag = f"{result.scenario}_mu{mu:g}"
+            if result.scenario == "tangential":
                 result.profile_csv(
                     os.path.join(out, f"brinkman_{tag}_profile.csv"), mu
                 )
@@ -225,7 +225,8 @@ def run_brinkman(config):
                 os.path.join(out, f"brinkman_{tag}.vtk"),
                 title=f"brinkman coupling {tag}",
             )
-        log.info("scenario %s done (mu = %s)", scenario, list(result.mu_values))
+        log.info("scenario %s done (mu = %s)", result.scenario,
+                 list(result.mu_values))
         # its files are written: release its solutions before the next
         # scenario is solved
         del result

@@ -121,12 +121,12 @@ class ElementTables:
             vals[:, 6 + i, 6, 1] = (-c_ * r + a_ * r) / det
         self.basis_node_values = vals
 
-        # the constant divergence of each basis field, as the mean of its
-        # traces over the subtriangles
-        div_sub = np.empty((nt, 9, 6))
-        for s in range(6):
-            div_sub[:, :, s] = self.sub_divergences(s)
-        self.basis_div = div_sub.mean(axis=2)  # (nt,9)
+        # the constant divergence of each basis field: d(lambda_a)/dx_c for
+        # the vertex field lambda_a e_c, and bubble_div for the bubbles
+        macro_grads, _ = _hat_gradients(verts)
+        self.basis_div = np.concatenate(
+            [macro_grads.reshape(nt, 6), self.bubble_div], axis=1
+        )  # (nt,9)
 
         # local-to-global velocity dof map
         nv = mesh.num_vertices
@@ -273,11 +273,14 @@ def build_space(subdiv, constraint="dirichlet"):
 
     Parameters
     ----------
+    subdiv : the SubdividedMesh, or its ElementTables, which spaces of
+        one mesh under different constraints can then share.
     constraint : "dirichlet" | "normal" | "free" applied to every tag, or a
         dict mapping tag -> Dirichlet/NormalZero/Free.
     """
+    tables = subdiv if isinstance(subdiv, ElementTables) else ElementTables(subdiv)
+    subdiv = tables.subdiv
     mesh = subdiv.mesh
-    tables = ElementTables(subdiv)
     boundary = mesh.boundary_edges
     boundary_tags = np.asarray(mesh.boundary_tags)[boundary]
     tags = sorted(set(boundary_tags.tolist()) - {""})

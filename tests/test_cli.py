@@ -143,6 +143,56 @@ class TestBrinkmanCommand:
         assert (tmp_path / "brinkman_normal_mu1.vtk").exists()
         assert (tmp_path / "brinkman_normal_mu0.01.vtk").exists()
 
+    def test_failed_run_creates_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        code = run(["brinkman", "--mu", "nan", "--grid", "4", "--scenario",
+                    "tangential", "--out", str(out)])
+        assert code == 1
+        assert "mu must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_mesh_for_both_scenarios(self, tmp_path, monkeypatch):
+        """Both scenarios share one subdivided mesh, one ElementTables and
+        one VTK mesh text; every file is the reference writer's bytes."""
+        from mce import cli, space as space_module, vtk
+
+        subdivisions, tables, texts, written = [], [], [], []
+
+        def counting_subdivide(*args, **kwargs):
+            subdivisions.append(subdivide(*args, **kwargs))
+            return subdivisions[-1]
+
+        class CountingTables(space_module.ElementTables):
+            def __init__(self, subdiv):
+                tables.append(subdiv)
+                super().__init__(subdiv)
+
+        mesh_sections = vtk.mesh_sections
+
+        def counting_sections(subdiv):
+            texts.append(subdiv)
+            return mesh_sections(subdiv)
+
+        def recording_write_vtk(solution, path, title):
+            written.append((solution, path, title))
+            write_vtk(solution, path, title=title)
+
+        monkeypatch.setattr(bench, "subdivide", counting_subdivide)
+        monkeypatch.setattr(bench, "ElementTables", CountingTables)
+        monkeypatch.setattr(space_module, "ElementTables", CountingTables)
+        monkeypatch.setattr(vtk, "mesh_sections", counting_sections)
+        monkeypatch.setattr(cli, "write_vtk", recording_write_vtk)
+        assert run(["brinkman", "--grid", "4", "--out", str(tmp_path)]) == 0
+        assert len(subdivisions) == 1
+        assert tables == subdivisions
+        assert texts == subdivisions
+        assert len(written) == 8
+        for solution, path, title in written:
+            assert solution.space.subdiv is subdivisions[0]
+            expected = tmp_path / "expected.vtk"
+            reference_write_vtk(solution, str(expected), title=title)
+            assert Path(path).read_bytes() == expected.read_bytes()
+
 
 class TestMeshInfo:
     def test_generated(self, capsys):
