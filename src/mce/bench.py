@@ -3,6 +3,10 @@
 Covers the manufactured Stokes and Darcy cases on the unit square, the
 Cook's membrane locking study (against plain affine elements on the same
 macro mesh), and the two coupled Stokes-Brinkman scenarios on (0,2)^2.
+
+Both parameter studies assemble once per space, not once per value: a
+coupling scenario's system at viscosity mu is S_rest + mu S_swept, and the
+plain-P1 system of each Poisson ratio is a slice of the compatible one.
 """
 
 import csv
@@ -13,11 +17,13 @@ import numpy as np
 
 from .forms import (
     ProblemCoefficients,
+    SaddleSystem,
     assemble_brinkman,
     assemble_elasticity,
     assemble_nitsche_brinkman_tangential,
     assemble_nitsche_elasticity,
     assemble_nitsche_slip,
+    _viscosity_sweep,
 )
 from .mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
 from .quadrature import triangle_barycentric
@@ -441,8 +447,14 @@ class ConvergenceRecord:
         ))
 
 
+def _largest_edge(mesh):
+    ends = mesh.vertices[mesh.edges]
+    return float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).max())
+
+
 def run_convergence(case, levels, bc_mode=None, gamma=None):
-    """Assemble/solve the case over the levels and fit convergence slopes."""
+    """Assemble/solve the case over the levels and fit convergence slopes
+    against h, the largest macro edge length of each level."""
     if len(levels) < 3:
         raise ValueError("need at least 3 levels to fit slopes")
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -454,7 +466,7 @@ def run_convergence(case, levels, bc_mode=None, gamma=None):
         record.finest = mesh = None
         record.finest = solve_case(case, n, bc_mode=bc_mode, gamma=gamma)[0]
         mesh = record.finest.space.mesh
-        record.add(idx, n, mesh.num_vertices, mesh.mesh_size(),
+        record.add(idx, n, mesh.num_vertices, _largest_edge(mesh),
                    error_norms(record.finest, case))
     record.fit_slopes()
     return record
@@ -499,36 +511,54 @@ def _cooks_space(n):
     )
 
 
+def _vertex_columns(space):
+    """Mask over the reduced velocity columns of the vertex dofs."""
+    return space.constraint[: 2 * space.mesh.num_vertices].getnnz(axis=0) > 0
+
+
 def _plain_affine(space):
     """Plain vector P1 on the macro mesh, the locking reference: the vertex
     fields of the compatible space are the macro hats, so fixing every
     bubble at zero (keeping only the constraint columns of vertex dofs)
     leaves exactly P1 under the same vertex constraints."""
-    nv2 = 2 * space.mesh.num_vertices
-    vertex_columns = space.constraint[:nv2].getnnz(axis=0) > 0
     lift = space.lift.copy()
-    lift[nv2:] = 0.0
+    lift[2 * space.mesh.num_vertices :] = 0.0
     return replace(
         space,
-        constraint=space.constraint[:, vertex_columns],
+        constraint=space.constraint[:, _vertex_columns(space)],
         lift=lift,
         bubble_fixed=np.ones_like(space.bubble_fixed),
     )
 
 
-def _solve_cooks_on(space, problem):
+def _cooks_system(space, problem):
     co = ProblemCoefficients(mu=problem.mu, lam=problem.lam)
-    solution, _ = _field(
-        assemble_elasticity(space, co, tractions={"loaded": problem.traction})
-    )
-    tip = _vertex_at(space.mesh, problem.tip)
-    return float(solution.velocity[2 * tip + 1]), solution, space
+    return assemble_elasticity(space, co,
+                               tractions={"loaded": problem.traction})
+
+
+def _affine_slice(system, affine):
+    """The plain-P1 system on `affine` (`_plain_affine` of the compatible
+    `system`'s space) as the vertex-column slice of `system`. Where the
+    lift has no bubble part, as on Cook's clamp, this is bit for bit the
+    system `assemble_elasticity` gives on `affine`."""
+    keep = _vertex_columns(system.space)
+    return SaddleSystem(affine, system.matrix[keep][:, keep],
+                        system.rhs[keep], 0, False)
+
+
+def _cooks_tip(system, problem):
+    """Tip vertical displacement and FieldSolution of a Cook system."""
+    solution, _ = _field(system)
+    tip = _vertex_at(system.space.mesh, problem.tip)
+    return float(solution.velocity[2 * tip + 1]), solution
 
 
 def solve_cooks(problem, n=16):
     """Solve Cook's membrane with the compatible element; returns
     (tip vertical displacement, FieldSolution, space)."""
-    return _solve_cooks_on(_cooks_space(n), problem)
+    space = _cooks_space(n)
+    return (*_cooks_tip(_cooks_system(space, problem), problem), space)
 
 
 def _vertex_at(mesh, point):
@@ -543,7 +573,8 @@ def solve_cooks_affine(problem, n=16):
     """Tip vertical displacement of plain vector P1 elements on the same
     type-I mesh (the locking reference): the compatible space with its
     bubbles fixed at zero, on the same assembler and solver."""
-    return _solve_cooks_on(_plain_affine(_cooks_space(n)), problem)[0]
+    return _cooks_tip(_cooks_system(_plain_affine(_cooks_space(n)), problem),
+                      problem)[0]
 
 
 @dataclass
@@ -561,14 +592,23 @@ class LockingRecord:
 
 
 def run_locking_study(nus, n=16):
-    """Tip displacements of the compatible vs plain affine element."""
+    """Tip displacements of the compatible vs plain affine element. One
+    space serves every nu, only the Lame coefficients change; the plain-P1
+    system is the vertex-column slice of the compatible one, so each nu is
+    assembled once."""
     record = LockingRecord()
-    space = _cooks_space(n)  # only the Lame coefficients change with nu
+    space = _cooks_space(n)
     affine = _plain_affine(space)
     for nu in nus:
         problem = case_cooks(nu)
-        tip_c, record.last, _ = _solve_cooks_on(space, problem)
-        tip_a, _, _ = _solve_cooks_on(affine, problem)
+        # sliced before the factorization, each system freed once solved:
+        # in this order the peak RSS stays that of separate assemblies
+        system = _cooks_system(space, problem)
+        sliced = _affine_slice(system, affine)
+        tip_c, record.last = _cooks_tip(system, problem)
+        del system
+        tip_a, _ = _cooks_tip(sliced, problem)
+        del sliced
         record.rows.append(
             {"nu": nu, "tip_compatible": tip_c, "tip_affine": tip_a}
         )
@@ -629,18 +669,15 @@ def coupling_problem(scenario, mu_value, n=40):
     return mesh, sub, _coupling_coefficients(scenario, mu_value, sub.centroids)
 
 
-def _solve_coupling_on(space, co):
-    solution, report = _field(
-        assemble_brinkman(space, co, pressure_multiplier=False)
-    )
-    return solution, space, report
-
-
 def solve_coupling(scenario, mu_value, n=40):
     """Solve one coupling run; natural top/bottom boundaries fix the
     pressure level, so no multiplier row is used."""
     mesh, sub, co = coupling_problem(scenario, mu_value, n=n)
-    return _solve_coupling_on(build_space(sub, co.boundary), co)
+    space = build_space(sub, co.boundary)
+    solution, report = _field(
+        assemble_brinkman(space, co, pressure_multiplier=False)
+    )
+    return solution, space, report
 
 
 def velocity_profile(solution, y=1.0):
@@ -691,21 +728,31 @@ class CouplingResult:
 def run_brinkman_scenarios(scenarios, mu_values=None, n=40):
     """Yield each scenario's CouplingResult, run for every viscosity value.
     The scenarios share one subdivided mesh and its ElementTables, each has
-    one space; a scenario is solved only when its result is asked for."""
+    one space; a scenario is solved only when its result is asked for.
+
+    The viscosity value enters the swept region only, so each scenario is
+    assembled once, as the affine sweep of `forms._viscosity_sweep`, and
+    each value's system is one sparse sum, freed once it is solved."""
     tables = ElementTables(subdivide(_square2_mesh(n)))
     for scenario in scenarios:
         mus = mu_values
         if mus is None:
             mus = NORMAL_MUS if scenario == "normal" else TANGENTIAL_MUS
         space = build_space(tables, _coupling_boundary(scenario))
-        solutions, profiles = {}, {}
-        for mu_value in mus:
-            co = _coupling_coefficients(scenario, mu_value,
-                                        tables.subdiv.centroids)
-            solution, _, _ = _solve_coupling_on(space, co)
-            solutions[mu_value] = solution
-            profiles[mu_value] = velocity_profile(solution, y=1.0)
+        solutions = _coupling_sweep(space, scenario, mus)
+        profiles = {mu_value: velocity_profile(solution, y=1.0)
+                    for mu_value, solution in solutions.items()}
         yield CouplingResult(scenario, tuple(mus), solutions, profiles)
+
+
+def _coupling_sweep(space, scenario, mus):
+    """The solution of each viscosity value of one coupling scenario. The
+    sweep's two parts are freed on return, before the next scenario is
+    assembled."""
+    rest = _coupling_coefficients(scenario, 0.0, space.tables.subdiv.centroids)
+    # mu = 0 marks the swept region: elsewhere mu is 1 (normal) or 100
+    system_at = _viscosity_sweep(space, rest, rest.mu == 0.0)
+    return {mu_value: _field(system_at(mu_value))[0] for mu_value in mus}
 
 
 def run_brinkman_coupling(scenario, mu_values=None, n=40):

@@ -20,13 +20,17 @@ sqrt(2) xy) of the symmetric gradient of a P1 vector field on the 7 nodes
 (14 values) are read off the hat gradients, stacked into B (18 x 14) and
 contracted with the basis values to Bv = B V^T (18 x 9); the element
 matrix is Bv^T diag(2 mu a_s) Bv, a_s the subtriangle areas, plus the
-lambda div div term from the constant divergences. The elastic kernel and
-the load run over the blocks of macro triangles of `space._blocks`, so
-their temporaries do not grow with the mesh. Strong constraints are
-eliminated through the space's affine map (never penalized); the
-symmetric-indefinite Brinkman matrix is produced by negating the pressure
-test block, so the assembled matrix is [[A, -B^T], [-B, 0]] with
-right-hand side [f, -g].
+lambda div div term from the constant divergences. The Brinkman and
+elastic kernels and the load run over the blocks of macro triangles of
+`space._blocks`, so their temporaries do not grow with the mesh. Strong
+constraints are eliminated through the space's affine map (never
+penalized); the symmetric-indefinite Brinkman matrix is produced by
+negating the pressure test block, so the assembled matrix is
+[[A, -B^T], [-B, 0]] with right-hand side [f, -g].
+
+A sweep over the viscosity of one region needs no assembly per value: the
+reduced system is affine in it, and `_viscosity_sweep` assembles its two
+parts once.
 """
 
 import warnings
@@ -173,11 +177,12 @@ class _Builder:
         return coo.tocsr()
 
 
-def _element_block(builder, tables, local_mats):
-    l2g = tables.loc2glob  # (nt,9)
+def _element_block(builder, tables, local_mats, cells=slice(None)):
+    """Add the element matrices (nt, 9, 9) of the macro triangles `cells`."""
+    l2g = tables.loc2glob[cells]  # (nt,9)
     rows = np.repeat(l2g[:, :, None], 9, axis=2)
     cols = np.repeat(l2g[:, None, :], 9, axis=1)
-    builder.add(rows, cols, local_mats)
+    builder.add(rows, cols, local_mats[cells])
 
 
 def _eval_field(fn, points):
@@ -214,18 +219,21 @@ def _body_force_rhs(builder, tables, f):
 def _brinkman_matrix(tables, mu, sigma):
     """Element matrices (nt, 9, 9) of mu grad:grad + sigma u.v, as
     sum_i V_i N V_i^T over the 7-node patch (see the module docstring)."""
-    grads = tables.hat_grads  # (nt,6,3,2)
     bary, wts = triangle_barycentric(2)
     mass = 2.0 * np.einsum("q,qc,qd->cd", wts, bary, bary)
-    a = tables.sub_areas
-    blocks = (mu[:, None] * a)[..., None, None] * (
-        grads @ np.swapaxes(grads, -1, -2)
-    ) + (sigma[:, None] * a)[..., None, None] * mass
     sub = tables.subdiv.SUBTRIANGLES
     pairs = (7 * sub[:, :, None] + sub[:, None, :]).reshape(6, 9)
-    N = _patch_sum(blocks.reshape(-1, 6, 9), pairs, 49).reshape(-1, 1, 7, 7)
-    V = np.moveaxis(tables.basis_node_values, 3, 1)  # (nt,2,9,7)
-    return (V @ N @ np.swapaxes(V, -1, -2)).sum(axis=1)
+    nt = len(tables.areas)
+    K = np.empty((nt, 9, 9))
+    for c in _blocks(nt):
+        grads, a = tables.hat_grads[c], tables.sub_areas[c]  # (b,6,3,2)
+        blocks = (mu[c, None] * a)[..., None, None] * (
+            grads @ np.swapaxes(grads, -1, -2)
+        ) + (sigma[c, None] * a)[..., None, None] * mass
+        N = _patch_sum(blocks.reshape(-1, 6, 9), pairs, 49)
+        V = np.moveaxis(tables.basis_node_values[c], 3, 1)  # (b,2,9,7)
+        K[c] = (V @ N.reshape(-1, 1, 7, 7) @ np.swapaxes(V, -1, -2)).sum(1)
+    return K
 
 
 def _elastic_matrix(tables, mu, lam):
@@ -332,6 +340,13 @@ def assemble_brinkman(space, coeffs, pressure_multiplier=True):
     boundaries fix the pressure level themselves).
     """
     builder, mu, _ = _brinkman_interior(space, coeffs, pressure_multiplier)
+    _check_viscous_constraints(space, mu)
+    return _reduce(space, builder, space.mesh.num_triangles,
+                   pressure_multiplier)
+
+
+def _check_viscous_constraints(space, mu):
+    """Reject mu = 0 anywhere on a space with full Dirichlet constraints."""
     if mu.min() == 0.0 and any(
         isinstance(bc, Dirichlet) for bc in space.bc.values()
     ):
@@ -339,8 +354,45 @@ def assemble_brinkman(space, coeffs, pressure_multiplier=True):
             "mu = 0 with full Dirichlet constraints is ill-posed; use the "
             "normal-only mode with tangential Nitsche conditions"
         )
-    return _reduce(space, builder, space.mesh.num_triangles,
-                   pressure_multiplier)
+
+
+def _viscosity_sweep(space, coeffs, swept):
+    """Reduced Brinkman systems (no multiplier row) of `coeffs` with the
+    viscosity on the macro triangles `swept` (a boolean mask) replaced by
+    a sweep value m: returns the map m -> SaddleSystem.
+
+    mu enters the forms linearly, the lift term too, so the system at m is
+    S_rest + m S_swept, matrix and right-hand side alike. S_rest is the
+    whole system with mu = 0 on `swept`; S_swept the unit viscous term on
+    `swept` alone (no load, no pressure coupling, no mass). Both are
+    assembled and reduced once; each m is checked as `assemble_brinkman`
+    checks its coefficients and costs one sparse sum. The values agree
+    with `assemble_brinkman` at the same coefficients to rounding, not bit
+    for bit."""
+    tables = space.tables
+    nt, n_vel = space.mesh.num_triangles, space.n_velocity
+    mu, sigma = coeffs.fields(nt)
+    # the smaller part first: its reduced form is what stays alive while
+    # the other one is assembled
+    unit = _Builder(n_vel + nt)
+    _element_block(unit, tables,
+                   _brinkman_matrix(tables, swept.astype(float), np.zeros(nt)),
+                   swept)
+    unit = _reduce(space, unit, nt, False)
+    rest = _Builder(n_vel + nt)
+    _element_block(rest, tables,
+                   _brinkman_matrix(tables, np.where(swept, 0.0, mu), sigma))
+    _body_force_rhs(rest, tables, coeffs.f)
+    _coupling_and_source(rest, tables, n_vel, coeffs.g)
+    rest = _reduce(space, rest, nt, False)
+
+    def system(m):
+        at_m = ProblemCoefficients(mu=np.where(swept, m, mu), sigma=sigma)
+        _check_viscous_constraints(space, at_m.validate_brinkman(nt)[0])
+        return SaddleSystem(space, rest.matrix + m * unit.matrix,
+                            rest.rhs + m * unit.rhs, nt, False)
+
+    return system
 
 
 def _tag_mask(mesh, tags=None):

@@ -89,9 +89,10 @@ def _structural_diagnosis(system):
 _PIVOT_RATIO_LIMIT = 1e-13
 
 
-def _checked_pivots(lu, matrix, system):
+def _checked_pivots(lu, scale, system):
+    """The factor's pivot magnitudes, checked against `scale`, the largest
+    entry of the factored matrix."""
     pivots = np.abs(lu.U.diagonal())
-    scale = np.abs(matrix).max()
     if pivots.size and scale > 0 and pivots.min() < _PIVOT_RATIO_LIMIT * scale:
         raise SolverError(
             f"factorization produced a negligible pivot "
@@ -124,7 +125,10 @@ def _penalty_preconditioner(system):
         DWD = (D.T @ sparse.diags(w_inv) @ D).tocsc()
         r = PENALTY_SCALE * A.diagonal().max() / DWD.diagonal().max()
         A = A + r * DWD
+        del DWD
     K = A.tocsc()
+    del A  # only K is factored: no CSR copy of it lives through splu
+    scale = np.abs(K).max()
     try:
         lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -133,7 +137,8 @@ def _penalty_preconditioner(system):
             f"factorization of the penalized velocity operator failed "
             f"({exc}); {_structural_diagnosis(system)}"
         ) from exc
-    pivots = _checked_pivots(lu, K, system)
+    del K  # the factor holds its own copy; the pivot check copies it out
+    pivots = _checked_pivots(lu, scale, system)
     if r is None:
         return lu.solve, lu, pivots, r
 

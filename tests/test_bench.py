@@ -277,9 +277,10 @@ class TestConvergenceRunner:
         assert record.finest.space is spaces[-1]()
 
     def test_h_column_definition(self):
+        # h is the largest macro edge: the diagonal of a grid cell
         record = run_convergence(case_stokes(), [2, 3, 4])
         for row in record.rows:
-            assert row["h"] == pytest.approx(1.0 / np.sqrt(row["NNO"]))
+            assert row["h"] == pytest.approx(np.sqrt(2.0) / row["n"])
             assert row["NNO"] == (row["n"] + 1) ** 2
 
     def test_csv_roundtrip(self, tmp_path):
@@ -535,6 +536,27 @@ class TestBodyLoadMemory:
         assert peaks[1] <= peaks[0] + self.MARGIN_MB, peaks
 
 
+class TestBrinkmanMatrixMemory:
+    """The Brinkman element kernel runs over the blocks of macro triangles:
+    its traced peak grows by the (nt, 9, 9) result, 648 B a triangle, and
+    the block temporaries stay the same. With the whole mesh at once it
+    grew by 3,128 B a triangle."""
+
+    MARGIN_MB = 0.5
+
+    def test_peak_grows_by_the_result_only(self, peak_traced_mb):
+        case = case_darcy(mu=1e-3)
+        overheads = []
+        for n in (32, 64):
+            space = build_space(subdivide(case.domain(n)), case.boundary)
+            nt = space.mesh.num_triangles
+            mu, sigma = case.coefficients.fields(nt)
+            peak = peak_traced_mb(forms._brinkman_matrix, space.tables, mu,
+                                  sigma)
+            overheads.append(peak - nt * 81 * 8 / 2**20)
+        assert overheads[1] <= overheads[0] + self.MARGIN_MB, overheads
+
+
 class TestCoupling:
     def test_velocity_profile_shape(self):
         sol, _, _ = solve_coupling("tangential", 1.0, n=8)
@@ -588,7 +610,9 @@ class TestCoupling:
     @pytest.mark.parametrize("scenario", ["normal", "tangential"])
     def test_space_built_once(self, monkeypatch, scenario):
         # only mu and sigma change with the viscosity: one mesh, subdivision
-        # and space serve the scenario, with the fields of separate solves
+        # and space serve the scenario; the sweep's systems are sums of two
+        # assembled parts, so its fields agree with those of separate
+        # assemblies and solves to rounding
         from mce import bench
 
         spaces = []
@@ -604,8 +628,38 @@ class TestCoupling:
         for mu_value, solution in result.solutions.items():
             assert solution.space is spaces[0]
             separate, _, _ = solve_coupling(scenario, mu_value, n=4)
-            assert np.array_equal(solution.velocity, separate.velocity)
-            assert np.array_equal(solution.pressure, separate.pressure)
+            for got, want in ((solution.velocity, separate.velocity),
+                              (solution.pressure, separate.pressure)):
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("scenario", ["normal", "tangential"])
+    def test_assembled_once_per_scenario(self, monkeypatch, scenario):
+        # the element kernel runs for the two parts of the sweep, not once
+        # per viscosity value, and no value goes through assemble_brinkman
+        kernels, assemblies = [], []
+        real_kernel = forms._brinkman_matrix
+
+        def counting_kernel(*args):
+            kernels.append(args)
+            return real_kernel(*args)
+
+        def no_assembly(*args, **kwargs):
+            assemblies.append(args)
+
+        monkeypatch.setattr(forms, "_brinkman_matrix", counting_kernel)
+        monkeypatch.setattr(bench, "assemble_brinkman", no_assembly)
+        result = run_brinkman_coupling(scenario, (1.0, 1e-2, 1e-3), n=4)
+        assert len(result.solutions) == 3
+        assert len(kernels) == 2
+        assert not assemblies
+
+    def test_sweep_value_checked_as_assembly_checks_it(self):
+        # mu = 0 in the upper half of the normal scenario meets the
+        # clamped sides: ill-posed, with the error assemble_brinkman raises
+        with pytest.raises(forms.ConfigurationError, match="mu = 0"):
+            run_brinkman_coupling("normal", (0.0,), n=4)
+        with pytest.raises(forms.ConfigurationError, match="finite"):
+            run_brinkman_coupling("tangential", (math.inf,), n=4)
 
 
 def _p1_reference_tip(problem, n):
@@ -697,6 +751,24 @@ class TestPlainAffineReference:
         assert min(report.residual, report.backward_error) < 1e-9
 
 
+class TestAffineSlice:
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_slice_is_the_affine_assembly(self, n):
+        # the plain-P1 system is the vertex-column slice of the compatible
+        # one, bit for bit: values, pattern and load
+        space = bench._cooks_space(n)
+        affine = bench._plain_affine(space)
+        problem = case_cooks(0.49999)
+        sliced = bench._affine_slice(bench._cooks_system(space, problem),
+                                     affine)
+        direct = bench._cooks_system(affine, problem)
+        assert sliced.space is affine
+        for name in ("data", "indices", "indptr"):
+            got, want = (getattr(m.matrix, name) for m in (sliced, direct))
+            assert got.tobytes() == want.tobytes(), name
+        assert sliced.rhs.tobytes() == direct.rhs.tobytes()
+
+
 class TestLockingStudy:
     def test_compressible_regime_agreement(self):
         # plain P1 on n=16 is still ~9% stiffer than the compatible element
@@ -748,6 +820,25 @@ class TestLockingStudy:
         for row in record.rows:
             tip, _, _ = bench.solve_cooks(case_cooks(row["nu"]), n=2)
             assert row["tip_compatible"] == tip
+
+    def test_assembled_once_per_nu(self, monkeypatch):
+        # the plain-P1 reference is sliced out of the compatible system,
+        # with the tips of separate assemblies and solves
+        assemblies = []
+        real_assemble = bench.assemble_elasticity
+
+        def counting_assemble(space, *args, **kwargs):
+            assemblies.append(space)
+            return real_assemble(space, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "assemble_elasticity", counting_assemble)
+        record = bench.run_locking_study([0.3, 0.4, 0.49999], n=4)
+        assert len(assemblies) == 3
+        assert all(space is record.last.space for space in assemblies)
+        monkeypatch.undo()
+        for row in record.rows:
+            problem = case_cooks(row["nu"])
+            assert row["tip_affine"] == bench.solve_cooks_affine(problem, n=4)
 
 
 class TestRobustnessSweeps:
