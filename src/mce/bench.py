@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forms import (
+    ConfigurationError,
     ProblemCoefficients,
     SaddleSystem,
     assemble_brinkman,
@@ -230,7 +231,9 @@ BC_MODES = ("strong", "nitsche-tangential", "nitsche-slip")
 def solve_case(case, n, bc_mode=None, gamma=None):
     """Mesh, assemble, and solve one case at refinement level n.
 
-    Returns (FieldSolution, space, system, report).
+    Returns (FieldSolution, space, system, report). Raises
+    ConfigurationError for the nitsche-slip mode on a case whose exact
+    solution it cannot carry.
     """
     mesh = case.domain(n)
     sub = subdivide(mesh, boundary_split=case.boundary_split)
@@ -267,6 +270,7 @@ def solve_case(case, n, bc_mode=None, gamma=None):
             space, co, pressure_multiplier=case.needs_multiplier
         )
     elif mode == "nitsche-slip":
+        _check_slip_fit(case, mesh, co)
         space = build_space(sub, "free")
         system = assemble_nitsche_slip(
             space, co, pressure_multiplier=case.needs_multiplier
@@ -275,6 +279,34 @@ def solve_case(case, n, bc_mode=None, gamma=None):
         raise ValueError(f"unknown bc mode {mode!r}")
     solution, report = _field(system)
     return solution, space, system, report
+
+
+def _check_slip_fit(case, mesh, co):
+    """ConfigurationError unless the exact fields satisfy what the slip
+    assembler imposes and takes no data for: u.n = 0 and, with mu > 0, a
+    zero tangential traction t.(mu grad u n), checked at the ends and
+    midpoints of the boundary edges against the largest |u| and |grad u|
+    at the vertices."""
+    ends = mesh.vertices[mesh.edges[mesh.boundary_edges]]
+    t = ends[:, 1] - ends[:, 0]
+    t /= np.linalg.norm(t, axis=1)[:, None]
+    t = np.tile(t, (3, 1))
+    n = np.column_stack([t[:, 1], -t[:, 0]])
+    points = np.concatenate([ends[:, 0], ends[:, 1], ends.mean(axis=1)])
+    un = np.abs(np.einsum("pi,pi->p", case.velocity(points), n)).max()
+    if un > 1e-10 * np.abs(case.velocity(mesh.vertices)).max():
+        datum = f"u.n up to {un:.3g} on the boundary"
+    elif np.max(co.mu) > 0 and np.abs(
+        np.einsum("pi,pij,pj->p", t, case.velocity_grad(points), n)
+    ).max() > 1e-10 * np.abs(case.velocity_grad(mesh.vertices)).max():
+        datum = "a nonzero tangential traction with mu > 0"
+    else:
+        return
+    raise ConfigurationError(
+        f"case {case.name!r} does not fit bc mode 'nitsche-slip': its exact "
+        f"solution has {datum}, and the slip mode imposes u.n = 0 and a zero "
+        f"tangential traction"
+    )
 
 
 def _field(system):

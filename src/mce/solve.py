@@ -10,9 +10,12 @@ Because div V_h equals the P0 pressure space exactly, K^-1 is a
 near-exact augmented-Lagrangian preconditioner, a few steps suffice, and
 the pressure block and the dense mean-zero multiplier row never enter a
 factorization. Building K from D^T rather than from the velocity-pressure
-block lets the non-symmetric Nitsche slip system share the path. Every
-solve is certified against the original matrix: relative residual or
-normwise backward error below 1e-9.
+block lets the non-symmetric Nitsche slip system share the path. The
+factor is the one copy of K's LU that a solve keeps: a negligible pivot is
+found by inverse iteration on a fixed probe, never by reading L or U, of
+which SciPy would build and keep CSC copies. Every solve is certified
+against the original matrix: relative residual or normwise backward error
+below 1e-9.
 """
 
 import time
@@ -40,9 +43,10 @@ class SolveReport:
     `residual` is ||Ax-b|| / ||b||; `backward_error` is the normwise
     backward error ||Ax-b|| / (||A||_inf ||x|| + ||b||), the meaningful
     certificate when the matrix scale dwarfs the load (lambda -> inf).
-    `diagnostics` holds the factor's fill (`nnz_L`, `nnz_U`) and pivot
-    range, `iterations` (Krylov steps, one solve with the factor each) and
-    `penalty` (r, None without a pressure block).
+    `diagnostics` holds `nnz_LU` (the entries the factor stores, supernodal
+    padding included), `inverse_growth` (max|K| ||K^-1 y||_inf from the
+    pivot check, held below 1e13), `iterations` (Krylov steps, one solve
+    with the factor each) and `penalty` (r, None without a pressure block).
     """
 
     solution: np.ndarray
@@ -89,17 +93,27 @@ def _structural_diagnosis(system):
 _PIVOT_RATIO_LIMIT = 1e-13
 
 
-def _checked_pivots(lu, scale, system):
-    """The factor's pivot magnitudes, checked against `scale`, the largest
-    entry of the factored matrix."""
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.size and scale > 0 and pivots.min() < _PIVOT_RATIO_LIMIT * scale:
+def _checked_inverse_growth(lu, scale, system):
+    """max|K| ||K^-1 y||_inf after two steps of inverse iteration from the
+    fixed probe z_i = cos(i) (each step's y of infinity norm 1), checked
+    against 1 / _PIVOT_RATIO_LIMIT. Every pivot of an SPD K is at least its
+    smallest eigenvalue, so a negligible pivot means ||K^-1|| >= 1 / pivot;
+    the first step can miss that growth where z is nearly orthogonal to the
+    null direction, the second step starts from that direction. Reads no
+    copy of the factor."""
+    x, growth = np.cos(np.arange(lu.shape[0])), 1.0
+    with np.errstate(all="ignore"):  # a singular factor may give inf or nan
+        for _ in range(2):
+            x = lu.solve(x / growth)
+            growth = np.abs(x).max(initial=0.0)
+    growth *= scale
+    if not growth <= 1.0 / _PIVOT_RATIO_LIMIT:  # a non-finite growth too
         raise SolverError(
-            f"factorization produced a negligible pivot "
-            f"({pivots.min():.3e} against matrix scale {scale:.3e}); "
-            f"{_structural_diagnosis(system)}"
+            f"factorization produced a negligible pivot (inverse growth "
+            f"{growth:.3e} above {1.0 / _PIVOT_RATIO_LIMIT:.0e} at matrix "
+            f"scale {scale:.3e}); {_structural_diagnosis(system)}"
         )
-    return pivots
+    return growth
 
 
 def _constant_in_kernel(C):
@@ -112,7 +126,7 @@ def _constant_in_kernel(C):
 def _penalty_preconditioner(system):
     """Factor K once; return the penalty step as a map from a residual
     of the full saddle system to a correction, the factor with its
-    pivots, and r (None without a pressure block)."""
+    inverse growth, and r (None without a pressure block)."""
     M = system.matrix
     vel, pre = system.blocks["velocity"], system.blocks["pressure"]
     A = M[vel, vel]
@@ -137,10 +151,10 @@ def _penalty_preconditioner(system):
             f"factorization of the penalized velocity operator failed "
             f"({exc}); {_structural_diagnosis(system)}"
         ) from exc
-    del K  # the factor holds its own copy; the pivot check copies it out
-    pivots = _checked_pivots(lu, scale, system)
+    del K  # the factor is the one copy: no CSC copy of L or U is read
+    growth = _checked_inverse_growth(lu, scale, system)
     if r is None:
-        return lu.solve, lu, pivots, r
+        return lu.solve, lu, growth, r
 
     if system.has_multiplier:
         mrow = system.blocks["multiplier"].start
@@ -162,7 +176,7 @@ def _penalty_preconditioner(system):
             dx[pre] += (res[mrow] - weights @ dx[pre]) / weights.sum()
         return dx
 
-    return step, lu, pivots, r
+    return step, lu, growth, r
 
 
 def _gmres(M, b, precondition):
@@ -213,7 +227,7 @@ def solve(system):
     backward error above 1e-9), naming the step count when the step limit
     was reached."""
     start = time.perf_counter()
-    precondition, lu, pivots, r = _penalty_preconditioner(system)
+    precondition, lu, growth, r = _penalty_preconditioner(system)
     x, steps = _gmres(system.matrix, system.rhs, precondition)
     if not np.all(np.isfinite(x)):
         raise SolverError(
@@ -236,10 +250,8 @@ def solve(system):
         residual=res,
         backward_error=bwd,
         diagnostics={
-            "nnz_L": lu.L.nnz,
-            "nnz_U": lu.U.nnz,
-            "min_pivot": float(pivots.min()) if pivots.size else None,
-            "max_pivot": float(pivots.max()) if pivots.size else None,
+            "nnz_LU": lu.nnz,
+            "inverse_growth": float(growth),
             "iterations": steps,
             "penalty": r,
         },

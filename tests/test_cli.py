@@ -370,6 +370,27 @@ class TestConfigHandling:
         assert run([subcommand, *flags, "--out", str(tmp_path)]) == 1
         assert f"{name} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, datum", [
+        # the slip assembler takes no boundary data: Stokes has u.n != 0
+        ("stokes", "u.n up to 20"),
+        # the Brinkman variant of Darcy has a tangential traction
+        ("darcy --mu 0.1", "nonzero tangential traction"),
+    ])
+    def test_slip_without_its_data_exits_1(self, tmp_path, capsys, command,
+                                           datum):
+        out = tmp_path / "out"
+        code = run([*shlex.split(command), "--bc", "nitsche-slip",
+                    "--levels", "4,8,16", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "does not fit bc mode 'nitsche-slip'" in err
+        assert datum in err
+        assert not out.exists()
+
+    def test_darcy_slip_still_runs(self, tmp_path):
+        assert run(["darcy", "--bc", "nitsche-slip", "--levels", "2,3,4",
+                    "--out", str(tmp_path)]) == 0
+
     def test_no_subcommand_exits_1(self):
         assert run([]) == 1
 

@@ -109,33 +109,98 @@ def test_solution_matches_full_matrix_lu(name):
     report = solve(system)
     assert (report.diagnostics["penalty"] is None) == (system.n_pressure == 0)
     assert report.diagnostics["iterations"] >= 1
+    assert set(report.diagnostics) == {"nnz_LU", "inverse_growth",
+                                       "iterations", "penalty"}
     reference = splu(system.matrix.tocsc()).solve(system.rhs)
     error = np.linalg.norm(report.solution - reference)
     assert error <= 1e-7 * np.linalg.norm(reference)
 
 
+@pytest.fixture
+def factored(monkeypatch):
+    """The (matrix, options) of every factorization mce.solve makes while
+    the test runs."""
+    calls = []
+    factor = solve_module.splu
+
+    def record(K, **options):
+        calls.append((K, options))
+        return factor(K, **options)
+
+    monkeypatch.setattr(solve_module, "splu", record)
+    return calls
+
+
+def _lu_entries(call):
+    # the entries of L plus U, counted on a test-local factor of the same K
+    # with the same options: the factor's own nnz also counts supernodal
+    # padding (99,950 against 86,738 for the Darcy slip system at n = 16)
+    K, options = call
+    lu = splu(K, **options)
+    return lu.L.nnz + lu.U.nnz
+
+
 @pytest.mark.parametrize("bc_mode", ["strong", "nitsche-slip"])
-def test_penalty_factor_fill_is_bounded(bc_mode):
+def test_penalty_factor_fill_is_bounded(bc_mode, factored):
     # the dense multiplier row and the pressure block stay out of the
     # factorization; at n = 32 the LU of the whole matrix filled 61 x its
     # nnz for Stokes, and 19 x nnz(A) for the slip system
     case = bench.case_stokes() if bc_mode == "strong" else bench.case_darcy()
     system = _case_system(case, 32, bc_mode=bc_mode)
-    report = solve(system)
     vel = system.blocks["velocity"]
-    nnz_lu = report.diagnostics["nnz_L"] + report.diagnostics["nnz_U"]
-    assert nnz_lu <= 10 * system.matrix[vel, vel].nnz
+    assert _lu_entries(factored[-1]) <= 10 * system.matrix[vel, vel].nnz
 
 
-def test_nitsche_slip_fill_near_strong():
+def test_nitsche_slip_fill_near_strong(factored):
     # the slip system's dense mean-zero multiplier row once reached the LU
     # (nnz(L+U) 365,059 for Darcy at n = 16); the penalty factor keeps it
-    # out, and the slip fill is 86,812 against 82,806 in strong mode
+    # out, and the slip fill is 86,738 against 82,806 in strong mode
     fill = {}
     for bc_mode in ("strong", "nitsche-slip"):
-        report = bench.solve_case(bench.case_darcy(), 16, bc_mode=bc_mode)[3]
-        fill[bc_mode] = report.diagnostics["nnz_L"] + report.diagnostics["nnz_U"]
+        bench.solve_case(bench.case_darcy(), 16, bc_mode=bc_mode)
+        fill[bc_mode] = _lu_entries(factored[-1])
     assert fill["nitsche-slip"] <= 1.2 * fill["strong"]
+
+
+def _free_space(n):
+    return build_space(subdivide(generate_unit_square_mesh(n)), "free")
+
+
+def _load(p):
+    return np.column_stack([np.ones(len(p)), p[:, 0]])
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_pure_traction_elasticity_is_singular(n):
+    # the rigid motions span the kernel of K = A
+    system = assemble_elasticity(
+        _free_space(n), ProblemCoefficients(mu=1.0, lam=1.0, f=_load))
+    with pytest.raises(SolverError,
+                       match="negligible pivot.*; matrix is singular"):
+        solve(system)
+
+
+def test_free_stokes_without_multiplier_names_pressure_nullspace():
+    # every edge free and sigma = 0: the constant velocities span the
+    # kernel of K, past the check on the velocity-pressure block
+    system = assemble_brinkman(
+        _free_space(8), ProblemCoefficients(mu=1.0, sigma=0.0, f=_load),
+        pressure_multiplier=False)
+    with pytest.raises(SolverError,
+                       match="negligible pivot.*pressure block nullspace"):
+        solve(system)
+
+
+def test_empty_row_is_named():
+    with pytest.raises(SolverError, match="empty row 1 in the velocity block"):
+        solve(FakeSystem([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0]))
+
+
+@pytest.mark.parametrize("case", ["stokes", "darcy"])
+def test_well_posed_systems_pass_the_pivot_check_at_n128(case):
+    report = bench.solve_case(getattr(bench, f"case_{case}")(), 128)[3]
+    growth = report.diagnostics["inverse_growth"]
+    assert growth < 1e-6 / solve_module._PIVOT_RATIO_LIMIT
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
