@@ -7,6 +7,8 @@ macro mesh), and the two coupled Stokes-Brinkman scenarios on (0,2)^2.
 Both parameter studies assemble once per space, not once per value: a
 coupling scenario's system at viscosity mu is S_rest + mu S_swept, and the
 plain-P1 system of each Poisson ratio is a slice of the compatible one.
+The assembled system, not the case, decides the pressure multiplier; the
+study parameters are checked here only, as ConfigurationError.
 """
 
 import csv
@@ -74,7 +76,6 @@ class ManufacturedCase:
     pressure: object = None
     pressure_grad: object = None
     laplacian: object = None
-    needs_multiplier: bool = True
     default_bc_mode: str = "strong"
     boundary_split: str = "midpoint"
     domain: object = generate_unit_square_mesh
@@ -220,7 +221,6 @@ def case_elasticity(lam, mu=1.0):
         velocity=stokes.velocity,
         velocity_grad=stokes.velocity_grad,
         laplacian=stokes.laplacian,
-        needs_multiplier=False,
     )
 
 
@@ -242,7 +242,6 @@ def solve_case(case, n, bc_mode=None, gamma=None):
     if gamma is not None:
         co = ProblemCoefficients(
             mu=co.mu, lam=co.lam, sigma=co.sigma, gamma=gamma, f=co.f, g=co.g,
-            boundary=co.boundary,
         )
 
     if case.model == "elasticity":
@@ -261,20 +260,14 @@ def solve_case(case, n, bc_mode=None, gamma=None):
             raise ValueError(f"unsupported mode {mode!r} for elasticity")
     elif mode == "strong":
         space = build_space(sub, case.boundary)
-        system = assemble_brinkman(
-            space, co, pressure_multiplier=case.needs_multiplier
-        )
+        system = assemble_brinkman(space, co)
     elif mode == "nitsche-tangential":
         space = build_space(sub, case.boundary)
-        system = assemble_nitsche_brinkman_tangential(
-            space, co, pressure_multiplier=case.needs_multiplier
-        )
+        system = assemble_nitsche_brinkman_tangential(space, co)
     elif mode == "nitsche-slip":
         _check_slip_fit(case, mesh, co)
         space = build_space(sub, "free")
-        system = assemble_nitsche_slip(
-            space, co, pressure_multiplier=case.needs_multiplier
-        )
+        system = assemble_nitsche_slip(space, co)
     else:
         raise ValueError(f"unknown bc mode {mode!r}")
     solution, report = _field(system)
@@ -486,11 +479,12 @@ def _largest_edge(mesh):
 
 def run_convergence(case, levels, bc_mode=None, gamma=None):
     """Assemble/solve the case over the levels and fit convergence slopes
-    against h, the largest macro edge length of each level."""
+    against h, the largest macro edge length of each level; at least 3
+    strictly increasing levels, or a ConfigurationError."""
     if len(levels) < 3:
-        raise ValueError("need at least 3 levels to fit slopes")
+        raise ConfigurationError("need at least 3 levels to fit slopes")
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing (h decreasing)")
+        raise ConfigurationError("levels must be strictly increasing")
     record = ConvergenceRecord(case_name=case.name)
     for idx, n in enumerate(levels):
         # one live level: the previous level's solution, space and mesh
@@ -521,9 +515,9 @@ class CookProblem:
 
 def case_cooks(nu, young=200.0):
     """Cook's membrane material data under plane strain:
-    lam = E nu / ((1+nu)(1-2nu)), mu = E / (2(1+nu))."""
+    lam = E nu / ((1+nu)(1-2nu)), mu = E / (2(1+nu)), for 0 < nu < 0.5."""
     if not 0.0 < nu < 0.5:
-        raise ValueError("Poisson ratio must lie in (0, 0.5)")
+        raise ConfigurationError(f"Poisson ratio {nu:g} is not in (0, 0.5)")
     mu = young / (2.0 * (1.0 + nu))
     lam = young * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
     return CookProblem(nu=nu, young=young, mu=mu, lam=lam)
@@ -627,12 +621,12 @@ def run_locking_study(nus, n=16):
     """Tip displacements of the compatible vs plain affine element. One
     space serves every nu, only the Lame coefficients change; the plain-P1
     system is the vertex-column slice of the compatible one, so each nu is
-    assembled once."""
+    assembled once. Every nu is checked before the space is built."""
+    problems = [case_cooks(nu) for nu in nus]
     record = LockingRecord()
     space = _cooks_space(n)
     affine = _plain_affine(space)
-    for nu in nus:
-        problem = case_cooks(nu)
+    for problem in problems:
         # sliced before the factorization, each system freed once solved:
         # in this order the peak RSS stays that of separate assemblies
         system = _cooks_system(space, problem)
@@ -642,7 +636,7 @@ def run_locking_study(nus, n=16):
         tip_a, _ = _cooks_tip(sliced, problem)
         del sliced
         record.rows.append(
-            {"nu": nu, "tip_compatible": tip_c, "tip_affine": tip_a}
+            {"nu": problem.nu, "tip_compatible": tip_c, "tip_affine": tip_a}
         )
     return record
 
@@ -678,7 +672,6 @@ def _coupling_boundary(scenario):
 def _coupling_coefficients(scenario, mu_value, centers):
     """Per-triangle viscosity and drag of one coupling run, body force
     (0, 100)."""
-    boundary = _coupling_boundary(scenario)
     if scenario == "normal":
         lower = centers[:, 1] <= 1.0
         mu = np.where(lower, 1.0, mu_value)
@@ -690,25 +683,25 @@ def _coupling_coefficients(scenario, mu_value, centers):
     f = lambda p: np.column_stack(
         [np.zeros(len(np.atleast_2d(p))), np.full(len(np.atleast_2d(p)), 100.0)]
     )
-    return ProblemCoefficients(mu=mu, sigma=sigma, f=f, boundary=boundary)
+    return ProblemCoefficients(mu=mu, sigma=sigma, f=f)
 
 
 def coupling_problem(scenario, mu_value, n=40):
-    """Coefficients and boundary setup of one coupling run on (0,2)^2 with
-    body force (0, 100)."""
+    """Mesh, subdivision and coefficients of one coupling run on (0,2)^2
+    with body force (0, 100); `_coupling_boundary` gives its boundary
+    setup and rejects an unknown scenario, here before any meshing."""
+    _coupling_boundary(scenario)
     mesh = _square2_mesh(n)
     sub = subdivide(mesh)
     return mesh, sub, _coupling_coefficients(scenario, mu_value, sub.centroids)
 
 
 def solve_coupling(scenario, mu_value, n=40):
-    """Solve one coupling run; natural top/bottom boundaries fix the
-    pressure level, so no multiplier row is used."""
+    """Solve one coupling run; its natural top and bottom boundaries fix
+    the pressure level, so the system has no multiplier row."""
     mesh, sub, co = coupling_problem(scenario, mu_value, n=n)
-    space = build_space(sub, co.boundary)
-    solution, report = _field(
-        assemble_brinkman(space, co, pressure_multiplier=False)
-    )
+    space = build_space(sub, _coupling_boundary(scenario))
+    solution, report = _field(assemble_brinkman(space, co))
     return solution, space, report
 
 

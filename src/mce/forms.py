@@ -28,6 +28,10 @@ penalized); the symmetric-indefinite Brinkman matrix is produced by
 negating the pressure test block, so the assembled matrix is
 [[A, -B^T], [-B, 0]] with right-hand side [f, -g].
 
+The system decides its pressure level: `_reduce` appends the mean-zero
+multiplier row exactly when the constant pressure lies in the kernel of
+the reduced velocity-pressure block, as no boundary term then fixes it.
+
 A sweep over the viscosity of one region needs no assembly per value: the
 reduced system is affine in it, and `_viscosity_sweep` assembles its two
 parts once.
@@ -52,8 +56,9 @@ from .space import (
 )
 
 
-class ConfigurationError(Exception):
-    """Inconsistent problem configuration (coefficients vs constraints)."""
+class ConfigurationError(ValueError):
+    """Inconsistent problem configuration (coefficients vs constraints, or
+    study parameters out of range)."""
 
 
 def _per_triangle(value, nt, name, minimum=None):
@@ -74,20 +79,17 @@ class ProblemCoefficients:
 
     mu and sigma may be scalars or per-macro-triangle arrays; lam is the
     first Lame coefficient (elasticity only); gamma the Nitsche penalty;
-    f and g the body force / mass source callables; boundary maps tags to
-    Dirichlet/NormalZero/Free specs. A non-finite mu, lam, sigma or gamma
-    is a ConfigurationError.
+    f and g the body force / mass source callables. A non-finite mu, lam,
+    sigma or gamma is a ConfigurationError.
     """
 
-    def __init__(self, mu, lam=None, sigma=0.0, gamma=10.0, f=None, g=None,
-                 boundary=None):
+    def __init__(self, mu, lam=None, sigma=0.0, gamma=10.0, f=None, g=None):
         self.mu = mu
         self.lam = lam
         self.sigma = sigma
         self.gamma = float(gamma)
         self.f = f
         self.g = g
-        self.boundary = dict(boundary) if boundary else {}
         for name in ("mu", "lam", "sigma", "gamma"):
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
@@ -155,7 +157,6 @@ class _Builder:
     """COO accumulator in fixed insertion order (deterministic sums)."""
 
     def __init__(self, size):
-        self.size = size
         self.rows, self.cols, self.vals = [], [], []
         self.rhs = np.zeros(size)
 
@@ -165,16 +166,25 @@ class _Builder:
         self.vals.append(np.asarray(vals, dtype=float).ravel())
 
     def matrix(self):
-        if not self.rows:
-            return sparse.csr_matrix((self.size, self.size))
+        size = len(self.rhs)
         coo = sparse.coo_matrix(
             (
                 np.concatenate(self.vals),
                 (np.concatenate(self.rows), np.concatenate(self.cols)),
             ),
-            shape=(self.size, self.size),
+            shape=(size, size),
         )
         return coo.tocsr()
+
+    def coupling(self, n_vel):
+        """The entries so far in velocity rows (below n_vel) and pressure
+        columns (from n_vel on), as that block in CSR."""
+        keep = [(r < n_vel) & (c >= n_vel)
+                for r, c in zip(self.rows, self.cols)]
+        r, c, v = (np.concatenate([a[k] for a, k in zip(arrays, keep)])
+                   for arrays in (self.rows, self.cols, self.vals))
+        return sparse.csr_matrix((v, (r, c - n_vel)),
+                                 shape=(n_vel, len(self.rhs) - n_vel))
 
 
 def _element_block(builder, tables, local_mats, cells=slice(None)):
@@ -272,23 +282,37 @@ def _coupling_and_source(builder, tables, n_vel, g, fold_sign=-1.0):
         builder.rhs[n_vel : n_vel + nt] += fold_sign * ints
 
 
-def _multiplier_row(builder, tables, n_vel, nt):
-    mrow = n_vel + nt
-    prows = n_vel + np.arange(nt)
-    builder.add(prows, np.full(nt, mrow), tables.areas)
-    builder.add(np.full(nt, mrow), prows, tables.areas)
+def _constant_in_kernel(C):
+    """True when the constant pressure lies in the kernel of the
+    velocity-pressure block C (up to rounding). A block without entries
+    couples no pressure and gives False."""
+    ones = np.ones(C.shape[1])
+    scale = (abs(C) @ ones).max(initial=0.0)
+    return bool(scale > 0 and np.abs(C @ ones).max() <= 1e-10 * scale)
 
 
-def _reduce(space, builder, n_pressure, has_multiplier):
+def _reduce(space, builder, n_pressure=0):
+    """Eliminate the strong constraints: S^T (K S x + K lift) = S^T b.
+    The multiplier row and column (the macro areas) are appended, before
+    any CSR is built, when `_constant_in_kernel` holds for C^T B, with B
+    the builder's velocity-pressure block."""
+    C = space.constraint
+    n_vel = space.n_velocity
+    has_multiplier = bool(n_pressure) and _constant_in_kernel(
+        C.T @ builder.coupling(n_vel))
+    if has_multiplier:
+        prows, mrow = n_vel + np.arange(n_pressure), n_vel + n_pressure
+        builder.add(prows, np.full(n_pressure, mrow), space.tables.areas)
+        builder.add(np.full(n_pressure, mrow), prows, space.tables.areas)
+        builder.rhs = np.append(builder.rhs, 0.0)
     K = builder.matrix()
     b = builder.rhs
-    C = space.constraint
     n_extra = n_pressure + int(has_multiplier)
     S = sparse.block_diag(
         [C, sparse.identity(n_extra, format="csr")], format="csr"
     ) if n_extra else C.tocsr()
     z0 = np.zeros(K.shape[0])
-    z0[: space.n_velocity] = space.lift
+    z0[:n_vel] = space.lift
     if space.lift.any():
         b = b - K @ z0
     K_red = (S.T @ K @ S).tocsr()
@@ -307,19 +331,17 @@ def _elasticity_interior(space, coeffs):
     return builder, mu, lam
 
 
-def _brinkman_interior(space, coeffs, pressure_multiplier):
+def _brinkman_interior(space, coeffs):
     """Validated (mu, sigma) and a builder holding the volume terms: the
-    viscous + mass block, the body load, the pressure coupling with its
-    source and, if asked for, the mean-zero pressure multiplier row."""
+    viscous + mass block, the body load and the pressure coupling with its
+    source."""
     tables = space.tables
     nt = space.mesh.num_triangles
     mu, sigma = coeffs.validate_brinkman(nt)
-    builder = _Builder(space.n_velocity + nt + int(pressure_multiplier))
+    builder = _Builder(space.n_velocity + nt)
     _element_block(builder, tables, _brinkman_matrix(tables, mu, sigma))
     _body_force_rhs(builder, tables, coeffs.f)
     _coupling_and_source(builder, tables, space.n_velocity, coeffs.g)
-    if pressure_multiplier:
-        _multiplier_row(builder, tables, space.n_velocity, nt)
     return builder, mu, sigma
 
 
@@ -330,19 +352,14 @@ def assemble_elasticity(space, coeffs, tractions=None):
     builder, _, _ = _elasticity_interior(space, coeffs)
     if tractions:
         _traction_rhs(builder, space, tractions)
-    return _reduce(space, builder, 0, False)
+    return _reduce(space, builder)
 
 
-def assemble_brinkman(space, coeffs, pressure_multiplier=True):
-    """Brinkman saddle system (Stokes for sigma=0, Darcy for mu=0).
-
-    Appends one mean-zero pressure multiplier row unless disabled (natural
-    boundaries fix the pressure level themselves).
-    """
-    builder, mu, _ = _brinkman_interior(space, coeffs, pressure_multiplier)
+def assemble_brinkman(space, coeffs):
+    """Brinkman saddle system (Stokes for sigma=0, Darcy for mu=0)."""
+    builder, mu, _ = _brinkman_interior(space, coeffs)
     _check_viscous_constraints(space, mu)
-    return _reduce(space, builder, space.mesh.num_triangles,
-                   pressure_multiplier)
+    return _reduce(space, builder, space.mesh.num_triangles)
 
 
 def _check_viscous_constraints(space, mu):
@@ -357,18 +374,18 @@ def _check_viscous_constraints(space, mu):
 
 
 def _viscosity_sweep(space, coeffs, swept):
-    """Reduced Brinkman systems (no multiplier row) of `coeffs` with the
-    viscosity on the macro triangles `swept` (a boolean mask) replaced by
-    a sweep value m: returns the map m -> SaddleSystem.
+    """Reduced Brinkman systems of `coeffs` with the viscosity on the
+    macro triangles `swept` (a boolean mask) replaced by a sweep value m:
+    returns the map m -> SaddleSystem.
 
     mu enters the forms linearly, the lift term too, so the system at m is
     S_rest + m S_swept, matrix and right-hand side alike. S_rest is the
     whole system with mu = 0 on `swept`; S_swept the unit viscous term on
     `swept` alone (no load, no pressure coupling, no mass). Both are
     assembled and reduced once; each m is checked as `assemble_brinkman`
-    checks its coefficients and costs one sparse sum. The values agree
-    with `assemble_brinkman` at the same coefficients to rounding, not bit
-    for bit."""
+    checks its coefficients and costs one sparse sum; the multiplier row,
+    if any, is S_rest's. The values agree with `assemble_brinkman` at the
+    same coefficients to rounding, not bit for bit."""
     tables = space.tables
     nt, n_vel = space.mesh.num_triangles, space.n_velocity
     mu, sigma = coeffs.fields(nt)
@@ -378,19 +395,21 @@ def _viscosity_sweep(space, coeffs, swept):
     _element_block(unit, tables,
                    _brinkman_matrix(tables, swept.astype(float), np.zeros(nt)),
                    swept)
-    unit = _reduce(space, unit, nt, False)
+    unit = _reduce(space, unit, nt)
     rest = _Builder(n_vel + nt)
     _element_block(rest, tables,
                    _brinkman_matrix(tables, np.where(swept, 0.0, mu), sigma))
     _body_force_rhs(rest, tables, coeffs.f)
     _coupling_and_source(rest, tables, n_vel, coeffs.g)
-    rest = _reduce(space, rest, nt, False)
+    rest = _reduce(space, rest, nt)
+    unit_rhs = np.pad(unit.rhs, (0, rest.size - unit.size))
+    unit.matrix.resize(rest.matrix.shape)
 
     def system(m):
         at_m = ProblemCoefficients(mu=np.where(swept, m, mu), sigma=sigma)
         _check_viscous_constraints(space, at_m.validate_brinkman(nt)[0])
         return SaddleSystem(space, rest.matrix + m * unit.matrix,
-                            rest.rhs + m * unit.rhs, nt, False)
+                            rest.rhs + m * unit_rhs, nt, rest.has_multiplier)
 
     return system
 
@@ -600,18 +619,17 @@ def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g_n=None,
         rhs[:, 1:4:2] = pen_mu * int_gt_trt - sig_nt * int_gt[..., None]
         keep[:, 1:4:2] = on_d[:, None]
     _add_face_rhs(builder, faces, rhs, keep)
-    return _reduce(space, builder, 0, False)
+    return _reduce(space, builder)
 
 
-def assemble_nitsche_brinkman_tangential(space, coeffs,
-                                         pressure_multiplier=True):
+def assemble_nitsche_brinkman_tangential(space, coeffs):
     """Brinkman with strong normal / weak tangential boundary conditions.
 
     Adds -m(u,v) - m(v,u) + s(u,v) on the normal-constrained boundary
     faces; for mu = 0 every added term vanishes, so the Darcy limit is the
     plain saddle system on the constrained space.
     """
-    builder, mu, _ = _brinkman_interior(space, coeffs, pressure_multiplier)
+    builder, mu, _ = _brinkman_interior(space, coeffs)
     mesh = space.mesh
     tags = [tag for tag, bc in space.bc.items() if isinstance(bc, NormalZero)]
     viscous = mu[mesh.edge_tris[mesh.boundary_edges, 0]] != 0.0
@@ -628,20 +646,21 @@ def assemble_nitsche_brinkman_tangential(space, coeffs,
         pen_mu[:, None, None, None] * int_trt_trt,
     ], axis=2)
     _add_face_blocks(builder, faces, halves.reshape(len(faces.tri), 4, 9, 9))
-    return _reduce(space, builder, mesh.num_triangles, pressure_multiplier)
+    return _reduce(space, builder, mesh.num_triangles)
 
 
-def assemble_nitsche_slip(space, coeffs, pressure_multiplier=True,
-                          slip_tags=None):
+def assemble_nitsche_slip(space, coeffs, slip_tags=None):
     """Brinkman with pure slip conditions imposed weakly on the normal
-    component: A_B - c((u,p),v) - c((v,0),u) + s(u,v) with penalty weight
+    component on the faces tagged `slip_tags` (all for None):
+    A_B - c((u,p),v) - c((v,0),u) + s(u,v) with penalty weight
     (gamma/h)(mu + sigma).
 
     The pressure test function is deliberately absent from the second
     c-form, which keeps per-triangle mass conservation exact but makes the
     matrix non-symmetric in the pressure / boundary-velocity coupling.
+    Slipped on every face, a free space leaves the pressure level free.
     """
-    builder, mu, sigma = _brinkman_interior(space, coeffs, pressure_multiplier)
+    builder, mu, sigma = _brinkman_interior(space, coeffs)
     faces = _Faces(space, _tag_mask(space.mesh, slip_tags))
     nf, t, n = len(faces.tri), faces.tri, faces.normal
     # n.(mu grad u n)
@@ -668,8 +687,7 @@ def assemble_nitsche_slip(space, coeffs, pressure_multiplier=True,
             (weight[:, None, None, None] * int_trn_trn).reshape(block),
         ], axis=-1),
     )
-    return _reduce(space, builder, space.mesh.num_triangles,
-                   pressure_multiplier)
+    return _reduce(space, builder, space.mesh.num_triangles)
 
 
 def boundary_normal_norm(space, coeffs, tags=None):

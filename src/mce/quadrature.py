@@ -1,8 +1,8 @@
 """Quadrature rules on the reference triangle and reference edge.
 
 The reference triangle is (0,0), (1,0), (0,1); weights sum to its area 1/2.
-All triangle rules have strictly positive weights (symmetric Gauss rules),
-so degree 3 is served by the 6-point degree-4 rule.
+The triangle rules are the symmetric Gauss rules of degree 2 (mass terms),
+4 (loads) and 6 (error norms), all with strictly positive weights.
 """
 
 import numpy as np
@@ -21,17 +21,10 @@ def _orbit6(a, b):
 
 # barycentric points and weights (weights sum to 1), per exactness degree
 _RULES = {
-    1: ([(1 / 3, 1 / 3, 1 / 3)], [1.0]),
     2: (_orbit3(1 / 6), [1 / 3] * 3),
     4: (
         _orbit3(0.445948490915965) + _orbit3(0.091576213509771),
         [0.223381589678011] * 3 + [0.109951743655322] * 3,
-    ),
-    5: (
-        [(1 / 3, 1 / 3, 1 / 3)]
-        + _orbit3(0.470142064105115)
-        + _orbit3(0.101286507323456),
-        [0.225] + [0.132394152788506] * 3 + [0.125939180544827] * 3,
     ),
     6: (
         _orbit3(0.063089014491502)
@@ -42,18 +35,18 @@ _RULES = {
         + [0.082851075618374] * 6,
     ),
 }
-_DEGREE_TO_RULE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 5, 6: 6}
 
 
 def triangle_rule(degree):
     """Return points (n, 2) and weights (n,) exact up to `degree` on the
     reference triangle. Weights sum to 1/2 and are all positive.
 
-    Raises ValueError for degree outside {1, ..., 6}.
+    Raises ValueError for a degree other than 2, 4 or 6.
     """
-    if degree not in _DEGREE_TO_RULE:
-        raise ValueError(f"unsupported quadrature degree {degree}; need 1..6")
-    bary, w = _RULES[_DEGREE_TO_RULE[degree]]
+    if degree not in _RULES:
+        raise ValueError(
+            f"unsupported quadrature degree {degree}; need 2, 4 or 6")
+    bary, w = _RULES[degree]
     bary = np.asarray(bary, dtype=float)
     pts = bary[:, 1:].copy()  # x = lambda_1, y = lambda_2
     wts = 0.5 * np.asarray(w, dtype=float)

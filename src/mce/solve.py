@@ -10,7 +10,8 @@ Because div V_h equals the P0 pressure space exactly, K^-1 is a
 near-exact augmented-Lagrangian preconditioner, a few steps suffice, and
 the pressure block and the dense mean-zero multiplier row never enter a
 factorization. Building K from D^T rather than from the velocity-pressure
-block lets the non-symmetric Nitsche slip system share the path. The
+block lets the non-symmetric Nitsche slip system share the path. A system
+that leaves its pressure level free is refused before any factoring. The
 factor is the one copy of K's LU that a solve keeps: a negligible pivot is
 found by inverse iteration on a fixed probe, never by reading L or U, of
 which SciPy would build and keep CSC copies. Every solve is certified
@@ -24,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
+
+from .forms import _constant_in_kernel
 
 RESIDUAL_LIMIT = 1e-9
 KRYLOV_TOLERANCE = 1e-13  # stop once the estimated ||b - Mx|| <= this * ||b||
@@ -85,8 +88,6 @@ def _structural_diagnosis(system):
             if sl.start <= row < sl.stop:
                 return f"empty row {row} in the {name} block"
         return f"empty row {row}"
-    if system.n_pressure and not system.has_multiplier:
-        return _NULLSPACE_MESSAGE
     return "matrix is singular"
 
 
@@ -114,13 +115,6 @@ def _checked_inverse_growth(lu, scale, system):
             f"scale {scale:.3e}); {_structural_diagnosis(system)}"
         )
     return growth
-
-
-def _constant_in_kernel(C):
-    """True when the constant pressure lies in the kernel of C (up to
-    rounding): no boundary term fixes the pressure level."""
-    ones = np.ones(C.shape[1])
-    return np.abs(C @ ones).max() <= 1e-10 * (np.abs(C) @ ones).max()
 
 
 def _penalty_preconditioner(system):

@@ -17,12 +17,14 @@ from mce.bench import (
     error_norms,
     run_brinkman_coupling,
     run_convergence,
+    run_locking_study,
     second_difference_sign_changes,
     solve_case,
     solve_coupling,
     velocity_profile,
 )
 from mce.forms import (
+    ConfigurationError,
     ProblemCoefficients,
     assemble_brinkman,
     assemble_elasticity,
@@ -119,6 +121,16 @@ class TestCooksCase:
         with pytest.raises(ValueError):
             case_cooks(-0.1)
 
+    def test_study_parameters_are_configuration_errors(self):
+        # the library is the one place these are checked; the CLI maps a
+        # ConfigurationError to exit code 1
+        with pytest.raises(ConfigurationError, match="at least 3 levels"):
+            run_convergence(case_stokes(), [4, 8])
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            run_convergence(case_stokes(), [4, 4, 8])
+        with pytest.raises(ConfigurationError, match="0.7 is not in"):
+            run_locking_study([0.3, 0.7], n=2)
+
     def test_load_resultant(self):
         # traction (0,1) on the x=48 edge of length 16: resultant (0, 16)
         mesh = generate_cook_mesh(4)
@@ -153,7 +165,6 @@ class TestErrorNorms:
             velocity=u,
             velocity_grad=grad,
             laplacian=zero2,
-            needs_multiplier=False,
         )
         sol, _, _, _ = solve_case(case, 3)
         err = error_norms(sol, case)

@@ -151,6 +151,17 @@ class TestBrinkmanCommand:
         assert "mu must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_singular_run_does_not_blame_the_pressure_level(self, tmp_path,
+                                                             capsys):
+        # mu = 1e300 drowns the rest of the operator; the natural top and
+        # bottom boundaries still fix the pressure level
+        code = run(["brinkman", "--grid", "2", "--mu", "1e300",
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "negligible pivot" in err
+        assert "pressure block nullspace" not in err
+
     def test_one_mesh_for_both_scenarios(self, tmp_path, monkeypatch):
         """Both scenarios share one subdivided mesh, one ElementTables and
         one VTK mesh text; every file is the reference writer's bytes."""
@@ -396,6 +407,18 @@ class TestConfigHandling:
 
     def test_bad_nu_rejected(self):
         assert run(["cooks", "--nu", "0.6"]) == 1
+
+    def test_bad_nu_in_a_list_exits_1_before_any_space(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # the library checks every nu before the locking study builds its
+        # space, so a bad last value costs no solve of the good ones
+        built = []
+        monkeypatch.setattr(bench, "_cooks_space", built.append)
+        out = tmp_path / "out"
+        assert run(["cooks", "--nu", "0.3,0.7", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Poisson ratio 0.7 is not in (0, 0.5)" in err
+        assert not built and not out.exists()
 
     def test_config_file_and_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"

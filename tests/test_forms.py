@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import io as scipy_io
+from scipy import sparse
 
 from mce import bench, forms
 from mce.forms import (
@@ -290,10 +291,10 @@ class TestNitscheSlip:
         sub = subdivide(generate_unit_square_mesh(3))
         space = build_space(sub, "free")
         coeffs = ProblemCoefficients(mu=1.0, sigma=0.0, gamma=10.0)
-        plain = assemble_brinkman(space, coeffs, pressure_multiplier=True)
-        slip = assemble_nitsche_slip(space, coeffs, pressure_multiplier=True)
+        plain = assemble_brinkman(space, coeffs)
+        slip = assemble_nitsche_slip(space, coeffs)
         usl, psl = slip.blocks["velocity"], slip.blocks["pressure"]
-        extra = (slip.matrix - plain.matrix)[usl, psl]
+        extra = slip.matrix[usl, psl] - plain.matrix[usl, psl]
         v = fortin_interpolate(lambda p: p, space)
         ones = np.ones(extra.shape[1])
         assert v @ (extra @ ones) == pytest.approx(2.0, rel=1e-12)
@@ -396,17 +397,15 @@ def _boundary_faces(space, tags=None):
         yield _Face(space, e)
 
 
-def _reference_brinkman_interior(space, coeffs, pressure_multiplier):
+def _reference_brinkman_interior(space, coeffs):
     tables = space.tables
     nt = space.mesh.num_triangles
     mu, sigma = coeffs.validate_brinkman(nt)
-    builder = forms._Builder(space.n_velocity + nt + int(pressure_multiplier))
+    builder = forms._Builder(space.n_velocity + nt)
     forms._element_block(builder, tables,
                          forms._brinkman_matrix(tables, mu, sigma))
     forms._body_force_rhs(builder, tables, coeffs.f)
     forms._coupling_and_source(builder, tables, space.n_velocity, coeffs.g)
-    if pressure_multiplier:
-        forms._multiplier_row(builder, tables, space.n_velocity, nt)
     return builder, mu, sigma
 
 
@@ -437,7 +436,7 @@ def reference_assemble_elasticity(space, coeffs, tractions=None):
                 traces = seg.traces(qx)  # (9, nq, 2)
                 vals = seg.length * np.einsum("q,qi,kqi->k", qw, tv, traces)
                 np.add.at(builder.rhs, space.tables.loc2glob[face.tri], vals)
-    return forms._reduce(space, builder, 0, False)
+    return forms._reduce(space, builder)
 
 
 def reference_assemble_nitsche_elasticity(space, coeffs, dirichlet_tags,
@@ -514,13 +513,11 @@ def reference_assemble_nitsche_elasticity(space, coeffs, dirichlet_tags,
                 builder.rhs, l2g,
                 (gamma / h) * lam * mean_gn * mean_n,
             )
-    return forms._reduce(space, builder, 0, False)
+    return forms._reduce(space, builder)
 
 
-def reference_assemble_nitsche_brinkman_tangential(space, coeffs,
-                                                   pressure_multiplier=True):
-    builder, mu, _ = _reference_brinkman_interior(
-        space, coeffs, pressure_multiplier)
+def reference_assemble_nitsche_brinkman_tangential(space, coeffs):
+    builder, mu, _ = _reference_brinkman_interior(space, coeffs)
     tables = space.tables
     gamma = coeffs.gamma
     qx, qw = edge_rule(3)
@@ -545,14 +542,11 @@ def reference_assemble_nitsche_brinkman_tangential(space, coeffs,
             cmat = np.outer(int_trt, dun_t)
             builder.add(rows, cols, -(cmat + cmat.T))
             builder.add(rows, cols, (gamma / h) * mu[t] * int_trt_trt)
-    return forms._reduce(space, builder, space.mesh.num_triangles,
-                         pressure_multiplier)
+    return forms._reduce(space, builder, space.mesh.num_triangles)
 
 
-def reference_assemble_nitsche_slip(space, coeffs, pressure_multiplier=True,
-                                    slip_tags=None):
-    builder, mu, sigma = _reference_brinkman_interior(
-        space, coeffs, pressure_multiplier)
+def reference_assemble_nitsche_slip(space, coeffs, slip_tags=None):
+    builder, mu, sigma = _reference_brinkman_interior(space, coeffs)
     tables = space.tables
     gamma = coeffs.gamma
     qx, qw = edge_rule(3)
@@ -579,8 +573,7 @@ def reference_assemble_nitsche_slip(space, coeffs, pressure_multiplier=True,
             # -c((v,0),u): test-stress x trial-trace, no pressure column
             builder.add(rows, cols, -cmat.T)
             builder.add(rows, cols, weight * int_trn_trn)
-    return forms._reduce(space, builder, space.mesh.num_triangles,
-                         pressure_multiplier)
+    return forms._reduce(space, builder, space.mesh.num_triangles)
 
 
 def reference_boundary_normal_norm(space, coeffs, tags=None):
@@ -671,8 +664,7 @@ class TestBoundaryTermsMatchFaceLoops:
                 oracle_space, coeffs, set(tags), g_n=g_n, g_t=g_t)
         assert_bitwise(system, reference)
 
-    @pytest.mark.parametrize("multiplier", [True, False])
-    def test_tangential(self, oracle_space, multiplier):
+    def test_tangential(self, oracle_space):
         mesh = oracle_space.mesh
         # zero viscosity on every other triangle next to the boundary
         mu = np.full(mesh.num_triangles, 0.7)
@@ -681,22 +673,19 @@ class TestBoundaryTermsMatchFaceLoops:
         coeffs = ProblemCoefficients(mu=mu, sigma=2.0, gamma=9.0, f=_load,
                                      g=lambda p: p[:, 0] - 0.5)
         assert_bitwise(
-            assemble_nitsche_brinkman_tangential(oracle_space, coeffs,
-                                                 multiplier),
-            reference_assemble_nitsche_brinkman_tangential(
-                oracle_space, coeffs, multiplier),
+            assemble_nitsche_brinkman_tangential(oracle_space, coeffs),
+            reference_assemble_nitsche_brinkman_tangential(oracle_space,
+                                                           coeffs),
         )
 
     @pytest.mark.parametrize("slip_tags", [None, {"bottom", "right"}])
-    @pytest.mark.parametrize("multiplier", [True, False])
-    def test_slip(self, oracle_space, slip_tags, multiplier):
+    def test_slip(self, oracle_space, slip_tags):
         nt = oracle_space.mesh.num_triangles
         coeffs = ProblemCoefficients(
             mu=1.0 + 0.1 * np.arange(nt) / nt, sigma=0.5, gamma=11.0, f=_load)
         assert_bitwise(
-            assemble_nitsche_slip(oracle_space, coeffs, multiplier,
-                                  slip_tags=slip_tags),
-            reference_assemble_nitsche_slip(oracle_space, coeffs, multiplier,
+            assemble_nitsche_slip(oracle_space, coeffs, slip_tags=slip_tags),
+            reference_assemble_nitsche_slip(oracle_space, coeffs,
                                             slip_tags=slip_tags),
         )
 
@@ -726,6 +715,68 @@ class TestBoundaryTermsMatchFaceLoops:
             assemble_elasticity(space, coeffs, tractions=tractions),
             reference_assemble_elasticity(space, coeffs, tractions),
         )
+
+
+# (assembler, slip tags) -> has_multiplier on the free space; the normal
+# and dirichlet spaces eliminate every boundary flux, so there the
+# constant pressure always lies in the kernel of the coupling block
+MULTIPLIER_ON_FREE = {
+    ("brinkman", None): False,
+    ("tangential", None): False,
+    # +int p (v.n) on every face cancels the flux of the constant pressure
+    ("slip", None): True,
+    # the top and left faces still let v.n through
+    ("slip", ("bottom", "right")): False,
+}
+
+
+class TestMultiplierRule:
+    """The mean-zero multiplier row is there exactly when nothing else
+    fixes the pressure level."""
+
+    @pytest.mark.parametrize("assembler, slip_tags", list(MULTIPLIER_ON_FREE))
+    @pytest.mark.parametrize("mode", ["free", "normal", "dirichlet"])
+    def test_has_multiplier(self, oracle_sub, mode, assembler, slip_tags):
+        space = build_space(oracle_sub, mode)
+        coeffs = ProblemCoefficients(mu=1.0, sigma=0.5, gamma=10.0, f=_load)
+        if assembler == "brinkman":
+            system = assemble_brinkman(space, coeffs)
+        elif assembler == "tangential":
+            system = assemble_nitsche_brinkman_tangential(space, coeffs)
+        else:
+            system = assemble_nitsche_slip(space, coeffs, slip_tags=slip_tags)
+        expected = mode != "free" or MULTIPLIER_ON_FREE[assembler, slip_tags]
+        assert system.has_multiplier is expected
+        nt = space.mesh.num_triangles
+        assert system.size == space.n_free_velocity + nt + int(expected)
+        if expected:  # the row of int q over the domain
+            row = system.matrix[system.blocks["multiplier"]]
+            assert np.array_equal(row.indices,
+                                  space.n_free_velocity + np.arange(nt))
+            assert np.array_equal(row.data, space.tables.areas)
+
+    def test_all_zero_coupling_is_not_a_free_level(self):
+        empty = sparse.csr_matrix((5, 3))
+        assert forms._constant_in_kernel(empty) is False
+
+    def test_viscosity_sweep_takes_the_rule_of_its_whole_system(self, sub3):
+        # the swept part alone couples no pressure; on a closed space the
+        # system still gets the multiplier row, and the sweep at m matches
+        # the assembled system at the same viscosity to rounding
+        space = build_space(sub3, "dirichlet")
+        nt = space.mesh.num_triangles
+        swept = np.arange(nt) % 2 == 0
+        coeffs = ProblemCoefficients(mu=np.where(swept, 0.0, 2.0), sigma=0.5,
+                                     f=_load)
+        system = forms._viscosity_sweep(space, coeffs, swept)(3.0)
+        direct = assemble_brinkman(space, ProblemCoefficients(
+            mu=np.where(swept, 3.0, 2.0), sigma=0.5, f=_load))
+        assert system.has_multiplier and direct.has_multiplier
+        assert system.size == direct.size
+        assert abs(system.matrix - direct.matrix).max() <= (
+            1e-13 * abs(direct.matrix).max())
+        np.testing.assert_allclose(system.rhs, direct.rhs, rtol=0,
+                                   atol=1e-13 * np.abs(direct.rhs).max())
 
 
 def reference_viscous_matrix(tables, mu):
@@ -1021,8 +1072,7 @@ class TestAssemblyMemory:
         case = make_case()
         sub = subdivide(case.domain(64), boundary_split=case.boundary_split)
         space = build_space(sub, case.boundary)
-        peak = peak_traced_mb(assemble_brinkman, space, case.coefficients,
-                              pressure_multiplier=case.needs_multiplier) \
-            * 2**20
+        peak = peak_traced_mb(assemble_brinkman, space,
+                              case.coefficients) * 2**20
         assert sub.mesh.num_triangles == 8192
         assert peak / sub.mesh.num_triangles <= 7 * 1024

@@ -48,15 +48,19 @@ def test_indefinite_2x2():
 
 
 def test_missing_multiplier_names_pressure_block():
+    # the closed Stokes system with its multiplier row and column cut off
     sub = subdivide(generate_unit_square_mesh(2))
     space = build_space(sub, "dirichlet")
     coeffs = ProblemCoefficients(
         mu=1.0, sigma=0.0,
         f=lambda p: np.column_stack([np.ones(len(p)), p[:, 0]]),
     )
-    system = assemble_brinkman(space, coeffs, pressure_multiplier=False)
-    with pytest.raises(SolverError, match="pressure"):
-        solve(system)
+    system = assemble_brinkman(space, coeffs)
+    assert system.has_multiplier
+    cut = FakeSystem(system.matrix[:-1, :-1], system.rhs[:-1],
+                     n_pressure=system.n_pressure)
+    with pytest.raises(SolverError, match="^pressure block nullspace"):
+        solve(cut)
 
 
 def test_determinism():
@@ -78,8 +82,8 @@ def _case_system(case, n, bc_mode=None):
 
 def _coupling_system(scenario, mu_value, n=8):
     _, sub, co = bench.coupling_problem(scenario, mu_value, n=n)
-    space = build_space(sub, co.boundary)
-    return assemble_brinkman(space, co, pressure_multiplier=False)
+    space = build_space(sub, bench._coupling_boundary(scenario))
+    return assemble_brinkman(space, co)
 
 
 def _cooks_system(nu, n):
@@ -180,14 +184,15 @@ def test_pure_traction_elasticity_is_singular(n):
         solve(system)
 
 
-def test_free_stokes_without_multiplier_names_pressure_nullspace():
+def test_free_stokes_is_singular_in_velocity_not_pressure():
     # every edge free and sigma = 0: the constant velocities span the
-    # kernel of K, past the check on the velocity-pressure block
+    # kernel of K; the boundary flux fixes the pressure level, so the
+    # system has no multiplier row and no pressure nullspace to name
     system = assemble_brinkman(
-        _free_space(8), ProblemCoefficients(mu=1.0, sigma=0.0, f=_load),
-        pressure_multiplier=False)
+        _free_space(8), ProblemCoefficients(mu=1.0, sigma=0.0, f=_load))
+    assert not system.has_multiplier
     with pytest.raises(SolverError,
-                       match="negligible pivot.*pressure block nullspace"):
+                       match="negligible pivot.*; matrix is singular$"):
         solve(system)
 
 
