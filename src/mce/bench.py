@@ -26,6 +26,7 @@ from .forms import (
     assemble_nitsche_brinkman_tangential,
     assemble_nitsche_elasticity,
     assemble_nitsche_slip,
+    _check_viscous_constraints,
     _viscosity_sweep,
 )
 from .mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
@@ -76,9 +77,6 @@ class ManufacturedCase:
     pressure: object = None
     pressure_grad: object = None
     laplacian: object = None
-    default_bc_mode: str = "strong"
-    boundary_split: str = "midpoint"
-    domain: object = generate_unit_square_mesh
 
     def strong_residual(self, points):
         """Momentum and mass residuals of the exact fields at `points`."""
@@ -197,7 +195,6 @@ def case_darcy(mu=0.0, sigma=1.0):
         pressure=pressure,
         pressure_grad=pressure_grad,
         laplacian=laplacian,
-        default_bc_mode="nitsche-tangential",
     )
 
 
@@ -224,20 +221,23 @@ def case_elasticity(lam, mu=1.0):
     )
 
 
-# boundary modes of the flow cases in solve_case
-BC_MODES = ("strong", "nitsche-tangential", "nitsche-slip")
+# boundary modes of the flow cases in solve_case: "strong" constrains the
+# boundary conditions in the space (u.n only on NormalZero sides, whose
+# tangential condition carries mu as Nitsche terms, so mu = 0 is plain
+# Darcy); "nitsche-slip" imposes u.n = 0 weakly on a free space
+BC_MODES = ("strong", "nitsche-slip")
 
 
-def solve_case(case, n, bc_mode=None, gamma=None):
-    """Mesh, assemble, and solve one case at refinement level n.
+def solve_case(case, n, bc_mode="strong", gamma=None):
+    """Mesh the unit square at level n, assemble and solve one case.
 
-    Returns (FieldSolution, space, system, report). Raises
+    Returns (FieldSolution, space, system, report). A flow case takes a
+    mode of BC_MODES, elasticity "strong" or "nitsche". Raises
     ConfigurationError for the nitsche-slip mode on a case whose exact
     solution it cannot carry.
     """
-    mesh = case.domain(n)
-    sub = subdivide(mesh, boundary_split=case.boundary_split)
-    mode = bc_mode or case.default_bc_mode
+    mesh = generate_unit_square_mesh(n)
+    sub = subdivide(mesh, boundary_split="midpoint")
     co = case.coefficients
     if gamma is not None:
         co = ProblemCoefficients(
@@ -245,31 +245,27 @@ def solve_case(case, n, bc_mode=None, gamma=None):
         )
 
     if case.model == "elasticity":
-        if mode == "strong":
+        if bc_mode == "strong":
             space = build_space(sub, case.boundary)
             system = assemble_elasticity(space, co)
-        elif mode == "nitsche":
+        elif bc_mode == "nitsche":
             space = build_space(sub, "free")
             system = assemble_nitsche_elasticity(
-                space, co,
-                dirichlet_tags={t for t in case.boundary},
-                g_n=lambda p, _c=case: _normal_datum(_c, p),
-                g_t=case.velocity,
+                space, co, dirichlet_tags=set(case.boundary), g=case.velocity,
             )
         else:
-            raise ValueError(f"unsupported mode {mode!r} for elasticity")
-    elif mode == "strong":
-        space = build_space(sub, case.boundary)
-        system = assemble_brinkman(space, co)
-    elif mode == "nitsche-tangential":
+            raise ValueError(f"unsupported mode {bc_mode!r} for elasticity")
+    elif bc_mode == "strong":
         space = build_space(sub, case.boundary)
         system = assemble_nitsche_brinkman_tangential(space, co)
-    elif mode == "nitsche-slip":
+        # mu = 0 with u.t constrained: rejected as assemble_brinkman does
+        _check_viscous_constraints(space, co.fields(mesh.num_triangles)[0])
+    elif bc_mode == "nitsche-slip":
         _check_slip_fit(case, mesh, co)
         space = build_space(sub, "free")
         system = assemble_nitsche_slip(space, co)
     else:
-        raise ValueError(f"unknown bc mode {mode!r}")
+        raise ValueError(f"unknown bc mode {bc_mode!r}")
     solution, report = _field(system)
     return solution, space, system, report
 
@@ -307,18 +303,6 @@ def _field(system):
     (FieldSolution, SolveReport)."""
     report = solve(system)
     return FieldSolution(system.space, *system.expand(report.solution)), report
-
-
-def _normal_datum(case, points):
-    # only used on axis-aligned unit-square boundaries
-    points = np.atleast_2d(points)
-    u = case.velocity(points)
-    n = np.zeros_like(points)
-    n[np.isclose(points[:, 0], 0.0)] = [-1.0, 0.0]
-    n[np.isclose(points[:, 0], 1.0)] = [1.0, 0.0]
-    n[np.isclose(points[:, 1], 0.0)] = [0.0, -1.0]
-    n[np.isclose(points[:, 1], 1.0)] = [0.0, 1.0]
-    return np.einsum("ni,ni->n", u, n)
 
 
 @dataclass
@@ -448,12 +432,10 @@ class ConvergenceRecord:
             {"level": level, "n": n, "NNO": nno, "h": h, **errors.as_dict()}
         )
 
-    def fit_slopes(self, window=3):
-        hs = np.array([r["h"] for r in self.rows])
+    def fit_slopes(self):
+        h_w = np.array([r["h"] for r in self.rows[-3:]])
         for col in self.RATED:
-            errs = np.array([r[col] for r in self.rows])
-            take = slice(-window, None)
-            h_w, e_w = hs[take], errs[take]
+            e_w = np.array([r[col] for r in self.rows[-3:]])
             ok = np.isfinite(e_w) & (e_w > 0)
             if ok.sum() >= 2:
                 slope = float(
@@ -477,7 +459,7 @@ def _largest_edge(mesh):
     return float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).max())
 
 
-def run_convergence(case, levels, bc_mode=None, gamma=None):
+def run_convergence(case, levels, bc_mode="strong", gamma=None):
     """Assemble/solve the case over the levels and fit convergence slopes
     against h, the largest macro edge length of each level; at least 3
     strictly increasing levels, or a ConfigurationError."""
@@ -716,21 +698,22 @@ def velocity_profile(solution, y=1.0):
     return mesh.vertices[idx, 0], values
 
 
-def second_difference_sign_changes(xs, ys, window=(0.7, 1.3), rel_floor=5e-3):
-    """Count sign changes of the second difference of ys inside the window.
+def second_difference_sign_changes(xs, ys):
+    """Count sign changes of the second difference of ys for x in
+    [0.7, 1.3], the window around the coupling interface x = 1.
 
-    Differences smaller than rel_floor times the window maximum are treated
-    as zero (flat regions do not count as oscillation).
+    Differences smaller than 5e-3 times the window maximum are treated as
+    zero (flat regions do not count as oscillation).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     d2 = ys[2:] - 2.0 * ys[1:-1] + ys[:-2]
     centers = xs[1:-1]
-    mask = (centers >= window[0]) & (centers <= window[1])
+    mask = (centers >= 0.7) & (centers <= 1.3)
     d2 = d2[mask]
     if d2.size == 0:
         return 0
-    floor = rel_floor * np.abs(d2).max()
+    floor = 5e-3 * np.abs(d2).max()
     signs = np.sign(d2)
     signs[np.abs(d2) < floor] = 0
     signs = signs[signs != 0]

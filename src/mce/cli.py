@@ -47,7 +47,7 @@ OPTIONS = {
     "mu": Option(_float_list, None, "viscosity; brinkman takes a list"),
     "sigma": Option(float, 1.0, "drag coefficient"),
     "gamma": Option(float, 10.0, "Nitsche penalty parameter"),
-    "bc": Option(str, None, "boundary condition mode", bench.BC_MODES),
+    "bc": Option(str, "strong", "boundary condition mode", bench.BC_MODES),
     "mesh_file": Option(str, None, "mesh text file"),
     "out": Option(str, ".", "output directory"),
     "grid": Option(int, 40, "cells per side of the grid"),
@@ -57,7 +57,7 @@ OPTIONS = {
 
 # the options each subcommand's runner reads
 SUBCOMMANDS = {
-    "stokes": ("levels", "bc", "gamma", "out"),
+    "stokes": ("levels", "out"),
     "darcy": ("levels", "mu", "sigma", "bc", "gamma", "out"),
     "cooks": ("levels", "nu", "out"),
     "brinkman": ("grid", "mu", "scenario", "out"),
@@ -166,12 +166,12 @@ def run_flow(config):
     finest level's solution."""
     name = config.subcommand
     if name == "stokes":
-        case = bench.case_stokes()
+        record = bench.run_convergence(bench.case_stokes(), config.levels)
     else:
         mu = config.mu[0] if config.mu else 0.0
-        case = bench.case_darcy(mu=mu, sigma=config.sigma)
-    record = bench.run_convergence(case, config.levels, bc_mode=config.bc,
-                                   gamma=config.gamma)
+        record = bench.run_convergence(
+            bench.case_darcy(mu=mu, sigma=config.sigma), config.levels,
+            bc_mode=config.bc, gamma=config.gamma)
     out = _ensure_out(config)
     csv_path = os.path.join(out, f"{name}_convergence.csv")
     record.to_csv(csv_path)

@@ -368,8 +368,8 @@ def _check_viscous_constraints(space, mu):
         isinstance(bc, Dirichlet) for bc in space.bc.values()
     ):
         raise ConfigurationError(
-            "mu = 0 with full Dirichlet constraints is ill-posed; use the "
-            "normal-only mode with tangential Nitsche conditions"
+            "mu = 0 with full Dirichlet constraints is ill-posed; use "
+            "normal-only (NormalZero) constraints there"
         )
 
 
@@ -543,16 +543,15 @@ def _traction_rhs(builder, space, tractions):
     _add_face_rhs(builder, faces, vals)
 
 
-def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g_n=None,
-                                g_t=None):
-    """Elasticity with weak boundary conditions: u.n prescribed on the whole
-    boundary, the tangential part prescribed on `dirichlet_tags` and
-    traction-free elsewhere.
+def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g=None):
+    """Elasticity with weak boundary conditions: u.n = g.n prescribed on the
+    whole boundary, u.t = g.t on `dirichlet_tags` and traction-free
+    elsewhere, for the boundary displacement g (zero for None).
 
     Adds -c(u,v) - c(v,u) + s(u,v) with the lambda part of the normal
     penalty acting on face means (the piecewise-constant trace projection),
-    and the data terms for g_n (scalar normal datum) and g_t (tangential
-    datum on the Dirichlet part).
+    and the data terms of g.n and of g.t on the Dirichlet part, both taken
+    with each face's unit normal and tangent.
     """
     builder, mu, lam = _elasticity_interior(space, coeffs)
     dirichlet_tags = set(dirichlet_tags)
@@ -602,23 +601,21 @@ def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g_n=None,
     blocks = np.concatenate([means[:, None], halves], axis=1)
     _add_face_blocks(builder, faces, blocks, keep)
 
-    # loads: per half g_n then g_t (Dirichlet part), then the face-mean g_n
-    rhs = np.zeros((nf, 5, 9))
-    keep = np.zeros((nf, 5), dtype=bool)
-    if g_n is not None:
-        gv = _eval_field(g_n, faces.points).reshape(faces.points.shape[:3])
-        int_g_trn, int_g = faces.moments(gv, tr_n)
-        rhs[:, 0:4:2] = pen_mu * int_g_trn - sig_nn * int_g[..., None]
-        mean_gn = 0.0 + int_g[:, 0] + int_g[:, 1]
-        rhs[:, 4] = (pen * lam * mean_gn)[:, None] * mean_n
-        keep[:, [0, 2, 4]] = True
-    if g_t is not None:
-        gtv = _eval_field(g_t, faces.points).reshape(faces.points.shape)
-        gt_tau = (gtv @ tau[:, None, :, None])[..., 0]
-        int_gt_trt, int_gt = faces.moments(gt_tau, tr_t)
+    # loads: per half g.n then g.t (Dirichlet part), then the face-mean g.n
+    if g is not None:
+        gv = _eval_field(g, faces.points).reshape(faces.points.shape)
+        g_n = (gv @ n[:, None, :, None])[..., 0]
+        g_t = (gv @ tau[:, None, :, None])[..., 0]
+        int_gn_trn, int_gn = faces.moments(g_n, tr_n)
+        int_gt_trt, int_gt = faces.moments(g_t, tr_t)
+        rhs = np.zeros((nf, 5, 9))
+        rhs[:, 0:4:2] = pen_mu * int_gn_trn - sig_nn * int_gn[..., None]
         rhs[:, 1:4:2] = pen_mu * int_gt_trt - sig_nt * int_gt[..., None]
+        mean_gn = 0.0 + int_gn[:, 0] + int_gn[:, 1]
+        rhs[:, 4] = (pen * lam * mean_gn)[:, None] * mean_n
+        keep = np.ones((nf, 5), dtype=bool)
         keep[:, 1:4:2] = on_d[:, None]
-    _add_face_rhs(builder, faces, rhs, keep)
+        _add_face_rhs(builder, faces, rhs, keep)
     return _reduce(space, builder)
 
 

@@ -160,7 +160,6 @@ def _polynomial_darcy_case():
         velocity_grad=velocity_grad,
         pressure=lambda p: p[:, 0] ** 2 - 1.0 / 3.0,
         pressure_grad=pressure_grad,
-        default_bc_mode="nitsche-tangential",
     )
 
 

@@ -1,5 +1,6 @@
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,61 @@ class TestConvergenceRunner:
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.5)
 
 
+FLOW_CASES = {
+    "stokes": case_stokes,
+    "darcy": case_darcy,
+    "darcy-mu0.1": lambda: case_darcy(mu=0.1),
+}
+
+
+class TestBoundaryModes:
+    """Every (flow case, boundary mode) pair either converges at the
+    velocity rate or is refused by name, and no two modes a case accepts
+    build the same system."""
+
+    @pytest.mark.parametrize("mode", bench.BC_MODES)
+    @pytest.mark.parametrize("name", sorted(FLOW_CASES))
+    def test_pair_converges_or_is_refused(self, name, mode):
+        case = FLOW_CASES[name]()
+        try:
+            record = run_convergence(case, [4, 8, 16], bc_mode=mode)
+        except ConfigurationError as exc:
+            assert repr(case.name) in str(exc)
+            assert repr(mode) in str(exc)
+        else:
+            assert record.slopes["slope_l2_u"] >= 1.8
+
+    @pytest.mark.parametrize("name", sorted(FLOW_CASES))
+    def test_accepted_modes_build_distinct_systems(self, name):
+        digests = {}
+        for mode in bench.BC_MODES:
+            try:
+                system = solve_case(FLOW_CASES[name](), 5, bc_mode=mode)[2]
+            except ConfigurationError:
+                continue
+            m = system.matrix
+            digests[mode] = hash(b"".join(a.tobytes() for a in (
+                m.data, m.indices, m.indptr, system.rhs)))
+        assert digests
+        assert len(set(digests.values())) == len(digests), digests
+
+    def test_stokes_refuses_slip(self):
+        # the slip assembler takes no boundary data: Stokes has u.n != 0
+        with pytest.raises(ConfigurationError) as exc:
+            solve_case(case_stokes(), 4, bc_mode="nitsche-slip")
+        assert "does not fit bc mode 'nitsche-slip'" in str(exc.value)
+        assert "u.n up to 20" in str(exc.value)
+
+    def test_inviscid_clamped_case_refused(self):
+        # the strong mode constrains u.t where the case says Dirichlet:
+        # with mu = 0 that is ill-posed, as assemble_brinkman reports it
+        darcy = case_darcy()
+        case = replace(darcy, boundary={t: Dirichlet(darcy.velocity)
+                                        for t in darcy.boundary})
+        with pytest.raises(ConfigurationError, match="mu = 0"):
+            solve_case(case, 4)
+
+
 def one_shot_cell_integrals(f, tables, degree=6):
     """`cell_integrals` as it was before the blockwise loop: every
     quadrature point of the mesh in one call of f. The oracle of the
@@ -404,7 +460,8 @@ def _block_outputs():
     mu = 1e-3), the elastic matrix and load on Cook's membrane (body load
     and traction), `cell_integrals` and `error_norms`."""
     darcy = case_darcy(mu=1e-3)
-    space = build_space(subdivide(darcy.domain(13)), darcy.boundary)
+    space = build_space(subdivide(generate_unit_square_mesh(13)),
+                        darcy.boundary)
     brinkman = assemble_brinkman(space, darcy.coefficients)
     cook = bench._cooks_space(13)
     elastic = assemble_elasticity(
@@ -519,7 +576,7 @@ class TestErrorNormsMemory:
         case = case_stokes()
         peaks = []
         for n in (32, 64):
-            sub = subdivide(case.domain(n))
+            sub = subdivide(generate_unit_square_mesh(n))
             space = build_space(sub, case.boundary)
             solution = FieldSolution(
                 space, fortin_interpolate(case.velocity, space),
@@ -540,7 +597,8 @@ class TestBodyLoadMemory:
         case = case_darcy()
         peaks = []
         for n in (32, 64):
-            space = build_space(subdivide(case.domain(n)), case.boundary)
+            space = build_space(subdivide(generate_unit_square_mesh(n)),
+                                case.boundary)
             builder = forms._Builder(space.n_velocity)
             peaks.append(peak_traced_mb(forms._body_force_rhs, builder,
                                         space.tables, case.coefficients.f))
@@ -559,7 +617,8 @@ class TestBrinkmanMatrixMemory:
         case = case_darcy(mu=1e-3)
         overheads = []
         for n in (32, 64):
-            space = build_space(subdivide(case.domain(n)), case.boundary)
+            space = build_space(subdivide(generate_unit_square_mesh(n)),
+                                case.boundary)
             nt = space.mesh.num_triangles
             mu, sigma = case.coefficients.fields(nt)
             peak = peak_traced_mb(forms._brinkman_matrix, space.tables, mu,

@@ -366,7 +366,7 @@ class TestConfigHandling:
         ("darcy --sigma nan --levels 2,3,4", "sigma"),
         ("darcy --mu inf --levels 2,3,4", "mu"),
         ("darcy --sigma inf --levels 2,3,4", "sigma"),
-        ("stokes --gamma nan --bc nitsche-slip --levels 2,3,4", "gamma"),
+        ("darcy --gamma nan --bc nitsche-slip --levels 2,3,4", "gamma"),
         ("brinkman --mu nan --grid 4 --scenario tangential", "mu"),
     ])
     @pytest.mark.parametrize("from_config", [False, True])
@@ -382,8 +382,6 @@ class TestConfigHandling:
         assert f"{name} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, datum", [
-        # the slip assembler takes no boundary data: Stokes has u.n != 0
-        ("stokes", "u.n up to 20"),
         # the Brinkman variant of Darcy has a tangential traction
         ("darcy --mu 0.1", "nonzero tangential traction"),
     ])
@@ -396,6 +394,20 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "does not fit bc mode 'nitsche-slip'" in err
         assert datum in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        # stokes has one boundary formulation
+        "stokes --bc strong", "stokes --gamma 3",
+        # folded into strong, which carries mu through tangential terms
+        "darcy --bc nitsche-tangential",
+    ])
+    def test_removed_boundary_options_exit_1(self, tmp_path, capsys,
+                                             command):
+        out = tmp_path / "out"
+        assert run([*shlex.split(command), "--levels", "2,3,4",
+                    "--out", str(out)]) == 1
+        assert "usage: mce" in capsys.readouterr().err
         assert not out.exists()
 
     def test_darcy_slip_still_runs(self, tmp_path):
@@ -445,7 +457,7 @@ class TestConfigHandling:
 
 # The options each subcommand reads, written out independently of mce.cli.
 ACCEPTED = {
-    "stokes": {"levels", "bc", "gamma", "out"},
+    "stokes": {"levels", "out"},
     "darcy": {"levels", "mu", "sigma", "bc", "gamma", "out"},
     "cooks": {"levels", "nu", "out"},
     "brinkman": {"grid", "mu", "scenario", "out"},
@@ -467,7 +479,7 @@ REJECTED = [
 
 class TestOptionTable:
     def test_rejected_pairs_count(self):
-        assert len(REJECTED) == 31
+        assert len(REJECTED) == 33
 
     @pytest.mark.parametrize("subcommand, option", REJECTED)
     def test_flag_outside_table_exits_1(self, tmp_path, capsys, subcommand,
@@ -513,7 +525,7 @@ class TestOptionTable:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand, line", [
-        ("stokes", "bc=weak"),
+        ("darcy", "bc=nitsche-tangential"),
         ("darcy", "bc=nitsche"),
         ("brinkman", "scenario=sideways"),
     ])

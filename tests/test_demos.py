@@ -1,5 +1,6 @@
 """Smoke test of the demo scripts: each runs to completion in a fresh
-directory and writes exactly the files it announces."""
+directory, with every warning an error, and writes exactly the files it
+announces."""
 
 import os
 import subprocess
@@ -35,6 +36,8 @@ def test_demo_runs(script, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    # a warning fails a demo as pyproject's filterwarnings fail a test
+    env["PYTHONWARNINGS"] = "error"
     done = subprocess.run(
         [sys.executable, str(DEMOS / script)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,

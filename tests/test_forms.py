@@ -440,7 +440,7 @@ def reference_assemble_elasticity(space, coeffs, tractions=None):
 
 
 def reference_assemble_nitsche_elasticity(space, coeffs, dirichlet_tags,
-                                          g_n=None, g_t=None):
+                                          g=None):
     builder, mu, lam = _reference_elasticity_interior(space, coeffs)
     tables = space.tables
     gamma = coeffs.gamma
@@ -490,8 +490,8 @@ def reference_assemble_nitsche_elasticity(space, coeffs, dirichlet_tags,
                 builder.add(rows, cols, (gamma / h) * mu_t * int_trt_trt)
 
             pts = seg.points(qx)
-            if g_n is not None:
-                gv = np.asarray(g_n(pts), dtype=float).ravel()
+            if g is not None:
+                gv = forms._eval_field(g, pts) @ n
                 int_g_trn = seg.length * np.einsum("q,q,kq->k", qw, gv, tr_n)
                 int_g = seg.length * float(np.einsum("q,q->", qw, gv))
                 mean_gn += int_g
@@ -499,16 +499,15 @@ def reference_assemble_nitsche_elasticity(space, coeffs, dirichlet_tags,
                     builder.rhs, l2g,
                     (gamma / h) * mu_t * int_g_trn - sig_nn * int_g,
                 )
-            if on_d and g_t is not None:
-                gtv = forms._eval_field(g_t, pts)
-                gt_tau = gtv @ tau
+            if on_d and g is not None:
+                gt_tau = forms._eval_field(g, pts) @ tau
                 int_gt_trt = seg.length * np.einsum("q,q,kq->k", qw, gt_tau, tr_t)
                 int_gt = seg.length * float(np.einsum("q,q->", qw, gt_tau))
                 np.add.at(
                     builder.rhs, l2g,
                     (gamma / h) * mu_t * int_gt_trt - sig_nt * int_gt,
                 )
-        if g_n is not None:
+        if g is not None:
             np.add.at(
                 builder.rhs, l2g,
                 (gamma / h) * lam * mean_gn * mean_n,
@@ -620,12 +619,9 @@ def _load(p):
     return np.column_stack([np.sin(3.0 * p[:, 1]), p[:, 0] ** 2 - p[:, 1]])
 
 
-def _g_n(p):
-    return np.cos(2.0 * p[:, 0]) * p[:, 1] + 0.25
-
-
-def _g_t(p):
-    return np.column_stack([p[:, 1] ** 3, np.exp(p[:, 0]) - 1.0])
+def _g(p):
+    return np.column_stack([p[:, 1] ** 3 + np.cos(2.0 * p[:, 0]) * p[:, 1],
+                            np.exp(p[:, 0]) - 1.0 + 0.25 * p[:, 0]])
 
 
 @pytest.fixture(scope="module", params=sorted(ORACLE_MESHES))
@@ -655,13 +651,13 @@ class TestBoundaryTermsMatchFaceLoops:
         nt = oracle_space.mesh.num_triangles
         mu = 1.0 + 0.5 * np.cos(np.arange(nt))
         coeffs = ProblemCoefficients(mu=mu, lam=40.0, gamma=12.0, f=_load)
-        g_n, g_t = (_g_n, _g_t) if data else (None, None)
+        g = _g if data else None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             system = assemble_nitsche_elasticity(
-                oracle_space, coeffs, set(tags), g_n=g_n, g_t=g_t)
+                oracle_space, coeffs, set(tags), g=g)
             reference = reference_assemble_nitsche_elasticity(
-                oracle_space, coeffs, set(tags), g_n=g_n, g_t=g_t)
+                oracle_space, coeffs, set(tags), g=g)
         assert_bitwise(system, reference)
 
     def test_tangential(self, oracle_space):
@@ -1070,7 +1066,8 @@ class TestAssemblyMemory:
                                            bench.case_darcy])
     def test_peak_per_triangle(self, make_case, peak_traced_mb):
         case = make_case()
-        sub = subdivide(case.domain(64), boundary_split=case.boundary_split)
+        sub = subdivide(generate_unit_square_mesh(64),
+                        boundary_split="midpoint")
         space = build_space(sub, case.boundary)
         peak = peak_traced_mb(assemble_brinkman, space,
                               case.coefficients) * 2**20

@@ -76,7 +76,7 @@ def test_determinism():
     assert np.array_equal(x1, x2)
 
 
-def _case_system(case, n, bc_mode=None):
+def _case_system(case, n, bc_mode="strong"):
     return bench.solve_case(case, n, bc_mode=bc_mode)[2]
 
 
@@ -95,8 +95,7 @@ def _cooks_system(nu, n):
 
 SYSTEMS = {
     "stokes-strong-16": lambda: _case_system(bench.case_stokes(), 16),
-    "darcy-nitsche-tangential-16": lambda: _case_system(
-        bench.case_darcy(), 16, bc_mode="nitsche-tangential"),
+    "darcy-strong-16": lambda: _case_system(bench.case_darcy(), 16),
     "darcy-nitsche-slip-8": lambda: _case_system(
         bench.case_darcy(), 8, bc_mode="nitsche-slip"),
     "coupling-normal-mu1e-6": lambda: _coupling_system("normal", 1e-6),
