@@ -22,19 +22,21 @@ contracted with the basis values to Bv = B V^T (18 x 9); the element
 matrix is Bv^T diag(2 mu a_s) Bv, a_s the subtriangle areas, plus the
 lambda div div term from the constant divergences. The Brinkman and
 elastic kernels and the load run over the blocks of macro triangles of
-`space._blocks`, so their temporaries do not grow with the mesh. Strong
+`space._blocks`, so their temporaries do not grow with the mesh.
+
+Every assembler is its model's interior, its boundary terms and `_reduce`.
+Local (..., 9, 9) blocks and local loads enter through one scatter each,
+`_Builder.add_blocks` and `_Builder.add_loads`, in a fixed order, so every
+sum is deterministic; each Nitsche term -c(u,v) - c(v,u) + penalty is one
+`_nitsche_pair`. mu = 0 with a Dirichlet side is ill-posed, and every
+Brinkman assembler and sweep value refuses it (`_brinkman_fields`). Strong
 constraints are eliminated through the space's affine map (never
-penalized); the symmetric-indefinite Brinkman matrix is produced by
-negating the pressure test block, so the assembled matrix is
-[[A, -B^T], [-B, 0]] with right-hand side [f, -g].
-
-The system decides its pressure level: `_reduce` appends the mean-zero
-multiplier row exactly when the constant pressure lies in the kernel of
-the reduced velocity-pressure block, as no boundary term then fixes it.
-
-A sweep over the viscosity of one region needs no assembly per value: the
-reduced system is affine in it, and `_viscosity_sweep` assembles its two
-parts once.
+penalized); negating the pressure test block gives the Brinkman matrix
+[[A, -B^T], [-B, 0]] with right-hand side [f, -g]. `_reduce` appends the
+mean-zero multiplier row exactly when the constant pressure lies in the
+kernel of the reduced velocity-pressure block, as no boundary term then
+fixes it. The reduced system is affine in the viscosity of one region, so
+`_viscosity_sweep` assembles its two parts once, not once per value.
 """
 
 import warnings
@@ -165,6 +167,25 @@ class _Builder:
         self.cols.append(np.asarray(cols, dtype=np.int64).ravel())
         self.vals.append(np.asarray(vals, dtype=float).ravel())
 
+    def add_blocks(self, l2g, blocks, keep=None):
+        """Add local (..., 9, 9) blocks at the dofs l2g (..., 9), which
+        broadcast over the leading axes, in their C order: the insertion
+        order fixes the order in which duplicates sum. `keep`, a mask over
+        the leading axes, drops the blocks outside it."""
+        rows = np.broadcast_to(l2g[..., :, None], blocks.shape)
+        cols = np.broadcast_to(l2g[..., None, :], blocks.shape)
+        if keep is not None:
+            rows, cols, blocks = rows[keep], cols[keep], blocks[keep]
+        self.add(rows, cols, blocks)
+
+    def add_loads(self, l2g, loads, keep=None):
+        """np.add.at of local (..., 9) loads into the right-hand side, at
+        the dofs and in the order of `add_blocks`."""
+        idx = np.broadcast_to(l2g, loads.shape)
+        if keep is not None:
+            idx, loads = idx[keep], loads[keep]
+        np.add.at(self.rhs, idx, loads)
+
     def matrix(self):
         size = len(self.rhs)
         coo = sparse.coo_matrix(
@@ -187,19 +208,6 @@ class _Builder:
                                  shape=(n_vel, len(self.rhs) - n_vel))
 
 
-def _element_block(builder, tables, local_mats, cells=slice(None)):
-    """Add the element matrices (nt, 9, 9) of the macro triangles `cells`."""
-    l2g = tables.loc2glob[cells]  # (nt,9)
-    rows = np.repeat(l2g[:, :, None], 9, axis=2)
-    cols = np.repeat(l2g[:, None, :], 9, axis=1)
-    builder.add(rows, cols, local_mats[cells])
-
-
-def _eval_field(fn, points):
-    pts = points.reshape(-1, 2)
-    return np.asarray(fn(pts), dtype=float)
-
-
 def _patch_sum(values, slots, size):
     """Sum per-subtriangle values (nt, 6, m, ...) into `size` patch slots:
     entry j of subtriangle s adds into slot slots[s, j]."""
@@ -217,13 +225,13 @@ def _body_force_rhs(builder, tables, f):
         return
     bary, wts = triangle_barycentric(4)
     for block, pts in _quadrature_blocks(tables, 4):
-        fv = _eval_field(f, pts).reshape(pts.shape)
+        fv = _eval_vec(f, pts)
         corner_moments = (2.0 * tables.sub_areas[block, :, None, None]) * (
             (wts * bary.T) @ fv
         )
         F = _patch_sum(corner_moments, tables.subdiv.SUBTRIANGLES, 7)
         loc = np.einsum("tkai,tai->tk", tables.basis_node_values[block], F)
-        np.add.at(builder.rhs, tables.loc2glob[block], loc)
+        builder.add_loads(tables.loc2glob[block], loc)
 
 
 def _brinkman_matrix(tables, mu, sigma):
@@ -267,19 +275,6 @@ def _elastic_matrix(tables, mu, lam):
     D = tables.basis_div
     K += lam * np.einsum("t,tk,tl->tkl", tables.areas, D, D)
     return K
-
-
-def _coupling_and_source(builder, tables, n_vel, g, fold_sign=-1.0):
-    """-B blocks (folded sign) and the -int g q right-hand side."""
-    nt = tables.loc2glob.shape[0]
-    D = tables.basis_div * tables.areas[:, None]  # (nt,9): b(1_T, psi_k)
-    prows = n_vel + np.repeat(np.arange(nt), 9)
-    ucols = tables.loc2glob.ravel()
-    builder.add(prows, ucols, fold_sign * D.ravel())
-    builder.add(ucols, prows, fold_sign * D.ravel())
-    if g is not None:
-        ints = cell_integrals(g, tables)
-        builder.rhs[n_vel : n_vel + nt] += fold_sign * ints
 
 
 def _constant_in_kernel(C):
@@ -326,23 +321,42 @@ def _elasticity_interior(space, coeffs):
     tables = space.tables
     mu, lam = coeffs.validate_elasticity(space.mesh.num_triangles)
     builder = _Builder(space.n_velocity)
-    _element_block(builder, tables, _elastic_matrix(tables, mu, lam))
+    builder.add_blocks(tables.loc2glob, _elastic_matrix(tables, mu, lam))
     _body_force_rhs(builder, tables, coeffs.f)
     return builder, mu, lam
 
 
-def _brinkman_interior(space, coeffs):
-    """Validated (mu, sigma) and a builder holding the volume terms: the
-    viscous + mass block, the body load and the pressure coupling with its
-    source."""
-    tables = space.tables
+def _brinkman_fields(space, coeffs):
+    """Validated per-triangle (mu, sigma): mu + sigma > 0, and mu = 0
+    nowhere on a space with a Dirichlet side, where it is ill-posed. Every
+    Brinkman assembler and every value of a viscosity sweep checks this."""
+    mu, sigma = coeffs.validate_brinkman(space.mesh.num_triangles)
+    clamped = any(isinstance(bc, Dirichlet) for bc in space.bc.values())
+    if clamped and mu.min() == 0.0:
+        raise ConfigurationError(
+            "mu = 0 with full Dirichlet constraints is ill-posed; use "
+            "normal-only (NormalZero) constraints there"
+        )
+    return mu, sigma
+
+
+def _brinkman_interior(space, coeffs, mu, sigma):
+    """A builder holding the volume terms at viscosity mu and drag sigma:
+    the viscous + mass block, the body load, the -B blocks and the
+    -int g q right-hand side."""
+    tables, n_vel = space.tables, space.n_velocity
     nt = space.mesh.num_triangles
-    mu, sigma = coeffs.validate_brinkman(nt)
-    builder = _Builder(space.n_velocity + nt)
-    _element_block(builder, tables, _brinkman_matrix(tables, mu, sigma))
+    builder = _Builder(n_vel + nt)
+    builder.add_blocks(tables.loc2glob, _brinkman_matrix(tables, mu, sigma))
     _body_force_rhs(builder, tables, coeffs.f)
-    _coupling_and_source(builder, tables, space.n_velocity, coeffs.g)
-    return builder, mu, sigma
+    D = tables.basis_div * tables.areas[:, None]  # (nt,9): b(1_T, psi_k)
+    prows = n_vel + np.repeat(np.arange(nt), 9)
+    ucols = tables.loc2glob.ravel()
+    builder.add(prows, ucols, -D.ravel())
+    builder.add(ucols, prows, -D.ravel())
+    if coeffs.g is not None:
+        builder.rhs[n_vel:] -= cell_integrals(coeffs.g, tables)
+    return builder
 
 
 def assemble_elasticity(space, coeffs, tractions=None):
@@ -357,20 +371,9 @@ def assemble_elasticity(space, coeffs, tractions=None):
 
 def assemble_brinkman(space, coeffs):
     """Brinkman saddle system (Stokes for sigma=0, Darcy for mu=0)."""
-    builder, mu, _ = _brinkman_interior(space, coeffs)
-    _check_viscous_constraints(space, mu)
-    return _reduce(space, builder, space.mesh.num_triangles)
-
-
-def _check_viscous_constraints(space, mu):
-    """Reject mu = 0 anywhere on a space with full Dirichlet constraints."""
-    if mu.min() == 0.0 and any(
-        isinstance(bc, Dirichlet) for bc in space.bc.values()
-    ):
-        raise ConfigurationError(
-            "mu = 0 with full Dirichlet constraints is ill-posed; use "
-            "normal-only (NormalZero) constraints there"
-        )
+    mu, sigma = _brinkman_fields(space, coeffs)
+    return _reduce(space, _brinkman_interior(space, coeffs, mu, sigma),
+                   space.mesh.num_triangles)
 
 
 def _viscosity_sweep(space, coeffs, swept):
@@ -382,32 +385,28 @@ def _viscosity_sweep(space, coeffs, swept):
     S_rest + m S_swept, matrix and right-hand side alike. S_rest is the
     whole system with mu = 0 on `swept`; S_swept the unit viscous term on
     `swept` alone (no load, no pressure coupling, no mass). Both are
-    assembled and reduced once; each m is checked as `assemble_brinkman`
-    checks its coefficients and costs one sparse sum; the multiplier row,
-    if any, is S_rest's. The values agree with `assemble_brinkman` at the
-    same coefficients to rounding, not bit for bit."""
+    assembled and reduced once, each m costs one sparse sum and is checked
+    by `_brinkman_fields` (S_rest is not: its mu is zero on `swept` by
+    construction); the multiplier row, if any, is S_rest's. The values
+    agree with `assemble_brinkman` at the same coefficients to rounding,
+    not bit for bit."""
     tables = space.tables
-    nt, n_vel = space.mesh.num_triangles, space.n_velocity
+    nt = space.mesh.num_triangles
     mu, sigma = coeffs.fields(nt)
     # the smaller part first: its reduced form is what stays alive while
     # the other one is assembled
-    unit = _Builder(n_vel + nt)
-    _element_block(unit, tables,
-                   _brinkman_matrix(tables, swept.astype(float), np.zeros(nt)),
-                   swept)
+    unit = _Builder(space.n_velocity + nt)
+    unit.add_blocks(tables.loc2glob, _brinkman_matrix(
+        tables, swept.astype(float), np.zeros(nt)), swept)
     unit = _reduce(space, unit, nt)
-    rest = _Builder(n_vel + nt)
-    _element_block(rest, tables,
-                   _brinkman_matrix(tables, np.where(swept, 0.0, mu), sigma))
-    _body_force_rhs(rest, tables, coeffs.f)
-    _coupling_and_source(rest, tables, n_vel, coeffs.g)
-    rest = _reduce(space, rest, nt)
+    rest = _reduce(space, _brinkman_interior(
+        space, coeffs, np.where(swept, 0.0, mu), sigma), nt)
     unit_rhs = np.pad(unit.rhs, (0, rest.size - unit.size))
     unit.matrix.resize(rest.matrix.shape)
 
     def system(m):
-        at_m = ProblemCoefficients(mu=np.where(swept, m, mu), sigma=sigma)
-        _check_viscous_constraints(space, at_m.validate_brinkman(nt)[0])
+        _brinkman_fields(space, ProblemCoefficients(
+            mu=np.where(swept, m, mu), sigma=sigma))
         return SaddleSystem(space, rest.matrix + m * unit.matrix,
                             rest.rhs + m * unit_rhs, nt, rest.has_multiplier)
 
@@ -508,24 +507,16 @@ def _outer(x, y):
     return x[..., :, None] * y[..., None, :]
 
 
-def _add_face_blocks(builder, faces, blocks, keep=None):
-    """Add local (nf, nb, 9, 9) blocks face by face, then block by block:
-    the builder's insertion order fixes the order in which duplicates sum.
-    `keep` (nf, nb) drops the blocks a face does not have."""
-    rows = np.broadcast_to(faces.l2g[:, None, :, None], blocks.shape)
-    cols = np.broadcast_to(faces.l2g[:, None, None, :], blocks.shape)
-    if keep is not None:
-        rows, cols, blocks = rows[keep], cols[keep], blocks[keep]
-    builder.add(rows, cols, blocks)
-
-
-def _add_face_rhs(builder, faces, vals, keep=None):
-    """np.add.at of local (nf, nb, 9) loads, face by face, then block by
-    block, so every right-hand-side entry sums in the same order."""
-    idx = np.broadcast_to(faces.l2g[:, None, :], vals.shape)
-    if keep is not None:
-        idx, vals = idx[keep], vals[keep]
-    np.add.at(builder.rhs, idx, vals)
+def _nitsche_pair(int_tr, stress, penalty, int_tr_tr):
+    """The two Nitsche blocks of each face half, stacked on axis 2 as
+    (nf, 2, 2, 9, 9): -c(u,v) - c(v,u), c the outer product of the test
+    trace integrals int_tr (nf, 2, 9) and the trial stress (nf, 2, 9), and
+    the penalty (nf,) times the trace products int_tr_tr (nf, 2, 9, 9)."""
+    cmat = _outer(int_tr, stress)
+    return np.stack([
+        -(cmat + np.swapaxes(cmat, -1, -2)),
+        penalty[:, None, None, None] * int_tr_tr,
+    ], axis=2)
 
 
 def _traction_rhs(builder, space, tractions):
@@ -535,12 +526,11 @@ def _traction_rhs(builder, space, tractions):
     for tag in np.unique(faces.tag):
         spec = tractions[tag]
         on = faces.tag == tag
-        pts = faces.points[on]
-        density[on] = _eval_vec(spec, pts.reshape(-1, 2)).reshape(pts.shape)
+        density[on] = _eval_vec(spec, faces.points[on])
     vals = faces.length[..., None] * np.einsum(
         "q,fsqi,fskqi->fsk", faces.qw, density, faces.traces
     )
-    _add_face_rhs(builder, faces, vals)
+    builder.add_loads(faces.l2g[:, None], vals)
 
 
 def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g=None):
@@ -567,7 +557,7 @@ def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g=None):
     on_d = np.isin(faces.tag, list(dirichlet_tags))
     pen = coeffs.gamma / h
     mu_t = mu[faces.tri]
-    pen_mu = (pen * mu_t)[:, None, None]
+    pen_mu = pen * mu_t
 
     G = faces.grads
     E = 0.5 * (G + np.swapaxes(G, -1, -2))
@@ -587,35 +577,32 @@ def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g=None):
     # per face: the lambda-penalty on face means (gamma/h) lam |E| mean mean;
     # per half: -c(u,v) - c(v,u) and the mu-penalty on normal traces, then
     # the same two tangential terms on the Dirichlet part
-    cmat_n = _outer(int_trn, sig_nn)  # test k trace, trial l stress
-    cmat_t = _outer(int_trt, sig_nt)
-    halves = np.stack([
-        -(cmat_n + np.swapaxes(cmat_n, -1, -2)),
-        pen_mu[..., None] * int_trn_trn,
-        -(cmat_t + np.swapaxes(cmat_t, -1, -2)),
-        pen_mu[..., None] * int_trt_trt,
+    halves = np.concatenate([
+        _nitsche_pair(int_trn, sig_nn, pen_mu, int_trn_trn),
+        _nitsche_pair(int_trt, sig_nt, pen_mu, int_trt_trt),
     ], axis=2).reshape(nf, 8, 9, 9)
     means = (pen * lam * h)[:, None, None] * _outer(mean_n, mean_n)
     keep = np.ones((nf, 9), dtype=bool)
     keep[:, [3, 4, 7, 8]] = on_d[:, None]
     blocks = np.concatenate([means[:, None], halves], axis=1)
-    _add_face_blocks(builder, faces, blocks, keep)
+    builder.add_blocks(faces.l2g[:, None], blocks, keep)
 
     # loads: per half g.n then g.t (Dirichlet part), then the face-mean g.n
     if g is not None:
-        gv = _eval_field(g, faces.points).reshape(faces.points.shape)
+        gv = _eval_vec(g, faces.points)
         g_n = (gv @ n[:, None, :, None])[..., 0]
         g_t = (gv @ tau[:, None, :, None])[..., 0]
         int_gn_trn, int_gn = faces.moments(g_n, tr_n)
         int_gt_trt, int_gt = faces.moments(g_t, tr_t)
         rhs = np.zeros((nf, 5, 9))
-        rhs[:, 0:4:2] = pen_mu * int_gn_trn - sig_nn * int_gn[..., None]
-        rhs[:, 1:4:2] = pen_mu * int_gt_trt - sig_nt * int_gt[..., None]
+        w = pen_mu[:, None, None]
+        rhs[:, 0:4:2] = w * int_gn_trn - sig_nn * int_gn[..., None]
+        rhs[:, 1:4:2] = w * int_gt_trt - sig_nt * int_gt[..., None]
         mean_gn = 0.0 + int_gn[:, 0] + int_gn[:, 1]
         rhs[:, 4] = (pen * lam * mean_gn)[:, None] * mean_n
         keep = np.ones((nf, 5), dtype=bool)
         keep[:, 1:4:2] = on_d[:, None]
-        _add_face_rhs(builder, faces, rhs, keep)
+        builder.add_loads(faces.l2g[:, None], rhs, keep)
     return _reduce(space, builder)
 
 
@@ -626,7 +613,8 @@ def assemble_nitsche_brinkman_tangential(space, coeffs):
     faces; for mu = 0 every added term vanishes, so the Darcy limit is the
     plain saddle system on the constrained space.
     """
-    builder, mu, _ = _brinkman_interior(space, coeffs)
+    mu, sigma = _brinkman_fields(space, coeffs)
+    builder = _brinkman_interior(space, coeffs, mu, sigma)
     mesh = space.mesh
     tags = [tag for tag, bc in space.bc.items() if isinstance(bc, NormalZero)]
     viscous = mu[mesh.edge_tris[mesh.boundary_edges, 0]] != 0.0
@@ -636,13 +624,8 @@ def assemble_nitsche_brinkman_tangential(space, coeffs):
     # t.(mu grad u n)
     dun_t = mu_t[:, None, None] * _sandwich(tau, faces.grads, n)
     int_trt, int_trt_trt = faces.integrals(faces.along(tau))
-    cmat = _outer(int_trt, dun_t)
-    pen_mu = (coeffs.gamma / faces.h) * mu_t
-    halves = np.stack([
-        -(cmat + np.swapaxes(cmat, -1, -2)),
-        pen_mu[:, None, None, None] * int_trt_trt,
-    ], axis=2)
-    _add_face_blocks(builder, faces, halves.reshape(len(faces.tri), 4, 9, 9))
+    builder.add_blocks(faces.l2g[:, None, None], _nitsche_pair(
+        int_trt, dun_t, (coeffs.gamma / faces.h) * mu_t, int_trt_trt))
     return _reduce(space, builder, mesh.num_triangles)
 
 
@@ -657,7 +640,8 @@ def assemble_nitsche_slip(space, coeffs, slip_tags=None):
     matrix non-symmetric in the pressure / boundary-velocity coupling.
     Slipped on every face, a free space leaves the pressure level free.
     """
-    builder, mu, sigma = _brinkman_interior(space, coeffs)
+    mu, sigma = _brinkman_fields(space, coeffs)
+    builder = _brinkman_interior(space, coeffs, mu, sigma)
     faces = _Faces(space, _tag_mask(space.mesh, slip_tags))
     nf, t, n = len(faces.tri), faces.tri, faces.normal
     # n.(mu grad u n)

@@ -245,7 +245,7 @@ def boundary_flux_amplitudes(subdiv, value, edges):
     b = mesh.vertices[mesh.edges[edges, 1]]
     qx, qw = edge_rule(5)
     pts = a[:, None, :] + qx[None, :, None] * (b - a)[:, None, :]
-    vals = _eval_vec(value, pts.reshape(-1, 2)).reshape(len(edges), len(qx), 2)
+    vals = _eval_vec(value, pts)
     d = b - a
     lengths = np.linalg.norm(d, axis=1)
     normals = _perp_out(d) / lengths[:, None]
@@ -260,12 +260,13 @@ def boundary_flux_amplitudes(subdiv, value, edges):
 
 
 def _eval_vec(value, points):
+    """Values (..., 2) at points (..., 2) of a constant vector or of a
+    callable, which gets every point in one (n, 2) array."""
     points = np.atleast_2d(points)
     if callable(value):
-        return np.asarray(value(points), dtype=float).reshape(len(points), 2)
-    return np.broadcast_to(
-        np.asarray(value, dtype=float), (len(points), 2)
-    ).copy()
+        return np.asarray(value(points.reshape(-1, 2)),
+                          dtype=float).reshape(points.shape)
+    return np.broadcast_to(np.asarray(value, dtype=float), points.shape).copy()
 
 
 def build_space(subdiv, constraint="dirichlet"):
@@ -496,7 +497,6 @@ class FieldSolution:
     space: FESpace
     velocity: np.ndarray
     pressure: np.ndarray = None
-    multiplier: float = None
 
     def divergence(self):
         return self.space.tables.field_divergence(self.velocity)

@@ -153,7 +153,6 @@ def _polynomial_darcy_case():
     )
     return ManufacturedCase(
         name="darcy-polynomial",
-        model="darcy",
         coefficients=co,
         boundary={t: NormalZero() for t in ("left", "right", "top", "bottom")},
         velocity=velocity,

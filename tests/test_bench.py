@@ -108,7 +108,7 @@ class TestDarcyCase:
 
 class TestCooksCase:
     def test_plane_strain_conversion(self):
-        p = case_cooks(0.25, young=200.0)
+        p = case_cooks(0.25)
         assert p.mu == pytest.approx(80.0)
         assert p.lam == pytest.approx(80.0)
 
@@ -160,7 +160,6 @@ class TestErrorNorms:
         zero2 = lambda p: np.zeros((len(np.atleast_2d(p)), 2))
         case = ManufacturedCase(
             name="affine",
-            model="elasticity",
             coefficients=ProblemCoefficients(mu=1.0, lam=3.0, f=zero2),
             boundary={t: Dirichlet(u) for t in ("left", "right", "top", "bottom")},
             velocity=u,
@@ -250,7 +249,6 @@ class TestConvergenceRunner:
         zero2 = lambda p: np.zeros((len(np.atleast_2d(p)), 2))
         case = ManufacturedCase(
             name="zero",
-            model="stokes",
             coefficients=ProblemCoefficients(mu=1.0, sigma=0.0, f=zero2),
             boundary={t: Dirichlet((0.0, 0.0))
                       for t in ("left", "right", "top", "bottom")},

@@ -30,6 +30,7 @@ from mce.space import (
     NormalZero,
     _hat_gradients,
     build_space,
+    cell_integrals,
     fortin_interpolate,
     macro_divergence,
     project_p0,
@@ -397,15 +398,33 @@ def _boundary_faces(space, tags=None):
         yield _Face(space, e)
 
 
+def _add_element_matrices(builder, tables, K):
+    """Scatter (nt, 9, 9) element matrices in triangle order."""
+    l2g = tables.loc2glob
+    builder.add(np.repeat(l2g[:, :, None], 9, axis=2),
+                np.repeat(l2g[:, None, :], 9, axis=1), K)
+
+
+def _eval_points(fn, points):
+    """Values (..., 2) of fn at points (..., 2), in one call."""
+    return np.asarray(fn(points.reshape(-1, 2)), float).reshape(points.shape)
+
+
 def _reference_brinkman_interior(space, coeffs):
     tables = space.tables
     nt = space.mesh.num_triangles
     mu, sigma = coeffs.validate_brinkman(nt)
     builder = forms._Builder(space.n_velocity + nt)
-    forms._element_block(builder, tables,
-                         forms._brinkman_matrix(tables, mu, sigma))
+    _add_element_matrices(builder, tables,
+                          forms._brinkman_matrix(tables, mu, sigma))
     forms._body_force_rhs(builder, tables, coeffs.f)
-    forms._coupling_and_source(builder, tables, space.n_velocity, coeffs.g)
+    D = tables.basis_div * tables.areas[:, None]
+    prows = space.n_velocity + np.repeat(np.arange(nt), 9)
+    ucols = tables.loc2glob.ravel()
+    builder.add(prows, ucols, -D.ravel())
+    builder.add(ucols, prows, -D.ravel())
+    if coeffs.g is not None:
+        builder.rhs[space.n_velocity:] -= cell_integrals(coeffs.g, tables)
     return builder, mu, sigma
 
 
@@ -413,7 +432,8 @@ def _reference_elasticity_interior(space, coeffs):
     tables = space.tables
     mu, lam = coeffs.validate_elasticity(space.mesh.num_triangles)
     builder = forms._Builder(space.n_velocity)
-    forms._element_block(builder, tables, forms._elastic_matrix(tables, mu, lam))
+    _add_element_matrices(builder, tables,
+                          forms._elastic_matrix(tables, mu, lam))
     forms._body_force_rhs(builder, tables, coeffs.f)
     return builder, mu, lam
 
@@ -429,7 +449,7 @@ def reference_assemble_elasticity(space, coeffs, tractions=None):
             for seg in face.segments:
                 pts = seg.points(qx)
                 tv = (
-                    forms._eval_field(spec, pts)
+                    _eval_points(spec, pts)
                     if callable(spec)
                     else np.broadcast_to(np.asarray(spec, float), (len(qx), 2))
                 )
@@ -491,7 +511,7 @@ def reference_assemble_nitsche_elasticity(space, coeffs, dirichlet_tags,
 
             pts = seg.points(qx)
             if g is not None:
-                gv = forms._eval_field(g, pts) @ n
+                gv = _eval_points(g, pts) @ n
                 int_g_trn = seg.length * np.einsum("q,q,kq->k", qw, gv, tr_n)
                 int_g = seg.length * float(np.einsum("q,q->", qw, gv))
                 mean_gn += int_g
@@ -500,7 +520,7 @@ def reference_assemble_nitsche_elasticity(space, coeffs, dirichlet_tags,
                     (gamma / h) * mu_t * int_g_trn - sig_nn * int_g,
                 )
             if on_d and g is not None:
-                gt_tau = forms._eval_field(g, pts) @ tau
+                gt_tau = _eval_points(g, pts) @ tau
                 int_gt_trt = seg.length * np.einsum("q,q,kq->k", qw, gt_tau, tr_t)
                 int_gt = seg.length * float(np.einsum("q,q->", qw, gt_tau))
                 np.add.at(
@@ -668,6 +688,12 @@ class TestBoundaryTermsMatchFaceLoops:
         mu[first[::2]] = 0.0
         coeffs = ProblemCoefficients(mu=mu, sigma=2.0, gamma=9.0, f=_load,
                                      g=lambda p: p[:, 0] - 0.5)
+        if any(isinstance(bc, Dirichlet) for bc in oracle_space.bc.values()):
+            # mu = 0 with a clamped side is refused; compare at mu > 0
+            with pytest.raises(ConfigurationError, match="ill-posed"):
+                assemble_nitsche_brinkman_tangential(oracle_space, coeffs)
+            coeffs = ProblemCoefficients(mu=0.7, sigma=2.0, gamma=9.0,
+                                         f=_load, g=coeffs.g)
         assert_bitwise(
             assemble_nitsche_brinkman_tangential(oracle_space, coeffs),
             reference_assemble_nitsche_brinkman_tangential(oracle_space,
@@ -775,6 +801,42 @@ class TestMultiplierRule:
                                    atol=1e-13 * np.abs(direct.rhs).max())
 
 
+def _sweep_at_zero(space, coeffs):
+    """The viscosity sweep of `coeffs` over every other triangle, at 0."""
+    swept = np.arange(space.mesh.num_triangles) % 2 == 0
+    rest = ProblemCoefficients(mu=np.where(swept, 0.0, 1.0),
+                               sigma=coeffs.sigma, f=coeffs.f)
+    return forms._viscosity_sweep(space, rest, swept)(0.0)
+
+
+# one clamped side; the others normal-only or natural
+CLAMPED_LEFT = {"left": Dirichlet((0.0, 0.0)), "right": NormalZero(),
+                "top": Free(), "bottom": Free()}
+
+
+class TestViscousRule:
+    """mu = 0 is ill-posed on a space with a Dirichlet side: every
+    Brinkman assembler and every value of a viscosity sweep refuses it,
+    and accepts it on normal-only and free spaces."""
+
+    @pytest.mark.parametrize("assemble", [
+        assemble_brinkman,
+        assemble_nitsche_brinkman_tangential,
+        assemble_nitsche_slip,
+        _sweep_at_zero,
+    ], ids=["brinkman", "tangential", "slip", "sweep"])
+    @pytest.mark.parametrize("constraint", ["clamped-left", "normal", "free"])
+    def test_mu_zero(self, sub3, constraint, assemble):
+        space = build_space(sub3, CLAMPED_LEFT if constraint == "clamped-left"
+                            else constraint)
+        coeffs = ProblemCoefficients(mu=0.0, sigma=1.0, f=_load)
+        if constraint == "clamped-left":
+            with pytest.raises(ConfigurationError, match="mu = 0 with full"):
+                assemble(space, coeffs)
+        else:
+            assert assemble(space, coeffs).size > space.n_free_velocity
+
+
 def reference_viscous_matrix(tables, mu):
     G = reference_basis_grads(tables)
     return np.einsum(
@@ -800,7 +862,7 @@ def reference_body_force_rhs(builder, tables, f, degree=4):
     bary, wts = triangle_barycentric(degree)
     corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
     pts = np.einsum("qc,tsci->tsqi", bary, corners)
-    fv = forms._eval_field(f, pts).reshape(pts.shape)
+    fv = _eval_points(f, pts)
     corner_values = tables.basis_node_values[:, :, tables.subdiv.SUBTRIANGLES]
     basis_q = np.einsum("qc,tksci->tksqi", bary, corner_values)
     loc = 2.0 * np.einsum(
