@@ -4,8 +4,9 @@ OPTIONS gives every option's type, default, help and choices; SUBCOMMANDS
 gives each subcommand the options its runner reads, and a subcommand
 accepts no other flag or config key. Flag values take precedence over the
 config file, which takes precedence over defaults. Exit codes: 0 success,
-1 configuration error, 2 solver failure. Runs write byte-identical outputs
-for identical configs (assembly and solves are deterministic and serial).
+1 configuration error, 2 solver failure or out of memory. Runs write
+byte-identical outputs for identical configs (assembly and solves are
+deterministic and serial).
 """
 
 import argparse
@@ -200,7 +201,7 @@ def run_brinkman(config):
     scenarios = (
         bench.SCENARIOS if config.scenario == "both" else (config.scenario,)
     )
-    # the scenarios share one mesh, its tables and its VTK mesh text
+    # the scenarios share one subdivided mesh and its element tables
     for result in bench.run_brinkman_scenarios(scenarios, config.mu,
                                                n=config.grid):
         out = _ensure_out(config)
@@ -278,6 +279,10 @@ def main(argv=None):
         return 1
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,12 @@
 import os
 import re
+import resource
 import shlex
+import struct
 import subprocess
 import sys
 import warnings
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -163,11 +166,11 @@ class TestBrinkmanCommand:
         assert "pressure block nullspace" not in err
 
     def test_one_mesh_for_both_scenarios(self, tmp_path, monkeypatch):
-        """Both scenarios share one subdivided mesh, one ElementTables and
-        one VTK mesh text; every file is the reference writer's bytes."""
-        from mce import cli, space as space_module, vtk
+        """Both scenarios share one subdivided mesh and one ElementTables;
+        every file reads back as the reference arrays and bytes."""
+        from mce import cli, space as space_module
 
-        subdivisions, tables, texts, written = [], [], [], []
+        subdivisions, tables, written = [], [], []
 
         def counting_subdivide(*args, **kwargs):
             subdivisions.append(subdivide(*args, **kwargs))
@@ -178,12 +181,6 @@ class TestBrinkmanCommand:
                 tables.append(subdiv)
                 super().__init__(subdiv)
 
-        mesh_sections = vtk.mesh_sections
-
-        def counting_sections(subdiv):
-            texts.append(subdiv)
-            return mesh_sections(subdiv)
-
         def recording_write_vtk(solution, path, title):
             written.append((solution, path, title))
             write_vtk(solution, path, title=title)
@@ -191,18 +188,14 @@ class TestBrinkmanCommand:
         monkeypatch.setattr(bench, "subdivide", counting_subdivide)
         monkeypatch.setattr(bench, "ElementTables", CountingTables)
         monkeypatch.setattr(space_module, "ElementTables", CountingTables)
-        monkeypatch.setattr(vtk, "mesh_sections", counting_sections)
         monkeypatch.setattr(cli, "write_vtk", recording_write_vtk)
         assert run(["brinkman", "--grid", "4", "--out", str(tmp_path)]) == 0
         assert len(subdivisions) == 1
         assert tables == subdivisions
-        assert texts == subdivisions
         assert len(written) == 8
         for solution, path, title in written:
             assert solution.space.subdiv is subdivisions[0]
-            expected = tmp_path / "expected.vtk"
-            reference_write_vtk(solution, str(expected), title=title)
-            assert Path(path).read_bytes() == expected.read_bytes()
+            assert_vtk_matches_reference(path, solution, title)
 
 
 class TestMeshInfo:
@@ -568,8 +561,72 @@ class TestReadme:
         assert args.subcommand in ACCEPTED
 
 
-def reference_write_vtk(solution, path, title="mce solution"):
-    """Line-by-line writer: one f-string per line, one repr per value."""
+VtkFile = namedtuple("VtkFile",
+                     "title points cells cell_types velocity pressure")
+
+
+def read_legacy_vtk(path):
+    """Read a binary legacy VTK 2.0 unstructured grid as mce writes it.
+
+    Every header line and count is checked, each block is read with
+    np.frombuffer and must end in a newline, and no bytes may trail the
+    last block. Arrays come back as (n, 3) points and velocities, (ncells,
+    3) cell point ids, and per-cell types and pressures."""
+    data = Path(path).read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode(), end + 1
+        return text
+
+    def block(dtype, count, width=1):
+        nonlocal pos
+        size = np.dtype(dtype).itemsize * count * width
+        assert pos + size < len(data), "block runs past the end of the file"
+        values = np.frombuffer(data, dtype, count * width, pos)
+        pos += size
+        assert data[pos:pos + 1] == b"\n", "block not followed by a newline"
+        pos += 1
+        return values.reshape(count, width) if width > 1 else values
+
+    def count(expected_words):
+        words = line().split()
+        assert len(words) == len(expected_words) + 1
+        assert [w for w in words if not w.isdigit()] == expected_words
+        return int(words[1])
+
+    assert line() == "# vtk DataFile Version 2.0"
+    title = line()
+    assert len(title) <= 256
+    assert line() == "BINARY"
+    assert line() == "DATASET UNSTRUCTURED_GRID"
+    npoints = count(["POINTS", "double"])
+    points = block(">f8", npoints, 3)
+    words = line().split()
+    assert words[0] == "CELLS" and len(words) == 3
+    ncells, size = int(words[1]), int(words[2])
+    assert size == 4 * ncells
+    cells = block(">i4", ncells, 4)
+    assert (cells[:, 0] == 3).all()  # each cell lists 3 point ids
+    assert count(["CELL_TYPES"]) == ncells
+    cell_types = block(">i4", ncells)
+    assert count(["POINT_DATA"]) == npoints
+    assert line() == "VECTORS velocity double"
+    velocity = block(">f8", npoints, 3)
+    assert count(["CELL_DATA"]) == ncells
+    assert line() == "SCALARS pressure double 1"
+    assert line() == "LOOKUP_TABLE default"
+    pressure = block(">f8", ncells)
+    assert pos == len(data), f"{len(data) - pos} bytes trail the last block"
+    return VtkFile(title, points, cells[:, 1:], cell_types, velocity,
+                   pressure)
+
+
+def reference_vtk_arrays(solution):
+    """Points (npoints, 2), cells (ncells, 3), velocity (npoints, 2) and
+    per-cell pressure, built one step at a time from the mesh and tables."""
     space = solution.space
     mesh = space.mesh
     tables = space.tables
@@ -589,32 +646,54 @@ def reference_write_vtk(solution, path, title="mce solution"):
     )
     velocity[gids.ravel()] = node_values.reshape(-1, 2)
     cells = gids[:, space.subdiv.SUBTRIANGLES].reshape(-1, 3)
-    ncells = len(cells)
     pressure = solution.pressure
     if pressure is None:
         pressure = np.zeros(nt)
     cell_pressure = np.repeat(np.asarray(pressure, dtype=float), 6)
-    lines = [
-        "# vtk DataFile Version 2.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {npoints} float",
+    return points, cells, velocity, cell_pressure
+
+
+def reference_write_vtk(solution, path, title="mce solution"):
+    """Line-by-line writer: one header line at a time, one struct.pack per
+    point, cell and value."""
+    points, cells, velocity, cell_pressure = reference_vtk_arrays(solution)
+    npoints, ncells = len(points), len(cells)
+    xyz = [struct.pack(">3d", x, y, 0.0) for x, y in points.tolist()]
+    uvw = [struct.pack(">3d", u, v, 0.0) for u, v in velocity.tolist()]
+    parts = [
+        "# vtk DataFile Version 2.0\n", f"{title}\n", "BINARY\n",
+        "DATASET UNSTRUCTURED_GRID\n", f"POINTS {npoints} double\n",
+        *xyz, "\n",
+        f"CELLS {ncells} {4 * ncells}\n",
+        *(struct.pack(">4i", 3, a, b, c) for a, b, c in cells.tolist()),
+        "\n", f"CELL_TYPES {ncells}\n",
+        *(struct.pack(">i", 5) for _ in range(ncells)), "\n",
+        f"POINT_DATA {npoints}\n", "VECTORS velocity double\n", *uvw, "\n",
+        f"CELL_DATA {ncells}\n", "SCALARS pressure double 1\n",
+        "LOOKUP_TABLE default\n",
+        *(struct.pack(">d", p) for p in cell_pressure.tolist()), "\n",
     ]
-    lines += [f"{x!r} {y!r} 0.0" for x, y in points.tolist()]
-    lines.append(f"CELLS {ncells} {4 * ncells}")
-    lines += [f"3 {a} {b} {c}" for a, b, c in cells.tolist()]
-    lines.append(f"CELL_TYPES {ncells}")
-    lines += ["5"] * ncells
-    lines.append(f"POINT_DATA {npoints}")
-    lines.append("VECTORS velocity float")
-    lines += [f"{vx!r} {vy!r} 0.0" for vx, vy in velocity.tolist()]
-    lines.append(f"CELL_DATA {ncells}")
-    lines.append("SCALARS pressure float 1")
-    lines.append("LOOKUP_TABLE default")
-    lines += [repr(p) for p in cell_pressure.tolist()]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        for part in parts:
+            fh.write(part.encode() if isinstance(part, str) else part)
+
+
+def assert_vtk_matches_reference(path, solution, title):
+    """The file read back equals the reference arrays exactly, and its
+    bytes equal the line-by-line writer's."""
+    got = read_legacy_vtk(path)
+    points, cells, velocity, cell_pressure = reference_vtk_arrays(solution)
+    assert got.title == title
+    assert np.array_equal(got.points[:, :2], points)
+    assert np.array_equal(got.cells, cells)
+    assert (got.cell_types == 5).all()
+    assert np.array_equal(got.velocity[:, :2], velocity)
+    assert not got.points[:, 2].any() and not got.velocity[:, 2].any()
+    assert np.array_equal(got.pressure, cell_pressure)
+    expected = Path(path).with_name("expected.vtk")
+    reference_write_vtk(solution, str(expected), title=title)
+    assert Path(path).read_bytes() == expected.read_bytes()
+    return got
 
 
 class TestVtkWriter:
@@ -630,40 +709,26 @@ class TestVtkWriter:
         sol = self.make_solution(1)
         path = tmp_path / "f.vtk"
         write_vtk(sol, str(path))
-        text = path.read_text().splitlines()
-        assert any(l.startswith("CELLS 12 48") for l in text)
+        got = read_legacy_vtk(path)
+        assert got.cells.shape == (12, 3)
+        assert got.pressure.shape == (12,)
 
     def test_structure_valid_legacy_vtk(self, tmp_path):
         sol = self.make_solution(2)
         path = tmp_path / "f.vtk"
         write_vtk(sol, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# vtk DataFile Version 2.0"
-        assert lines[2] == "ASCII"
-        assert lines[3] == "DATASET UNSTRUCTURED_GRID"
-        i = 4
-        assert lines[i].startswith("POINTS ")
-        npts = int(lines[i].split()[1])
-        for k in range(npts):  # every point line has 3 coordinates
-            assert len(lines[i + 1 + k].split()) == 3
-        i += 1 + npts
-        ncells = int(lines[i].split()[1])
-        total = int(lines[i].split()[2])
-        assert total == 4 * ncells
-        for k in range(ncells):
-            parts = lines[i + 1 + k].split()
-            assert parts[0] == "3" and len(parts) == 4
-            assert all(0 <= int(p) < npts for p in parts[1:])
-        i += 1 + ncells
-        assert lines[i] == f"CELL_TYPES {ncells}"
-        assert all(l == "5" for l in lines[i + 1 : i + 1 + ncells])
-        i += 1 + ncells
-        assert lines[i] == f"POINT_DATA {npts}"
-        assert lines[i + 1] == "VECTORS velocity float"
-        i += 2 + npts
-        assert lines[i] == f"CELL_DATA {ncells}"
-        assert lines[i + 1] == "SCALARS pressure float 1"
-        assert lines[i + 2] == "LOOKUP_TABLE default"
+        got = read_legacy_vtk(path)
+        mesh = sol.space.mesh
+        npts = mesh.num_vertices + mesh.num_edges + mesh.num_triangles
+        assert got.title == "mce solution"
+        assert got.points.shape == got.velocity.shape == (npts, 3)
+        assert got.cells.shape == (6 * mesh.num_triangles, 3)
+        assert ((0 <= got.cells) & (got.cells < npts)).all()
+        # every point is a vertex of some cell, and no cell repeats a point
+        assert np.array_equal(np.unique(got.cells), np.arange(npts))
+        assert (np.diff(np.sort(got.cells, axis=1), axis=1) > 0).all()
+        assert (got.cell_types == 5).all()
+        assert not got.points[:, 2].any()
 
     @pytest.mark.parametrize("make", [
         lambda: bench.solve_case(bench.case_stokes(), 4)[0],
@@ -672,27 +737,94 @@ class TestVtkWriter:
         "hand-set",
     ], ids=["stokes", "coupling", "cooks", "hand-set"])
     def test_bytes_match_line_by_line_writer(self, tmp_path, make):
+        special = [-0.0, 1e-300, 1e300, -2.5, 0.1]
         if make == "hand-set":
             sol = self.make_solution(2)
-            special = [-0.0, 1e-300, 1e300, -2.5, 0.1]
             sol.velocity = np.resize(special, sol.velocity.shape)
             sol.pressure = np.resize(special, sol.pressure.shape)
         else:
             sol = make()
-        path, expected = tmp_path / "f.vtk", tmp_path / "expected.vtk"
+        path = tmp_path / "f.vtk"
         write_vtk(sol, str(path), title="case")
-        reference_write_vtk(sol, str(expected), title="case")
-        assert path.read_bytes() == expected.read_bytes()
+        got = assert_vtk_matches_reference(path, sol, "case")
+        if make == "hand-set":
+            # every pressure comes back bit for bit, -0.0 with its sign bit
+            expected = np.repeat(sol.pressure, 6)
+            assert got.pressure.tobytes() == expected.astype(">f8").tobytes()
+            assert set(got.pressure.tolist()) == set(special)
+            assert np.signbit(got.pressure[expected == 0]).all()
 
     def test_constant_field_constant_point_data(self, tmp_path):
         sol = self.make_solution(2)
         path = tmp_path / "f.vtk"
         write_vtk(sol, str(path))
-        lines = path.read_text().splitlines()
-        start = lines.index("VECTORS velocity float") + 1
-        npts = int(lines[4].split()[1])
-        values = np.array(
-            [[float(v) for v in lines[start + k].split()] for k in range(npts)]
-        )
+        values = read_legacy_vtk(path).velocity
         expected = np.broadcast_to([1.5, -0.5, 0.0], values.shape)
         np.testing.assert_allclose(values, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("title", ["two\nlines", "cr\rtitle", "x" * 257],
+                             ids=["two-lines", "carriage-return", "257-chars"])
+    def test_title_not_one_short_line_refused(self, tmp_path, title):
+        path = tmp_path / "f.vtk"
+        with pytest.raises(ValueError, match="one line of at most 256"):
+            write_vtk(self.make_solution(1), str(path), title=title)
+        assert not path.exists()
+
+    def test_title_of_256_characters_written(self, tmp_path):
+        path = tmp_path / "f.vtk"
+        write_vtk(self.make_solution(1), str(path), title="x" * 256)
+        assert read_legacy_vtk(path).title == "x" * 256
+
+    @pytest.mark.parametrize("field", ["velocity", "pressure"])
+    def test_field_length_must_match_the_space(self, tmp_path, field):
+        sol = self.make_solution(2)
+        setattr(sol, field, getattr(sol, field)[:3])
+        path = tmp_path / "f.vtk"
+        with pytest.raises(ValueError, match=f"{field} has shape \\(3,\\)"):
+            write_vtk(sol, str(path))
+        assert not path.exists()
+
+
+class TestCliVtkReadBack:
+    """Every VTK file the CLI writes reads back as a valid legacy file."""
+
+    @pytest.mark.parametrize("args, files", [
+        (["stokes", "--levels", "2,3,4"], 1),
+        (["cooks", "--levels", "4"], 1),
+        (["brinkman", "--grid", "4"], 8),
+    ], ids=["stokes", "cooks", "brinkman"])
+    def test_every_file_reads_back(self, tmp_path, args, files):
+        assert run(args + ["--out", str(tmp_path)]) == 0
+        paths = sorted(tmp_path.glob("*.vtk"))
+        assert len(paths) == files
+        for path in paths:
+            got = read_legacy_vtk(path)
+            npoints, ncells = len(got.points), len(got.cells)
+            assert len(got.velocity) == npoints
+            assert len(got.cell_types) == len(got.pressure) == ncells
+            assert ncells % 6 == 0
+            assert ((0 <= got.cells) & (got.cells < npoints)).all()
+            assert (got.cell_types == 5).all()
+            for values in (got.points, got.velocity, got.pressure):
+                assert np.isfinite(values).all()
+
+
+def test_out_of_memory_exits_2_by_name(tmp_path):
+    """A MemoryError ends in a named message and exit code 2, not a
+    traceback. The child alone runs under a 700 MB address-space limit."""
+    cap = 700 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(mce.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    script = "import sys\nfrom mce.cli import main\nsys.exit(main())\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "stokes", "--levels", "4,8,512",
+         "--out", str(tmp_path)],
+        env=env, preexec_fn=limit, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
