@@ -1,4 +1,4 @@
-"""Weak boundary conditions via Nitsche terms, three ways.
+"""Weak boundary conditions via Nitsche terms, two ways.
 
 1. Elasticity with the normal displacement prescribed weakly on the whole
    boundary and the tangential part on a Dirichlet portion. The volumetric
@@ -8,8 +8,6 @@
 2. The tangential Brinkman formulation: strong normal constraint, weak
    tangential one. Every added term carries the viscosity, so at mu = 0
    the formulation IS the plain Darcy saddle problem.
-3. Slip conditions imposed weakly on the normal component: raising the
-   penalty drives the boundary normal trace to zero monotonically.
 """
 
 import numpy as np
@@ -19,11 +17,8 @@ from mce.forms import (
     ProblemCoefficients,
     assemble_brinkman,
     assemble_nitsche_brinkman_tangential,
-    assemble_nitsche_slip,
-    boundary_normal_norm,
 )
 from mce.mesh import generate_unit_square_mesh, subdivide
-from mce.solve import solve
 from mce.space import build_space
 
 print("1. weakly imposed elasticity boundary conditions")
@@ -46,16 +41,3 @@ plain = assemble_brinkman(space, co)
 nit = assemble_nitsche_brinkman_tangential(space, co)
 print(f"   matrix difference entries: {(plain.matrix != nit.matrix).nnz} "
       f"(the two formulations coincide at mu = 0)")
-
-print("\n3. slip penalty drives the normal trace down")
-sub = subdivide(generate_unit_square_mesh(8))
-space = build_space(sub, "free")
-for gamma in (10.0, 100.0, 1000.0):
-    co = ProblemCoefficients(
-        mu=1.0, sigma=0.0, gamma=gamma,
-        f=lambda p: np.column_stack([p[:, 1] ** 2, np.zeros(len(p))]),
-    )
-    system = assemble_nitsche_slip(space, co)
-    u, _, _ = system.expand(solve(system).solution)
-    print(f"   gamma = {gamma:6g}: ||u.n|| on the boundary = "
-          f"{boundary_normal_norm(space, u):.3e}")

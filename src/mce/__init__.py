@@ -14,7 +14,6 @@ from .forms import (
     assemble_elasticity,
     assemble_nitsche_brinkman_tangential,
     assemble_nitsche_elasticity,
-    assemble_nitsche_slip,
 )
 from .mesh import (
     MacroMesh,
@@ -67,7 +66,6 @@ __all__ = [
     "assemble_elasticity",
     "assemble_nitsche_brinkman_tangential",
     "assemble_nitsche_elasticity",
-    "assemble_nitsche_slip",
     "build_mesh",
     "build_space",
     "eval_velocity",

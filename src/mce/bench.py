@@ -25,7 +25,6 @@ from .forms import (
     assemble_elasticity,
     assemble_nitsche_brinkman_tangential,
     assemble_nitsche_elasticity,
-    assemble_nitsche_slip,
     _viscosity_sweep,
 )
 from .mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
@@ -216,23 +215,15 @@ def case_elasticity(lam, mu=1.0):
     )
 
 
-# boundary modes of the flow cases in solve_case: "strong" constrains the
-# boundary conditions in the space (u.n only on NormalZero sides, whose
-# tangential condition carries mu as Nitsche terms, so mu = 0 is plain
-# Darcy); "nitsche-slip" imposes u.n = 0 weakly on a free space
-BC_MODES = ("strong", "nitsche-slip")
-
-
 def solve_case(case, n, bc_mode="strong", gamma=None):
     """Mesh the unit square at level n, assemble and solve one case.
 
-    Returns (FieldSolution, space, system, report). A flow case takes a
-    mode of BC_MODES, elasticity "strong" or "nitsche". Raises
-    ConfigurationError for the nitsche-slip mode on a case whose exact
-    solution it cannot carry.
+    Returns (FieldSolution, space, system, report). Elasticity takes
+    bc_mode "strong" or "nitsche", a flow case "strong" only: the space
+    constrains u.n on the NormalZero sides, whose tangential condition
+    carries mu as Nitsche terms, so mu = 0 is plain Darcy.
     """
-    mesh = generate_unit_square_mesh(n)
-    sub = subdivide(mesh, boundary_split="midpoint")
+    sub = subdivide(generate_unit_square_mesh(n), boundary_split="midpoint")
     co = case.coefficients
     if gamma is not None:
         co = ProblemCoefficients(
@@ -253,42 +244,10 @@ def solve_case(case, n, bc_mode="strong", gamma=None):
     elif bc_mode == "strong":
         space = build_space(sub, case.boundary)
         system = assemble_nitsche_brinkman_tangential(space, co)
-    elif bc_mode == "nitsche-slip":
-        _check_slip_fit(case, mesh, co)
-        space = build_space(sub, "free")
-        system = assemble_nitsche_slip(space, co)
     else:
-        raise ValueError(f"unknown bc mode {bc_mode!r}")
+        raise ValueError(f"unsupported mode {bc_mode!r} for a flow case")
     solution, report = _field(system)
     return solution, space, system, report
-
-
-def _check_slip_fit(case, mesh, co):
-    """ConfigurationError unless the exact fields satisfy what the slip
-    assembler imposes and takes no data for: u.n = 0 and, with mu > 0, a
-    zero tangential traction t.(mu grad u n), checked at the ends and
-    midpoints of the boundary edges against the largest |u| and |grad u|
-    at the vertices."""
-    ends = mesh.vertices[mesh.edges[mesh.boundary_edges]]
-    t = ends[:, 1] - ends[:, 0]
-    t /= np.linalg.norm(t, axis=1)[:, None]
-    t = np.tile(t, (3, 1))
-    n = np.column_stack([t[:, 1], -t[:, 0]])
-    points = np.concatenate([ends[:, 0], ends[:, 1], ends.mean(axis=1)])
-    un = np.abs(np.einsum("pi,pi->p", case.velocity(points), n)).max()
-    if un > 1e-10 * np.abs(case.velocity(mesh.vertices)).max():
-        datum = f"u.n up to {un:.3g} on the boundary"
-    elif np.max(co.mu) > 0 and np.abs(
-        np.einsum("pi,pij,pj->p", t, case.velocity_grad(points), n)
-    ).max() > 1e-10 * np.abs(case.velocity_grad(mesh.vertices)).max():
-        datum = "a nonzero tangential traction with mu > 0"
-    else:
-        return
-    raise ConfigurationError(
-        f"case {case.name!r} does not fit bc mode 'nitsche-slip': its exact "
-        f"solution has {datum}, and the slip mode imposes u.n = 0 and a zero "
-        f"tangential traction"
-    )
 
 
 def _field(system):
@@ -417,7 +376,7 @@ class ConvergenceRecord:
     finest: object = None
 
     COLUMNS = ["err_l2_u", "err_h1_u", "err_l2_p", "err_p0p", "err_div"]
-    # err_div is round-off under strong constraints: its slope is noise
+    # err_div is round-off in every flow case: its slope is noise
     RATED = COLUMNS[:-1]
 
     def add(self, level, n, nno, h, errors):
@@ -452,7 +411,7 @@ def _largest_edge(mesh):
     return float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).max())
 
 
-def run_convergence(case, levels, bc_mode="strong", gamma=None):
+def run_convergence(case, levels, gamma=None):
     """Assemble/solve the case over the levels and fit convergence slopes
     against h, the largest macro edge length of each level; at least 3
     strictly increasing levels, or a ConfigurationError."""
@@ -465,7 +424,7 @@ def run_convergence(case, levels, bc_mode="strong", gamma=None):
         # one live level: the previous level's solution, space and mesh
         # are dropped before the next level is solved
         record.finest = mesh = None
-        record.finest = solve_case(case, n, bc_mode=bc_mode, gamma=gamma)[0]
+        record.finest = solve_case(case, n, gamma=gamma)[0]
         mesh = record.finest.space.mesh
         record.add(idx, n, mesh.num_vertices, _largest_edge(mesh),
                    error_norms(record.finest, case))

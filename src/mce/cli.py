@@ -48,7 +48,6 @@ OPTIONS = {
     "mu": Option(_float_list, None, "viscosity; brinkman takes a list"),
     "sigma": Option(float, 1.0, "drag coefficient"),
     "gamma": Option(float, 10.0, "Nitsche penalty parameter"),
-    "bc": Option(str, "strong", "boundary condition mode", bench.BC_MODES),
     "mesh_file": Option(str, None, "mesh text file"),
     "out": Option(str, ".", "output directory"),
     "grid": Option(int, 40, "cells per side of the grid"),
@@ -59,7 +58,7 @@ OPTIONS = {
 # the options each subcommand's runner reads
 SUBCOMMANDS = {
     "stokes": ("levels", "out"),
-    "darcy": ("levels", "mu", "sigma", "bc", "gamma", "out"),
+    "darcy": ("levels", "mu", "sigma", "gamma", "out"),
     "cooks": ("levels", "nu", "out"),
     "brinkman": ("grid", "mu", "scenario", "out"),
     "mesh-info": ("grid", "mesh_file"),
@@ -172,7 +171,7 @@ def run_flow(config):
         mu = config.mu[0] if config.mu else 0.0
         record = bench.run_convergence(
             bench.case_darcy(mu=mu, sigma=config.sigma), config.levels,
-            bc_mode=config.bc, gamma=config.gamma)
+            gamma=config.gamma)
     out = _ensure_out(config)
     csv_path = os.path.join(out, f"{name}_convergence.csv")
     record.to_csv(csv_path)

@@ -627,55 +627,3 @@ def assemble_nitsche_brinkman_tangential(space, coeffs):
     builder.add_blocks(faces.l2g[:, None, None], _nitsche_pair(
         int_trt, dun_t, (coeffs.gamma / faces.h) * mu_t, int_trt_trt))
     return _reduce(space, builder, mesh.num_triangles)
-
-
-def assemble_nitsche_slip(space, coeffs, slip_tags=None):
-    """Brinkman with pure slip conditions imposed weakly on the normal
-    component on the faces tagged `slip_tags` (all for None):
-    A_B - c((u,p),v) - c((v,0),u) + s(u,v) with penalty weight
-    (gamma/h)(mu + sigma).
-
-    The pressure test function is deliberately absent from the second
-    c-form, which keeps per-triangle mass conservation exact but makes the
-    matrix non-symmetric in the pressure / boundary-velocity coupling.
-    Slipped on every face, a free space leaves the pressure level free.
-    """
-    mu, sigma = _brinkman_fields(space, coeffs)
-    builder = _brinkman_interior(space, coeffs, mu, sigma)
-    faces = _Faces(space, _tag_mask(space.mesh, slip_tags))
-    nf, t, n = len(faces.tri), faces.tri, faces.normal
-    # n.(mu grad u n)
-    dun_n = mu[t][:, None, None] * _sandwich(n, faces.grads, n)
-    int_trn, int_trn_trn = faces.integrals(faces.along(n))
-    cmat = _outer(int_trn, dun_n)
-    weight = (coeffs.gamma / faces.h) * (mu[t] + sigma[t])
-
-    # per half: -c((u,p),v) as test-trace x trial-stress and +int p (v.n),
-    # then -c((v,0),u) as test-stress x trial-trace (no pressure column),
-    # then the penalty
-    block, half = (nf, 2, 81), (nf, 2, 9, 9)
-    rows = np.broadcast_to(faces.l2g[:, None, :, None], half).reshape(block)
-    cols = np.broadcast_to(faces.l2g[:, None, None, :], half).reshape(block)
-    l2g = np.broadcast_to(faces.l2g[:, None, :], (nf, 2, 9))
-    prow = np.broadcast_to((space.n_velocity + t)[:, None, None], (nf, 2, 9))
-    builder.add(
-        np.concatenate([rows, l2g, rows, rows], axis=-1),
-        np.concatenate([cols, prow, cols, cols], axis=-1),
-        np.concatenate([
-            (-cmat).reshape(block),
-            int_trn,
-            (-np.swapaxes(cmat, -1, -2)).reshape(block),
-            (weight[:, None, None, None] * int_trn_trn).reshape(block),
-        ], axis=-1),
-    )
-    return _reduce(space, builder, space.mesh.num_triangles)
-
-
-def boundary_normal_norm(space, coeffs, tags=None):
-    """L2 norm of the velocity's normal trace over the (tagged) boundary."""
-    faces = _Faces(space, _tag_mask(space.mesh, tags))
-    local = space.tables.local_coeffs(coeffs)[faces.tri]
-    traces = np.einsum("fk,fskqi->fsqi", local, faces.traces)
-    un = (traces @ faces.normal[:, None, :, None])[..., 0]
-    return np.sqrt(np.sum(faces.length * np.einsum("q,fsq->fs", faces.qw,
-                                                   un**2)))

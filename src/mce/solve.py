@@ -9,9 +9,10 @@ preconditioner: du = K^-1 (r_u + r D^T W^-1 r_p), dp = r W^-1 (D du - r_p).
 Because div V_h equals the P0 pressure space exactly, K^-1 is a
 near-exact augmented-Lagrangian preconditioner, a few steps suffice, and
 the pressure block and the dense mean-zero multiplier row never enter a
-factorization. Building K from D^T rather than from the velocity-pressure
-block lets the non-symmetric Nitsche slip system share the path. A system
-that leaves its pressure level free is refused before any factoring. The
+factorization. Every assembled system is symmetric, so the
+velocity-pressure block is D^T, and where the mean-zero multiplier row is
+present, D^T 1 = 0. A system that leaves its pressure level free, as
+only a hand-built one can, is refused before any factoring. The
 factor is the one copy of K's LU that a solve keeps: a negligible pivot is
 found by inverse iteration on a fixed probe, never by reading L or U, of
 which SciPy would build and keep CSC copies. Every solve is certified
@@ -158,9 +159,8 @@ def _penalty_preconditioner(system):
         res_p = res[pre]
         dx = np.zeros_like(res)
         if system.has_multiplier:
-            # where D^T 1 = 0 (no flux through the boundary), summing the
-            # pressure rows leaves m sum(w) = sum(res_p); elsewhere the
-            # Krylov loop corrects this estimate
+            # the multiplier row is present only where D^T 1 = 0, so
+            # summing the pressure rows leaves m sum(w) = sum(res_p)
             dx[mrow] = res_p.sum() / weights.sum()
             res_p = res_p - weights * dx[mrow]
         du = lu.solve(res[vel] + r * (D.T @ (w_inv * res_p)))

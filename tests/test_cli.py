@@ -359,7 +359,7 @@ class TestConfigHandling:
         ("darcy --sigma nan --levels 2,3,4", "sigma"),
         ("darcy --mu inf --levels 2,3,4", "mu"),
         ("darcy --sigma inf --levels 2,3,4", "sigma"),
-        ("darcy --gamma nan --bc nitsche-slip --levels 2,3,4", "gamma"),
+        ("darcy --gamma nan --levels 2,3,4", "gamma"),
         ("brinkman --mu nan --grid 4 --scenario tangential", "mu"),
     ])
     @pytest.mark.parametrize("from_config", [False, True])
@@ -374,26 +374,13 @@ class TestConfigHandling:
         assert run([subcommand, *flags, "--out", str(tmp_path)]) == 1
         assert f"{name} must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, datum", [
-        # the Brinkman variant of Darcy has a tangential traction
-        ("darcy --mu 0.1", "nonzero tangential traction"),
-    ])
-    def test_slip_without_its_data_exits_1(self, tmp_path, capsys, command,
-                                           datum):
-        out = tmp_path / "out"
-        code = run([*shlex.split(command), "--bc", "nitsche-slip",
-                    "--levels", "4,8,16", "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "does not fit bc mode 'nitsche-slip'" in err
-        assert datum in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", [
         # stokes has one boundary formulation
         "stokes --bc strong", "stokes --gamma 3",
         # folded into strong, which carries mu through tangential terms
         "darcy --bc nitsche-tangential",
+        # darcy has one boundary formulation too
+        "darcy --bc nitsche-slip", "darcy --bc strong",
     ])
     def test_removed_boundary_options_exit_1(self, tmp_path, capsys,
                                              command):
@@ -402,10 +389,6 @@ class TestConfigHandling:
                     "--out", str(out)]) == 1
         assert "usage: mce" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_darcy_slip_still_runs(self, tmp_path):
-        assert run(["darcy", "--bc", "nitsche-slip", "--levels", "2,3,4",
-                    "--out", str(tmp_path)]) == 0
 
     def test_no_subcommand_exits_1(self):
         assert run([]) == 1
@@ -451,7 +434,7 @@ class TestConfigHandling:
 # The options each subcommand reads, written out independently of mce.cli.
 ACCEPTED = {
     "stokes": {"levels", "out"},
-    "darcy": {"levels", "mu", "sigma", "bc", "gamma", "out"},
+    "darcy": {"levels", "mu", "sigma", "gamma", "out"},
     "cooks": {"levels", "nu", "out"},
     "brinkman": {"grid", "mu", "scenario", "out"},
     "mesh-info": {"grid", "mesh-file"},
@@ -472,7 +455,7 @@ REJECTED = [
 
 class TestOptionTable:
     def test_rejected_pairs_count(self):
-        assert len(REJECTED) == 33
+        assert len(REJECTED) == 34
 
     @pytest.mark.parametrize("subcommand, option", REJECTED)
     def test_flag_outside_table_exits_1(self, tmp_path, capsys, subcommand,
@@ -494,13 +477,18 @@ class TestOptionTable:
         expected = {f"--{o}" for o in ACCEPTED[subcommand]}
         assert listed == expected | {"--config", "-h"}
 
-    def test_config_key_outside_table_names_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("subcommand, line", [
+        ("stokes", "nu=0.3"),
+        ("darcy", "bc=strong"),
+    ])
+    def test_config_key_outside_table_names_line(self, tmp_path, capsys,
+                                                 subcommand, line):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("levels=2,3,4\nnu=0.3\n")
-        assert run(["stokes", "--config", str(cfg),
+        cfg.write_text(f"levels=2,3,4\n{line}\n")
+        assert run([subcommand, "--config", str(cfg),
                     "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert f"{cfg}:2" in err and "'nu'" in err
+        assert f"{cfg}:2" in err and repr(line.split("=")[0]) in err
         assert not (tmp_path / "out").exists()
 
     def test_config_key_of_the_subcommand_is_read(self, tmp_path):
@@ -518,8 +506,6 @@ class TestOptionTable:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand, line", [
-        ("darcy", "bc=nitsche-tangential"),
-        ("darcy", "bc=nitsche"),
         ("brinkman", "scenario=sideways"),
     ])
     def test_config_value_outside_choices(self, tmp_path, capsys, subcommand,

@@ -13,8 +13,6 @@ from mce.forms import (
     assemble_elasticity,
     assemble_nitsche_brinkman_tangential,
     assemble_nitsche_elasticity,
-    assemble_nitsche_slip,
-    boundary_normal_norm,
 )
 from mce.mesh import (
     SubdividedMesh,
@@ -28,12 +26,17 @@ from mce.space import (
     Dirichlet,
     Free,
     NormalZero,
-    _hat_gradients,
     build_space,
     cell_integrals,
     fortin_interpolate,
     macro_divergence,
     project_p0,
+)
+
+from face_loops import (
+    boundary_faces,
+    reference_basis_grads,
+    reference_boundary_normal_norm,
 )
 
 
@@ -253,54 +256,6 @@ class TestNitscheBrinkmanTangential:
                 assert not (interior_mask[r] and interior_mask[c])
 
 
-class TestNitscheSlip:
-    def make(self, gamma=10.0, n=3):
-        sub = subdivide(generate_unit_square_mesh(n))
-        space = build_space(sub, "free")
-        coeffs = ProblemCoefficients(
-            mu=1.0, sigma=0.0, gamma=gamma,
-            f=lambda p: np.column_stack([p[:, 1] ** 2, np.zeros(len(p))]),
-        )
-        return space, assemble_nitsche_slip(space, coeffs)
-
-    def test_not_symmetric_and_confined(self):
-        space, system = self.make()
-        A = system.matrix
-        asym = (A - A.T).tocoo()
-        assert abs(asym.data).max() > 1e-8  # genuinely non-symmetric
-        usl, psl = system.blocks["velocity"], system.blocks["pressure"]
-        for r, c, v in zip(asym.row, asym.col, asym.data):
-            if abs(v) < 1e-12:
-                continue
-            in_up = usl.start <= r < usl.stop and psl.start <= c < psl.stop
-            in_pu = psl.start <= r < psl.stop and usl.start <= c < usl.stop
-            assert in_up or in_pu
-
-    def test_penalty_drives_normal_trace_down(self):
-        norms = []
-        for gamma in (10.0, 100.0, 1000.0):
-            space, system = self.make(gamma=gamma)
-            u, _, _ = system.expand(solve(system).solution)
-            norms.append(boundary_normal_norm(space, u))
-        assert norms[0] > norms[1] > norms[2]
-
-    def test_pressure_coupling_is_boundary_flux(self):
-        # the normal-normal stress is mu dn(u).n - p, so the extra pressure
-        # column (relative to the plain saddle form) pairs a test field v
-        # with int_boundary (v.n) p; for v = (x, y) and p = 1 that boundary
-        # flux is 2 |Omega| = 2
-        sub = subdivide(generate_unit_square_mesh(3))
-        space = build_space(sub, "free")
-        coeffs = ProblemCoefficients(mu=1.0, sigma=0.0, gamma=10.0)
-        plain = assemble_brinkman(space, coeffs)
-        slip = assemble_nitsche_slip(space, coeffs)
-        usl, psl = slip.blocks["velocity"], slip.blocks["pressure"]
-        extra = slip.matrix[usl, psl] - plain.matrix[usl, psl]
-        v = fortin_interpolate(lambda p: p, space)
-        ones = np.ones(extra.shape[1])
-        assert v @ (extra @ ones) == pytest.approx(2.0, rel=1e-12)
-
-
 class TestExport:
     def test_matrix_market_roundtrip(self, tmp_path, free3):
         coeffs = ProblemCoefficients(mu=1.0, sigma=0.0)
@@ -311,91 +266,12 @@ class TestExport:
         assert (loaded != system.matrix).nnz == 0
 
 
-def reference_basis_grads(tables):
-    """Constant basis gradients (nt, 9, 6, 2, 2) per subtriangle by the
-    formula the element tables stored them with: the basis values at the
-    subtriangle corners contracted with the corner hat gradients, both
-    gathered anew from the node coordinates."""
-    sub = tables.subdiv.SUBTRIANGLES
-    grads, _ = _hat_gradients(tables.nodes[:, sub])
-    return np.einsum("tksci,tscj->tksij", tables.basis_node_values[:, :, sub],
-                     grads)
-
-
-# Reference assemblers: the per-face loops over _Face/_Segment objects that
+# Reference assemblers: the per-face loops of `face_loops.boundary_faces` that
 # the batched face table in mce.forms replaced. The interior parts call the
 # same private helpers as mce.forms, so these differ from the library only
 # in how the boundary terms are formed; the builder receives every triplet
 # and every right-hand-side update in the same order, hence the bitwise
 # comparisons below.
-
-
-class _Segment:
-    """Half of a boundary face trace, backed by one subtriangle."""
-
-    def __init__(self, tables, tri, n0, n1, child):
-        self.tables = tables
-        self.tri = tri
-        self.n0, self.n1 = n0, n1
-        self.child = child
-        p0 = tables.nodes[tri, n0]
-        p1 = tables.nodes[tri, n1]
-        self.p0, self.p1 = p0, p1
-        self.length = float(np.linalg.norm(p1 - p0))
-
-    def points(self, qx):
-        return self.p0 + np.outer(qx, self.p1 - self.p0)
-
-    def traces(self, qx):
-        V = self.tables.basis_node_values[self.tri]  # (9,7,2)
-        return (
-            V[:, self.n0][:, None, :] * (1.0 - qx)[None, :, None]
-            + V[:, self.n1][:, None, :] * qx[None, :, None]
-        )
-
-    def grads(self):
-        # (9,2,2)
-        return reference_basis_grads(self.tables)[self.tri, :, self.child]
-
-
-class _Face:
-    def __init__(self, space, edge):
-        mesh = space.mesh
-        tables = space.tables
-        self.edge = edge
-        self.tag = mesh.boundary_tags[edge]
-        t = int(mesh.edge_tris[edge, 0])
-        self.tri = t
-        loc = int(np.flatnonzero(mesh.tri_edges[t] == edge)[0])
-        self.loc = loc
-        va, vb = (loc + 1) % 3, (loc + 2) % 3
-        a = tables.nodes[t, va]
-        b = tables.nodes[t, vb]
-        d = b - a
-        self.length = float(np.linalg.norm(d))
-        self.normal = np.array([d[1], -d[0]]) / self.length
-        self.tangent = d / self.length
-        self.segments = [
-            _Segment(tables, t, va, 3 + loc, 2 * loc),
-            _Segment(tables, t, 3 + loc, vb, 2 * loc + 1),
-        ]
-
-    def mean_normal_trace(self, space):
-        """Exact face means of (basis . n), shape (9,)."""
-        V = space.tables.basis_node_values[self.tri]
-        total = np.zeros(9)
-        for seg in self.segments:
-            avg = 0.5 * (V[:, seg.n0] + V[:, seg.n1]) @ self.normal
-            total += seg.length * avg
-        return total / self.length
-
-
-def _boundary_faces(space, tags=None):
-    mesh = space.mesh
-    for e in mesh.boundary_edges:
-        if tags is not None and mesh.boundary_tags[e] not in tags:
-            continue
-        yield _Face(space, e)
 
 
 def _add_element_matrices(builder, tables, K):
@@ -442,7 +318,7 @@ def reference_assemble_elasticity(space, coeffs, tractions=None):
     builder, _, _ = _reference_elasticity_interior(space, coeffs)
     if tractions:
         qx, qw = edge_rule(3)
-        for face in _boundary_faces(space):
+        for face in boundary_faces(space):
             spec = tractions.get(face.tag)
             if spec is None:
                 continue
@@ -466,7 +342,7 @@ def reference_assemble_nitsche_elasticity(space, coeffs, dirichlet_tags,
     gamma = coeffs.gamma
     dirichlet_tags = set(dirichlet_tags)
     qx, qw = edge_rule(3)
-    for face in _boundary_faces(space):
+    for face in boundary_faces(space):
         t = face.tri
         n, tau = face.normal, face.tangent
         h = face.length
@@ -540,7 +416,7 @@ def reference_assemble_nitsche_brinkman_tangential(space, coeffs):
     tables = space.tables
     gamma = coeffs.gamma
     qx, qw = edge_rule(3)
-    for face in _boundary_faces(space):
+    for face in boundary_faces(space):
         if not isinstance(space.bc.get(face.tag), NormalZero):
             continue
         t = face.tri
@@ -562,49 +438,6 @@ def reference_assemble_nitsche_brinkman_tangential(space, coeffs):
             builder.add(rows, cols, -(cmat + cmat.T))
             builder.add(rows, cols, (gamma / h) * mu[t] * int_trt_trt)
     return forms._reduce(space, builder, space.mesh.num_triangles)
-
-
-def reference_assemble_nitsche_slip(space, coeffs, slip_tags=None):
-    builder, mu, sigma = _reference_brinkman_interior(space, coeffs)
-    tables = space.tables
-    gamma = coeffs.gamma
-    qx, qw = edge_rule(3)
-    for face in _boundary_faces(space, slip_tags):
-        t = face.tri
-        n = face.normal
-        h = face.length
-        l2g = tables.loc2glob[t]
-        rows = np.repeat(l2g, 9)
-        cols = np.tile(l2g, 9)
-        prow = space.n_velocity + t
-        weight = (gamma / h) * (mu[t] + sigma[t])
-        for seg in face.segments:
-            traces = seg.traces(qx)
-            G = seg.grads()
-            dun_n = mu[t] * np.einsum("i,kij,j->k", n, G, n)  # n.(mu grad u n)
-            tr_n = np.einsum("kqi,i->kq", traces, n)
-            int_trn = seg.length * np.einsum("q,kq->k", qw, tr_n)
-            int_trn_trn = seg.length * np.einsum("q,kq,lq->kl", qw, tr_n, tr_n)
-            # -c((u,p),v): test-trace x trial-stress, and +int p (v.n)
-            cmat = np.outer(int_trn, dun_n)
-            builder.add(rows, cols, -cmat)
-            builder.add(l2g, np.full(9, prow), int_trn)
-            # -c((v,0),u): test-stress x trial-trace, no pressure column
-            builder.add(rows, cols, -cmat.T)
-            builder.add(rows, cols, weight * int_trn_trn)
-    return forms._reduce(space, builder, space.mesh.num_triangles)
-
-
-def reference_boundary_normal_norm(space, coeffs, tags=None):
-    qx, qw = edge_rule(3)
-    local = space.tables.local_coeffs(coeffs)
-    total = 0.0
-    for face in _boundary_faces(space, tags):
-        for seg in face.segments:
-            traces = np.einsum("k,kqi->qi", local[face.tri], seg.traces(qx))
-            un = traces @ face.normal
-            total += seg.length * float(np.einsum("q,q->", qw, un**2))
-    return np.sqrt(total)
 
 
 def assert_bitwise(system, reference):
@@ -700,30 +533,29 @@ class TestBoundaryTermsMatchFaceLoops:
                                                            coeffs),
         )
 
-    @pytest.mark.parametrize("slip_tags", [None, {"bottom", "right"}])
-    def test_slip(self, oracle_space, slip_tags):
-        nt = oracle_space.mesh.num_triangles
-        coeffs = ProblemCoefficients(
-            mu=1.0 + 0.1 * np.arange(nt) / nt, sigma=0.5, gamma=11.0, f=_load)
-        assert_bitwise(
-            assemble_nitsche_slip(oracle_space, coeffs, slip_tags=slip_tags),
-            reference_assemble_nitsche_slip(oracle_space, coeffs,
-                                            slip_tags=slip_tags),
-        )
-
     @pytest.mark.parametrize("tags", [None, {"top"}, {"left", "bottom"}])
     def test_boundary_normal_norm(self, oracle_space, tags):
-        u = fortin_interpolate(_load, oracle_space)
-        value = boundary_normal_norm(oracle_space, u, tags)
-        expected = reference_boundary_normal_norm(oracle_space, u, tags)
-        assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
-        tangential = fortin_interpolate(
+        # the face-loop norm reads the flux of a constant field exactly:
+        # (1, 0) crosses only the left and right sides, each of length 1
+        across = fortin_interpolate(
             lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
             oracle_space)
+        crossed = len({"left", "right"} & (tags or set(SQUARE_TAGS)))
         assert reference_boundary_normal_norm(
-            oracle_space, tangential, {"top", "bottom"}) == 0.0
-        assert boundary_normal_norm(
-            oracle_space, tangential, {"top", "bottom"}) == 0.0
+            oracle_space, across, tags) == pytest.approx(np.sqrt(crossed),
+                                                        rel=1e-14, abs=0.0)
+        assert reference_boundary_normal_norm(
+            oracle_space, across, {"top", "bottom"}) == 0.0
+        # the strong constraint leaves no normal trace on a constrained
+        # side, whatever the free unknowns; the free space keeps one
+        x = np.random.default_rng(3).standard_normal(
+            oracle_space.n_free_velocity)
+        u = oracle_space.expand_velocity(x)
+        norm = reference_boundary_normal_norm(oracle_space, u, tags)
+        if any(isinstance(bc, Free) for bc in oracle_space.bc.values()):
+            assert norm > 0.0
+        else:
+            assert norm == 0.0
 
     @pytest.mark.parametrize("traction", [(0.0, 6.25), _load],
                              ids=["constant", "callable"])
@@ -739,35 +571,67 @@ class TestBoundaryTermsMatchFaceLoops:
         )
 
 
-# (assembler, slip tags) -> has_multiplier on the free space; the normal
-# and dirichlet spaces eliminate every boundary flux, so there the
-# constant pressure always lies in the kernel of the coupling block
-MULTIPLIER_ON_FREE = {
-    ("brinkman", None): False,
-    ("tangential", None): False,
-    # +int p (v.n) on every face cancels the flux of the constant pressure
-    ("slip", None): True,
-    # the top and left faces still let v.n through
-    ("slip", ("bottom", "right")): False,
-}
+def _oracle_system(assembler, space):
+    """A system of `assembler` on `space` with varied coefficients."""
+    nt = space.mesh.num_triangles
+    mu = 1.0 + 0.5 * np.cos(np.arange(nt))
+    if assembler == "brinkman":
+        return assemble_brinkman(space, ProblemCoefficients(
+            mu=mu, sigma=0.5, f=_load))
+    if assembler == "tangential":
+        return assemble_nitsche_brinkman_tangential(space, ProblemCoefficients(
+            mu=mu, sigma=2.0, gamma=9.0, f=_load, g=lambda p: p[:, 0] - 0.5))
+    if assembler == "sweep":
+        swept = np.arange(nt) % 2 == 0
+        return forms._viscosity_sweep(space, ProblemCoefficients(
+            mu=np.where(swept, 0.0, mu), sigma=0.5, f=_load), swept)(3.0)
+    if assembler == "elasticity":
+        return assemble_elasticity(
+            space, ProblemCoefficients(mu=mu, lam=7.0, f=_load),
+            tractions={"right": (0.5, -2.0), "top": _load})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return assemble_nitsche_elasticity(
+            space, ProblemCoefficients(mu=mu, lam=40.0, gamma=12.0, f=_load),
+            {"left", "top"}, g=_g)
+
+
+class TestSymmetry:
+    """Every assembler builds a symmetric matrix, and where it adds the
+    mean-zero multiplier the constant pressure moves no velocity row."""
+
+    @pytest.mark.parametrize("assembler", ["brinkman", "tangential", "sweep",
+                                           "elasticity", "nitsche-elasticity"])
+    def test_symmetric(self, oracle_space, assembler):
+        system = _oracle_system(assembler, oracle_space)
+        M = system.matrix
+        assert sparse.linalg.norm(M - M.T) <= 1e-12 * sparse.linalg.norm(M)
+        if system.has_multiplier:
+            C = M[system.blocks["velocity"], system.blocks["pressure"]]
+            flux = np.abs(C @ np.ones(C.shape[1])).max()
+            assert flux <= 1e-10 * sparse.linalg.norm(C, np.inf)
+
+
+# assembler -> has_multiplier on the free space; the normal and dirichlet
+# spaces eliminate every boundary flux, so there the constant pressure
+# always lies in the kernel of the coupling block
+MULTIPLIER_ON_FREE = {"brinkman": False, "tangential": False}
 
 
 class TestMultiplierRule:
     """The mean-zero multiplier row is there exactly when nothing else
     fixes the pressure level."""
 
-    @pytest.mark.parametrize("assembler, slip_tags", list(MULTIPLIER_ON_FREE))
+    @pytest.mark.parametrize("assembler", list(MULTIPLIER_ON_FREE))
     @pytest.mark.parametrize("mode", ["free", "normal", "dirichlet"])
-    def test_has_multiplier(self, oracle_sub, mode, assembler, slip_tags):
+    def test_has_multiplier(self, oracle_sub, mode, assembler):
         space = build_space(oracle_sub, mode)
         coeffs = ProblemCoefficients(mu=1.0, sigma=0.5, gamma=10.0, f=_load)
         if assembler == "brinkman":
             system = assemble_brinkman(space, coeffs)
-        elif assembler == "tangential":
-            system = assemble_nitsche_brinkman_tangential(space, coeffs)
         else:
-            system = assemble_nitsche_slip(space, coeffs, slip_tags=slip_tags)
-        expected = mode != "free" or MULTIPLIER_ON_FREE[assembler, slip_tags]
+            system = assemble_nitsche_brinkman_tangential(space, coeffs)
+        expected = mode != "free" or MULTIPLIER_ON_FREE[assembler]
         assert system.has_multiplier is expected
         nt = space.mesh.num_triangles
         assert system.size == space.n_free_velocity + nt + int(expected)
@@ -822,9 +686,8 @@ class TestViscousRule:
     @pytest.mark.parametrize("assemble", [
         assemble_brinkman,
         assemble_nitsche_brinkman_tangential,
-        assemble_nitsche_slip,
         _sweep_at_zero,
-    ], ids=["brinkman", "tangential", "slip", "sweep"])
+    ], ids=["brinkman", "tangential", "sweep"])
     @pytest.mark.parametrize("constraint", ["clamped-left", "normal", "free"])
     def test_mu_zero(self, sub3, constraint, assemble):
         space = build_space(sub3, CLAMPED_LEFT if constraint == "clamped-left"

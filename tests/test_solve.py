@@ -76,8 +76,8 @@ def test_determinism():
     assert np.array_equal(x1, x2)
 
 
-def _case_system(case, n, bc_mode="strong"):
-    return bench.solve_case(case, n, bc_mode=bc_mode)[2]
+def _case_system(case, n):
+    return bench.solve_case(case, n)[2]
 
 
 def _coupling_system(scenario, mu_value, n=8):
@@ -96,8 +96,6 @@ def _cooks_system(nu, n):
 SYSTEMS = {
     "stokes-strong-16": lambda: _case_system(bench.case_stokes(), 16),
     "darcy-strong-16": lambda: _case_system(bench.case_darcy(), 16),
-    "darcy-nitsche-slip-8": lambda: _case_system(
-        bench.case_darcy(), 8, bc_mode="nitsche-slip"),
     "coupling-normal-mu1e-6": lambda: _coupling_system("normal", 1e-6),
     "coupling-tangential-mu1e-2": lambda: _coupling_system("tangential", 1e-2),
     # nu -> 1/2: the certificate rests on the backward error here, and the
@@ -109,6 +107,14 @@ SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_solution_matches_full_matrix_lu(name):
     system = SYSTEMS[name]()
+    # every assembled system is symmetric, and the multiplier row is there
+    # only where D^T 1 = 0: the constant pressure moves no velocity row
+    M = system.matrix
+    assert sparse.linalg.norm(M - M.T) <= 1e-12 * sparse.linalg.norm(M)
+    if system.has_multiplier:
+        C = M[system.blocks["velocity"], system.blocks["pressure"]]
+        flux = np.abs(C @ np.ones(C.shape[1])).max()
+        assert flux <= 1e-10 * sparse.linalg.norm(C, np.inf)
     report = solve(system)
     assert (report.diagnostics["penalty"] is None) == (system.n_pressure == 0)
     assert report.diagnostics["iterations"] >= 1
@@ -137,32 +143,22 @@ def factored(monkeypatch):
 def _lu_entries(call):
     # the entries of L plus U, counted on a test-local factor of the same K
     # with the same options: the factor's own nnz also counts supernodal
-    # padding (99,950 against 86,738 for the Darcy slip system at n = 16)
+    # padding (538,034 against 512,638 for Stokes at n = 32)
     K, options = call
     lu = splu(K, **options)
     return lu.L.nnz + lu.U.nnz
 
 
-@pytest.mark.parametrize("bc_mode", ["strong", "nitsche-slip"])
-def test_penalty_factor_fill_is_bounded(bc_mode, factored):
+@pytest.mark.parametrize("case", [bench.case_stokes, bench.case_darcy],
+                         ids=["stokes", "darcy"])
+def test_penalty_factor_fill_is_bounded(case, factored):
     # the dense multiplier row and the pressure block stay out of the
-    # factorization; at n = 32 the LU of the whole matrix filled 61 x its
-    # nnz for Stokes, and 19 x nnz(A) for the slip system
-    case = bench.case_stokes() if bc_mode == "strong" else bench.case_darcy()
-    system = _case_system(case, 32, bc_mode=bc_mode)
+    # factorization; at n = 32 the LU of the whole matrix filled 60 x its
+    # nnz for Stokes and 15 x for Darcy, the penalty factor 7 x nnz(A)
+    system = _case_system(case(), 32)
+    assert system.has_multiplier
     vel = system.blocks["velocity"]
     assert _lu_entries(factored[-1]) <= 10 * system.matrix[vel, vel].nnz
-
-
-def test_nitsche_slip_fill_near_strong(factored):
-    # the slip system's dense mean-zero multiplier row once reached the LU
-    # (nnz(L+U) 365,059 for Darcy at n = 16); the penalty factor keeps it
-    # out, and the slip fill is 86,738 against 82,806 in strong mode
-    fill = {}
-    for bc_mode in ("strong", "nitsche-slip"):
-        bench.solve_case(bench.case_darcy(), 16, bc_mode=bc_mode)
-        fill[bc_mode] = _lu_entries(factored[-1])
-    assert fill["nitsche-slip"] <= 1.2 * fill["strong"]
 
 
 def _free_space(n):
