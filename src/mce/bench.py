@@ -21,10 +21,8 @@ from .forms import (
     ConfigurationError,
     ProblemCoefficients,
     SaddleSystem,
-    assemble_brinkman,
     assemble_elasticity,
     assemble_nitsche_brinkman_tangential,
-    assemble_nitsche_elasticity,
     _viscosity_sweep,
 )
 from .mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
@@ -141,9 +139,11 @@ def case_stokes():
     )
 
 
-def case_darcy(mu=0.0, sigma=1.0):
+def case_darcy(mu=0.0, sigma=1.0, gamma=10.0):
     """Darcy (mu = 0, sigma = 1) with u built from sin^2/sin(2 pi .) waves,
-    p = sin(pi x) - 2/pi, and u.n = 0 imposed strongly.
+    p = sin(pi x) - 2/pi, and u.n = 0 imposed strongly; gamma is the
+    Nitsche penalty of the tangential condition, which acts only for
+    mu > 0.
 
     The exact velocity vanishes on the whole boundary, so the same fields
     solve the Brinkman equation for any coefficients once f absorbs the
@@ -179,7 +179,7 @@ def case_darcy(mu=0.0, sigma=1.0):
             out -= mu * laplacian(p)
         return out
 
-    co = ProblemCoefficients(mu=mu, sigma=sigma, f=f)
+    co = ProblemCoefficients(mu=mu, sigma=sigma, gamma=gamma, f=f)
     bc = {tag: NormalZero() for tag in ("left", "right", "top", "bottom")}
     return ManufacturedCase(
         name="darcy" if mu == 0.0 else f"brinkman-mu{mu:g}",
@@ -215,37 +215,20 @@ def case_elasticity(lam, mu=1.0):
     )
 
 
-def solve_case(case, n, bc_mode="strong", gamma=None):
+def solve_case(case, n):
     """Mesh the unit square at level n, assemble and solve one case.
 
-    Returns (FieldSolution, space, system, report). Elasticity takes
-    bc_mode "strong" or "nitsche", a flow case "strong" only: the space
-    constrains u.n on the NormalZero sides, whose tangential condition
-    carries mu as Nitsche terms, so mu = 0 is plain Darcy.
+    Returns (FieldSolution, space, system, report). The space imposes the
+    case's boundary strongly; on a flow case's NormalZero sides that is
+    u.n, whose tangential condition carries mu as Nitsche terms, so
+    mu = 0 is plain Darcy.
     """
     sub = subdivide(generate_unit_square_mesh(n), boundary_split="midpoint")
-    co = case.coefficients
-    if gamma is not None:
-        co = ProblemCoefficients(
-            mu=co.mu, lam=co.lam, sigma=co.sigma, gamma=gamma, f=co.f, g=co.g,
-        )
-
-    if co.lam is not None:
-        if bc_mode == "strong":
-            space = build_space(sub, case.boundary)
-            system = assemble_elasticity(space, co)
-        elif bc_mode == "nitsche":
-            space = build_space(sub, "free")
-            system = assemble_nitsche_elasticity(
-                space, co, dirichlet_tags=set(case.boundary), g=case.velocity,
-            )
-        else:
-            raise ValueError(f"unsupported mode {bc_mode!r} for elasticity")
-    elif bc_mode == "strong":
-        space = build_space(sub, case.boundary)
-        system = assemble_nitsche_brinkman_tangential(space, co)
+    space = build_space(sub, case.boundary)
+    if case.coefficients.lam is not None:
+        system = assemble_elasticity(space, case.coefficients)
     else:
-        raise ValueError(f"unsupported mode {bc_mode!r} for a flow case")
+        system = assemble_nitsche_brinkman_tangential(space, case.coefficients)
     solution, report = _field(system)
     return solution, space, system, report
 
@@ -411,7 +394,7 @@ def _largest_edge(mesh):
     return float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).max())
 
 
-def run_convergence(case, levels, gamma=None):
+def run_convergence(case, levels):
     """Assemble/solve the case over the levels and fit convergence slopes
     against h, the largest macro edge length of each level; at least 3
     strictly increasing levels, or a ConfigurationError."""
@@ -424,7 +407,7 @@ def run_convergence(case, levels, gamma=None):
         # one live level: the previous level's solution, space and mesh
         # are dropped before the next level is solved
         record.finest = mesh = None
-        record.finest = solve_case(case, n, gamma=gamma)[0]
+        record.finest = solve_case(case, n)[0]
         mesh = record.finest.space.mesh
         record.add(idx, n, mesh.num_vertices, _largest_edge(mesh),
                    error_norms(record.finest, case))
@@ -510,13 +493,6 @@ def _cooks_tip(system, problem):
     solution, _ = _field(system)
     tip = _vertex_at(system.space.mesh, problem.tip)
     return float(solution.velocity[2 * tip + 1]), solution
-
-
-def solve_cooks(problem, n=16):
-    """Solve Cook's membrane with the compatible element; returns
-    (tip vertical displacement, FieldSolution, space)."""
-    space = _cooks_space(n)
-    return (*_cooks_tip(_cooks_system(space, problem), problem), space)
 
 
 def _vertex_at(mesh, point):
@@ -616,25 +592,6 @@ def _coupling_coefficients(scenario, mu_value, centers):
         [np.zeros(len(np.atleast_2d(p))), np.full(len(np.atleast_2d(p)), 100.0)]
     )
     return ProblemCoefficients(mu=mu, sigma=sigma, f=f)
-
-
-def coupling_problem(scenario, mu_value, n=40):
-    """Mesh, subdivision and coefficients of one coupling run on (0,2)^2
-    with body force (0, 100); `_coupling_boundary` gives its boundary
-    setup and rejects an unknown scenario, here before any meshing."""
-    _coupling_boundary(scenario)
-    mesh = _square2_mesh(n)
-    sub = subdivide(mesh)
-    return mesh, sub, _coupling_coefficients(scenario, mu_value, sub.centroids)
-
-
-def solve_coupling(scenario, mu_value, n=40):
-    """Solve one coupling run; its natural top and bottom boundaries fix
-    the pressure level, so the system has no multiplier row."""
-    mesh, sub, co = coupling_problem(scenario, mu_value, n=n)
-    space = build_space(sub, _coupling_boundary(scenario))
-    solution, report = _field(assemble_brinkman(space, co))
-    return solution, space, report
 
 
 def velocity_profile(solution, y=1.0):

@@ -170,8 +170,8 @@ def run_flow(config):
     else:
         mu = config.mu[0] if config.mu else 0.0
         record = bench.run_convergence(
-            bench.case_darcy(mu=mu, sigma=config.sigma), config.levels,
-            gamma=config.gamma)
+            bench.case_darcy(mu=mu, sigma=config.sigma, gamma=config.gamma),
+            config.levels)
     out = _ensure_out(config)
     csv_path = os.path.join(out, f"{name}_convergence.csv")
     record.to_csv(csv_path)

@@ -217,9 +217,9 @@ def _gmres(M, b, precondition):
 def solve(system):
     """Solve by GMRES preconditioned with the factored penalized velocity
     operator; raises SolverError on structural singularity, or on failure
-    to certify the solve (both the relative residual and the normwise
-    backward error above 1e-9), naming the step count when the step limit
-    was reached."""
+    to certify the solve (neither the relative residual nor the normwise
+    backward error below 1e-9, a NaN of either included), naming the step
+    count when the step limit was reached."""
     start = time.perf_counter()
     precondition, lu, growth, r = _penalty_preconditioner(system)
     x, steps = _gmres(system.matrix, system.rhs, precondition)
@@ -229,7 +229,13 @@ def solve(system):
         )
     res = _relative_residual(system.matrix, x, system.rhs)
     bwd = _backward_error(system.matrix, x, system.rhs)
-    if res >= RESIDUAL_LIMIT and bwd >= RESIDUAL_LIMIT:
+    if not (res < RESIDUAL_LIMIT or bwd < RESIDUAL_LIMIT):
+        if not (np.isfinite(res) and np.isfinite(bwd)):
+            raise SolverError(
+                f"non-finite certificate (relative residual {res:.3e}, "
+                f"backward error {bwd:.3e}): the system holds a non-finite "
+                f"value, or a norm of it overflows double precision"
+            )
         if steps == KRYLOV_STEP_LIMIT:
             raise SolverError(
                 f"GMRES stopped after {steps} steps at relative residual "

@@ -29,20 +29,18 @@ import time
 import numpy as np
 import scipy.linalg
 
+from mce import bench
 from mce.bench import (
     ManufacturedCase,
-    case_cooks,
     case_darcy,
     case_elasticity,
     case_stokes,
     error_norms,
     run_brinkman_coupling,
     run_convergence,
+    run_locking_study,
     second_difference_sign_changes,
     solve_case,
-    solve_cooks,
-    solve_cooks_affine,
-    solve_coupling,
 )
 from mce.forms import ProblemCoefficients, assemble_brinkman
 from mce.mesh import (
@@ -239,9 +237,9 @@ def test_criterion3_divergence_exactness():
     solution = FieldSolution(space, u, p)
     defect, scale = _divergence_defect(space, solution, g)
     worst = max(worst, defect / (1e-9 * scale))
-    # coupling scenario (natural boundaries, g = 0)
-    solution, space, _ = solve_coupling("normal", 1e-3, n=20)
-    defect, scale = _divergence_defect(space, solution, None)
+    # coupling scenario (natural boundaries, g = 0), as the CLI sweeps it
+    solution = run_brinkman_coupling("normal", (1e-3,), n=20).solutions[1e-3]
+    defect, scale = _divergence_defect(solution.space, solution, None)
     worst = max(worst, defect / (1e-9 * scale))
     ok = worst < 1.0
     detail = f"max defect {worst:.3g} of the 1e-9*scale budget"
@@ -250,10 +248,11 @@ def test_criterion3_divergence_exactness():
 
 def test_criterion4_locking_free_cooks():
     start = time.perf_counter()
-    tip_a, _, _ = solve_cooks(case_cooks(0.4999), n=16)
-    tip_b, _, _ = solve_cooks(case_cooks(0.49999), n=16)
-    affine_b = solve_cooks_affine(case_cooks(0.49999), n=16)
+    # the locking study that `mce cooks` runs: one space, both ratios
+    rows = run_locking_study((0.4999, 0.49999), n=16).rows
     elapsed = time.perf_counter() - start
+    tip_a = rows[0]["tip_compatible"]
+    tip_b, affine_b = rows[1]["tip_compatible"], rows[1]["tip_affine"]
     change = abs(tip_b - tip_a) / abs(tip_a)
     fraction = affine_b / tip_b
     regression = abs(tip_b - COOKS_TIP_REGRESSION) / COOKS_TIP_REGRESSION
@@ -395,7 +394,7 @@ def test_criterion7_bubble_oracle():
     assert _report(7, ok, detail), detail
 
 
-def test_criterion8_brinkman_coupling():
+def test_criterion8_brinkman_coupling(monkeypatch):
     result = run_brinkman_coupling("tangential", (10.0, 1e-2), n=40)
     counts = {}
     for mu in (10.0, 1e-2):
@@ -404,11 +403,23 @@ def test_criterion8_brinkman_coupling():
     oscillates = counts[1e-2] >= 2
     smooth = counts[10.0] < 2
 
-    normal_ok = True
+    # the normal scenario as the CLI sweeps it, with each solve's report
+    reports = []
+    real_solve = bench.solve
+
+    def recording_solve(system):
+        reports.append(real_solve(system))
+        return reports[-1]
+
+    monkeypatch.setattr(bench, "solve", recording_solve)
+    mus = (1.0, 1e-2, 1e-3, 1e-6)
+    normal = run_brinkman_coupling("normal", mus, n=40)
+    monkeypatch.undo()
+    normal_ok = len(reports) == len(mus)
     worst = 0.0
-    for mu in (1.0, 1e-2, 1e-3, 1e-6):
-        solution, space, report = solve_coupling("normal", mu, n=40)
-        defect, scale = _divergence_defect(space, solution, None)
+    for mu, report in zip(mus, reports):
+        solution = normal.solutions[mu]
+        defect, scale = _divergence_defect(solution.space, solution, None)
         worst = max(worst, defect / (1e-9 * scale))
         normal_ok = normal_ok and report.residual < 1e-9
     ok = oscillates and smooth and normal_ok and worst < 1.0

@@ -21,7 +21,6 @@ from mce.bench import (
     run_locking_study,
     second_difference_sign_changes,
     solve_case,
-    solve_coupling,
     velocity_profile,
 )
 from mce.forms import (
@@ -29,6 +28,7 @@ from mce.forms import (
     ProblemCoefficients,
     assemble_brinkman,
     assemble_elasticity,
+    assemble_nitsche_elasticity,
 )
 from mce.mesh import (
     SubdividedMesh,
@@ -278,10 +278,10 @@ class TestConvergenceRunner:
         real_solve_case = bench.solve_case
         spaces = []
 
-        def watched_solve_case(case, n, **kwargs):
+        def watched_solve_case(case, n):
             alive = [ref for ref in spaces if ref() is not None]
             assert not alive, f"{len(alive)} earlier level(s) alive at n={n}"
-            result = real_solve_case(case, n, **kwargs)
+            result = real_solve_case(case, n)
             spaces.append(weakref.ref(result[1]))
             return result
 
@@ -314,9 +314,14 @@ class TestConvergenceRunner:
         # interpolation/solve residual is O(h), not machine zero: verify by
         # observing the energy error halving under refinement
         errs = []
+        case = case_elasticity(1.0)
         for n in (4, 8):
-            case = case_elasticity(1.0)
-            sol, _, _, _ = solve_case(case, n, bc_mode="nitsche")
+            sub = subdivide(generate_unit_square_mesh(n),
+                            boundary_split="midpoint")
+            system = assemble_nitsche_elasticity(
+                build_space(sub, "free"), case.coefficients,
+                dirichlet_tags=set(case.boundary), g=case.velocity)
+            sol, _ = bench._field(system)
             errs.append(error_norms(sol, case).h1_u)
         assert errs[0] > 1e-3  # not machine zero
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.5)
@@ -330,18 +335,13 @@ FLOW_CASES = {
 
 
 class TestBoundaryModes:
-    """Every flow case converges at the velocity rate in the strong mode,
-    and refuses any other mode by name."""
+    """Every flow case converges at the velocity rate with its boundary
+    imposed strongly."""
 
     @pytest.mark.parametrize("name", sorted(FLOW_CASES))
     def test_flow_case_converges(self, name):
         record = run_convergence(FLOW_CASES[name](), [4, 8, 16])
         assert record.slopes["slope_l2_u"] >= 1.8
-
-    @pytest.mark.parametrize("mode", ["nitsche", "nitsche-slip"])
-    def test_flow_case_takes_strong_only(self, mode):
-        with pytest.raises(ValueError, match=f"unsupported mode '{mode}'"):
-            solve_case(case_darcy(), 2, bc_mode=mode)
 
     def test_inviscid_clamped_case_refused(self):
         # the strong mode constrains u.t where the case says Dirichlet:
@@ -605,9 +605,18 @@ class TestBrinkmanMatrixMemory:
         assert overheads[1] <= overheads[0] + self.MARGIN_MB, overheads
 
 
+def _separate_coupling(scenario, mu_value, n):
+    """One coupling run assembled by `assemble_brinkman` and solved on its
+    own: the reference of the viscosity sweep."""
+    sub = subdivide(bench._square2_mesh(n))
+    space = build_space(sub, bench._coupling_boundary(scenario))
+    co = bench._coupling_coefficients(scenario, mu_value, sub.centroids)
+    return bench._field(assemble_brinkman(space, co))[0]
+
+
 class TestCoupling:
     def test_velocity_profile_shape(self):
-        sol, _, _ = solve_coupling("tangential", 1.0, n=8)
+        sol = run_brinkman_coupling("tangential", (1.0,), n=8).solutions[1.0]
         xs, vals = velocity_profile(sol, y=1.0)
         assert len(xs) == 9
         assert np.all(np.diff(xs) > 0)
@@ -616,17 +625,17 @@ class TestCoupling:
     def test_normal_scenario_divergence_free(self):
         from mce.space import macro_divergence
 
-        sol, space, _ = solve_coupling("normal", 1e-2, n=10)
-        div = macro_divergence(space, sol.velocity)
+        sol = run_brinkman_coupling("normal", (1e-2,), n=10).solutions[1e-2]
+        div = macro_divergence(sol.space, sol.velocity)
         scale = max(1.0, np.abs(sol.velocity).max())
         assert np.abs(div).max() < 1e-9 * scale
 
     def test_flux_balance(self):
         # net outflow equals the total mass source (zero) by the divergence
         # theorem; computed from the boundary traces, not from div
-        sol, space, _ = solve_coupling("normal", 1.0, n=10)
-        mesh = space.mesh
-        tables = space.tables
+        sol = run_brinkman_coupling("normal", (1.0,), n=10).solutions[1.0]
+        mesh = sol.space.mesh
+        tables = sol.space.tables
         node_vals = tables.field_node_values(sol.velocity)
         net = 0.0
         for e in mesh.boundary_edges:
@@ -675,7 +684,7 @@ class TestCoupling:
         monkeypatch.undo()
         for mu_value, solution in result.solutions.items():
             assert solution.space is spaces[0]
-            separate, _, _ = solve_coupling(scenario, mu_value, n=4)
+            separate = _separate_coupling(scenario, mu_value, n=4)
             for got, want in ((solution.velocity, separate.velocity),
                               (solution.pressure, separate.pressure)):
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -695,7 +704,7 @@ class TestCoupling:
             assemblies.append(args)
 
         monkeypatch.setattr(forms, "_brinkman_matrix", counting_kernel)
-        monkeypatch.setattr(bench, "assemble_brinkman", no_assembly)
+        monkeypatch.setattr(forms, "assemble_brinkman", no_assembly)
         result = run_brinkman_coupling(scenario, (1.0, 1e-2, 1e-3), n=4)
         assert len(result.solutions) == 3
         assert len(kernels) == 2
@@ -866,8 +875,9 @@ class TestLockingStudy:
         assert record.last.space is spaces[0]
         monkeypatch.undo()
         for row in record.rows:
-            tip, _, _ = bench.solve_cooks(case_cooks(row["nu"]), n=2)
-            assert row["tip_compatible"] == tip
+            problem = case_cooks(row["nu"])
+            system = bench._cooks_system(bench._cooks_space(2), problem)
+            assert row["tip_compatible"] == bench._cooks_tip(system, problem)[0]
 
     def test_assembled_once_per_nu(self, monkeypatch):
         # the plain-P1 reference is sliced out of the compatible system,

@@ -69,6 +69,37 @@ class TestDarcyCommand:
         assert code == 0
         assert (tmp_path / "darcy_convergence.csv").exists()
 
+    def test_gamma_reaches_the_system(self, tmp_path):
+        # --gamma is the Nitsche penalty of the tangential condition: it
+        # moves the solution at mu > 0, and at mu = 0, where every Nitsche
+        # term vanishes with mu, it changes no byte
+        def convergence_csv(mu, gamma):
+            out = tmp_path / f"mu{mu}-gamma{gamma}"
+            assert run(["darcy", "--mu", mu, "--gamma", gamma,
+                        "--levels", "2,3,4", "--out", str(out)]) == 0
+            return (out / "darcy_convergence.csv").read_bytes()
+
+        assert convergence_csv("0.1", "3") != convergence_csv("0.1", "10")
+        assert convergence_csv("0", "3") == convergence_csv("0", "10")
+
+    @pytest.mark.parametrize("flag, value", [("--mu", "1e300"),
+                                             ("--sigma", "1e306")])
+    def test_overflowing_load_exits_2_by_name(self, tmp_path, flag, value):
+        # the load's norm overflows, so the certificate is NaN: a named
+        # solver failure and no CSV. The child runs the CLI, so numpy's
+        # overflow warnings go to its stderr and fail nothing here.
+        env = dict(os.environ, PYTHONPATH=str(Path(mce.__file__).parents[1]))
+        script = "import sys\nfrom mce.cli import main\nsys.exit(main())\n"
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "darcy", flag, value,
+             "--levels", "2,3,4", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "solver failure: non-finite certificate" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestCooksCommand:
     def test_writes_tips(self, tmp_path):
@@ -104,7 +135,9 @@ class TestCooksCommand:
     def test_vtk_is_the_last_nu_solution(self, tmp_path):
         assert run(["cooks", "--nu", "0.3,0.45", "--levels", "4",
                     "--out", str(tmp_path)]) == 0
-        _, solution, _ = bench.solve_cooks(bench.case_cooks(0.45), n=4)
+        problem = bench.case_cooks(0.45)
+        system = bench._cooks_system(bench._cooks_space(4), problem)
+        _, solution = bench._cooks_tip(system, problem)
         expected = tmp_path / "expected.vtk"
         write_vtk(solution, str(expected), title="cooks membrane displacement")
         assert (tmp_path / "cooks_solution.vtk").read_bytes() == \
@@ -718,8 +751,9 @@ class TestVtkWriter:
 
     @pytest.mark.parametrize("make", [
         lambda: bench.solve_case(bench.case_stokes(), 4)[0],
-        lambda: bench.solve_coupling("tangential", 1e-2, n=4)[0],
-        lambda: bench.solve_cooks(bench.case_cooks(0.4999), n=4)[1],
+        lambda: bench.run_brinkman_coupling("tangential", (1e-2,),
+                                            n=4).solutions[1e-2],
+        lambda: bench.run_locking_study((0.4999,), n=4).last,
         "hand-set",
     ], ids=["stokes", "coupling", "cooks", "hand-set"])
     def test_bytes_match_line_by_line_writer(self, tmp_path, make):

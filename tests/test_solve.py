@@ -47,6 +47,13 @@ def test_indefinite_2x2():
     np.testing.assert_allclose(report.solution, [2.0, 1.0], rtol=1e-14)
 
 
+def test_nan_load_is_not_certified():
+    # the residual and the backward error are NaN, and no comparison of a
+    # NaN with the limit may certify the zero vector GMRES returns
+    with pytest.raises(SolverError, match="^non-finite certificate"):
+        solve(FakeSystem(np.eye(2), [np.nan, 1.0]))
+
+
 def test_missing_multiplier_names_pressure_block():
     # the closed Stokes system with its multiplier row and column cut off
     sub = subdivide(generate_unit_square_mesh(2))
@@ -81,8 +88,9 @@ def _case_system(case, n):
 
 
 def _coupling_system(scenario, mu_value, n=8):
-    _, sub, co = bench.coupling_problem(scenario, mu_value, n=n)
+    sub = subdivide(bench._square2_mesh(n))
     space = build_space(sub, bench._coupling_boundary(scenario))
+    co = bench._coupling_coefficients(scenario, mu_value, sub.centroids)
     return assemble_brinkman(space, co)
 
 
