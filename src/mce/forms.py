@@ -63,7 +63,7 @@ class ConfigurationError(ValueError):
     study parameters out of range)."""
 
 
-def _per_triangle(value, nt, name, minimum=None):
+def _per_triangle(value, nt, name):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         arr = np.full(nt, float(arr))
@@ -71,8 +71,8 @@ def _per_triangle(value, nt, name, minimum=None):
         raise ConfigurationError(
             f"{name} must be a scalar or one value per macro triangle"
         )
-    if minimum is not None and arr.min() < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}")
+    if arr.min() < 0.0:
+        raise ConfigurationError(f"{name} must be >= 0.0")
     return arr
 
 
@@ -100,8 +100,8 @@ class ProblemCoefficients:
             raise ConfigurationError("gamma must be positive")
 
     def fields(self, nt):
-        mu = _per_triangle(self.mu, nt, "mu", minimum=0.0)
-        sigma = _per_triangle(self.sigma, nt, "sigma", minimum=0.0)
+        mu = _per_triangle(self.mu, nt, "mu")
+        sigma = _per_triangle(self.sigma, nt, "sigma")
         return mu, sigma
 
     def validate_elasticity(self, nt):

@@ -60,17 +60,12 @@ class SolveReport:
     wall_time: float = 0.0
 
 
-def _relative_residual(matrix, x, b):
-    norm_b = np.linalg.norm(b)
+def _certificate(matrix, x, b, norm_b):
+    """(relative residual, normwise backward error) of x, both from the
+    one residual b - Mx."""
     r = np.linalg.norm(b - matrix @ x)
-    return r / norm_b if norm_b > 0 else r
-
-
-def _backward_error(matrix, x, b):
-    norm_a = np.abs(matrix).sum(axis=1).max()  # infinity norm
-    r = np.linalg.norm(b - matrix @ x)
-    denom = norm_a * np.linalg.norm(x) + np.linalg.norm(b)
-    return r / denom if denom > 0 else r
+    denom = np.abs(matrix).sum(axis=1).max() * np.linalg.norm(x) + norm_b
+    return (r / norm_b if norm_b > 0 else r), (r / denom if denom > 0 else r)
 
 
 _NULLSPACE_MESSAGE = (
@@ -173,14 +168,13 @@ def _penalty_preconditioner(system):
     return step, lu, growth, r
 
 
-def _gmres(M, b, precondition):
-    """Right-preconditioned GMRES in flexible form from x = 0: the
-    preconditioned directions Z are kept, so x = Z y needs no further
-    solve. Stops once the least-squares residual estimate reaches
-    KRYLOV_TOLERANCE * ||b||, after KRYLOV_STEP_LIMIT steps, or at a step
-    that adds no direction (singular or non-finite), and leaves the rest
-    to the caller's certificate. Returns x and the number of steps."""
-    beta = np.linalg.norm(b)
+def _gmres(M, b, beta, precondition):
+    """Right-preconditioned GMRES in flexible form from x = 0, with
+    beta = ||b||: the preconditioned directions Z are kept, so x = Z y
+    needs no further solve. Stops once the least-squares residual estimate
+    reaches KRYLOV_TOLERANCE * beta, after KRYLOV_STEP_LIMIT steps, or at a
+    step that adds no direction (singular or non-finite), and leaves the
+    rest to the caller's certificate. Returns x and the number of steps."""
     if beta == 0:
         return np.zeros_like(b), 0
     m = KRYLOV_STEP_LIMIT
@@ -222,19 +216,18 @@ def solve(system):
     count when the step limit was reached."""
     start = time.perf_counter()
     precondition, lu, growth, r = _penalty_preconditioner(system)
-    x, steps = _gmres(system.matrix, system.rhs, precondition)
-    if not np.all(np.isfinite(x)):
-        raise SolverError(
-            f"non-finite solution; {_structural_diagnosis(system)}"
-        )
-    res = _relative_residual(system.matrix, x, system.rhs)
-    bwd = _backward_error(system.matrix, x, system.rhs)
+    # an overflow or NaN here is named by the certificate, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_b = np.linalg.norm(system.rhs)
+        x, steps = _gmres(system.matrix, system.rhs, norm_b, precondition)
+        res, bwd = _certificate(system.matrix, x, system.rhs, norm_b)
     if not (res < RESIDUAL_LIMIT or bwd < RESIDUAL_LIMIT):
         if not (np.isfinite(res) and np.isfinite(bwd)):
             raise SolverError(
                 f"non-finite certificate (relative residual {res:.3e}, "
-                f"backward error {bwd:.3e}): the system holds a non-finite "
-                f"value, or a norm of it overflows double precision"
+                f"backward error {bwd:.3e}): the system or the solution "
+                f"holds a non-finite value, or a norm of one overflows "
+                f"double precision"
             )
         if steps == KRYLOV_STEP_LIMIT:
             raise SolverError(

@@ -54,6 +54,13 @@ def test_nan_load_is_not_certified():
         solve(FakeSystem(np.eye(2), [np.nan, 1.0]))
 
 
+def test_overflowing_load_is_named_without_a_warning():
+    # ||b|| overflows to inf: the certificate is NaN, and the overflow is
+    # not warned of (the suite turns a RuntimeWarning into an error)
+    with pytest.raises(SolverError, match="^non-finite certificate"):
+        solve(FakeSystem(np.eye(2), [1e300, 1e300]))
+
+
 def test_missing_multiplier_names_pressure_block():
     # the closed Stokes system with its multiplier row and column cut off
     sub = subdivide(generate_unit_square_mesh(2))
@@ -131,6 +138,18 @@ def test_solution_matches_full_matrix_lu(name):
     reference = splu(system.matrix.tocsc()).solve(system.rhs)
     error = np.linalg.norm(report.solution - reference)
     assert error <= 1e-7 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("name", ["stokes-strong-16", "cooks-nu0.49999-16"])
+def test_certificate_values(name):
+    system = SYSTEMS[name]()
+    report = solve(system)
+    M, x, b = system.matrix, report.solution, system.rhs
+    r = np.linalg.norm(b - M @ x)
+    norm_m = np.abs(M).sum(axis=1).max()
+    assert report.residual == r / np.linalg.norm(b)
+    assert report.backward_error == r / (norm_m * np.linalg.norm(x)
+                                         + np.linalg.norm(b))
 
 
 @pytest.fixture
