@@ -28,7 +28,7 @@ for lam in (1.0, 1e6):
     errs = []
     case = case_elasticity(lam)
     for n in (4, 8, 16):
-        sub = subdivide(generate_unit_square_mesh(n), boundary_split="midpoint")
+        sub = subdivide(generate_unit_square_mesh(n))
         system = assemble_nitsche_elasticity(
             build_space(sub, "free"), case.coefficients,
             dirichlet_tags=set(case.boundary), g=case.velocity)

@@ -219,7 +219,7 @@ def solve_case(case, n):
     u.n, whose tangential condition carries mu as Nitsche terms, so
     mu = 0 is plain Darcy.
     """
-    sub = subdivide(generate_unit_square_mesh(n), boundary_split="midpoint")
+    sub = subdivide(generate_unit_square_mesh(n))
     space = build_space(sub, case.boundary)
     if case.coefficients.lam is not None:
         system = assemble_elasticity(space, case.coefficients)
@@ -439,7 +439,7 @@ def case_cooks(nu):
 def _cooks_space(n):
     """The compatible space on Cook's membrane at level n: clamped left
     side, free elsewhere."""
-    sub = subdivide(generate_cook_mesh(n), boundary_split="midpoint")
+    sub = subdivide(generate_cook_mesh(n))
     return build_space(
         sub,
         {

@@ -243,12 +243,8 @@ def run_mesh_info(config):
         for item in report:
             print(f"INVALID: {item}")
         return 1
-    try:
-        subdivide(mesh)
-        print("subdivision: ok (perpendicular boundary splits)")
-    except MeshError as exc:
-        subdivide(mesh, boundary_split="midpoint")
-        print(f"subdivision: midpoint boundary splits required ({exc})")
+    subdivide(mesh)
+    print("subdivision: ok")
     print("valid: yes")
     return 0
 

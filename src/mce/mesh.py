@@ -4,8 +4,7 @@ A macro mesh is a conforming triangulation whose triangles each carry one
 pressure value. Subdivision joins every triangle's centroid to its corners
 (first split) and then cuts each of those children by the line through the
 two centroids sharing the edge (second split), producing 6 subtriangles per
-macro triangle. On boundary edges the cut runs along the perpendicular from
-the centroid to the edge.
+macro triangle. Boundary edges are cut at their midpoints.
 """
 
 import math
@@ -281,70 +280,50 @@ def _norm(x):
     return np.sqrt(_dot(x, x))
 
 
-def subdivide(mesh, boundary_split="perpendicular"):
+def subdivide(mesh):
     """Compute the SubdividedMesh of a MacroMesh.
 
-    Interior edges split where the centroid-to-centroid segment crosses them.
-    Boundary edges split at the perpendicular foot of the centroid
-    (`boundary_split="perpendicular"`, the default) or at the edge midpoint
-    (`"midpoint"`, needed for sheared meshes such as Cook's membrane where
-    the foot can fall outside the edge). Raises MeshError for needle
-    configurations where a split point falls within 1e-10 of an edge endpoint
-    (relative to edge length) or the centroid segment misses the open edge;
-    the message names the first such edge.
+    Interior edges split where the centroid-to-centroid segment crosses them;
+    boundary edges split at their midpoints. Raises MeshError for needle
+    configurations where an interior split point falls within 1e-10 of an
+    edge endpoint (relative to edge length) or the centroid segment misses
+    the open edge; the message names the first such edge.
     """
-    if boundary_split not in ("perpendicular", "midpoint"):
-        raise ValueError(f"unknown boundary_split {boundary_split!r}")
     verts = mesh.vertices
     centroids = verts[mesh.triangles].mean(axis=1)
-    ne = mesh.num_edges
     va = verts[mesh.edges[:, 0]]
     vb = verts[mesh.edges[:, 1]]
-    ab = vb - va
     t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
     inner = np.flatnonzero(t1 >= 0)
-    outer = np.flatnonzero(t1 < 0)
-    splits = np.empty((ne, 2))
+    splits = 0.5 * (va + vb)
     # t: split point along the edge; s: along the centroid segment
-    t = np.full(ne, 0.5)
-    s = np.full(ne, 0.5)
-    parallel = np.zeros(ne, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         # c0 + s*d = va + t*ab
+        ab = vb[inner] - va[inner]
         c0 = centroids[t0[inner]]
         d = centroids[t1[inner]] - c0
         w = va[inner] - c0
-        denom = _cross2(d, ab[inner])
-        parallel[inner] = np.abs(denom) < 1e-14 * _norm(d) * _norm(ab[inner])
-        s[inner] = _cross2(w, ab[inner]) / denom
-        t[inner] = _cross2(w, d) / denom
-        splits[inner] = va[inner] + t[inner, None] * ab[inner]
-        if boundary_split == "midpoint":
-            splits[outer] = 0.5 * (va[outer] + vb[outer])
-        else:
-            d = ab[outer]
-            t[outer] = _dot(centroids[t0[outer]] - va[outer], d) / _dot(d, d)
-            splits[outer] = va[outer] + t[outer, None] * d
+        denom = _cross2(d, ab)
+        parallel = np.abs(denom) < 1e-14 * _norm(d) * _norm(ab)
+        s = _cross2(w, ab) / denom
+        t = _cross2(w, d) / denom
+        splits[inner] = va[inner] + t[:, None] * ab
     misses = ~((0.0 < s) & (s < 1.0))
     off_edge = ~((_SPLIT_MARGIN < t) & (t < 1.0 - _SPLIT_MARGIN))
     failed = np.flatnonzero(parallel | misses | off_edge)
     if failed.size:
-        e = int(failed[0])
-        if parallel[e]:
+        k = int(failed[0])
+        e = int(inner[k])
+        if parallel[k]:
             raise MeshError(f"edge {e}: centroid segment parallel to edge")
-        if misses[e]:
+        if misses[k]:
             raise MeshError(
                 f"edge {e}: centroid-to-centroid segment does not cross "
-                f"the shared edge (s={s[e]:.3g})"
-            )
-        if t1[e] < 0:
-            raise MeshError(
-                f"edge {e}: centroid projection falls outside the "
-                f"open edge (t={t[e]:.3g}); mesh quality too poor"
+                f"the shared edge (s={s[k]:.3g})"
             )
         raise MeshError(
             f"edge {e}: split point within {_SPLIT_MARGIN:g} of an "
-            f"edge endpoint (t={t[e]:.3g}); mesh quality too poor"
+            f"edge endpoint (t={t[k]:.3g}); mesh quality too poor"
         )
     nus = splits - centroids[t0]
     nus /= _norm(nus)[:, None]

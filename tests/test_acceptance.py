@@ -331,9 +331,12 @@ def test_criterion6_fortin_commuting():
 
 
 def test_criterion7_bubble_oracle():
-    # reference triangle: independent hand-built 2x2 system
+    # reference triangle: independent hand-built 2x2 system; its mirror
+    # image across the bottom edge makes the centroid-to-centroid line cut
+    # that edge at (1/3, 0)
     mesh = build_mesh(
-        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]]
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+        [[0, 1, 2], [0, 3, 1]],
     )
     sub = subdivide(mesh)
     bottom = next(
@@ -375,7 +378,7 @@ def test_criterion7_bubble_oracle():
             continue
         trials += 1
         m = build_mesh(verts, [[0, 1, 2]])
-        s = subdivide(m, boundary_split="midpoint")
+        s = subdivide(m)
         tables = ElementTables(s)
         # bubble divergences per subtriangle, from the P1 patch values
         div_sub = np.einsum(

@@ -139,7 +139,7 @@ class TestCooksCase:
     def test_load_resultant(self):
         # traction (0,1) on the x=48 edge of length 16: resultant (0, 16)
         mesh = generate_cook_mesh(4)
-        sub = subdivide(mesh, boundary_split="midpoint")
+        sub = subdivide(mesh)
         space = build_space(sub, {"clamped": Dirichlet((0.0, 0.0))})
         problem = case_cooks(0.3)
         co = ProblemCoefficients(mu=problem.mu, lam=problem.lam)
@@ -316,8 +316,7 @@ class TestConvergenceRunner:
         errs = []
         case = case_elasticity(1.0)
         for n in (4, 8):
-            sub = subdivide(generate_unit_square_mesh(n),
-                            boundary_split="midpoint")
+            sub = subdivide(generate_unit_square_mesh(n))
             system = assemble_nitsche_elasticity(
                 build_space(sub, "free"), case.coefficients,
                 dirichlet_tags=set(case.boundary), g=case.velocity)

@@ -14,9 +14,20 @@ import pytest
 
 import mce
 from mce import bench
-from mce.cli import build_parser, main, make_config, read_config_file
+from mce.cli import (
+    SUBCOMMANDS,
+    build_parser,
+    main,
+    make_config,
+    read_config_file,
+)
 from mce.forms import ConfigurationError
-from mce.mesh import generate_unit_square_mesh, subdivide, write_mesh
+from mce.mesh import (
+    generate_cook_mesh,
+    generate_unit_square_mesh,
+    subdivide,
+    write_mesh,
+)
 from mce.space import FieldSolution, build_space, fortin_interpolate
 from mce.vtk import write_vtk
 
@@ -245,6 +256,16 @@ class TestMeshInfo:
         path.write_text(write_mesh(mesh))
         assert run(["mesh-info", "--mesh-file", str(path)]) == 0
         assert "vertices: 9" in capsys.readouterr().out
+
+    def test_sheared_cook_mesh_subdivides(self, tmp_path, capsys):
+        # every boundary edge is cut at its midpoint, so Cook's sheared
+        # cells subdivide
+        path = tmp_path / "cook.mesh"
+        path.write_text(write_mesh(generate_cook_mesh(3)))
+        assert run(["mesh-info", "--mesh-file", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "subdivision: ok\n" in out
+        assert "valid: yes" in out
 
 
 # mesh files that once ended in a traceback (undecodable byte, a count whose
@@ -573,6 +594,15 @@ class TestReadme:
         table = {sub: set(re.findall(r"--([a-z-]+)", cells))
                  for sub, cells in rows}
         assert table == ACCEPTED
+
+    def test_option_table_matches_subcommands(self):
+        rows = re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", readme_cli_section(),
+                          re.MULTILINE)
+        assert [sub for sub, _ in rows] == list(SUBCOMMANDS)
+        for sub, cells in rows:
+            flags = re.findall(r"`--([a-z-]+)", cells)
+            assert flags == [key.replace("_", "-")
+                             for key in SUBCOMMANDS[sub]], sub
 
     @pytest.mark.parametrize("line", readme_command_block())
     def test_command_line_parses(self, line):

@@ -560,7 +560,7 @@ class TestBoundaryTermsMatchFaceLoops:
     @pytest.mark.parametrize("traction", [(0.0, 6.25), _load],
                              ids=["constant", "callable"])
     def test_cook_tractions(self, traction):
-        sub = subdivide(generate_cook_mesh(4), boundary_split="midpoint")
+        sub = subdivide(generate_cook_mesh(4))
         space = build_space(sub, {"clamped": Dirichlet((0.0, 0.0)),
                                   "loaded": Free(), "traction-free": Free()})
         coeffs = ProblemCoefficients(mu=80.0, lam=1e4)
@@ -751,18 +751,17 @@ def _coupling_fields(scenario, mu_value):
     return fields
 
 
-# (mesh, boundary split, per-triangle (mu, sigma, f) from the subdivision)
+# (mesh, per-triangle (mu, sigma, f) from the subdivision)
 PATCH_CASES = {
-    "square-3": (ORACLE_MESHES["square-3"], "perpendicular",
+    "square-3": (ORACLE_MESHES["square-3"],
                  lambda sub: _varied_fields(sub.mesh.num_triangles)),
-    "jittered-6": (ORACLE_MESHES["jittered-6"], "perpendicular",
+    "jittered-6": (ORACLE_MESHES["jittered-6"],
                    lambda sub: _varied_fields(sub.mesh.num_triangles)),
-    "cook-4": (lambda: generate_cook_mesh(4), "midpoint",
+    "cook-4": (lambda: generate_cook_mesh(4),
                lambda sub: _varied_fields(sub.mesh.num_triangles)),
-    "coupling-normal-8": (lambda: bench._square2_mesh(8), "perpendicular",
+    "coupling-normal-8": (lambda: bench._square2_mesh(8),
                           _coupling_fields("normal", 1e-6)),
     "coupling-tangential-8": (lambda: bench._square2_mesh(8),
-                              "perpendicular",
                               _coupling_fields("tangential", 1e-2)),
 }
 
@@ -780,8 +779,8 @@ class TestPatchKernelsMatchSubtriangleSums:
 
     @pytest.fixture(scope="class", params=sorted(PATCH_CASES))
     def case(self, request):
-        make_mesh, split, fields = PATCH_CASES[request.param]
-        sub = subdivide(make_mesh(), boundary_split=split)
+        make_mesh, fields = PATCH_CASES[request.param]
+        sub = subdivide(make_mesh())
         return build_space(sub, "free").tables, fields(sub)
 
     @pytest.mark.parametrize("terms", ["both", "viscous", "mass"])
@@ -888,15 +887,14 @@ class TestPatchFormTables:
 
     CASES = dict(PATCH_CASES, **{
         # many blocks of the elastic kernel (`space._BLOCK` triangles each)
-        "cook-48": (lambda: generate_cook_mesh(48), "midpoint",
+        "cook-48": (lambda: generate_cook_mesh(48),
                     lambda sub: _varied_fields(sub.mesh.num_triangles)),
     })
 
     @pytest.fixture(scope="class", params=sorted(CASES))
     def space(self, request):
-        make_mesh, split, _ = self.CASES[request.param]
-        return build_space(subdivide(make_mesh(), boundary_split=split),
-                           "free")
+        make_mesh, _ = self.CASES[request.param]
+        return build_space(subdivide(make_mesh()), "free")
 
     @pytest.mark.parametrize("lam", [0.0, 1e4])
     def test_elastic_matrices(self, space, lam):
@@ -973,7 +971,7 @@ class TestBuildSpaceMemory:
     3,070 without them)."""
 
     def test_peak_per_triangle(self, peak_traced_mb):
-        sub = subdivide(generate_cook_mesh(16), boundary_split="midpoint")
+        sub = subdivide(generate_cook_mesh(16))
         peak = peak_traced_mb(build_space, sub, {
             "clamped": Dirichlet((0.0, 0.0)), "loaded": Free(),
             "traction-free": Free()}) * 2**20
@@ -990,8 +988,7 @@ class TestAssemblyMemory:
                                            bench.case_darcy])
     def test_peak_per_triangle(self, make_case, peak_traced_mb):
         case = make_case()
-        sub = subdivide(generate_unit_square_mesh(64),
-                        boundary_split="midpoint")
+        sub = subdivide(generate_unit_square_mesh(64))
         space = build_space(sub, case.boundary)
         peak = peak_traced_mb(assemble_brinkman, space,
                               case.coefficients) * 2**20

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mce import bench
 from mce.mesh import (
     _SPLIT_MARGIN,
     COOK_CORNERS,
@@ -91,13 +92,7 @@ def reference_build_mesh(vertices, triangles, boundary_tags=None):
     )
 
 
-def _reference_boundary_split(a, b, c):
-    d = b - a
-    t = np.dot(c - a, d) / np.dot(d, d)
-    return t, a + t * d
-
-
-def reference_subdivide(mesh, boundary_split="perpendicular"):
+def reference_subdivide(mesh):
     verts = mesh.vertices
     centroids = verts[mesh.triangles].mean(axis=1)
     ne = mesh.num_edges
@@ -107,15 +102,7 @@ def reference_subdivide(mesh, boundary_split="perpendicular"):
         va, vb = verts[mesh.edges[e]]
         t0, t1 = mesh.edge_tris[e]
         if t1 < 0:
-            if boundary_split == "midpoint":
-                xm = 0.5 * (va + vb)
-            else:
-                t, xm = _reference_boundary_split(va, vb, centroids[t0])
-                if not (_SPLIT_MARGIN < t < 1.0 - _SPLIT_MARGIN):
-                    raise MeshError(
-                        f"edge {e}: centroid projection falls outside the "
-                        f"open edge (t={t:.3g}); mesh quality too poor"
-                    )
+            xm = 0.5 * (va + vb)
         else:
             c0, c1 = centroids[t0], centroids[t1]
             d = c1 - c0
@@ -254,6 +241,16 @@ class TestGenerators:
                 assert np.allclose(m.vertices[[a, b], 0], 48.0)
 
 
+BOUNDARY_SPLIT_MESHES = {
+    **{f"cook-{n}": (lambda n=n: generate_cook_mesh(n)) for n in (1, 3, 16, 48)},
+    "square2-8": lambda: bench._square2_mesh(8),
+    "jittered-12-seed0": lambda: build_mesh(*jittered_inputs(12, 0)),
+    "needle": lambda: build_mesh(
+        [[0.0, 0.0], [1.0, 0.0], [10.0, 0.4]], [[0, 1, 2]]
+    ),
+}
+
+
 class TestSubdivide:
     def test_single_triangle_bottom_edge(self):
         m = unit_triangle_mesh()
@@ -264,8 +261,10 @@ class TestSubdivide:
             e for e in range(m.num_edges)
             if set(m.edges[e]) == {0, 1}
         )
-        np.testing.assert_allclose(sub.edge_splits[e], [1 / 3, 0.0], atol=1e-15)
-        np.testing.assert_allclose(sub.edge_nu[e], [0.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(sub.edge_splits[e], [0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(
+            sub.edge_nu[e], np.array([1.0, -2.0]) / np.sqrt(5.0), atol=1e-15
+        )
 
     def test_shared_diagonal_split_at_center(self):
         m = two_triangle_square()
@@ -279,11 +278,10 @@ class TestSubdivide:
     @pytest.mark.parametrize("gen,n", [("square", 3), ("cook", 3)])
     def test_subtriangle_areas_partition(self, gen, n):
         if gen == "square":
-            m, sub = generate_unit_square_mesh(n), None
-            sub = subdivide(m)
+            m = generate_unit_square_mesh(n)
         else:
             m = generate_cook_mesh(n)
-            sub = subdivide(m, boundary_split="midpoint")
+        sub = subdivide(m)
         macro = triangle_areas(m.vertices, m.triangles)
         for t in range(m.num_triangles):
             tris = sub.all_local_nodes()[t][sub.SUBTRIANGLES]
@@ -296,7 +294,7 @@ class TestSubdivide:
 
     def test_interior_collinearity(self):
         m = generate_cook_mesh(4)
-        sub = subdivide(m, boundary_split="midpoint")
+        sub = subdivide(m)
         for e in range(m.num_edges):
             t0, t1 = m.edge_tris[e]
             if t1 < 0:
@@ -309,7 +307,7 @@ class TestSubdivide:
 
     def test_nu_recomputable_and_oriented(self):
         m = generate_cook_mesh(3)
-        sub = subdivide(m, boundary_split="midpoint")
+        sub = subdivide(m)
         for e in range(m.num_edges):
             t0 = m.edge_tris[e, 0]
             d = sub.edge_splits[e] - sub.centroids[t0]
@@ -319,20 +317,26 @@ class TestSubdivide:
             assert sub.edge_nu[e] @ d > 0
             assert np.linalg.norm(sub.edge_nu[e]) == pytest.approx(1.0, rel=1e-14)
 
-    def test_needle_mesh_rejected(self):
-        # centroid projects outside the short edge of a sliver
-        m = build_mesh(
-            [[0.0, 0.0], [1.0, 0.0], [10.0, 0.4]], [[0, 1, 2]]
-        )
-        with pytest.raises(MeshError):
-            subdivide(m)
-
-    def test_cook_needs_midpoint_rule(self):
-        # sheared right-edge cells put the perpendicular foot outside the edge
-        m = generate_cook_mesh(3)
-        with pytest.raises(MeshError):
-            subdivide(m)
-        subdivide(m, boundary_split="midpoint")
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_SPLIT_MESHES))
+    def test_boundary_edges_split_at_midpoint(self, name):
+        # the sliver and Cook's sheared cells have a boundary edge that the
+        # centroid's perpendicular foot misses; its midpoint lies inside
+        m = BOUNDARY_SPLIT_MESHES[name]()
+        sub = subdivide(m)
+        outer = m.boundary_edges
+        va = m.vertices[m.edges[outer, 0]]
+        vb = m.vertices[m.edges[outer, 1]]
+        assert_bitwise(sub.edge_splits[outer], 0.5 * (va + vb))
+        # outward normal of each boundary edge, taken counterclockwise
+        # around its triangle
+        t0 = m.edge_tris[outer, 0]
+        loc = np.argmax(m.tri_edges[t0] == outer[:, None], axis=1)
+        tri = m.triangles[t0]
+        rows = np.arange(len(outer))
+        a = m.vertices[tri[rows, (loc + 1) % 3]]
+        b = m.vertices[tri[rows, (loc + 2) % 3]]
+        normal = np.column_stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]])
+        assert np.all(np.sum(sub.edge_nu[outer] * normal, axis=1) > 0)
 
 
 class TestValidate:
@@ -549,12 +553,11 @@ class TestAgainstReference:
         inputs = INPUTS[name]()
         assert_same_mesh(build_mesh(*inputs), reference_build_mesh(*inputs))
 
-    @pytest.mark.parametrize("split", ["perpendicular", "midpoint"])
     @pytest.mark.parametrize("name", sorted(INPUTS))
-    def test_subdivide(self, name, split):
+    def test_subdivide(self, name):
         mesh = reference_build_mesh(*INPUTS[name]())
-        got = outcome(subdivide, mesh, boundary_split=split)
-        ref = outcome(reference_subdivide, mesh, boundary_split=split)
+        got = outcome(subdivide, mesh)
+        ref = outcome(reference_subdivide, mesh)
         if isinstance(ref, str):
             assert got == ref
             return
@@ -567,12 +570,6 @@ class TestAgainstReference:
         mesh = reference_build_mesh(*INPUTS[name]())
         assert validate_mesh(mesh) == reference_validate_mesh(mesh) == []
 
-    def test_cook_perpendicular_names_edge_9(self):
-        mesh = generate_cook_mesh(3)
-        got = outcome(subdivide, mesh)
-        assert got == outcome(reference_subdivide, mesh)
-        assert got.startswith("MeshError: edge 9: centroid projection falls")
-
 
 def _two_on_one_side(third):
     # triangles (0, 1, 2) and (0, 1, 3) both lie above their shared edge
@@ -581,10 +578,6 @@ def _two_on_one_side(third):
 
 
 SUBDIVIDE_FAILURES = {
-    "needle": (
-        lambda: build_mesh([[0.0, 0.0], [1.0, 0.0], [10.0, 0.4]], [[0, 1, 2]]),
-        "centroid projection falls outside",
-    ),
     "parallel": (lambda: _two_on_one_side([2.0, 1.0]), "parallel"),
     "not-crossing": (lambda: _two_on_one_side([0.5, 2.0]), "does not cross"),
     "split-off-edge": (

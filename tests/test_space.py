@@ -58,9 +58,12 @@ def divergence_deviation(space, coeffs):
 
 
 def reference_subdiv():
+    # the reference triangle and its mirror image across the bottom edge:
+    # the centroid-to-centroid line cuts that edge at (1/3, 0), nu = (0, -1)
     mesh = build_mesh(
-        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]],
-        {(0, 1): "bottom", (1, 2): "hyp", (2, 0): "left"},
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+        [[0, 1, 2], [0, 3, 1]],
+        {(1, 2): "hyp", (2, 0): "left"},
     )
     return subdivide(mesh)
 
@@ -197,7 +200,7 @@ class TestBubble:
         for trial in range(100):
             verts = random_quality_triangle(rng)
             mesh = build_mesh(verts, [[0, 1, 2]])
-            sub = subdivide(mesh, boundary_split="midpoint")
+            sub = subdivide(mesh)
             tables = ElementTables(sub)
             tables_nodes = sub.all_local_nodes()[0]
             for e in range(3):
@@ -218,7 +221,7 @@ class TestBubble:
         for trial in range(50):
             verts = random_quality_triangle(rng)
             mesh = build_mesh(verts, [[0, 1, 2]])
-            sub = subdivide(mesh, boundary_split="midpoint")
+            sub = subdivide(mesh)
             tables = ElementTables(sub)
             for e in range(3):
                 cf = closed_form_bubble(sub, e, 0)
@@ -575,7 +578,7 @@ class TestBuildSpace:
     @pytest.mark.parametrize("constraint", ["free", "normal"])
     @pytest.mark.parametrize("name", sorted(NORMAL_ORACLE_MESHES))
     def test_edge_normals_match_loop(self, name, constraint):
-        sub = subdivide(NORMAL_ORACLE_MESHES[name](), boundary_split="midpoint")
+        sub = subdivide(NORMAL_ORACLE_MESHES[name]())
         space = build_space(sub, constraint)
         oracle = loop_edge_normals(sub.mesh)
         assert space.edge_outward_normal.tobytes() == oracle.tobytes()
@@ -797,7 +800,7 @@ class TestBuildSpaceOracle:
              for i, (name, c) in enumerate(SPACE_ORACLE_CASES)],
     )
     def test_bitwise_equal_to_loop(self, name, constraint):
-        sub = subdivide(SPACE_ORACLE_MESHES[name](), boundary_split="midpoint")
+        sub = subdivide(SPACE_ORACLE_MESHES[name]())
         space = build_space(sub, constraint)
         C, lift, mode, fixed, normal = loop_build_space(sub, constraint)
         assert space.constraint.shape == C.shape
