@@ -483,7 +483,14 @@ INPUTS = {
     "square-3": lambda: reference_unit_square(3),
     "square-16": lambda: reference_unit_square(16),
     "cook-2": lambda: mesh_inputs(generate_cook_mesh(2)),
+    # sheared cells whose centroid's perpendicular foot misses a boundary
+    # edge (edge 9 at n = 3); the midpoint split must still match
+    "cook-3": lambda: mesh_inputs(generate_cook_mesh(3)),
     "cook-16": lambda: mesh_inputs(generate_cook_mesh(16)),
+    "cook-48": lambda: mesh_inputs(generate_cook_mesh(48)),
+    # a sliver whose centroid projects beyond its short edge
+    "needle": lambda: mesh_inputs(
+        build_mesh([[0.0, 0.0], [1.0, 0.0], [10.0, 0.4]], [[0, 1, 2]])),
     "jittered-12-seed0": lambda: jittered_inputs(12, 0),
     "jittered-12-seed1": lambda: jittered_inputs(12, 1),
     "jittered-20-seed2": lambda: jittered_inputs(20, 2),
