@@ -13,7 +13,6 @@ from .forms import (
     assemble_brinkman,
     assemble_elasticity,
     assemble_nitsche_brinkman_tangential,
-    assemble_nitsche_elasticity,
 )
 from .mesh import (
     MacroMesh,
@@ -65,7 +64,6 @@ __all__ = [
     "assemble_brinkman",
     "assemble_elasticity",
     "assemble_nitsche_brinkman_tangential",
-    "assemble_nitsche_elasticity",
     "build_mesh",
     "build_space",
     "eval_velocity",

@@ -27,19 +27,20 @@ elastic kernels and the load run over the blocks of macro triangles of
 Every assembler is its model's interior, its boundary terms and `_reduce`.
 Local (..., 9, 9) blocks and local loads enter through one scatter each,
 `_Builder.add_blocks` and `_Builder.add_loads`, in a fixed order, so every
-sum is deterministic; each Nitsche term -c(u,v) - c(v,u) + penalty is one
-`_nitsche_pair`. mu = 0 with a Dirichlet side is ill-posed, and every
-Brinkman assembler and sweep value refuses it (`_brinkman_fields`). Strong
-constraints are eliminated through the space's affine map (never
-penalized); negating the pressure test block gives the Brinkman matrix
-[[A, -B^T], [-B, 0]] with right-hand side [f, -g]. `_reduce` appends the
-mean-zero multiplier row exactly when the constant pressure lies in the
-kernel of the reduced velocity-pressure block, as no boundary term then
-fixes it. The reduced system is affine in the viscosity of one region, so
-`_viscosity_sweep` assembles its two parts once, not once per value.
+sum is deterministic. Elasticity takes its boundary conditions strongly,
+in the space, plus tractions; the one Nitsche term, -c(u,v) - c(v,u) +
+penalty, is the tangential Brinkman one, built by `_nitsche_pair`. mu = 0
+with a Dirichlet side is ill-posed, and every Brinkman assembler and sweep
+value refuses it (`_brinkman_fields`). Strong constraints are eliminated
+through the space's affine map (never penalized); negating the pressure
+test block gives the Brinkman matrix [[A, -B^T], [-B, 0]] with right-hand
+side [f, -g]. `_reduce` appends the mean-zero multiplier row exactly when
+the constant pressure lies in the kernel of the reduced velocity-pressure
+block, as no boundary term then fixes it. The reduced system is affine in
+the viscosity of one region, so `_viscosity_sweep` assembles its two parts
+once, not once per value.
 """
 
-import warnings
 from functools import cached_property
 
 import numpy as np
@@ -178,13 +179,10 @@ class _Builder:
             rows, cols, blocks = rows[keep], cols[keep], blocks[keep]
         self.add(rows, cols, blocks)
 
-    def add_loads(self, l2g, loads, keep=None):
+    def add_loads(self, l2g, loads):
         """np.add.at of local (..., 9) loads into the right-hand side, at
         the dofs and in the order of `add_blocks`."""
-        idx = np.broadcast_to(l2g, loads.shape)
-        if keep is not None:
-            idx, loads = idx[keep], loads[keep]
-        np.add.at(self.rhs, idx, loads)
+        np.add.at(self.rhs, np.broadcast_to(l2g, loads.shape), loads)
 
     def matrix(self):
         size = len(self.rhs)
@@ -316,14 +314,14 @@ def _reduce(space, builder, n_pressure=0):
 
 
 def _elasticity_interior(space, coeffs):
-    """Validated (mu, lam) and a builder holding the volume terms: the
-    2 mu sym-grad : sym-grad + lambda div div block and the body load."""
+    """A builder holding the volume terms: the 2 mu sym-grad : sym-grad +
+    lambda div div block and the body load."""
     tables = space.tables
     mu, lam = coeffs.validate_elasticity(space.mesh.num_triangles)
     builder = _Builder(space.n_velocity)
     builder.add_blocks(tables.loc2glob, _elastic_matrix(tables, mu, lam))
     _body_force_rhs(builder, tables, coeffs.f)
-    return builder, mu, lam
+    return builder
 
 
 def _brinkman_fields(space, coeffs):
@@ -363,14 +361,20 @@ def assemble_elasticity(space, coeffs, tractions=None):
     """Linear elasticity velocity block: int 2 mu sym-grad : sym-grad +
     lambda div div, with body load and optional boundary tractions
     (dict tag -> callable or constant traction density)."""
-    builder, _, _ = _elasticity_interior(space, coeffs)
+    builder = _elasticity_interior(space, coeffs)
     if tractions:
         _traction_rhs(builder, space, tractions)
     return _reduce(space, builder)
 
 
 def assemble_brinkman(space, coeffs):
-    """Brinkman saddle system (Stokes for sigma=0, Darcy for mu=0)."""
+    """Brinkman saddle system (Stokes for sigma=0, Darcy for mu=0).
+
+    The one-shot form of the coupling sweep: `_viscosity_sweep` builds the
+    same system at each of its viscosities. No boundary term is added, so
+    the tangential condition stays natural on `NormalZero` sides (the
+    coupling study's slip wall), where `assemble_nitsche_brinkman_tangential`
+    imposes it weakly."""
     mu, sigma = _brinkman_fields(space, coeffs)
     return _reduce(space, _brinkman_interior(space, coeffs, mu, sigma),
                    space.mesh.num_triangles)
@@ -413,12 +417,10 @@ def _viscosity_sweep(space, coeffs, swept):
     return system
 
 
-def _tag_mask(mesh, tags=None):
+def _tag_mask(mesh, tags):
     """Mask over `mesh.boundary_edges` of the edges tagged with one of
-    `tags` (all of them for None)."""
+    `tags`."""
     found = np.asarray(mesh.boundary_tags, dtype=object)[mesh.boundary_edges]
-    if tags is None:
-        return np.full(len(found), True)
     return np.isin(found, list(tags))
 
 
@@ -430,10 +432,9 @@ class _Faces:
     split node to vertex, each backed by the child subtriangle on it.
     Per face: `tri`, `l2g` (nf, 9), `tag`, length `h`, unit `normal` and
     `tangent` (nf, 2). Per face and half: `length` (nf, 2), quadrature
-    `points` (nf, 2, nq, 2) and basis `traces` (nf, 2, 9, nq, 2).
-    `end_values` (nf, 3, 9, 2) holds the basis values at the ends of the
-    two halves. The basis `grads` (nf, 2, 9, 2, 2) on the child
-    subtriangles are formed on first use, by the Nitsche assemblers only.
+    `points` (nf, 2, nq, 2) and basis `traces` (nf, 2, 9, nq, 2). The
+    basis `grads` (nf, 2, 9, 2, 2) on the child subtriangles are formed on
+    first use, by the tangential Brinkman term only.
 
     Lengths come from `_norm`, which is bit-identical to np.linalg.norm of
     each row, and every contraction keeps the per-face einsum subscripts
@@ -463,7 +464,7 @@ class _Faces:
         V = np.take_along_axis(
             tables.basis_node_values[self.tri], ends[:, None, :, None], axis=2
         )
-        V = self.end_values = np.swapaxes(V, 1, 2)  # (nf, 3, 9, 2)
+        V = np.swapaxes(V, 1, 2)  # (nf, 3, 9, 2): the ends of the halves
         self.traces = (
             V[:, :2, :, None, :] * (1.0 - qx)[:, None]
             + V[:, 1:, :, None, :] * qx[:, None]
@@ -487,32 +488,14 @@ class _Faces:
             L[..., None, None] * np.einsum("q,fskq,fslq->fskl", qw, tr, tr),
         )
 
-    def moments(self, g, tr):
-        """Integrals of g tr and of g over each half, for values g
-        (nf, 2, nq) at the quadrature points: (nf, 2, 9) and (nf, 2)."""
-        L, qw = self.length, self.qw
-        return (
-            L[..., None] * np.einsum("q,fsq,fskq->fsk", qw, g, tr),
-            L * np.einsum("q,fsq->fs", qw, g),
-        )
-
-
-def _sandwich(a, M, b):
-    """a . M b per face, half and basis field: (nf, 2, 9)."""
-    return np.einsum("fi,fskij,fj->fsk", a, M, b)
-
-
-def _outer(x, y):
-    """Per-(face, half) outer products x y^T of (nf, 2, 9) arrays."""
-    return x[..., :, None] * y[..., None, :]
-
 
 def _nitsche_pair(int_tr, stress, penalty, int_tr_tr):
-    """The two Nitsche blocks of each face half, stacked on axis 2 as
-    (nf, 2, 2, 9, 9): -c(u,v) - c(v,u), c the outer product of the test
-    trace integrals int_tr (nf, 2, 9) and the trial stress (nf, 2, 9), and
-    the penalty (nf,) times the trace products int_tr_tr (nf, 2, 9, 9)."""
-    cmat = _outer(int_tr, stress)
+    """The two blocks of the tangential Brinkman Nitsche term on each face
+    half, stacked on axis 2 as (nf, 2, 2, 9, 9): -c(u,v) - c(v,u), c the
+    outer product of the test trace integrals int_tr (nf, 2, 9) and the
+    trial stress (nf, 2, 9), and the penalty (nf,) times the trace products
+    int_tr_tr (nf, 2, 9, 9)."""
+    cmat = int_tr[..., :, None] * stress[..., None, :]
     return np.stack([
         -(cmat + np.swapaxes(cmat, -1, -2)),
         penalty[:, None, None, None] * int_tr_tr,
@@ -533,79 +516,6 @@ def _traction_rhs(builder, space, tractions):
     builder.add_loads(faces.l2g[:, None], vals)
 
 
-def assemble_nitsche_elasticity(space, coeffs, dirichlet_tags, g=None):
-    """Elasticity with weak boundary conditions: u.n = g.n prescribed on the
-    whole boundary, u.t = g.t on `dirichlet_tags` and traction-free
-    elsewhere, for the boundary displacement g (zero for None).
-
-    Adds -c(u,v) - c(v,u) + s(u,v) with the lambda part of the normal
-    penalty acting on face means (the piecewise-constant trace projection),
-    and the data terms of g.n and of g.t on the Dirichlet part, both taken
-    with each face's unit normal and tangent.
-    """
-    builder, mu, lam = _elasticity_interior(space, coeffs)
-    dirichlet_tags = set(dirichlet_tags)
-    if not dirichlet_tags:
-        warnings.warn(
-            "Nitsche elasticity without a tangential Dirichlet part may "
-            "leave a rigid-motion nullspace"
-        )
-
-    faces = _Faces(space, _tag_mask(space.mesh))
-    nf, L, h = len(faces.tri), faces.length, faces.h
-    n, tau = faces.normal, faces.tangent
-    on_d = np.isin(faces.tag, list(dirichlet_tags))
-    pen = coeffs.gamma / h
-    mu_t = mu[faces.tri]
-    pen_mu = pen * mu_t
-
-    G = faces.grads
-    E = 0.5 * (G + np.swapaxes(G, -1, -2))
-    div = np.trace(G, axis1=-2, axis2=-1)
-    two_mu = (2.0 * mu_t)[:, None, None]
-    sig_nn = two_mu * _sandwich(n, E, n) + lam * div
-    sig_nt = two_mu * _sandwich(tau, E, n)
-    tr_n, tr_t = faces.along(n), faces.along(tau)
-    int_trn, int_trn_trn = faces.integrals(tr_n)
-    int_trt, int_trt_trt = faces.integrals(tr_t)
-
-    # exact face means of (basis . n), the running sum starting at 0.0
-    V = faces.end_values
-    avg = ((0.5 * (V[:, :2] + V[:, 1:])) @ n[:, None, :, None])[..., 0]
-    mean_n = (0.0 + L[:, :1] * avg[:, 0] + L[:, 1:] * avg[:, 1]) / h[:, None]
-
-    # per face: the lambda-penalty on face means (gamma/h) lam |E| mean mean;
-    # per half: -c(u,v) - c(v,u) and the mu-penalty on normal traces, then
-    # the same two tangential terms on the Dirichlet part
-    halves = np.concatenate([
-        _nitsche_pair(int_trn, sig_nn, pen_mu, int_trn_trn),
-        _nitsche_pair(int_trt, sig_nt, pen_mu, int_trt_trt),
-    ], axis=2).reshape(nf, 8, 9, 9)
-    means = (pen * lam * h)[:, None, None] * _outer(mean_n, mean_n)
-    keep = np.ones((nf, 9), dtype=bool)
-    keep[:, [3, 4, 7, 8]] = on_d[:, None]
-    blocks = np.concatenate([means[:, None], halves], axis=1)
-    builder.add_blocks(faces.l2g[:, None], blocks, keep)
-
-    # loads: per half g.n then g.t (Dirichlet part), then the face-mean g.n
-    if g is not None:
-        gv = _eval_vec(g, faces.points)
-        g_n = (gv @ n[:, None, :, None])[..., 0]
-        g_t = (gv @ tau[:, None, :, None])[..., 0]
-        int_gn_trn, int_gn = faces.moments(g_n, tr_n)
-        int_gt_trt, int_gt = faces.moments(g_t, tr_t)
-        rhs = np.zeros((nf, 5, 9))
-        w = pen_mu[:, None, None]
-        rhs[:, 0:4:2] = w * int_gn_trn - sig_nn * int_gn[..., None]
-        rhs[:, 1:4:2] = w * int_gt_trt - sig_nt * int_gt[..., None]
-        mean_gn = 0.0 + int_gn[:, 0] + int_gn[:, 1]
-        rhs[:, 4] = (pen * lam * mean_gn)[:, None] * mean_n
-        keep = np.ones((nf, 5), dtype=bool)
-        keep[:, 1:4:2] = on_d[:, None]
-        builder.add_loads(faces.l2g[:, None], rhs, keep)
-    return _reduce(space, builder)
-
-
 def assemble_nitsche_brinkman_tangential(space, coeffs):
     """Brinkman with strong normal / weak tangential boundary conditions.
 
@@ -622,7 +532,8 @@ def assemble_nitsche_brinkman_tangential(space, coeffs):
     mu_t = mu[faces.tri]
     n, tau = faces.normal, faces.tangent
     # t.(mu grad u n)
-    dun_t = mu_t[:, None, None] * _sandwich(tau, faces.grads, n)
+    dun_t = mu_t[:, None, None] * np.einsum("fi,fskij,fj->fsk", tau,
+                                             faces.grads, n)
     int_trt, int_trt_trt = faces.integrals(faces.along(tau))
     builder.add_blocks(faces.l2g[:, None, None], _nitsche_pair(
         int_trt, dun_t, (coeffs.gamma / faces.h) * mu_t, int_trt_trt))

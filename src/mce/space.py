@@ -186,7 +186,7 @@ class NormalZero:
 
 @dataclass(frozen=True)
 class Free:
-    """Natural boundary (traction / Nitsche handled elsewhere)."""
+    """Natural boundary (tractions, if any, are assembled elsewhere)."""
 
 
 _MODE_ALIASES = {

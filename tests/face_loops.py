@@ -70,15 +70,6 @@ class _Face:
             _Segment(tables, t, 3 + loc, vb, 2 * loc + 1),
         ]
 
-    def mean_normal_trace(self, space):
-        """Exact face means of (basis . n), shape (9,)."""
-        V = space.tables.basis_node_values[self.tri]
-        total = np.zeros(9)
-        for seg in self.segments:
-            avg = 0.5 * (V[:, seg.n0] + V[:, seg.n1]) @ self.normal
-            total += seg.length * avg
-        return total / self.length
-
 
 def boundary_faces(space, tags=None):
     mesh = space.mesh

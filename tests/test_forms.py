@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from scipy import io as scipy_io
@@ -12,7 +10,6 @@ from mce.forms import (
     assemble_brinkman,
     assemble_elasticity,
     assemble_nitsche_brinkman_tangential,
-    assemble_nitsche_elasticity,
 )
 from mce.mesh import (
     SubdividedMesh,
@@ -188,33 +185,6 @@ class TestBrinkman:
         assert abs(m) < 1e-9
 
 
-class TestNitscheElasticity:
-    def test_symmetry(self, free3):
-        coeffs = ProblemCoefficients(mu=1.0, lam=100.0, gamma=10.0)
-        system = assemble_nitsche_elasticity(
-            free3, coeffs, dirichlet_tags={"left", "bottom", "right", "top"}
-        )
-        assert sym_defect(system.matrix) < 1e-12
-
-    def test_gamma_scaling_linear(self, free3):
-        tags = {"left", "bottom", "right", "top"}
-        mats = []
-        for gamma in (10.0, 20.0, 30.0):
-            coeffs = ProblemCoefficients(mu=1.0, lam=5.0, gamma=gamma)
-            mats.append(
-                assemble_nitsche_elasticity(free3, coeffs, tags).matrix
-            )
-        d1 = (mats[1] - mats[0]).toarray()
-        d2 = (mats[2] - mats[1]).toarray()
-        np.testing.assert_allclose(d1, d2, rtol=1e-10, atol=1e-12)
-        assert abs(d1).max() > 0
-
-    def test_empty_dirichlet_warns(self, free3):
-        coeffs = ProblemCoefficients(mu=1.0, lam=5.0)
-        with pytest.warns(UserWarning):
-            assemble_nitsche_elasticity(free3, coeffs, set())
-
-
 class TestNitscheBrinkmanTangential:
     def test_mu_zero_equals_plain(self):
         sub = subdivide(generate_unit_square_mesh(2))
@@ -304,18 +274,13 @@ def _reference_brinkman_interior(space, coeffs):
     return builder, mu, sigma
 
 
-def _reference_elasticity_interior(space, coeffs):
+def reference_assemble_elasticity(space, coeffs, tractions=None):
     tables = space.tables
     mu, lam = coeffs.validate_elasticity(space.mesh.num_triangles)
     builder = forms._Builder(space.n_velocity)
     _add_element_matrices(builder, tables,
                           forms._elastic_matrix(tables, mu, lam))
     forms._body_force_rhs(builder, tables, coeffs.f)
-    return builder, mu, lam
-
-
-def reference_assemble_elasticity(space, coeffs, tractions=None):
-    builder, _, _ = _reference_elasticity_interior(space, coeffs)
     if tractions:
         qx, qw = edge_rule(3)
         for face in boundary_faces(space):
@@ -332,82 +297,6 @@ def reference_assemble_elasticity(space, coeffs, tractions=None):
                 traces = seg.traces(qx)  # (9, nq, 2)
                 vals = seg.length * np.einsum("q,qi,kqi->k", qw, tv, traces)
                 np.add.at(builder.rhs, space.tables.loc2glob[face.tri], vals)
-    return forms._reduce(space, builder)
-
-
-def reference_assemble_nitsche_elasticity(space, coeffs, dirichlet_tags,
-                                          g=None):
-    builder, mu, lam = _reference_elasticity_interior(space, coeffs)
-    tables = space.tables
-    gamma = coeffs.gamma
-    dirichlet_tags = set(dirichlet_tags)
-    qx, qw = edge_rule(3)
-    for face in boundary_faces(space):
-        t = face.tri
-        n, tau = face.normal, face.tangent
-        h = face.length
-        mu_t = mu[t]
-        l2g = tables.loc2glob[t]
-        on_d = face.tag in dirichlet_tags
-
-        mean_n = face.mean_normal_trace(space)
-        # lambda-penalty on face means: (gamma/h) lam |E| mean mean
-        pen_mean = (gamma / h) * lam * face.length
-        builder.add(
-            np.repeat(l2g, 9), np.tile(l2g, 9),
-            pen_mean * np.outer(mean_n, mean_n),
-        )
-
-        mean_gn = 0.0
-        for seg in face.segments:
-            traces = seg.traces(qx)  # (9,nq,2)
-            G = seg.grads()  # (9,2,2)
-            E = 0.5 * (G + np.swapaxes(G, 1, 2))
-            div = np.trace(G, axis1=1, axis2=2)
-            sig_nn = 2.0 * mu_t * np.einsum("i,kij,j->k", n, E, n) + lam * div
-            sig_nt = 2.0 * mu_t * np.einsum("i,kij,j->k", tau, E, n)
-            tr_n = np.einsum("kqi,i->kq", traces, n)
-            tr_t = np.einsum("kqi,i->kq", traces, tau)
-            int_trn = seg.length * np.einsum("q,kq->k", qw, tr_n)
-            int_trt = seg.length * np.einsum("q,kq->k", qw, tr_t)
-            int_trn_trn = seg.length * np.einsum("q,kq,lq->kl", qw, tr_n, tr_n)
-            int_trt_trt = seg.length * np.einsum("q,kq,lq->kl", qw, tr_t, tr_t)
-
-            rows = np.repeat(l2g, 9)
-            cols = np.tile(l2g, 9)
-            # -c(u,v) - c(v,u), normal part on every boundary face
-            cmat = np.outer(int_trn, sig_nn)  # test k trace, trial l stress
-            builder.add(rows, cols, -(cmat + cmat.T))
-            # mu-penalty on normal traces
-            builder.add(rows, cols, (gamma / h) * mu_t * int_trn_trn)
-            if on_d:
-                cmat_t = np.outer(int_trt, sig_nt)
-                builder.add(rows, cols, -(cmat_t + cmat_t.T))
-                builder.add(rows, cols, (gamma / h) * mu_t * int_trt_trt)
-
-            pts = seg.points(qx)
-            if g is not None:
-                gv = _eval_points(g, pts) @ n
-                int_g_trn = seg.length * np.einsum("q,q,kq->k", qw, gv, tr_n)
-                int_g = seg.length * float(np.einsum("q,q->", qw, gv))
-                mean_gn += int_g
-                np.add.at(
-                    builder.rhs, l2g,
-                    (gamma / h) * mu_t * int_g_trn - sig_nn * int_g,
-                )
-            if on_d and g is not None:
-                gt_tau = _eval_points(g, pts) @ tau
-                int_gt_trt = seg.length * np.einsum("q,q,kq->k", qw, gt_tau, tr_t)
-                int_gt = seg.length * float(np.einsum("q,q->", qw, gt_tau))
-                np.add.at(
-                    builder.rhs, l2g,
-                    (gamma / h) * mu_t * int_gt_trt - sig_nt * int_gt,
-                )
-        if g is not None:
-            np.add.at(
-                builder.rhs, l2g,
-                (gamma / h) * lam * mean_gn * mean_n,
-            )
     return forms._reduce(space, builder)
 
 
@@ -472,11 +361,6 @@ def _load(p):
     return np.column_stack([np.sin(3.0 * p[:, 1]), p[:, 0] ** 2 - p[:, 1]])
 
 
-def _g(p):
-    return np.column_stack([p[:, 1] ** 3 + np.cos(2.0 * p[:, 0]) * p[:, 1],
-                            np.exp(p[:, 0]) - 1.0 + 0.25 * p[:, 0]])
-
-
 @pytest.fixture(scope="module", params=sorted(ORACLE_MESHES))
 def oracle_sub(request):
     return subdivide(ORACLE_MESHES[request.param]())
@@ -497,21 +381,6 @@ class TestBoundaryTermsMatchFaceLoops:
             assemble_elasticity(oracle_space, coeffs, tractions=tractions),
             reference_assemble_elasticity(oracle_space, coeffs, tractions),
         )
-
-    @pytest.mark.parametrize("tags", [SQUARE_TAGS, ("left", "top"), ()])
-    @pytest.mark.parametrize("data", [False, True])
-    def test_nitsche_elasticity(self, oracle_space, tags, data):
-        nt = oracle_space.mesh.num_triangles
-        mu = 1.0 + 0.5 * np.cos(np.arange(nt))
-        coeffs = ProblemCoefficients(mu=mu, lam=40.0, gamma=12.0, f=_load)
-        g = _g if data else None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            system = assemble_nitsche_elasticity(
-                oracle_space, coeffs, set(tags), g=g)
-            reference = reference_assemble_nitsche_elasticity(
-                oracle_space, coeffs, set(tags), g=g)
-        assert_bitwise(system, reference)
 
     def test_tangential(self, oracle_space):
         mesh = oracle_space.mesh
@@ -585,15 +454,9 @@ def _oracle_system(assembler, space):
         swept = np.arange(nt) % 2 == 0
         return forms._viscosity_sweep(space, ProblemCoefficients(
             mu=np.where(swept, 0.0, mu), sigma=0.5, f=_load), swept)(3.0)
-    if assembler == "elasticity":
-        return assemble_elasticity(
-            space, ProblemCoefficients(mu=mu, lam=7.0, f=_load),
-            tractions={"right": (0.5, -2.0), "top": _load})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return assemble_nitsche_elasticity(
-            space, ProblemCoefficients(mu=mu, lam=40.0, gamma=12.0, f=_load),
-            {"left", "top"}, g=_g)
+    return assemble_elasticity(
+        space, ProblemCoefficients(mu=mu, lam=7.0, f=_load),
+        tractions={"right": (0.5, -2.0), "top": _load})
 
 
 class TestSymmetry:
@@ -601,7 +464,7 @@ class TestSymmetry:
     mean-zero multiplier the constant pressure moves no velocity row."""
 
     @pytest.mark.parametrize("assembler", ["brinkman", "tangential", "sweep",
-                                           "elasticity", "nitsche-elasticity"])
+                                           "elasticity"])
     def test_symmetric(self, oracle_space, assembler):
         system = _oracle_system(assembler, oracle_space)
         M = system.matrix
@@ -911,7 +774,8 @@ class TestPatchFormTables:
         assert _rel_max(space.tables.basis_div, reference) <= self.TOL
 
     def test_face_grads(self, space):
-        faces = forms._Faces(space, forms._tag_mask(space.mesh))
+        faces = forms._Faces(space, np.ones(len(space.mesh.boundary_edges),
+                                            dtype=bool))
         reference = reference_basis_grads(space.tables)[
             faces.tri[:, None], :, faces.child
         ]
