@@ -36,6 +36,15 @@ SUBCOMMAND_RUNS = [
     ["brinkman", "--grid", "2", "--mu", "1", "--out", "brinkman"],
     ["mesh-info", "--grid", "2"],
 ]
+# the one assembly path of each subcommand's model: the `mce.forms`
+# assemblers and the coupling sweep that it calls
+PATHS = {
+    "stokes": {"assemble_nitsche_brinkman_tangential"},
+    "darcy": {"assemble_nitsche_brinkman_tangential"},
+    "cooks": {"assemble_elasticity"},
+    "brinkman": {"_viscosity_sweep"},
+    "mesh-info": set(),
+}
 
 
 def _entry_points():
@@ -64,24 +73,39 @@ def test_public_name_resolves(name):
     assert hasattr(mce, name)
 
 
-def test_every_exported_assembler_is_reached_by_a_subcommand(
-        tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    reached = set()
-
-    def record(frame, event, arg):
-        if event == "call" and frame.f_globals.get("__name__") == "mce.forms":
-            reached.add(frame.f_code.co_name)
-
+@pytest.fixture(scope="module")
+def reached(tmp_path_factory):
+    """Subcommand -> names of the `mce.forms` functions its run calls."""
     assert [run[0] for run in SUBCOMMAND_RUNS] == list(SUBCOMMANDS)
+    calls = {}
     previous = sys.getprofile()
-    for run in SUBCOMMAND_RUNS:
-        sys.setprofile(record)
-        try:
-            status = main(run)
-        finally:
-            sys.setprofile(previous)
-        assert status == 0, run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("runs"))
+        for run in SUBCOMMAND_RUNS:
+            names = calls[run[0]] = set()
+
+            def record(frame, event, arg, names=names):
+                if (event == "call"
+                        and frame.f_globals.get("__name__") == "mce.forms"):
+                    names.add(frame.f_code.co_name)
+
+            sys.setprofile(record)
+            try:
+                status = main(run)
+            finally:
+                sys.setprofile(previous)
+            assert status == 0, run
+    return calls
+
+
+def test_every_exported_assembler_is_reached_by_a_subcommand(reached):
     assemblers = {name for name in mce.__all__ if name.startswith("assemble_")}
     assert UNREACHED <= assemblers
-    assert assemblers - UNREACHED <= reached
+    assert assemblers - UNREACHED <= set().union(*reached.values())
+
+
+@pytest.mark.parametrize("subcommand", list(SUBCOMMANDS))
+def test_subcommand_takes_one_assembly_path(reached, subcommand):
+    taken = {name for name in reached[subcommand]
+             if name.startswith("assemble_") or name == "_viscosity_sweep"}
+    assert taken == PATHS[subcommand]

@@ -225,6 +225,21 @@ class TestNitscheBrinkmanTangential:
             if abs(v) > 1e-14:
                 assert not (interior_mask[r] and interior_mask[c])
 
+    def test_gamma_scaling_linear(self, oracle_space):
+        # gamma enters linearly, and only on the `NormalZero` sides
+        mats = []
+        for gamma in (10.0, 20.0, 30.0):
+            coeffs = ProblemCoefficients(mu=0.7, sigma=1.0, gamma=gamma)
+            mats.append(assemble_nitsche_brinkman_tangential(
+                oracle_space, coeffs).matrix)
+        d1 = (mats[1] - mats[0]).toarray()
+        d2 = (mats[2] - mats[1]).toarray()
+        np.testing.assert_allclose(d1, d2, rtol=1e-10, atol=1e-12)
+        if any(isinstance(bc, NormalZero) for bc in oracle_space.bc.values()):
+            assert abs(d1).max() > 0
+        else:
+            assert (mats[0] != mats[2]).nnz == 0
+
 
 class TestExport:
     def test_matrix_market_roundtrip(self, tmp_path, free3):
@@ -377,6 +392,23 @@ class TestBoundaryTermsMatchFaceLoops:
     def test_tractions(self, oracle_space):
         coeffs = ProblemCoefficients(mu=1.3, lam=7.0, f=_load)
         tractions = {"right": (0.5, -2.0), "top": _load, "left": None}
+        assert_bitwise(
+            assemble_elasticity(oracle_space, coeffs, tractions=tractions),
+            reference_assemble_elasticity(oracle_space, coeffs, tractions),
+        )
+
+    @pytest.mark.parametrize("loaded", [SQUARE_TAGS, ("left", "top"), ()],
+                             ids=["all", "left-top", "none"])
+    @pytest.mark.parametrize("traction", [(0.5, -2.0), _load],
+                             ids=["constant", "callable"])
+    def test_tractions_on_sides(self, oracle_space, loaded, traction):
+        # every side is named, the unloaded ones with None; loads on a
+        # strongly constrained side leave only their free rows
+        nt = oracle_space.mesh.num_triangles
+        mu = 1.0 + 0.5 * np.cos(np.arange(nt))
+        coeffs = ProblemCoefficients(mu=mu, lam=40.0, f=_load)
+        tractions = {tag: traction if tag in loaded else None
+                     for tag in SQUARE_TAGS}
         assert_bitwise(
             assemble_elasticity(oracle_space, coeffs, tractions=tractions),
             reference_assemble_elasticity(oracle_space, coeffs, tractions),
