@@ -1,38 +1,33 @@
 """Solution of the assembled sparse systems.
 
-Every system goes through one path. The SPD velocity operator
-K = A + r D^T W^-1 D, with D the pressure-velocity block and W the
-diagonal of macro areas, is factored once (K = A when there is no
-pressure block, as for elasticity). Right-preconditioned GMRES then runs
-on the full saddle matrix, with the iterated-penalty step as the
-preconditioner: du = K^-1 (r_u + r D^T W^-1 r_p), dp = r W^-1 (D du - r_p).
-Because div V_h equals the P0 pressure space exactly, K^-1 is a
-near-exact augmented-Lagrangian preconditioner, a few steps suffice, and
-the pressure block and the dense mean-zero multiplier row never enter a
-factorization. Every assembled system is symmetric, so the
-velocity-pressure block is D^T, and where the mean-zero multiplier row is
-present, D^T 1 = 0. A system that leaves its pressure level free, as
-only a hand-built one can, is refused before any factoring. The
-factor is the one copy of K's LU that a solve keeps: a negligible pivot is
-found by inverse iteration on a fixed probe, never by reading L or U, of
-which SciPy would build and keep CSC copies. Every solve is certified
-against the original matrix: relative residual or normwise backward error
-below 1e-9.
+Every system takes one path: an exact solve from sparse factors, refined
+once with the same factors. Without a pressure block (elasticity) that is
+the factor of A. With one, the solve runs on the discrete kernel: div V_h
+is the P0 pressure space exactly, so the velocity-pressure block B has the
+explicit kernel basis Z of `mce.space.kernel_basis`, and P = B_b B_b^T,
+B_b the bubble columns of B, is a dual-graph Laplacian. A residual (f, g)
+is corrected by u = B_b^T P^-1 g + Z c, with Z^T A Z c = Z^T (f - A u), so
+B u = g holds by construction, and by p = P^-1 B_b (f - A u)_b. Every
+assembled system is symmetric; where the mean-zero multiplier row is
+present, B^T 1 = 0, so the multiplier is the weighted mean of g, P is
+pinned at its first entry and p is shifted onto the multiplier row. A
+system that leaves its pressure level free, as only a hand-built one can,
+is refused before any factoring. A negligible pivot is found by inverse
+iteration on a fixed probe, never by reading L or U, of which SciPy would
+build and keep CSC copies. Every solve is certified against the original
+matrix: relative residual or normwise backward error below 1e-9.
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .forms import _constant_in_kernel
+from .space import kernel_basis
 
 RESIDUAL_LIMIT = 1e-9
-KRYLOV_TOLERANCE = 1e-13  # stop once the estimated ||b - Mx|| <= this * ||b||
-KRYLOV_STEP_LIMIT = 30
-PENALTY_SCALE = 1e3  # r = this * max diag(A) / max diag(D^T W^-1 D)
 
 
 class SolverError(Exception):
@@ -47,10 +42,10 @@ class SolveReport:
     `residual` is ||Ax-b|| / ||b||; `backward_error` is the normwise
     backward error ||Ax-b|| / (||A||_inf ||x|| + ||b||), the meaningful
     certificate when the matrix scale dwarfs the load (lambda -> inf).
-    `diagnostics` holds `nnz_LU` (the entries the factor stores, supernodal
-    padding included), `inverse_growth` (max|K| ||K^-1 y||_inf from the
-    pivot check, held below 1e13), `iterations` (Krylov steps, one solve
-    with the factor each) and `penalty` (r, None without a pressure block).
+    `diagnostics` holds `nnz_LU` (the entries the factors store, summed,
+    supernodal padding included) and `inverse_growth` (the larger of
+    max|K| ||K^-1 y||_inf over the factored matrices K, from the pivot
+    check, each held below 1e13).
     """
 
     solution: np.ndarray
@@ -113,140 +108,97 @@ def _checked_inverse_growth(lu, scale, system):
     return growth
 
 
-def _penalty_preconditioner(system):
-    """Factor K once; return the penalty step as a map from a residual
-    of the full saddle system to a correction, the factor with its
-    inverse growth, and r (None without a pressure block)."""
-    M = system.matrix
-    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
-    A = M[vel, vel]
-    r = None
-    if system.n_pressure:
-        if not system.has_multiplier and _constant_in_kernel(M[vel, pre]):
-            raise SolverError(_NULLSPACE_MESSAGE)
-        D = M[pre, vel]
-        w_inv = 1.0 / system.space.tables.areas
-        DWD = (D.T @ sparse.diags(w_inv) @ D).tocsc()
-        r = PENALTY_SCALE * A.diagonal().max() / DWD.diagonal().max()
-        A = A + r * DWD
-        del DWD
-    K = A.tocsc()
-    del A  # only K is factored: no CSR copy of it lives through splu
-    scale = np.abs(K).max()
+def _factor(K, system, name):
+    """Symmetric-mode SuperLU factor of K, the named matrix, and its
+    checked inverse growth."""
+    K = K.tocsc()
+    scale = np.abs(K.data).max(initial=0.0)
     try:
         lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(
-            f"factorization of the penalized velocity operator failed "
-            f"({exc}); {_structural_diagnosis(system)}"
+            f"factorization of {name} failed ({exc}); "
+            f"{_structural_diagnosis(system)}"
         ) from exc
-    del K  # the factor is the one copy: no CSC copy of L or U is read
-    growth = _checked_inverse_growth(lu, scale, system)
-    if r is None:
-        return lu.solve, lu, growth, r
+    return lu, _checked_inverse_growth(lu, scale, system)
 
-    if system.has_multiplier:
+
+def _exact_correction(system):
+    """Factor once; return the exact correction of a residual of the full
+    system, the entries the factors store and their larger growth."""
+    M = system.matrix
+    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
+    A = M[vel, vel]
+    if not system.n_pressure:
+        lu, growth = _factor(A, system, "the velocity operator")
+        return lu.solve, lu.nnz, growth
+    if not system.has_multiplier and _constant_in_kernel(M[vel, pre]):
+        raise SolverError(_NULLSPACE_MESSAGE)
+    space = system.space
+    bubbles = slice(vel.stop - int((~space.bubble_fixed).sum()), vel.stop)
+    B = M[pre, bubbles]
+    P = (B @ B.T).tocsr()
+    if system.has_multiplier:  # B^T 1 = 0: pin the constant pressure
         mrow = system.blocks["multiplier"].start
-        weights = M[pre, mrow].toarray().ravel()
+        w = M[pre, mrow].toarray().ravel()
+        P[0, 0] *= 2.0
+    Z = kernel_basis(space)
+    lu_p, growth_p = _factor(P, system, "the pressure Laplacian B_b B_b^T")
+    lu_z, growth_z = _factor(Z.T @ A @ Z, system,
+                             "the kernel operator Z^T A Z")
 
-    def step(res):
-        res_p = res[pre]
+    def correction(res):
+        f, g = res[vel], res[pre]
         dx = np.zeros_like(res)
         if system.has_multiplier:
-            # the multiplier row is present only where D^T 1 = 0, so
-            # summing the pressure rows leaves m sum(w) = sum(res_p)
-            dx[mrow] = res_p.sum() / weights.sum()
-            res_p = res_p - weights * dx[mrow]
-        du = lu.solve(res[vel] + r * (D.T @ (w_inv * res_p)))
-        dx[vel] = du
-        dx[pre] = r * w_inv * (D @ du - res_p)
+            # summing the pressure rows leaves m sum(w) = sum(g)
+            dx[mrow] = g.sum() / w.sum()
+            g = g - w * dx[mrow]
+        u = np.zeros_like(f)
+        u[bubbles] = B.T @ lu_p.solve(g)  # B u = g
+        u += Z @ lu_z.solve(Z.T @ (f - A @ u))
+        dx[vel] = u
+        dx[pre] = lu_p.solve(B @ (f - A @ u)[bubbles])
         if system.has_multiplier:  # shift p onto the multiplier row
-            dx[pre] += (res[mrow] - weights @ dx[pre]) / weights.sum()
+            dx[pre] += (res[mrow] - w @ dx[pre]) / w.sum()
         return dx
 
-    return step, lu, growth, r
-
-
-def _gmres(M, b, beta, precondition):
-    """Right-preconditioned GMRES in flexible form from x = 0, with
-    beta = ||b||: the preconditioned directions Z are kept, so x = Z y
-    needs no further solve. Stops once the least-squares residual estimate
-    reaches KRYLOV_TOLERANCE * beta, after KRYLOV_STEP_LIMIT steps, or at a
-    step that adds no direction (singular or non-finite), and leaves the
-    rest to the caller's certificate. Returns x and the number of steps."""
-    if beta == 0:
-        return np.zeros_like(b), 0
-    m = KRYLOV_STEP_LIMIT
-    V, Z = [b / beta], []
-    H = np.zeros((m + 1, m))
-    cs, sn = np.zeros(m), np.zeros(m)
-    g = np.zeros(m + 1)
-    g[0] = beta
-    k = 0
-    while k < m and abs(g[k]) > KRYLOV_TOLERANCE * beta:
-        Z.append(precondition(V[k]))
-        w = M @ Z[k]
-        for i in range(k + 1):  # modified Gram-Schmidt
-            H[i, k] = V[i] @ w
-            w -= H[i, k] * V[i]
-        H[k + 1, k] = np.linalg.norm(w)
-        V.append(w / H[k + 1, k] if H[k + 1, k] else w)
-        for i in range(k):  # the earlier Givens rotations
-            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
-                                    -sn[i] * H[i, k] + cs[i] * H[i + 1, k])
-        rho = np.hypot(H[k, k], H[k + 1, k])
-        if not rho > 0:
-            break
-        cs[k], sn[k] = H[k, k] / rho, H[k + 1, k] / rho
-        H[k, k], H[k + 1, k] = rho, 0.0
-        g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
-        k += 1
-    x = np.zeros_like(b)
-    for z, y in zip(Z, np.linalg.solve(H[:k, :k], g[:k])):  # H triangular
-        x += y * z
-    return x, k
+    return correction, lu_p.nnz + lu_z.nnz, max(growth_p, growth_z)
 
 
 def solve(system):
-    """Solve by GMRES preconditioned with the factored penalized velocity
-    operator; raises SolverError on structural singularity, or on failure
+    """Solve exactly with sparse factors, refined once with the same
+    factors; raises SolverError on structural singularity, or on failure
     to certify the solve (neither the relative residual nor the normwise
-    backward error below 1e-9, a NaN of either included), naming the step
-    count when the step limit was reached."""
+    backward error below RESIDUAL_LIMIT, a NaN of either or a non-finite
+    ||b|| included)."""
     start = time.perf_counter()
-    precondition, lu, growth, r = _penalty_preconditioner(system)
+    correction, nnz, growth = _exact_correction(system)
+    M, b = system.matrix, system.rhs
     # an overflow or NaN here is named by the certificate, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_b = np.linalg.norm(system.rhs)
-        x, steps = _gmres(system.matrix, system.rhs, norm_b, precondition)
-        res, bwd = _certificate(system.matrix, x, system.rhs, norm_b)
-    if not (res < RESIDUAL_LIMIT or bwd < RESIDUAL_LIMIT):
-        if not (np.isfinite(res) and np.isfinite(bwd)):
+        norm_b = np.linalg.norm(b)
+        x = correction(b)
+        x += correction(b - M @ x)
+        res, bwd = _certificate(M, x, b, norm_b)
+    if not (np.isfinite(norm_b)
+            and (res < RESIDUAL_LIMIT or bwd < RESIDUAL_LIMIT)):
+        if not np.isfinite([norm_b, res, bwd]).all():
             raise SolverError(
                 f"non-finite certificate (relative residual {res:.3e}, "
                 f"backward error {bwd:.3e}): the system or the solution "
                 f"holds a non-finite value, or a norm of one overflows "
                 f"double precision"
             )
-        if steps == KRYLOV_STEP_LIMIT:
-            raise SolverError(
-                f"GMRES stopped after {steps} steps at relative residual "
-                f"{res:.3e} (backward error {bwd:.3e})"
-            )
         raise SolverError(
             f"relative residual {res:.3e} and backward error {bwd:.3e} "
-            f"above 1e-9; {_structural_diagnosis(system)}"
+            f"above {RESIDUAL_LIMIT:g}; {_structural_diagnosis(system)}"
         )
     return SolveReport(
         solution=x,
         residual=res,
         backward_error=bwd,
-        diagnostics={
-            "nnz_LU": lu.nnz,
-            "inverse_growth": float(growth),
-            "iterations": steps,
-            "penalty": r,
-        },
+        diagnostics={"nnz_LU": nnz, "inverse_growth": float(growth)},
         wall_time=time.perf_counter() - start,
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .mesh import MeshError, _cross2, _dot, _norm
 from .quadrature import edge_rule, triangle_barycentric
@@ -368,6 +369,52 @@ def build_space(subdiv, constraint="dirichlet"):
         bubble_fixed=bubble_fixed,
         edge_outward_normal=edge_normal,
     )
+
+
+def kernel_basis(space):
+    """Sparse basis Z of ker D in the reduced velocity numbering, D the
+    velocity-pressure block: the curls of the Powell-Sabin Hermite basis.
+
+    The flux through edge E is |E|/2 (u_a + u_b + a_E nu_E).n_E: no other
+    bubble has a trace on E. A vertex column is the unit value t of one
+    reduced vertex unknown (e_x, e_y or the slide direction) with the free
+    bubble of each incident edge at -(t.n_E)/(nu_E.n_E), which cancels that
+    edge's flux. A stream column is the curl of a hat psi: the bubble of
+    edge (a, b) carries the flux psi(b) - psi(a). psi is constant along the
+    bubble-fixed edges, so the vertices they join share one column. The
+    group columns sum to the curl of 1, so one is dropped: the largest
+    group's, which would couple a whole boundary in Z^T A Z."""
+    mesh, C = space.mesh, space.constraint
+    nv, nfu = mesh.num_vertices, C.shape[1]
+    # each constraint row holds at most one entry; the reduced numbering
+    # puts every vertex unknown first and the free bubbles last
+    col, val = np.full(C.shape[0], -1), np.zeros(C.shape[0])
+    has = np.diff(C.indptr) > 0
+    col[has], val[has] = C.indices, C.data
+    free = np.flatnonzero(~space.bubble_fixed)
+    n_vertex = nfu - len(free)
+    ends = mesh.edges[free]
+    normal = _perp_out(mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]])
+    nu_n = _dot(space.subdiv.edge_nu[free], normal)  # |E| nu_E.n_E
+    dofs = 2 * ends[:, :, None] + np.arange(2)  # (edge, end, component)
+    fixed = mesh.edges[space.bubble_fixed]
+    n_groups, group = connected_components(sparse.coo_matrix(
+        (np.ones(len(fixed)), (fixed[:, 0], fixed[:, 1])), shape=(nv, nv)))
+    drop = np.bincount(group).argmax()
+    group = group[ends]
+    # per free edge: the four vertex-column entries, then the two stream
+    # entries, psi(b) - psi(a)
+    cols = np.c_[col[dofs].reshape(-1, 4), n_vertex + group - (group > drop)]
+    vals = np.c_[(-val[dofs] * normal[:, None]).reshape(-1, 4),
+                 np.full((len(free), 2), [-2.0, 2.0])] / nu_n[:, None]
+    on = np.c_[cols[:, :4] >= 0,
+               (group[:, [0]] != group[:, [1]]) & (group != drop)]
+    rows = np.broadcast_to(col[2 * nv + free, None], cols.shape)
+    return sparse.csr_matrix(
+        (np.r_[np.ones(n_vertex), vals[on]],
+         (np.r_[np.arange(n_vertex), rows[on]],
+          np.r_[np.arange(n_vertex), cols[on]])),
+        shape=(nfu, n_vertex + n_groups - 1))
 
 
 def fortin_interpolate(u, space):

@@ -2,7 +2,8 @@
 refactor of `mce` cannot leave a traced layer reading 0 unnoticed. The
 `ENTRY_POINTS` tuple is read from the tracer's source, not imported.
 Every name that `mce.__all__` exports exists too, and appears once, and
-every exported assembler is reached by a subcommand."""
+every exported assembler is reached by a subcommand, and every
+subcommand that solves a pressure system builds the kernel basis."""
 
 import ast
 import importlib
@@ -46,6 +47,11 @@ PATHS = {
     "mesh-info": set(),
 }
 
+# the subcommands that solve a system with a pressure block, each through
+# the explicit basis of the discrete kernel
+KERNEL_SOLVES = {"stokes", "darcy", "brinkman"}
+RECORDED = {"mce.forms", "mce.space"}
+
 
 def _entry_points():
     for node in ast.parse(TRACING.read_text()).body:
@@ -75,7 +81,8 @@ def test_public_name_resolves(name):
 
 @pytest.fixture(scope="module")
 def reached(tmp_path_factory):
-    """Subcommand -> names of the `mce.forms` functions its run calls."""
+    """Subcommand -> names of the `mce.forms` and `mce.space` functions its
+    run calls."""
     assert [run[0] for run in SUBCOMMAND_RUNS] == list(SUBCOMMANDS)
     calls = {}
     previous = sys.getprofile()
@@ -86,7 +93,7 @@ def reached(tmp_path_factory):
 
             def record(frame, event, arg, names=names):
                 if (event == "call"
-                        and frame.f_globals.get("__name__") == "mce.forms"):
+                        and frame.f_globals.get("__name__") in RECORDED):
                     names.add(frame.f_code.co_name)
 
             sys.setprofile(record)
@@ -109,3 +116,9 @@ def test_subcommand_takes_one_assembly_path(reached, subcommand):
     taken = {name for name in reached[subcommand]
              if name.startswith("assemble_") or name == "_viscosity_sweep"}
     assert taken == PATHS[subcommand]
+
+
+@pytest.mark.parametrize("subcommand", list(SUBCOMMANDS))
+def test_pressure_systems_solve_on_the_kernel_basis(reached, subcommand):
+    assert ("kernel_basis" in reached[subcommand]) == (
+        subcommand in KERNEL_SOLVES)

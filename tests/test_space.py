@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 
 from mce import bench
@@ -30,6 +32,7 @@ from mce.space import (
     build_space,
     eval_velocity,
     fortin_interpolate,
+    kernel_basis,
     macro_divergence,
     project_p0,
 )
@@ -841,3 +844,95 @@ class TestElementTablesFootprint:
                      if isinstance(value, np.ndarray))
         assert nbytes / sub.mesh.num_triangles <= 1800
         assert not {"basis_grads", "basis_div_sub"} & set(vars(tables))
+
+
+def divergence_block(space):
+    """Dense velocity-pressure block D (nt, free velocity dofs): each
+    basis field's constant divergence times the macro area, mapped
+    through the constraint."""
+    tables = space.tables
+    nt = len(tables.areas)
+    D = sparse.csr_matrix(
+        ((tables.basis_div * tables.areas[:, None]).ravel(),
+         (np.repeat(np.arange(nt), 9), tables.loc2glob.ravel())),
+        shape=(nt, space.n_velocity))
+    return (D @ space.constraint).toarray()
+
+
+def vertex_groups(space):
+    """Number of classes of vertices joined by bubble-fixed edges, by a
+    union-find loop over those edges."""
+    parent = list(range(space.mesh.num_vertices))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in space.mesh.edges[space.bubble_fixed]:
+        parent[root(a)] = root(b)
+    return len({root(v) for v in parent})
+
+
+def check_kernel_basis(space):
+    """D Z = 0 to rounding, Z a basis of ker D (dense ranks), with one
+    column per reduced vertex unknown and per vertex group but one."""
+    D, Z = divergence_block(space), kernel_basis(space).toarray()
+    n_vertex = space.n_free_velocity - int((~space.bubble_fixed).sum())
+    assert Z.shape == (space.n_free_velocity,
+                       n_vertex + vertex_groups(space) - 1)
+    assert np.abs(D @ Z).max(initial=0.0) <= 1e-13 * np.abs(D).max()
+    dim_ker = D.shape[1] - np.linalg.matrix_rank(D)
+    assert np.linalg.matrix_rank(Z) == Z.shape[1] == dim_ker
+
+
+KERNEL_SPACES = {
+    **{f"square-8-{mode}": (lambda mode=mode: build_space(
+        subdivide(generate_unit_square_mesh(8)), mode))
+       for mode in ("dirichlet", "normal", "free")},
+    **{f"jittered-7-{mode}": (lambda mode=mode: build_space(
+        subdivide(rotated_jittered_square(7, seed=3)), mode))
+       for mode in ("dirichlet", "normal", "free")},
+    "cook-8": lambda: bench._cooks_space(8),
+    **{f"coupling-{scenario}-8": (lambda scenario=scenario: build_space(
+        subdivide(bench._square2_mesh(8)),
+        bench._coupling_boundary(scenario)))
+       for scenario in bench.SCENARIOS},
+    # every vertex fixed, one free bubble: the kernel is empty
+    "square-1-dirichlet": lambda: build_space(
+        subdivide(generate_unit_square_mesh(1)), "dirichlet"),
+}
+
+
+class TestKernelBasis:
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+    def test_basis_of_the_kernel(self, name):
+        check_kernel_basis(KERNEL_SPACES[name]())
+
+    def test_coupling_through_flow_mode(self):
+        # the right and left sides are clamped apart, so the stream
+        # column of the second side carries the flow between the two
+        # natural sides: 190 and 199 columns at n = 8
+        columns = [kernel_basis(KERNEL_SPACES[f"coupling-{s}-8"]()).shape[1]
+                   for s in ("normal", "tangential")]
+        assert columns == [190, 199]
+
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**16),
+           angle=st.floats(0.0, 2.0 * np.pi),
+           modes=st.lists(st.sampled_from(sorted(_MODE_ALIASES)),
+                          min_size=4, max_size=4))
+    def test_basis_on_jittered_grids_and_boundary_maps(self, n, seed, angle,
+                                                       modes):
+        # interior vertices jittered, sides straight (to rounding) at any
+        # angle: a side bent below _NORMAL_ANGLE_TOL slides, and its
+        # vertex columns then leak flux through the side
+        mesh = generate_unit_square_mesh(n)
+        rng = np.random.default_rng(seed)
+        x = mesh.vertices.copy()
+        inside = np.all((x > 0.0) & (x < 1.0), axis=1)
+        x[inside] += rng.uniform(-0.3 / n, 0.3 / n, (int(inside.sum()), 2))
+        c, s = np.cos(angle), np.sin(angle)
+        mesh = mesh.with_vertices(x @ np.array([[c, s], [-s, c]]))
+        constraint = {tag: _MODE_ALIASES[mode] for tag, mode in
+                      zip(("bottom", "left", "right", "top"), modes)}
+        check_kernel_basis(build_space(subdivide(mesh), constraint))
