@@ -1,10 +1,10 @@
 """Stokes benchmark on the unit square: convergence table and rates.
 
 Manufactured solution u = (20 x y^3, 5 x^4 - 5 y^4), p = 60 y x^2 - 20 y^3
-- 5 with zero body force; Dirichlet data from the exact velocity and the
-zero-mean pressure enforced by a scalar multiplier. Velocity converges at
-second order in L2 and first order in H1; the piecewise-constant pressure
-at first order.
+- 5 with zero body force; Dirichlet data from the exact velocity, so the
+pressure level is free and the solve fixes it at zero mean. Velocity
+converges at second order in L2 and first order in H1; the
+piecewise-constant pressure at first order.
 """
 
 from mce.bench import case_stokes, run_convergence

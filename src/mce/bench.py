@@ -7,9 +7,9 @@ macro mesh), and the two coupled Stokes-Brinkman scenarios on (0,2)^2.
 A coupling scenario is assembled once for all its viscosities: its system
 at viscosity mu is S_rest + mu S_swept. The locking study assembles once
 per Poisson ratio on one space, and its plain-P1 system is a slice of the
-compatible one. The assembled system, not the case, decides the pressure
-multiplier. The level list and the Poisson ratios are checked here, as
-ConfigurationError; `mce.cli` refuses an empty nu or mu list and
+compatible one. The solve, not the case, fixes the pressure level where
+no boundary does. The level list and the Poisson ratios are checked here,
+as ConfigurationError; `mce.cli` refuses an empty nu or mu list and
 non-positive levels or grid before a study starts.
 """
 
@@ -483,7 +483,7 @@ def _affine_slice(system, affine):
     system `assemble_elasticity` gives on `affine`."""
     keep = _vertex_columns(system.space)
     return SaddleSystem(affine, system.matrix[keep][:, keep],
-                        system.rhs[keep], 0, False)
+                        system.rhs[keep], 0)
 
 
 def _cooks_tip(system, problem):

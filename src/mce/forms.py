@@ -34,11 +34,10 @@ with a Dirichlet side is ill-posed, and every Brinkman assembler and sweep
 value refuses it (`_brinkman_fields`). Strong constraints are eliminated
 through the space's affine map (never penalized); negating the pressure
 test block gives the Brinkman matrix [[A, -B^T], [-B, 0]] with right-hand
-side [f, -g]. `_reduce` appends the mean-zero multiplier row exactly when
-the constant pressure lies in the kernel of the reduced velocity-pressure
-block, as no boundary term then fixes it. The reduced system is affine in
-the viscosity of one region, so `_viscosity_sweep` assembles its two parts
-once, not once per value.
+side [f, -g]. No row fixes the pressure level: where no boundary term
+fixes it, `mce.solve` does. The reduced system is affine in the viscosity
+of one region, so `_viscosity_sweep` assembles its two parts once, not
+once per value.
 """
 
 from functools import cached_property
@@ -123,12 +122,14 @@ class ProblemCoefficients:
 class SaddleSystem:
     """Reduced sparse system with dof-block bookkeeping.
 
-    `matrix`/`rhs` live in the reduced numbering (constraints eliminated);
-    `blocks` maps velocity/pressure/multiplier to slices of it. `expand`
-    recovers the full velocity coefficients and the pressure vector.
+    `matrix`/`rhs` live in the reduced numbering (constraints eliminated),
+    n_free_velocity + n_pressure rows: no row fixes the pressure level,
+    `mce.solve` does where no boundary term does. `blocks` maps velocity
+    and pressure to slices of it. `expand` recovers the full velocity
+    coefficients and the pressure vector.
     """
 
-    def __init__(self, space, matrix, rhs, n_pressure, has_multiplier):
+    def __init__(self, space, matrix, rhs, n_pressure):
         self.space = space
         self.matrix = matrix.tocsr()
         self.rhs = rhs
@@ -136,11 +137,8 @@ class SaddleSystem:
         self.blocks = {
             "velocity": slice(0, nfu),
             "pressure": slice(nfu, nfu + n_pressure),
-            "multiplier": slice(nfu + n_pressure,
-                                nfu + n_pressure + int(has_multiplier)),
         }
         self.n_pressure = n_pressure
-        self.has_multiplier = has_multiplier
 
     @property
     def size(self):
@@ -148,12 +146,10 @@ class SaddleSystem:
 
     def expand(self, x):
         """Split a reduced solution into full velocity coefficients, the
-        pressure vector and the multiplier value (or None)."""
-        space = self.space
-        u = space.expand_velocity(x[self.blocks["velocity"]])
+        pressure vector (or None) and None: callers unpack three values."""
+        u = self.space.expand_velocity(x[self.blocks["velocity"]])
         p = x[self.blocks["pressure"]] if self.n_pressure else None
-        m = float(x[self.blocks["multiplier"]][0]) if self.has_multiplier else None
-        return u, p, m
+        return u, p, None
 
 
 class _Builder:
@@ -194,16 +190,6 @@ class _Builder:
             shape=(size, size),
         )
         return coo.tocsr()
-
-    def coupling(self, n_vel):
-        """The entries so far in velocity rows (below n_vel) and pressure
-        columns (from n_vel on), as that block in CSR."""
-        keep = [(r < n_vel) & (c >= n_vel)
-                for r, c in zip(self.rows, self.cols)]
-        r, c, v = (np.concatenate([a[k] for a, k in zip(arrays, keep)])
-                   for arrays in (self.rows, self.cols, self.vals))
-        return sparse.csr_matrix((v, (r, c - n_vel)),
-                                 shape=(n_vel, len(self.rhs) - n_vel))
 
 
 def _patch_sum(values, slots, size):
@@ -275,42 +261,21 @@ def _elastic_matrix(tables, mu, lam):
     return K
 
 
-def _constant_in_kernel(C):
-    """True when the constant pressure lies in the kernel of the
-    velocity-pressure block C (up to rounding). A block without entries
-    couples no pressure and gives False."""
-    ones = np.ones(C.shape[1])
-    scale = (abs(C) @ ones).max(initial=0.0)
-    return bool(scale > 0 and np.abs(C @ ones).max() <= 1e-10 * scale)
-
-
 def _reduce(space, builder, n_pressure=0):
-    """Eliminate the strong constraints: S^T (K S x + K lift) = S^T b.
-    The multiplier row and column (the macro areas) are appended, before
-    any CSR is built, when `_constant_in_kernel` holds for C^T B, with B
-    the builder's velocity-pressure block."""
+    """Eliminate the strong constraints: S^T (K S x + K lift) = S^T b."""
     C = space.constraint
-    n_vel = space.n_velocity
-    has_multiplier = bool(n_pressure) and _constant_in_kernel(
-        C.T @ builder.coupling(n_vel))
-    if has_multiplier:
-        prows, mrow = n_vel + np.arange(n_pressure), n_vel + n_pressure
-        builder.add(prows, np.full(n_pressure, mrow), space.tables.areas)
-        builder.add(np.full(n_pressure, mrow), prows, space.tables.areas)
-        builder.rhs = np.append(builder.rhs, 0.0)
     K = builder.matrix()
     b = builder.rhs
-    n_extra = n_pressure + int(has_multiplier)
     S = sparse.block_diag(
-        [C, sparse.identity(n_extra, format="csr")], format="csr"
-    ) if n_extra else C.tocsr()
+        [C, sparse.identity(n_pressure, format="csr")], format="csr"
+    ) if n_pressure else C.tocsr()
     z0 = np.zeros(K.shape[0])
-    z0[:n_vel] = space.lift
+    z0[:space.n_velocity] = space.lift
     if space.lift.any():
         b = b - K @ z0
     K_red = (S.T @ K @ S).tocsr()
     b_red = S.T @ b
-    return SaddleSystem(space, K_red, b_red, n_pressure, has_multiplier)
+    return SaddleSystem(space, K_red, b_red, n_pressure)
 
 
 def _elasticity_interior(space, coeffs):
@@ -391,9 +356,8 @@ def _viscosity_sweep(space, coeffs, swept):
     `swept` alone (no load, no pressure coupling, no mass). Both are
     assembled and reduced once, each m costs one sparse sum and is checked
     by `_brinkman_fields` (S_rest is not: its mu is zero on `swept` by
-    construction); the multiplier row, if any, is S_rest's. The values
-    agree with `assemble_brinkman` at the same coefficients to rounding,
-    not bit for bit."""
+    construction). The values agree with `assemble_brinkman` at the same
+    coefficients to rounding, not bit for bit."""
     tables = space.tables
     nt = space.mesh.num_triangles
     mu, sigma = coeffs.fields(nt)
@@ -405,14 +369,12 @@ def _viscosity_sweep(space, coeffs, swept):
     unit = _reduce(space, unit, nt)
     rest = _reduce(space, _brinkman_interior(
         space, coeffs, np.where(swept, 0.0, mu), sigma), nt)
-    unit_rhs = np.pad(unit.rhs, (0, rest.size - unit.size))
-    unit.matrix.resize(rest.matrix.shape)
 
     def system(m):
         _brinkman_fields(space, ProblemCoefficients(
             mu=np.where(swept, m, mu), sigma=sigma))
         return SaddleSystem(space, rest.matrix + m * unit.matrix,
-                            rest.rhs + m * unit_rhs, nt, rest.has_multiplier)
+                            rest.rhs + m * unit.rhs, nt)
 
     return system
 

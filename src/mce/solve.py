@@ -8,14 +8,15 @@ explicit kernel basis Z of `mce.space.kernel_basis`, and P = B_b B_b^T,
 B_b the bubble columns of B, is a dual-graph Laplacian. A residual (f, g)
 is corrected by u = B_b^T P^-1 g + Z c, with Z^T A Z c = Z^T (f - A u), so
 B u = g holds by construction, and by p = P^-1 B_b (f - A u)_b. Every
-assembled system is symmetric; where the mean-zero multiplier row is
-present, B^T 1 = 0, so the multiplier is the weighted mean of g, P is
-pinned at its first entry and p is shifted onto the multiplier row. A
-system that leaves its pressure level free, as only a hand-built one can,
-is refused before any factoring. A negligible pivot is found by inverse
-iteration on a fixed probe, never by reading L or U, of which SciPy would
-build and keep CSC copies. Every solve is certified against the original
-matrix: relative residual or normwise backward error below 1e-9.
+assembled system is symmetric, and none carries a row for the pressure
+level: the solve fixes it. Where the constant pressure lies in the kernel
+of B^T (a closed boundary), P is pinned at its first entry and p is
+shifted to area-weighted mean zero; mass data whose sum a free level
+cannot balance fail the certificate, and the failure names them. A
+negligible pivot is found by inverse iteration on a fixed probe, never by
+reading L or U, of which SciPy would build and keep CSC copies. Every
+solve is certified against the original matrix: relative residual or
+normwise backward error below 1e-9.
 """
 
 import time
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .forms import _constant_in_kernel
 from .space import kernel_basis
 
 RESIDUAL_LIMIT = 1e-9
@@ -63,23 +63,37 @@ def _certificate(matrix, x, b, norm_b):
     return (r / norm_b if norm_b > 0 else r), (r / denom if denom > 0 else r)
 
 
-_NULLSPACE_MESSAGE = (
-    "pressure block nullspace: the system has a pressure block but "
-    "no mean-zero multiplier row and no natural boundary to fix the "
-    "pressure level"
-)
+def _constant_in_kernel(C):
+    """True when the constant pressure lies in the kernel of the
+    velocity-pressure block C (up to rounding): nothing fixes the pressure
+    level. A block without entries couples no pressure and gives False."""
+    ones = np.ones(C.shape[1])
+    scale = (abs(C) @ ones).max(initial=0.0)
+    return bool(scale > 0 and np.abs(C @ ones).max() <= 1e-10 * scale)
 
 
-def _structural_diagnosis(system):
+def _failure_cause(system, singular):
+    """The cause of a failure where one shows, as "; cause": an empty row,
+    named with its block; else "matrix is singular" after a negligible
+    pivot (`singular`); else, after a failed certificate, mass data that a
+    free pressure level cannot balance. An empty string otherwise."""
     matrix = system.matrix.tocsr()
     empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
     if empty.size:
         row = int(empty[0])
-        for name, sl in system.blocks.items():
-            if sl.start <= row < sl.stop:
-                return f"empty row {row} in the {name} block"
-        return f"empty row {row}"
-    return "matrix is singular"
+        name = next(name for name, sl in system.blocks.items()
+                    if sl.start <= row < sl.stop)
+        return f"; empty row {row} in the {name} block"
+    if singular:
+        return "; matrix is singular"
+    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
+    g = system.rhs[pre]
+    if (system.n_pressure and _constant_in_kernel(matrix[vel, pre])
+            and abs(g.sum()) > 1e-10 * np.abs(g).sum()):
+        return (f"; incompatible mass data: the pressure level is free, "
+                f"and the mass sources minus the boundary flux sum to "
+                f"{-g.sum():.3e}, not 0")
+    return ""
 
 
 _PIVOT_RATIO_LIMIT = 1e-13
@@ -103,7 +117,7 @@ def _checked_inverse_growth(lu, scale, system):
         raise SolverError(
             f"factorization produced a negligible pivot (inverse growth "
             f"{growth:.3e} above {1.0 / _PIVOT_RATIO_LIMIT:.0e} at matrix "
-            f"scale {scale:.3e}); {_structural_diagnosis(system)}"
+            f"scale {scale:.3e}){_failure_cause(system, True)}"
         )
     return growth
 
@@ -118,8 +132,8 @@ def _factor(K, system, name):
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(
-            f"factorization of {name} failed ({exc}); "
-            f"{_structural_diagnosis(system)}"
+            f"factorization of {name} failed "
+            f"({exc}){_failure_cause(system, True)}"
         ) from exc
     return lu, _checked_inverse_growth(lu, scale, system)
 
@@ -133,16 +147,14 @@ def _exact_correction(system):
     if not system.n_pressure:
         lu, growth = _factor(A, system, "the velocity operator")
         return lu.solve, lu.nnz, growth
-    if not system.has_multiplier and _constant_in_kernel(M[vel, pre]):
-        raise SolverError(_NULLSPACE_MESSAGE)
     space = system.space
     bubbles = slice(vel.stop - int((~space.bubble_fixed).sum()), vel.stop)
     B = M[pre, bubbles]
     P = (B @ B.T).tocsr()
-    if system.has_multiplier:  # B^T 1 = 0: pin the constant pressure
-        mrow = system.blocks["multiplier"].start
-        w = M[pre, mrow].toarray().ravel()
+    free_level = _constant_in_kernel(M[vel, pre])
+    if free_level:  # B^T 1 = 0: pin the constant pressure
         P[0, 0] *= 2.0
+        w = space.tables.areas
     Z = kernel_basis(space)
     lu_p, growth_p = _factor(P, system, "the pressure Laplacian B_b B_b^T")
     lu_z, growth_z = _factor(Z.T @ A @ Z, system,
@@ -150,19 +162,13 @@ def _exact_correction(system):
 
     def correction(res):
         f, g = res[vel], res[pre]
-        dx = np.zeros_like(res)
-        if system.has_multiplier:
-            # summing the pressure rows leaves m sum(w) = sum(g)
-            dx[mrow] = g.sum() / w.sum()
-            g = g - w * dx[mrow]
         u = np.zeros_like(f)
         u[bubbles] = B.T @ lu_p.solve(g)  # B u = g
         u += Z @ lu_z.solve(Z.T @ (f - A @ u))
-        dx[vel] = u
-        dx[pre] = lu_p.solve(B @ (f - A @ u)[bubbles])
-        if system.has_multiplier:  # shift p onto the multiplier row
-            dx[pre] += (res[mrow] - w @ dx[pre]) / w.sum()
-        return dx
+        p = lu_p.solve(B @ (f - A @ u)[bubbles])
+        if free_level:  # area-weighted mean zero
+            p -= (w @ p) / w.sum()
+        return np.concatenate([u, p])
 
     return correction, lu_p.nnz + lu_z.nnz, max(growth_p, growth_z)
 
@@ -193,7 +199,7 @@ def solve(system):
             )
         raise SolverError(
             f"relative residual {res:.3e} and backward error {bwd:.3e} "
-            f"above {RESIDUAL_LIMIT:g}; {_structural_diagnosis(system)}"
+            f"above {RESIDUAL_LIMIT:g}{_failure_cause(system, False)}"
         )
     return SolveReport(
         solution=x,

@@ -19,7 +19,9 @@ from scipy.sparse.csgraph import connected_components
 from .mesh import MeshError, _cross2, _dot, _norm
 from .quadrature import edge_rule, triangle_barycentric
 
-_NORMAL_ANGLE_TOL = 1e-8
+# a vertex slides only where its NormalZero sides meet straight to
+# rounding: |n0 x n| = |sin| of the bend, linear in the angle
+_NORMAL_ANGLE_TOL = 1e-12
 
 
 class GeometryError(Exception):
@@ -339,7 +341,7 @@ def build_space(subdiv, constraint="dirichlet"):
     pair_normal = np.repeat(edge_normal[edges], 2, axis=0)[order]
     first = np.diff(pair_vertex, prepend=-1) != 0
     n0 = pair_normal[first]
-    bent = 1.0 - np.abs(_dot(n0[np.cumsum(first) - 1], pair_normal))
+    bent = np.abs(_cross2(n0[np.cumsum(first) - 1], pair_normal))
     heads = pair_vertex[first]
     vertex_mode[heads] = np.maximum(vertex_mode[heads], V_NORMAL)
     vertex_mode[pair_vertex[bent > _NORMAL_ANGLE_TOL]] = V_FIXED

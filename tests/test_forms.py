@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import io as scipy_io
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from mce import bench, forms
 from mce.forms import (
@@ -18,7 +19,7 @@ from mce.mesh import (
     subdivide,
 )
 from mce.quadrature import edge_rule, triangle_barycentric
-from mce.solve import solve
+from mce.solve import _constant_in_kernel, solve
 from mce.space import (
     Dirichlet,
     Free,
@@ -177,12 +178,13 @@ class TestBrinkman:
         space = build_space(sub3, "dirichlet")
         coeffs = ProblemCoefficients(mu=1.0, sigma=0.0, g=g)
         system = assemble_brinkman(space, coeffs)
-        u, _, m = system.expand(solve(system).solution)
+        u, p, _ = system.expand(solve(system).solution)
         div = macro_divergence(space, u)
         pg = project_p0(g, sub3)
         scale = max(1.0, np.abs(pg).max(), np.abs(div).max())
         assert np.abs(div - pg).max() < 1e-9 * scale
-        assert abs(m) < 1e-9
+        areas = space.tables.areas
+        assert abs(areas @ p) <= 1e-12 * (areas @ np.abs(p))
 
 
 class TestNitscheBrinkmanTangential:
@@ -492,8 +494,7 @@ def _oracle_system(assembler, space):
 
 
 class TestSymmetry:
-    """Every assembler builds a symmetric matrix, and where it adds the
-    mean-zero multiplier the constant pressure moves no velocity row."""
+    """Every assembler builds a symmetric matrix."""
 
     @pytest.mark.parametrize("assembler", ["brinkman", "tangential", "sweep",
                                            "elasticity"])
@@ -501,23 +502,16 @@ class TestSymmetry:
         system = _oracle_system(assembler, oracle_space)
         M = system.matrix
         assert sparse.linalg.norm(M - M.T) <= 1e-12 * sparse.linalg.norm(M)
-        if system.has_multiplier:
-            C = M[system.blocks["velocity"], system.blocks["pressure"]]
-            flux = np.abs(C @ np.ones(C.shape[1])).max()
-            assert flux <= 1e-10 * sparse.linalg.norm(C, np.inf)
-
-
-# assembler -> has_multiplier on the free space; the normal and dirichlet
-# spaces eliminate every boundary flux, so there the constant pressure
-# always lies in the kernel of the coupling block
-MULTIPLIER_ON_FREE = {"brinkman": False, "tangential": False}
 
 
 class TestMultiplierRule:
-    """The mean-zero multiplier row is there exactly when nothing else
-    fixes the pressure level."""
+    """No assembled system carries a mean-zero multiplier row: the solve
+    fixes the pressure level. The normal and dirichlet spaces eliminate
+    every boundary flux, so there the constant pressure lies in the kernel
+    of the coupling block and the solved pressure has area-weighted mean
+    zero; on the free space the boundary flux fixes it."""
 
-    @pytest.mark.parametrize("assembler", list(MULTIPLIER_ON_FREE))
+    @pytest.mark.parametrize("assembler", ["brinkman", "tangential"])
     @pytest.mark.parametrize("mode", ["free", "normal", "dirichlet"])
     def test_has_multiplier(self, oracle_sub, mode, assembler):
         space = build_space(oracle_sub, mode)
@@ -526,24 +520,27 @@ class TestMultiplierRule:
             system = assemble_brinkman(space, coeffs)
         else:
             system = assemble_nitsche_brinkman_tangential(space, coeffs)
-        expected = mode != "free" or MULTIPLIER_ON_FREE[assembler]
-        assert system.has_multiplier is expected
         nt = space.mesh.num_triangles
-        assert system.size == space.n_free_velocity + nt + int(expected)
-        if expected:  # the row of int q over the domain
-            row = system.matrix[system.blocks["multiplier"]]
-            assert np.array_equal(row.indices,
-                                  space.n_free_velocity + np.arange(nt))
-            assert np.array_equal(row.data, space.tables.areas)
+        assert system.size == space.n_free_velocity + nt
+        x = solve(system).solution
+        p = x[system.blocks["pressure"]]
+        areas = space.tables.areas
+        if mode == "free":  # the level as solved: no shift
+            reference = splu(system.matrix.tocsc()).solve(system.rhs)
+            np.testing.assert_allclose(x, reference, rtol=0,
+                                       atol=1e-9 * np.abs(reference).max())
+            assert abs(areas @ p) > 1e-6 * (areas @ np.abs(p))
+        else:
+            assert abs(areas @ p) <= 1e-12 * (areas @ np.abs(p))
 
     def test_all_zero_coupling_is_not_a_free_level(self):
         empty = sparse.csr_matrix((5, 3))
-        assert forms._constant_in_kernel(empty) is False
+        assert _constant_in_kernel(empty) is False
 
     def test_viscosity_sweep_takes_the_rule_of_its_whole_system(self, sub3):
-        # the swept part alone couples no pressure; on a closed space the
-        # system still gets the multiplier row, and the sweep at m matches
-        # the assembled system at the same viscosity to rounding
+        # the swept part alone couples no pressure; the sweep at m has the
+        # size of the assembled system at the same viscosity and matches
+        # it to rounding
         space = build_space(sub3, "dirichlet")
         nt = space.mesh.num_triangles
         swept = np.arange(nt) % 2 == 0
@@ -552,7 +549,6 @@ class TestMultiplierRule:
         system = forms._viscosity_sweep(space, coeffs, swept)(3.0)
         direct = assemble_brinkman(space, ProblemCoefficients(
             mu=np.where(swept, 3.0, 2.0), sigma=0.5, f=_load))
-        assert system.has_multiplier and direct.has_multiplier
         assert system.size == direct.size
         assert abs(system.matrix - direct.matrix).max() <= (
             1e-13 * abs(direct.matrix).max())

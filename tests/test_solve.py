@@ -22,17 +22,15 @@ solve_module = importlib.import_module("mce.solve")
 class FakeSystem:
     """Minimal stand-in exposing the SaddleSystem solve surface."""
 
-    def __init__(self, matrix, rhs, n_pressure=0, has_multiplier=False):
+    def __init__(self, matrix, rhs, n_pressure=0):
         self.matrix = sparse.csr_matrix(matrix)
         self.rhs = np.asarray(rhs, dtype=float)
         n = self.matrix.shape[0]
         self.blocks = {
             "velocity": slice(0, n - n_pressure),
             "pressure": slice(n - n_pressure, n),
-            "multiplier": slice(n, n),
         }
         self.n_pressure = n_pressure
-        self.has_multiplier = has_multiplier
 
 
 def test_identity_system():
@@ -61,20 +59,15 @@ def test_overflowing_load_is_named_without_a_warning():
         solve(FakeSystem(np.eye(2), [1e300, 1e300]))
 
 
-def test_missing_multiplier_names_pressure_block():
-    # the closed Stokes system with its multiplier row and column cut off
-    sub = subdivide(generate_unit_square_mesh(2))
-    space = build_space(sub, "dirichlet")
-    coeffs = ProblemCoefficients(
-        mu=1.0, sigma=0.0,
-        f=lambda p: np.column_stack([np.ones(len(p)), p[:, 0]]),
-    )
-    system = assemble_brinkman(space, coeffs)
-    assert system.has_multiplier
-    cut = FakeSystem(system.matrix[:-1, :-1], system.rhs[:-1],
-                     n_pressure=system.n_pressure)
-    with pytest.raises(SolverError, match="^pressure block nullspace"):
-        solve(cut)
+def test_incompatible_mass_data_is_named():
+    # a closed boundary leaves the pressure level free, so the mass
+    # sources must sum to the boundary flux, 0 here; g = x sums to 1/2
+    space = build_space(subdivide(generate_unit_square_mesh(4)), "dirichlet")
+    system = assemble_brinkman(space, ProblemCoefficients(
+        mu=1.0, sigma=0.0, g=lambda p: p[:, 0]))
+    with pytest.raises(SolverError, match="^relative residual .*; "
+                       "incompatible mass data: .* sum to 5.000e-01, not 0$"):
+        solve(system)
 
 
 def test_determinism():
@@ -119,20 +112,30 @@ SYSTEMS = {
 }
 
 
+def _bordered(system):
+    """The system's matrix and right-hand side, bordered by the row and
+    column of the macro areas where the pressure level is free: the
+    reference fixes that level at area-weighted mean zero itself."""
+    M, b = system.matrix, system.rhs
+    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
+    if not (system.n_pressure
+            and solve_module._constant_in_kernel(M[vel, pre])):
+        return M, b
+    w = np.zeros((1, system.size))
+    w[0, pre] = system.space.tables.areas
+    return sparse.bmat([[M, w.T], [w, None]]), np.append(b, 0.0)
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_solution_matches_full_matrix_lu(name):
     system = SYSTEMS[name]()
-    # every assembled system is symmetric, and the multiplier row is there
-    # only where D^T 1 = 0: the constant pressure moves no velocity row
+    # every assembled system is symmetric
     M = system.matrix
     assert sparse.linalg.norm(M - M.T) <= 1e-12 * sparse.linalg.norm(M)
-    if system.has_multiplier:
-        C = M[system.blocks["velocity"], system.blocks["pressure"]]
-        flux = np.abs(C @ np.ones(C.shape[1])).max()
-        assert flux <= 1e-10 * sparse.linalg.norm(C, np.inf)
     report = solve(system)
     assert set(report.diagnostics) == {"nnz_LU", "inverse_growth"}
-    reference = splu(system.matrix.tocsc()).solve(system.rhs)
+    K, b = _bordered(system)
+    reference = splu(K.tocsc()).solve(b)[:system.size]
     error = np.linalg.norm(report.solution - reference)
     assert error <= 1e-7 * np.linalg.norm(reference)
 
@@ -176,14 +179,15 @@ def _lu_entries(call):
 @pytest.mark.parametrize("case", [bench.case_stokes, bench.case_darcy],
                          ids=["stokes", "darcy"])
 def test_factor_fill_is_bounded(case, factored):
-    # the dense multiplier row and the pressure block stay out of the
-    # factorizations; at n = 32 the LU of the whole matrix filled 60 x its
-    # nnz for Stokes and 15 x for Darcy, the factors of B_b B_b^T and
-    # Z^T A Z together 4.3 x and 4.6 x nnz(A)
+    # the pressure block stays out of the factorizations, and the free
+    # pressure level is pinned, not bordered; at n = 32 the LU of the whole
+    # matrix with a mean-zero border filled 60 x its nnz for Stokes and
+    # 15 x for Darcy, the factors of B_b B_b^T and Z^T A Z together 4.3 x
+    # and 4.6 x nnz(A)
     system = _case_system(case(), 32)
-    assert system.has_multiplier
+    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
+    assert solve_module._constant_in_kernel(system.matrix[vel, pre])
     assert len(factored) == 2
-    vel = system.blocks["velocity"]
     entries = sum(_lu_entries(call) for call in factored)
     assert entries <= 10 * system.matrix[vel, vel].nnz
 
@@ -236,10 +240,11 @@ def test_pure_traction_elasticity_is_singular(n):
 def test_free_stokes_is_singular_in_velocity_not_pressure():
     # every edge free and sigma = 0: the constant velocities span the
     # kernel of K; the boundary flux fixes the pressure level, so the
-    # system has no multiplier row and no pressure nullspace to name
+    # pressure has no nullspace to name
     system = assemble_brinkman(
         _free_space(8), ProblemCoefficients(mu=1.0, sigma=0.0, f=_load))
-    assert not system.has_multiplier
+    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
+    assert not solve_module._constant_in_kernel(system.matrix[vel, pre])
     with pytest.raises(SolverError,
                        match="negligible pivot.*; matrix is singular$"):
         solve(system)
@@ -269,5 +274,8 @@ def test_one_refinement_certifies(case, n):
 def test_failed_certificate_is_named(monkeypatch):
     system = _case_system(bench.case_stokes(), 4)
     monkeypatch.setattr(solve_module, "RESIDUAL_LIMIT", 0.0)
-    with pytest.raises(SolverError, match="^relative residual .* above 0;"):
+    # a well-posed matrix and compatible data: the message names no cause
+    with pytest.raises(SolverError,
+                       match="^relative residual .* above 0$") as failure:
         solve(system)
+    assert "singular" not in str(failure.value)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from mce import bench
+from mce.forms import ProblemCoefficients, assemble_brinkman
 from mce.mesh import (
     SubdividedMesh,
     _norm,
@@ -36,6 +37,7 @@ from mce.space import (
     macro_divergence,
     project_p0,
 )
+from mce.solve import solve
 
 
 def velocity_gradient(space, coeffs, t, point):
@@ -718,7 +720,8 @@ def loop_build_space(subdiv, constraint):
         normals = vertex_normals[v]
         n0 = normals[0]
         distinct = any(
-            1.0 - abs(float(n0 @ n)) > _NORMAL_ANGLE_TOL for n in normals[1:]
+            abs(float(n0[0] * n[1] - n0[1] * n[0])) > _NORMAL_ANGLE_TOL
+            for n in normals[1:]
         )
         if distinct:
             vertex_mode[v] = V_FIXED
@@ -901,6 +904,12 @@ KERNEL_SPACES = {
     # every vertex fixed, one free bubble: the kernel is empty
     "square-1-dirichlet": lambda: build_space(
         subdivide(generate_unit_square_mesh(1)), "dirichlet"),
+    # boundary vertices jittered too: the NormalZero top bends at each
+    # vertex (by 1.7e-5 rad at vertex 14), so every one of them is fixed
+    "bent-normal-top-3": lambda: build_space(
+        subdivide(rotated_jittered_square(3, seed=89)),
+        {"top": NormalZero(), "bottom": Dirichlet((0.0, 0.0)),
+         "left": Dirichlet((0.0, 0.0)), "right": Dirichlet((0.0, 0.0))}),
 }
 
 
@@ -917,6 +926,16 @@ class TestKernelBasis:
                    for s in ("normal", "tangential")]
         assert columns == [190, 199]
 
+    def test_bent_normal_side_certifies(self):
+        # a vertex left sliding on a bend leaks flux through its column of
+        # Z and leaves the constant pressure only nearly in ker B^T: the
+        # pivot check then refused B_b B_b^T (inverse growth 9.8e16)
+        system = assemble_brinkman(
+            KERNEL_SPACES["bent-normal-top-3"](),
+            ProblemCoefficients(mu=1.0, sigma=0.0, f=lambda p: np.column_stack(
+                [np.ones(len(p)), p[:, 0]])))
+        assert solve(system).residual <= 1e-12
+
     @given(n=st.integers(2, 6), seed=st.integers(0, 2**16),
            angle=st.floats(0.0, 2.0 * np.pi),
            modes=st.lists(st.sampled_from(sorted(_MODE_ALIASES)),
@@ -924,8 +943,9 @@ class TestKernelBasis:
     def test_basis_on_jittered_grids_and_boundary_maps(self, n, seed, angle,
                                                        modes):
         # interior vertices jittered, sides straight (to rounding) at any
-        # angle: a side bent below _NORMAL_ANGLE_TOL slides, and its
-        # vertex columns then leak flux through the side
+        # angle: a vertex whose sides bend by |sin| below
+        # _NORMAL_ANGLE_TOL slides, and its vertex column then leaks flux
+        # through the side
         mesh = generate_unit_square_mesh(n)
         rng = np.random.default_rng(seed)
         x = mesh.vertices.copy()
