@@ -36,6 +36,7 @@ from .space import (
     FieldSolution,
     Free,
     NormalZero,
+    _eval_vec,
     _quadrature_blocks,
     build_space,
 )
@@ -65,7 +66,6 @@ def _grad_stack(four):
 class ManufacturedCase:
     """Exact fields, data, and boundary setup of one benchmark problem."""
 
-    name: str
     coefficients: ProblemCoefficients
     boundary: dict
     velocity: object
@@ -82,25 +82,26 @@ class ManufacturedCase:
         u = self.velocity(points)
         gu = self.velocity_grad(points)
         divu = gu[:, 0, 0] + gu[:, 1, 1]
+        f = _eval_vec(co.f, points)
         if co.lam is not None:
             # with div u = 0 the strong form reduces to -mu lap(u) = f
-            mom = -mu * self.laplacian(points) - co.f(points)
+            mom = -mu * self.laplacian(points) - f
             mass = divu
         else:
             sigma = float(np.max(np.atleast_1d(co.sigma)))
-            mom = sigma * u + self.pressure_grad(points) - co.f(points)
+            mom = sigma * u + self.pressure_grad(points) - f
             if mu and self.laplacian is not None:
                 mom -= mu * self.laplacian(points)
             g = co.g(points) if co.g is not None else 0.0
             mass = divu - g
         return mom, mass
 
-    def check_consistency(self, n_points=100, seed=0):
-        """Max scaled residual of the governing equations at random points."""
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(0.05, 0.95, (n_points, 2))
+    def check_consistency(self):
+        """Max scaled residual of the governing equations at 100 random
+        points."""
+        pts = np.random.default_rng(0).uniform(0.05, 0.95, (100, 2))
         mom, mass = self.strong_residual(pts)
-        scale = max(1.0, np.abs(self.coefficients.f(pts)).max())
+        scale = max(1.0, np.abs(_eval_vec(self.coefficients.f, pts)).max())
         return max(np.abs(mom).max(), np.abs(mass).max()) / scale
 
 
@@ -123,11 +124,9 @@ def case_stokes():
     pressure_grad = laplacian = _stack(
         lambda x, y: 120.0 * x * y, lambda x, y: 60.0 * x**2 - 60.0 * y**2
     )
-    zero = lambda p: np.zeros((len(np.atleast_2d(p)), 2))
-    co = ProblemCoefficients(mu=1.0, sigma=0.0, f=zero)
+    co = ProblemCoefficients(mu=1.0, sigma=0.0)
     bc = {tag: Dirichlet(velocity) for tag in ("left", "right", "top", "bottom")}
     return ManufacturedCase(
-        name="stokes",
         coefficients=co,
         boundary=bc,
         velocity=velocity,
@@ -181,7 +180,6 @@ def case_darcy(mu=0.0, sigma=1.0, gamma=10.0):
     co = ProblemCoefficients(mu=mu, sigma=sigma, gamma=gamma, f=f)
     bc = {tag: NormalZero() for tag in ("left", "right", "top", "bottom")}
     return ManufacturedCase(
-        name="darcy" if mu == 0.0 else f"brinkman-mu{mu:g}",
         coefficients=co,
         boundary=bc,
         velocity=velocity,
@@ -192,17 +190,16 @@ def case_darcy(mu=0.0, sigma=1.0, gamma=10.0):
     )
 
 
-def case_elasticity(lam, mu=1.0):
-    """Elasticity with the divergence-free Stokes displacement field; the
-    body force f = -mu lap(u) is then independent of lambda, so one exact
-    solution serves the whole lambda sweep."""
+def case_elasticity(lam):
+    """Elasticity at mu = 1 with the divergence-free Stokes displacement
+    field; the body force f = -lap(u) is then independent of lambda, so one
+    exact solution serves the whole lambda sweep."""
     stokes = case_stokes()
-    f = lambda p: -mu * stokes.laplacian(p)
-    co = ProblemCoefficients(mu=mu, lam=lam, f=f)
+    f = lambda p: -stokes.laplacian(p)
+    co = ProblemCoefficients(mu=1.0, lam=lam, f=f)
     bc = {tag: Dirichlet(stokes.velocity)
           for tag in ("left", "right", "top", "bottom")}
     return ManufacturedCase(
-        name=f"elasticity-lam{lam:g}",
         coefficients=co,
         boundary=bc,
         velocity=stokes.velocity,
@@ -415,13 +412,16 @@ def run_convergence(case, levels):
 
 # Cook's membrane ------------------------------------------------------------
 
+# the shear traction density on the loaded side, and the tip vertex
+COOK_TRACTION = (0.0, 1.0)
+COOK_TIP = (48.0, 60.0)
+
+
 @dataclass
 class CookProblem:
     nu: float
     mu: float
     lam: float
-    traction: tuple = (0.0, 1.0)
-    tip: tuple = (48.0, 60.0)
 
 
 def case_cooks(nu):
@@ -472,8 +472,7 @@ def _plain_affine(space):
 
 def _cooks_system(space, problem):
     co = ProblemCoefficients(mu=problem.mu, lam=problem.lam)
-    return assemble_elasticity(space, co,
-                               tractions={"loaded": problem.traction})
+    return assemble_elasticity(space, co, tractions={"loaded": COOK_TRACTION})
 
 
 def _affine_slice(system, affine):
@@ -486,10 +485,10 @@ def _affine_slice(system, affine):
                         system.rhs[keep], 0)
 
 
-def _cooks_tip(system, problem):
+def _cooks_tip(system):
     """Tip vertical displacement and FieldSolution of a Cook system."""
     solution, _ = _field(system)
-    tip = _vertex_at(system.space.mesh, problem.tip)
+    tip = _vertex_at(system.space.mesh, COOK_TIP)
     return float(solution.velocity[2 * tip + 1]), solution
 
 
@@ -501,12 +500,12 @@ def _vertex_at(mesh, point):
     return v
 
 
-def solve_cooks_affine(problem, n=16):
+def solve_cooks_affine(problem, n):
     """Tip vertical displacement of plain vector P1 elements on the same
     type-I mesh (the locking reference): the compatible space with its
     bubbles fixed at zero, on the same assembler and solver."""
-    return _cooks_tip(_cooks_system(_plain_affine(_cooks_space(n)), problem),
-                      problem)[0]
+    return _cooks_tip(_cooks_system(_plain_affine(_cooks_space(n)),
+                                    problem))[0]
 
 
 @dataclass
@@ -523,7 +522,7 @@ class LockingRecord:
                                  for row in self.rows))
 
 
-def run_locking_study(nus, n=16):
+def run_locking_study(nus, n):
     """Tip displacements of the compatible vs plain affine element. One
     space serves every nu, only the Lame coefficients change; the plain-P1
     system is the vertex-column slice of the compatible one, so each nu is
@@ -537,9 +536,9 @@ def run_locking_study(nus, n=16):
         # in this order the peak RSS stays that of separate assemblies
         system = _cooks_system(space, problem)
         sliced = _affine_slice(system, affine)
-        tip_c, record.last = _cooks_tip(system, problem)
+        tip_c, record.last = _cooks_tip(system)
         del system
-        tip_a, _ = _cooks_tip(sliced, problem)
+        tip_a, _ = _cooks_tip(sliced)
         del sliced
         record.rows.append(
             {"nu": problem.nu, "tip_compatible": tip_c, "tip_affine": tip_a}
@@ -576,8 +575,8 @@ def _coupling_boundary(scenario):
 
 
 def _coupling_coefficients(scenario, mu_value, centers):
-    """Per-triangle viscosity and drag of one coupling run, body force
-    (0, 100)."""
+    """Per-triangle viscosity and drag of one coupling run, constant body
+    force (0, 100)."""
     if scenario == "normal":
         lower = centers[:, 1] <= 1.0
         mu = np.where(lower, 1.0, mu_value)
@@ -586,16 +585,13 @@ def _coupling_coefficients(scenario, mu_value, centers):
         left = centers[:, 0] <= 1.0
         mu = np.where(left, mu_value, 100.0)
         sigma = np.where(left, 1e3, 0.0)
-    f = lambda p: np.column_stack(
-        [np.zeros(len(np.atleast_2d(p))), np.full(len(np.atleast_2d(p)), 100.0)]
-    )
-    return ProblemCoefficients(mu=mu, sigma=sigma, f=f)
+    return ProblemCoefficients(mu=mu, sigma=sigma, f=(0.0, 100.0))
 
 
-def velocity_profile(solution, y=1.0):
-    """Vertex velocities along the horizontal line y=const, sorted by x."""
+def velocity_profile(solution):
+    """Vertex velocities along the horizontal midline y = 1, sorted by x."""
     mesh = solution.space.mesh
-    on_line = np.isclose(mesh.vertices[:, 1], y)
+    on_line = np.isclose(mesh.vertices[:, 1], 1.0)
     idx = np.flatnonzero(on_line)
     order = np.argsort(mesh.vertices[idx, 0])
     idx = idx[order]
@@ -638,7 +634,7 @@ class CouplingResult:
                    ([x, ux, uy] for x, (ux, uy) in zip(xs, values)))
 
 
-def run_brinkman_scenarios(scenarios, mu_values=None, n=40):
+def run_brinkman_scenarios(scenarios, mu_values=None, *, n):
     """Yield each scenario's CouplingResult, run for every viscosity value.
     The scenarios share one subdivided mesh and its ElementTables, each has
     one space; a scenario is solved only when its result is asked for.
@@ -653,7 +649,7 @@ def run_brinkman_scenarios(scenarios, mu_values=None, n=40):
             mus = NORMAL_MUS if scenario == "normal" else TANGENTIAL_MUS
         space = build_space(tables, _coupling_boundary(scenario))
         solutions = _coupling_sweep(space, scenario, mus)
-        profiles = {mu_value: velocity_profile(solution, y=1.0)
+        profiles = {mu_value: velocity_profile(solution)
                     for mu_value, solution in solutions.items()}
         yield CouplingResult(scenario, tuple(mus), solutions, profiles)
 
@@ -666,9 +662,3 @@ def _coupling_sweep(space, scenario, mus):
     # mu = 0 marks the swept region: elsewhere mu is 1 (normal) or 100
     system_at = _viscosity_sweep(space, rest, rest.mu == 0.0)
     return {mu_value: _field(system_at(mu_value))[0] for mu_value in mus}
-
-
-def run_brinkman_coupling(scenario, mu_values=None, n=40):
-    """Run one coupling scenario for each viscosity value; the mesh,
-    subdivision and space are built once, only the coefficients change."""
-    return next(run_brinkman_scenarios((scenario,), mu_values, n))

@@ -69,10 +69,19 @@ DEFAULTS = {"cooks": {"levels": (16,)}}
 
 
 def read_config_file(path, keys=tuple(OPTIONS)):
-    """Flat key=value config file; keys outside `keys` are rejected."""
+    """Flat key=value config file in UTF-8, a leading BOM skipped; keys
+    outside `keys` and undecodable bytes are rejected."""
     values = {}
-    with open(path) as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, named below
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                bad = bytes([ord(raw[exc.start]) - 0xDC00])
+                raise ConfigurationError(
+                    f"{path}:{lineno}: invalid UTF-8 byte {bad!r}"
+                ) from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -81,8 +81,10 @@ class ProblemCoefficients:
 
     mu and sigma may be scalars or per-macro-triangle arrays; lam is the
     first Lame coefficient (elasticity only); gamma the Nitsche penalty;
-    f and g the body force / mass source callables. A non-finite mu, lam,
-    sigma or gamma is a ConfigurationError.
+    f the body force, a callable or a constant pair, and g the mass source
+    callable, each None where absent. A non-finite mu, lam, sigma or gamma
+    is a ConfigurationError; each assembler checks the rest of its model's
+    coefficients.
     """
 
     def __init__(self, mu, lam=None, sigma=0.0, gamma=10.0, f=None, g=None):
@@ -102,20 +104,6 @@ class ProblemCoefficients:
     def fields(self, nt):
         mu = _per_triangle(self.mu, nt, "mu")
         sigma = _per_triangle(self.sigma, nt, "sigma")
-        return mu, sigma
-
-    def validate_elasticity(self, nt):
-        mu, _ = self.fields(nt)
-        if mu.min() <= 0:
-            raise ConfigurationError("elasticity requires mu > 0")
-        if self.lam is None or self.lam <= 0:
-            raise ConfigurationError("elasticity requires lambda > 0")
-        return mu, float(self.lam)
-
-    def validate_brinkman(self, nt):
-        mu, sigma = self.fields(nt)
-        if (mu + sigma).min() <= 0:
-            raise ConfigurationError("Brinkman requires mu + sigma > 0")
         return mu, sigma
 
 
@@ -280,11 +268,17 @@ def _reduce(space, builder, n_pressure=0):
 
 def _elasticity_interior(space, coeffs):
     """A builder holding the volume terms: the 2 mu sym-grad : sym-grad +
-    lambda div div block and the body load."""
+    lambda div div block and the body load. mu > 0 and lambda > 0, or a
+    ConfigurationError."""
     tables = space.tables
-    mu, lam = coeffs.validate_elasticity(space.mesh.num_triangles)
+    mu, _ = coeffs.fields(space.mesh.num_triangles)
+    if mu.min() <= 0:
+        raise ConfigurationError("elasticity requires mu > 0")
+    if coeffs.lam is None or coeffs.lam <= 0:
+        raise ConfigurationError("elasticity requires lambda > 0")
     builder = _Builder(space.n_velocity)
-    builder.add_blocks(tables.loc2glob, _elastic_matrix(tables, mu, lam))
+    builder.add_blocks(tables.loc2glob,
+                       _elastic_matrix(tables, mu, float(coeffs.lam)))
     _body_force_rhs(builder, tables, coeffs.f)
     return builder
 
@@ -293,7 +287,9 @@ def _brinkman_fields(space, coeffs):
     """Validated per-triangle (mu, sigma): mu + sigma > 0, and mu = 0
     nowhere on a space with a Dirichlet side, where it is ill-posed. Every
     Brinkman assembler and every value of a viscosity sweep checks this."""
-    mu, sigma = coeffs.validate_brinkman(space.mesh.num_triangles)
+    mu, sigma = coeffs.fields(space.mesh.num_triangles)
+    if (mu + sigma).min() <= 0:
+        raise ConfigurationError("Brinkman requires mu + sigma > 0")
     clamped = any(isinstance(bc, Dirichlet) for bc in space.bc.values())
     if clamped and mu.min() == 0.0:
         raise ConfigurationError(

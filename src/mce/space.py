@@ -62,10 +62,10 @@ class ElementTables:
     in patch form: `basis_node_values` (nt, 9, 7, 2) at the 7 local nodes
     `nodes` (nt, 7, 2), and the gradients `hat_grads` (nt, 6, 3, 2) of each
     subtriangle's corner hats. With them `sub_areas` (nt, 6), `areas`,
-    `basis_div` (nt, 9), `bubble_div` and `loc2glob` are stored. The rest
-    is derived where it is read: `bubble_um` is a view of the above, and
-    `basis_gradients` forms the constant per-subtriangle basis gradients
-    for the subtriangles asked for.
+    `basis_div` (nt, 9) and `loc2glob` are stored. The rest is derived
+    where it is read: `bubble_um` and `bubble_div` are views of the above,
+    and `basis_gradients` forms the constant per-subtriangle basis
+    gradients for the subtriangles asked for.
     """
 
     def __init__(self, subdiv):
@@ -104,7 +104,7 @@ class ElementTables:
         for i in range(3):
             N[:, i] = _perp_out(verts[:, (i + 2) % 3] - verts[:, (i + 1) % 3])
         beta = np.einsum("nik,nik->ni", nu, N)  # (nt,3)
-        self.bubble_div = beta / (2.0 * self.areas)[:, None]  # (nt,3)
+        bubble_div = beta / (2.0 * self.areas)[:, None]  # (nt,3)
 
         # nodal values of the 9 local basis fields at the 7 nodes: (nt,9,7,2)
         vals = np.zeros((nt, 9, 7, 2))
@@ -128,7 +128,7 @@ class ElementTables:
         # the vertex field lambda_a e_c, and bubble_div for the bubbles
         macro_grads, _ = _hat_gradients(verts)
         self.basis_div = np.concatenate(
-            [macro_grads.reshape(nt, 6), self.bubble_div], axis=1
+            [macro_grads.reshape(nt, 6), bubble_div], axis=1
         )  # (nt,9)
 
         # local-to-global velocity dof map
@@ -143,6 +143,11 @@ class ElementTables:
     def bubble_um(self):
         """Centroid values (nt, 3, 2) of the three edge bubbles."""
         return self.basis_node_values[:, 6:, 6]
+
+    @property
+    def bubble_div(self):
+        """Constant divergences (nt, 3) of the three edge bubbles."""
+        return self.basis_div[:, 6:]
 
     def basis_gradients(self, t, s):
         """Constant gradients (..., 9, 2, 2) of the 9 basis fields on
@@ -264,8 +269,10 @@ def boundary_flux_amplitudes(subdiv, value, edges):
 
 def _eval_vec(value, points):
     """Values (..., 2) at points (..., 2) of a constant vector or of a
-    callable, which gets every point in one (n, 2) array."""
+    callable, which gets every point in one (n, 2) array; None is zero."""
     points = np.atleast_2d(points)
+    if value is None:
+        return np.zeros(points.shape)
     if callable(value):
         return np.asarray(value(points.reshape(-1, 2)),
                           dtype=float).reshape(points.shape)

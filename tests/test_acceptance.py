@@ -36,7 +36,7 @@ from mce.bench import (
     case_elasticity,
     case_stokes,
     error_norms,
-    run_brinkman_coupling,
+    run_brinkman_scenarios,
     run_convergence,
     run_locking_study,
     second_difference_sign_changes,
@@ -150,7 +150,6 @@ def _polynomial_darcy_case():
         mu=0.0, sigma=1.0, f=lambda p: velocity(p) + pressure_grad(p)
     )
     return ManufacturedCase(
-        name="darcy-polynomial",
         coefficients=co,
         boundary={t: NormalZero() for t in ("left", "right", "top", "bottom")},
         velocity=velocity,
@@ -238,7 +237,8 @@ def test_criterion3_divergence_exactness():
     defect, scale = _divergence_defect(space, solution, g)
     worst = max(worst, defect / (1e-9 * scale))
     # coupling scenario (natural boundaries, g = 0), as the CLI sweeps it
-    solution = run_brinkman_coupling("normal", (1e-3,), n=20).solutions[1e-3]
+    [coupling] = run_brinkman_scenarios(("normal",), (1e-3,), n=20)
+    solution = coupling.solutions[1e-3]
     defect, scale = _divergence_defect(solution.space, solution, None)
     worst = max(worst, defect / (1e-9 * scale))
     ok = worst < 1.0
@@ -398,7 +398,7 @@ def test_criterion7_bubble_oracle():
 
 
 def test_criterion8_brinkman_coupling(monkeypatch):
-    result = run_brinkman_coupling("tangential", (10.0, 1e-2), n=40)
+    [result] = run_brinkman_scenarios(("tangential",), (10.0, 1e-2), n=40)
     counts = {}
     for mu in (10.0, 1e-2):
         xs, vals = result.profiles[mu]
@@ -416,7 +416,7 @@ def test_criterion8_brinkman_coupling(monkeypatch):
 
     monkeypatch.setattr(bench, "solve", recording_solve)
     mus = (1.0, 1e-2, 1e-3, 1e-6)
-    normal = run_brinkman_coupling("normal", mus, n=40)
+    [normal] = run_brinkman_scenarios(("normal",), mus, n=40)
     monkeypatch.undo()
     normal_ok = len(reports) == len(mus)
     worst = 0.0

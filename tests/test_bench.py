@@ -16,7 +16,7 @@ from mce.bench import (
     case_elasticity,
     case_stokes,
     error_norms,
-    run_brinkman_coupling,
+    run_brinkman_scenarios,
     run_convergence,
     run_locking_study,
     second_difference_sign_changes,
@@ -52,7 +52,12 @@ from face_loops import reference_boundary_normal_norm
 
 class TestStokesCase:
     def test_consistency_100_points(self):
-        assert case_stokes().check_consistency(100) < 1e-8
+        assert case_stokes().check_consistency() < 1e-8
+
+    def test_load_is_absent(self):
+        case = case_stokes()
+        assert case.coefficients.f is None
+        assert case.check_consistency() < 1e-8
 
     def test_divergence_free_pointwise(self):
         case = case_stokes()
@@ -75,7 +80,7 @@ class TestStokesCase:
 
 class TestDarcyCase:
     def test_consistency(self):
-        assert case_darcy().check_consistency(100) < 1e-8
+        assert case_darcy().check_consistency() < 1e-8
 
     def test_divergence_free(self):
         case = case_darcy()
@@ -97,7 +102,7 @@ class TestDarcyCase:
         np.testing.assert_allclose(u[:, 0], 0.0, atol=1e-13)
 
     def test_brinkman_variant_consistent(self):
-        assert case_darcy(mu=1e-3).check_consistency(100) < 1e-8
+        assert case_darcy(mu=1e-3).check_consistency() < 1e-8
 
     @pytest.mark.parametrize("case, n", [(case_darcy(), 4),
                                          (case_darcy(mu=0.1), 8)],
@@ -162,7 +167,6 @@ class TestErrorNorms:
         grad = lambda p: np.broadcast_to(A, (len(p), 2, 2)).copy()
         zero2 = lambda p: np.zeros((len(np.atleast_2d(p)), 2))
         case = ManufacturedCase(
-            name="affine",
             coefficients=ProblemCoefficients(mu=1.0, lam=3.0, f=zero2),
             boundary={t: Dirichlet(u) for t in ("left", "right", "top", "bottom")},
             velocity=u,
@@ -234,8 +238,8 @@ class TestErrorNorms:
 
 class TestElasticityCase:
     def test_consistency(self):
-        assert case_elasticity(1.0).check_consistency(100) < 1e-8
-        assert case_elasticity(1e6).check_consistency(100) < 1e-8
+        assert case_elasticity(1.0).check_consistency() < 1e-8
+        assert case_elasticity(1e6).check_consistency() < 1e-8
 
     def test_same_solution_for_all_lambda(self):
         # f is independent of lambda because the displacement is solenoidal
@@ -251,7 +255,6 @@ class TestConvergenceRunner:
     def test_zero_case_zero_errors(self):
         zero2 = lambda p: np.zeros((len(np.atleast_2d(p)), 2))
         case = ManufacturedCase(
-            name="zero",
             coefficients=ProblemCoefficients(mu=1.0, sigma=0.0, f=zero2),
             boundary={t: Dirichlet((0.0, 0.0))
                       for t in ("left", "right", "top", "bottom")},
@@ -599,8 +602,9 @@ def _separate_coupling(scenario, mu_value, n):
 
 class TestCoupling:
     def test_velocity_profile_shape(self):
-        sol = run_brinkman_coupling("tangential", (1.0,), n=8).solutions[1.0]
-        xs, vals = velocity_profile(sol, y=1.0)
+        sol = next(run_brinkman_scenarios(("tangential",), (1.0,),
+                                         n=8)).solutions[1.0]
+        xs, vals = velocity_profile(sol)
         assert len(xs) == 9
         assert np.all(np.diff(xs) > 0)
         assert vals.shape == (9, 2)
@@ -608,7 +612,8 @@ class TestCoupling:
     def test_normal_scenario_divergence_free(self):
         from mce.space import macro_divergence
 
-        sol = run_brinkman_coupling("normal", (1e-2,), n=10).solutions[1e-2]
+        sol = next(run_brinkman_scenarios(("normal",), (1e-2,),
+                                         n=10)).solutions[1e-2]
         div = macro_divergence(sol.space, sol.velocity)
         scale = max(1.0, np.abs(sol.velocity).max())
         assert np.abs(div).max() < 1e-9 * scale
@@ -616,7 +621,8 @@ class TestCoupling:
     def test_flux_balance(self):
         # net outflow equals the total mass source (zero) by the divergence
         # theorem; computed from the boundary traces, not from div
-        sol = run_brinkman_coupling("normal", (1.0,), n=10).solutions[1.0]
+        sol = next(run_brinkman_scenarios(("normal",), (1.0,),
+                                         n=10)).solutions[1.0]
         mesh = sol.space.mesh
         tables = sol.space.tables
         node_vals = tables.field_node_values(sol.velocity)
@@ -636,6 +642,15 @@ class TestCoupling:
         scale = max(1.0, np.abs(sol.velocity).max())
         assert abs(net) < 1e-9 * scale
 
+    def test_coupling_load_is_a_constant(self):
+        for scenario in bench.SCENARIOS:
+            co = bench._coupling_coefficients(scenario, 1.0, np.ones((4, 2)))
+            assert co.f == (0.0, 100.0)
+
+    def test_oscillation_counter_without_points_in_the_window(self):
+        xs = np.linspace(0.0, 0.5, 11)
+        assert second_difference_sign_changes(xs, np.sin(18.0 * xs)) == 0
+
     def test_oscillation_counter_synthetic(self):
         xs = np.linspace(0.5, 1.5, 21)
         smooth = -((xs - 1.0) ** 2)
@@ -645,7 +660,7 @@ class TestCoupling:
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
-            run_brinkman_coupling("sideways", (1.0,), n=4)
+            next(run_brinkman_scenarios(("sideways",), (1.0,), n=4))
 
     @pytest.mark.parametrize("scenario", ["normal", "tangential"])
     def test_space_built_once(self, monkeypatch, scenario):
@@ -662,7 +677,7 @@ class TestCoupling:
             return spaces[-1]
 
         monkeypatch.setattr(bench, "build_space", counting_build_space)
-        result = run_brinkman_coupling(scenario, (1.0, 1e-2), n=4)
+        [result] = run_brinkman_scenarios((scenario,), (1.0, 1e-2), n=4)
         assert len(spaces) == 1
         monkeypatch.undo()
         for mu_value, solution in result.solutions.items():
@@ -688,7 +703,8 @@ class TestCoupling:
 
         monkeypatch.setattr(forms, "_brinkman_matrix", counting_kernel)
         monkeypatch.setattr(forms, "assemble_brinkman", no_assembly)
-        result = run_brinkman_coupling(scenario, (1.0, 1e-2, 1e-3), n=4)
+        [result] = run_brinkman_scenarios((scenario,), (1.0, 1e-2, 1e-3),
+                                          n=4)
         assert len(result.solutions) == 3
         assert len(kernels) == 2
         assert not assemblies
@@ -697,9 +713,9 @@ class TestCoupling:
         # mu = 0 in the upper half of the normal scenario meets the
         # clamped sides: ill-posed, with the error assemble_brinkman raises
         with pytest.raises(forms.ConfigurationError, match="mu = 0"):
-            run_brinkman_coupling("normal", (0.0,), n=4)
+            next(run_brinkman_scenarios(("normal",), (0.0,), n=4))
         with pytest.raises(forms.ConfigurationError, match="finite"):
-            run_brinkman_coupling("tangential", (math.inf,), n=4)
+            next(run_brinkman_scenarios(("tangential",), (math.inf,), n=4))
 
 
 def _p1_reference_tip(problem, n):
@@ -733,7 +749,7 @@ def _p1_reference_tip(problem, n):
     A = sparse.coo_matrix((K.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
 
     rhs = np.zeros(ndof)
-    tr = np.asarray(problem.traction, dtype=float)
+    tr = np.asarray(bench.COOK_TRACTION, dtype=float)
     for e in mesh.boundary_edges:
         if mesh.boundary_tags[e] != "loaded":
             continue
@@ -750,7 +766,8 @@ def _p1_reference_tip(problem, n):
     keep = ~fixed
     x = np.zeros(ndof)
     x[keep] = spsolve(A[keep][:, keep].tocsc(), rhs[keep])
-    tip = int(np.argmin(np.linalg.norm(verts - np.asarray(problem.tip), axis=1)))
+    tip = int(np.argmin(np.linalg.norm(verts - np.asarray(bench.COOK_TIP),
+                                      axis=1)))
     return float(x[2 * tip + 1])
 
 
@@ -765,6 +782,11 @@ class TestPlainAffineReference:
         assert solve_cooks_affine(problem, n=n) == pytest.approx(
             expected, rel=1e-8
         )
+
+    def test_no_vertex_at_the_point(self):
+        mesh = generate_cook_mesh(2)
+        with pytest.raises(ValueError, match=r"no mesh vertex at \(47\.0"):
+            bench._vertex_at(mesh, (47.0, 60.0))
 
     def test_bubbles_zero_and_solve_certified(self):
         from mce import bench
@@ -783,7 +805,7 @@ class TestPlainAffineReference:
         problem = case_cooks(0.49999)
         system = assemble_elasticity(
             affine, ProblemCoefficients(mu=problem.mu, lam=problem.lam),
-            tractions={"loaded": problem.traction},
+            tractions={"loaded": bench.COOK_TRACTION},
         )
         solution, report = bench._field(system)
         assert np.all(solution.velocity[2 * nv :] == 0.0)
@@ -860,7 +882,7 @@ class TestLockingStudy:
         for row in record.rows:
             problem = case_cooks(row["nu"])
             system = bench._cooks_system(bench._cooks_space(2), problem)
-            assert row["tip_compatible"] == bench._cooks_tip(system, problem)[0]
+            assert row["tip_compatible"] == bench._cooks_tip(system)[0]
 
     def test_assembled_once_per_nu(self, monkeypatch):
         # the plain-P1 reference is sliced out of the compatible system,

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import mce
-from mce import bench
+from mce import bench, cli
 from mce.cli import (
     SUBCOMMANDS,
     build_parser,
+    console_main,
     main,
     make_config,
     read_config_file,
@@ -148,7 +149,7 @@ class TestCooksCommand:
                     "--out", str(tmp_path)]) == 0
         problem = bench.case_cooks(0.45)
         system = bench._cooks_system(bench._cooks_space(4), problem)
-        _, solution = bench._cooks_tip(system, problem)
+        _, solution = bench._cooks_tip(system)
         expected = tmp_path / "expected.vtk"
         write_vtk(solution, str(expected), title="cooks membrane displacement")
         assert (tmp_path / "cooks_solution.vtk").read_bytes() == \
@@ -477,6 +478,46 @@ class TestConfigHandling:
     def test_removed_flags_rejected(self, flag):
         assert run(["stokes", flag, "1"]) == 1
 
+    def test_config_line_without_equals_names_its_line(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# levels\nlevels 2,3,4\n")
+        assert run(["stokes", "--config", str(cfg)]) == 1
+        assert (f"{cfg}:2: expected key=value, got 'levels 2,3,4'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"levels=2,3,4\nout=\xff\n", 2, "b'\\xff'"),
+        (b"\xc3(levels=2,3,4\n", 1, "b'\\xc3'"),
+    ])
+    def test_config_undecodable_byte_names_its_line(self, tmp_path, capsys,
+                                                    data, line, byte):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(data)
+        out = tmp_path / "out"
+        assert run(["stokes", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (f"error: {cfg}:{line}: invalid UTF-8 byte {byte}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_config_leading_bom_is_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("levels=2,3,4\n".encode("utf-8-sig"))
+        assert read_config_file(str(cfg)) == {"levels": (2, 3, 4)}
+
+    @pytest.mark.parametrize("args, message", [
+        (["mesh-info", "--grid", "0"], "grid must be >= 1"),
+        (["stokes", "--levels", "0,4,8"], "levels must be positive"),
+    ])
+    def test_non_positive_size_exits_1(self, tmp_path, capsys, args,
+                                       message):
+        out = tmp_path / "out"
+        if args[0] == "stokes":
+            args = args + ["--out", str(out)]
+        assert run(args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wibble=3\n")
@@ -781,8 +822,8 @@ class TestVtkWriter:
 
     @pytest.mark.parametrize("make", [
         lambda: bench.solve_case(bench.case_stokes(), 4)[0],
-        lambda: bench.run_brinkman_coupling("tangential", (1e-2,),
-                                            n=4).solutions[1e-2],
+        lambda: next(bench.run_brinkman_scenarios(
+            ("tangential",), (1e-2,), n=4)).solutions[1e-2],
         lambda: bench.run_locking_study((0.4999,), n=4).last,
         "hand-set",
     ], ids=["stokes", "coupling", "cooks", "hand-set"])
@@ -878,3 +919,27 @@ def test_out_of_memory_exits_2_by_name(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("cannot allocate 8 GiB"),
+     "error: out of memory: cannot allocate 8 GiB"),
+    (MemoryError(), "error: out of memory: allocation failed"),
+])
+def test_memory_error_in_a_runner_exits_2_by_name(monkeypatch, capsys, error,
+                                                  message):
+    # no real allocation: the runner raises at once
+    def runner(config):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "mesh-info", runner)
+    assert run(["mesh-info", "--grid", "2"]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("grid, code", [("2", 0), ("0", 1)])
+def test_console_main_exits_with_mains_code(monkeypatch, capsys, grid, code):
+    monkeypatch.setattr(sys, "argv", ["mce", "mesh-info", "--grid", grid])
+    with pytest.raises(SystemExit) as exit_info:
+        console_main()
+    assert exit_info.value.code == code

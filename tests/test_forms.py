@@ -96,6 +96,71 @@ def test_non_finite_coefficient_rejected(name, value):
         ProblemCoefficients(**kwargs)
 
 
+class TestCoefficientChecks:
+    """Each model's coefficients are checked where its interior is
+    assembled, with the messages below."""
+
+    def test_non_positive_gamma(self):
+        with pytest.raises(ConfigurationError, match="gamma must be positive"):
+            ProblemCoefficients(mu=1.0, gamma=0)
+
+    def test_per_triangle_mu_of_the_wrong_length(self, free3):
+        mu = np.ones(free3.mesh.num_triangles + 1)
+        with pytest.raises(ConfigurationError,
+                           match="mu must be a scalar or one value per"):
+            assemble_brinkman(free3, ProblemCoefficients(mu=mu))
+
+    def test_negative_sigma(self, free3):
+        with pytest.raises(ConfigurationError, match=r"sigma must be >= 0\.0"):
+            assemble_brinkman(free3, ProblemCoefficients(mu=1.0, sigma=-1.0))
+
+    @pytest.mark.parametrize("assemble, kwargs, message", [
+        (assemble_elasticity, {"mu": 1.0}, "elasticity requires lambda > 0"),
+        (assemble_elasticity, {"mu": 1.0, "lam": -1.0},
+         "elasticity requires lambda > 0"),
+        (assemble_elasticity, {"mu": 0.0, "lam": 1.0},
+         "elasticity requires mu > 0"),
+        (assemble_brinkman, {"mu": 0.0, "sigma": 0.0},
+         r"Brinkman requires mu \+ sigma > 0"),
+        (assemble_nitsche_brinkman_tangential, {"mu": 0.0, "sigma": 0.0},
+         r"Brinkman requires mu \+ sigma > 0"),
+    ])
+    def test_model_bounds(self, free3, assemble, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            assemble(free3, ProblemCoefficients(**kwargs))
+
+
+class TestLoadForms:
+    """An absent load is None and a constant load a constant pair: each
+    assembles to the right-hand side of the callable it stands for, bit
+    for bit."""
+
+    @pytest.mark.parametrize("load, callable_load", [
+        (None, lambda p: np.zeros((len(p), 2))),
+        ((0.5, -2.0), lambda p: np.tile([0.5, -2.0], (len(p), 1))),
+    ], ids=["none", "constant"])
+    @pytest.mark.parametrize("assemble, kwargs", [
+        (assemble_brinkman, {"mu": 1.0, "sigma": 0.5}),
+        (assemble_elasticity, {"mu": 1.0, "lam": 2.0}),
+    ], ids=["brinkman", "elasticity"])
+    def test_same_system_as_the_callable(self, free3, load, callable_load,
+                                         assemble, kwargs):
+        got = assemble(free3, ProblemCoefficients(**kwargs, f=load))
+        want = assemble(free3, ProblemCoefficients(**kwargs, f=callable_load))
+        assert np.array_equal(got.rhs, want.rhs)
+        assert (got.matrix != want.matrix).nnz == 0
+
+    def test_absent_load_skips_the_load_pass(self, free3, monkeypatch):
+        evaluated = []
+        real = forms._eval_vec
+        monkeypatch.setattr(forms, "_eval_vec",
+                            lambda *args: evaluated.append(args) or real(*args))
+        assemble_brinkman(free3, ProblemCoefficients(mu=1.0))
+        assert not evaluated
+        assemble_brinkman(free3, ProblemCoefficients(mu=1.0, f=(0.0, 1.0)))
+        assert evaluated
+
+
 class TestBrinkman:
     def test_zero_data_zero_solution(self):
         sub = subdivide(generate_unit_square_mesh(1))
@@ -269,14 +334,17 @@ def _add_element_matrices(builder, tables, K):
 
 
 def _eval_points(fn, points):
-    """Values (..., 2) of fn at points (..., 2), in one call."""
+    """Values (..., 2) of fn, a callable or a constant pair, at points
+    (..., 2), in one call."""
+    if not callable(fn):
+        return np.broadcast_to(np.asarray(fn, float), points.shape)
     return np.asarray(fn(points.reshape(-1, 2)), float).reshape(points.shape)
 
 
 def _reference_brinkman_interior(space, coeffs):
     tables = space.tables
     nt = space.mesh.num_triangles
-    mu, sigma = coeffs.validate_brinkman(nt)
+    mu, sigma = coeffs.fields(nt)
     builder = forms._Builder(space.n_velocity + nt)
     _add_element_matrices(builder, tables,
                           forms._brinkman_matrix(tables, mu, sigma))
@@ -293,7 +361,8 @@ def _reference_brinkman_interior(space, coeffs):
 
 def reference_assemble_elasticity(space, coeffs, tractions=None):
     tables = space.tables
-    mu, lam = coeffs.validate_elasticity(space.mesh.num_triangles)
+    mu, _ = coeffs.fields(space.mesh.num_triangles)
+    lam = float(coeffs.lam)
     builder = forms._Builder(space.n_velocity)
     _add_element_matrices(builder, tables,
                           forms._elastic_matrix(tables, mu, lam))

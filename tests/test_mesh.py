@@ -1188,3 +1188,14 @@ class TestFuzz:
             except MeshFormatError:
                 return
             assert_same_mesh(read_mesh(write_mesh(mesh)), mesh)
+
+
+class TestConstructionErrors:
+    def test_with_vertices_of_the_wrong_shape(self):
+        mesh = generate_unit_square_mesh(2)
+        with pytest.raises(MeshError, match="vertex array shape mismatch"):
+            mesh.with_vertices(mesh.vertices[:-1])
+
+    def test_vertex_index_out_of_range(self):
+        with pytest.raises(MeshError, match="vertex index out of range"):
+            build_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 3]])

@@ -98,7 +98,7 @@ def _cooks_system(nu, n):
     problem = bench.case_cooks(nu)
     co = ProblemCoefficients(mu=problem.mu, lam=problem.lam)
     return assemble_elasticity(bench._cooks_space(n), co,
-                               tractions={"loaded": problem.traction})
+                               tractions={"loaded": bench.COOK_TRACTION})
 
 
 SYSTEMS = {
@@ -214,7 +214,7 @@ def test_divergence_exact_on_manufactured_cases(case):
 
 @pytest.mark.parametrize("scenario", bench.SCENARIOS)
 def test_divergence_exact_on_every_coupling_value(scenario):
-    run = bench.run_brinkman_coupling(scenario, n=40)
+    [run] = bench.run_brinkman_scenarios((scenario,), n=40)
     for solution in run.solutions.values():
         assert _divergence_defect(solution, None) <= 1e-12
 

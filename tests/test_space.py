@@ -7,6 +7,7 @@ from scipy import sparse
 from mce import bench
 from mce.forms import ProblemCoefficients, assemble_brinkman
 from mce.mesh import (
+    MeshError,
     SubdividedMesh,
     _norm,
     build_mesh,
@@ -367,6 +368,16 @@ class TestMacroDivergence:
         space = build_space(sub, "free")
         coeffs = fortin_interpolate(u, space)
         assert np.abs(macro_divergence(space, coeffs)).max() < 1e-10
+
+    def test_non_constant_divergence_is_named(self):
+        # no field of the space has it: bend one bubble's centroid value
+        space = build_space(subdivide(generate_unit_square_mesh(2)), "free")
+        space.tables.basis_node_values[0, 6, 6, 0] += 0.5
+        coeffs = np.zeros(space.n_velocity)
+        coeffs[space.tables.loc2glob[0, 6]] = 1.0
+        with pytest.raises(GeometryError,
+                           match="divergence not constant on triangle 0"):
+            macro_divergence(space, coeffs)
 
     def test_random_coefficients_constancy(self):
         sub = subdivide(generate_unit_square_mesh(3))
@@ -837,8 +848,9 @@ class TestBuildSpaceOracle:
 
 
 class TestElementTablesFootprint:
-    """The tables hold the basis in patch form: 1,632 B per macro triangle
-    (3,840 while the per-subtriangle basis gradients were stored)."""
+    """The tables hold the basis in patch form: 1,608 B per macro triangle
+    (3,840 while the per-subtriangle basis gradients were stored, 1,632
+    while the bubble divergences were stored twice)."""
 
     def test_ndarray_bytes_per_macro_triangle(self):
         sub = subdivide(generate_unit_square_mesh(8))
@@ -847,6 +859,12 @@ class TestElementTablesFootprint:
                      if isinstance(value, np.ndarray))
         assert nbytes / sub.mesh.num_triangles <= 1800
         assert not {"basis_grads", "basis_div_sub"} & set(vars(tables))
+
+    def test_bubble_divergences_are_a_view_of_basis_div(self):
+        tables = ElementTables(subdivide(generate_unit_square_mesh(4)))
+        assert "bubble_div" not in vars(tables)
+        assert np.shares_memory(tables.bubble_div, tables.basis_div)
+        assert np.array_equal(tables.bubble_div, tables.basis_div[:, 6:])
 
 
 def divergence_block(space):
@@ -956,3 +974,22 @@ class TestKernelBasis:
         constraint = {tag: _MODE_ALIASES[mode] for tag, mode in
                       zip(("bottom", "left", "right", "top"), modes)}
         check_kernel_basis(build_space(subdivide(mesh), constraint))
+
+
+class TestInputErrors:
+    def test_unknown_mode_string(self):
+        sub = subdivide(generate_unit_square_mesh(2))
+        with pytest.raises(ValueError, match="unknown constraint mode 'slip'"):
+            build_space(sub, "slip")
+
+    def test_unknown_tag(self):
+        sub = subdivide(generate_unit_square_mesh(2))
+        with pytest.raises(MeshError, match="not present in mesh: {'inlet'}"):
+            build_space(sub, {"inlet": Free()})
+
+
+def test_absent_value_is_zero():
+    pts = np.random.default_rng(0).uniform(size=(3, 4, 2))
+    values = _eval_vec(None, pts)
+    assert values.shape == pts.shape
+    assert not values.any()
