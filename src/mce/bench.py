@@ -450,21 +450,17 @@ def _cooks_space(n):
     )
 
 
-def _vertex_columns(space):
-    """Mask over the reduced velocity columns of the vertex dofs."""
-    return space.constraint[: 2 * space.mesh.num_vertices].getnnz(axis=0) > 0
-
-
 def _plain_affine(space):
     """Plain vector P1 on the macro mesh, the locking reference: the vertex
     fields of the compatible space are the macro hats, so fixing every
-    bubble at zero (keeping only the constraint columns of vertex dofs)
-    leaves exactly P1 under the same vertex constraints."""
+    bubble at zero (keeping only the leading constraint columns, those of
+    the vertex unknowns) leaves exactly P1 under the same vertex
+    constraints."""
     lift = space.lift.copy()
     lift[2 * space.mesh.num_vertices :] = 0.0
     return replace(
         space,
-        constraint=space.constraint[:, _vertex_columns(space)],
+        constraint=space.constraint[:, :space.n_vertex_unknowns],
         lift=lift,
         bubble_fixed=np.ones_like(space.bubble_fixed),
     )
@@ -477,12 +473,11 @@ def _cooks_system(space, problem):
 
 def _affine_slice(system, affine):
     """The plain-P1 system on `affine` (`_plain_affine` of the compatible
-    `system`'s space) as the vertex-column slice of `system`. Where the
+    `system`'s space) as the leading vertex block of `system`. Where the
     lift has no bubble part, as on Cook's clamp, this is bit for bit the
     system `assemble_elasticity` gives on `affine`."""
-    keep = _vertex_columns(system.space)
-    return SaddleSystem(affine, system.matrix[keep][:, keep],
-                        system.rhs[keep], 0)
+    k = affine.n_vertex_unknowns
+    return SaddleSystem(affine, system.matrix[:k, :k], system.rhs[:k], 0)
 
 
 def _cooks_tip(system):
@@ -525,7 +520,7 @@ class LockingRecord:
 def run_locking_study(nus, n):
     """Tip displacements of the compatible vs plain affine element. One
     space serves every nu, only the Lame coefficients change; the plain-P1
-    system is the vertex-column slice of the compatible one, so each nu is
+    system is the leading vertex block of the compatible one, so each nu is
     assembled once. Every nu is checked before the space is built."""
     problems = [case_cooks(nu) for nu in nus]
     record = LockingRecord()

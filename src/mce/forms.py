@@ -29,15 +29,15 @@ Local (..., 9, 9) blocks and local loads enter through one scatter each,
 `_Builder.add_blocks` and `_Builder.add_loads`, in a fixed order, so every
 sum is deterministic. Elasticity takes its boundary conditions strongly,
 in the space, plus tractions; the one Nitsche term, -c(u,v) - c(v,u) +
-penalty, is the tangential Brinkman one, built by `_nitsche_pair`. mu = 0
-with a Dirichlet side is ill-posed, and every Brinkman assembler and sweep
-value refuses it (`_brinkman_fields`). Strong constraints are eliminated
-through the space's affine map (never penalized); negating the pressure
-test block gives the Brinkman matrix [[A, -B^T], [-B, 0]] with right-hand
-side [f, -g]. No row fixes the pressure level: where no boundary term
-fixes it, `mce.solve` does. The reduced system is affine in the viscosity
-of one region, so `_viscosity_sweep` assembles its two parts once, not
-once per value.
+penalty, is the tangential Brinkman one, which its assembler builds on the
+faces of `_Faces`. mu = 0 with a Dirichlet side is ill-posed, and every
+Brinkman assembler and sweep value refuses it (`_brinkman_fields`).
+Strong constraints are eliminated through the space's affine map (never
+penalized); negating the pressure test block gives the Brinkman matrix
+[[A, -B^T], [-B, 0]] with right-hand side [f, -g]. No row fixes the
+pressure level: where no boundary term fixes it, `mce.solve` does. The
+reduced system is affine in the viscosity of one region, so
+`_viscosity_sweep` assembles its two parts once, not once per value.
 """
 
 from functools import cached_property
@@ -52,7 +52,6 @@ from .space import (
     NormalZero,
     _blocks,
     _eval_vec,
-    _perp_out,
     _quadrature_blocks,
     cell_integrals,
 )
@@ -266,23 +265,6 @@ def _reduce(space, builder, n_pressure=0):
     return SaddleSystem(space, K_red, b_red, n_pressure)
 
 
-def _elasticity_interior(space, coeffs):
-    """A builder holding the volume terms: the 2 mu sym-grad : sym-grad +
-    lambda div div block and the body load. mu > 0 and lambda > 0, or a
-    ConfigurationError."""
-    tables = space.tables
-    mu, _ = coeffs.fields(space.mesh.num_triangles)
-    if mu.min() <= 0:
-        raise ConfigurationError("elasticity requires mu > 0")
-    if coeffs.lam is None or coeffs.lam <= 0:
-        raise ConfigurationError("elasticity requires lambda > 0")
-    builder = _Builder(space.n_velocity)
-    builder.add_blocks(tables.loc2glob,
-                       _elastic_matrix(tables, mu, float(coeffs.lam)))
-    _body_force_rhs(builder, tables, coeffs.f)
-    return builder
-
-
 def _brinkman_fields(space, coeffs):
     """Validated per-triangle (mu, sigma): mu + sigma > 0, and mu = 0
     nowhere on a space with a Dirichlet side, where it is ill-posed. Every
@@ -321,8 +303,18 @@ def _brinkman_interior(space, coeffs, mu, sigma):
 def assemble_elasticity(space, coeffs, tractions=None):
     """Linear elasticity velocity block: int 2 mu sym-grad : sym-grad +
     lambda div div, with body load and optional boundary tractions
-    (dict tag -> callable or constant traction density)."""
-    builder = _elasticity_interior(space, coeffs)
+    (dict tag -> callable or constant traction density). mu > 0 and
+    lambda > 0, or a ConfigurationError."""
+    tables = space.tables
+    mu, _ = coeffs.fields(space.mesh.num_triangles)
+    if mu.min() <= 0:
+        raise ConfigurationError("elasticity requires mu > 0")
+    if coeffs.lam is None or coeffs.lam <= 0:
+        raise ConfigurationError("elasticity requires lambda > 0")
+    builder = _Builder(space.n_velocity)
+    builder.add_blocks(tables.loc2glob,
+                       _elastic_matrix(tables, mu, float(coeffs.lam)))
+    _body_force_rhs(builder, tables, coeffs.f)
     if tractions:
         _traction_rhs(builder, space, tractions)
     return _reduce(space, builder)
@@ -388,11 +380,12 @@ class _Faces:
     Every face selected by `keep` (a boolean mask over the boundary edges)
     is traced from its one triangle as two halves, vertex to split node and
     split node to vertex, each backed by the child subtriangle on it.
-    Per face: `tri`, `l2g` (nf, 9), `tag`, length `h`, unit `normal` and
-    `tangent` (nf, 2). Per face and half: `length` (nf, 2), quadrature
-    `points` (nf, 2, nq, 2) and basis `traces` (nf, 2, 9, nq, 2). The
-    basis `grads` (nf, 2, 9, 2, 2) on the child subtriangles are formed on
-    first use, by the tangential Brinkman term only.
+    Per face: `tri`, `l2g` (nf, 9), `tag`, length `h`, the space's unit
+    outward `normal` n and the `tangent` (-n_y, n_x), each (nf, 2). Per
+    face and half: `length` (nf, 2), quadrature `points` (nf, 2, nq, 2)
+    and basis `traces` (nf, 2, 9, nq, 2). The basis `grads`
+    (nf, 2, 9, 2, 2) on the child subtriangles are formed on first use, by
+    the tangential Brinkman term only.
 
     Lengths come from `_norm`, which is bit-identical to np.linalg.norm of
     each row, and every contraction keeps the per-face einsum subscripts
@@ -410,10 +403,9 @@ class _Faces:
         loc = np.argmax(mesh.tri_edges[self.tri] == edges[:, None], axis=1)
         ends = np.stack([(loc + 1) % 3, 3 + loc, (loc + 2) % 3], axis=1)
         p = np.take_along_axis(tables.nodes[self.tri], ends[..., None], 1)
-        d = p[:, 2] - p[:, 0]
-        self.h = _norm(d)
-        self.normal = _perp_out(d) / self.h[:, None]
-        self.tangent = d / self.h[:, None]
+        self.h = _norm(p[:, 2] - p[:, 0])
+        self.normal = space.edge_outward_normal[edges]
+        self.tangent = np.column_stack([-self.normal[:, 1], self.normal[:, 0]])
 
         half = p[:, 1:] - p[:, :2]
         self.length = _norm(half.reshape(-1, 2)).reshape(-1, 2)
@@ -432,32 +424,6 @@ class _Faces:
     @cached_property
     def grads(self):
         return self.tables.basis_gradients(self.tri[:, None], self.child)
-
-    def along(self, direction):
-        """Basis traces dotted with a per-face direction: (nf, 2, 9, nq)."""
-        return np.einsum("fskqi,fi->fskq", self.traces, direction)
-
-    def integrals(self, tr):
-        """Integrals of tr (nf, 2, 9, nq) and of its outer products over
-        each half: (nf, 2, 9) and (nf, 2, 9, 9)."""
-        L, qw = self.length, self.qw
-        return (
-            L[..., None] * np.einsum("q,fskq->fsk", qw, tr),
-            L[..., None, None] * np.einsum("q,fskq,fslq->fskl", qw, tr, tr),
-        )
-
-
-def _nitsche_pair(int_tr, stress, penalty, int_tr_tr):
-    """The two blocks of the tangential Brinkman Nitsche term on each face
-    half, stacked on axis 2 as (nf, 2, 2, 9, 9): -c(u,v) - c(v,u), c the
-    outer product of the test trace integrals int_tr (nf, 2, 9) and the
-    trial stress (nf, 2, 9), and the penalty (nf,) times the trace products
-    int_tr_tr (nf, 2, 9, 9)."""
-    cmat = int_tr[..., :, None] * stress[..., None, :]
-    return np.stack([
-        -(cmat + np.swapaxes(cmat, -1, -2)),
-        penalty[:, None, None, None] * int_tr_tr,
-    ], axis=2)
 
 
 def _traction_rhs(builder, space, tractions):
@@ -487,12 +453,21 @@ def assemble_nitsche_brinkman_tangential(space, coeffs):
     tags = [tag for tag, bc in space.bc.items() if isinstance(bc, NormalZero)]
     viscous = mu[mesh.edge_tris[mesh.boundary_edges, 0]] != 0.0
     faces = _Faces(space, _tag_mask(mesh, tags) & viscous)
-    mu_t = mu[faces.tri]
+    mu_t, L, qw = mu[faces.tri], faces.length, faces.qw
     n, tau = faces.normal, faces.tangent
-    # t.(mu grad u n)
+    # t.(mu grad u n), and the tangential traces with their integrals and
+    # the integrals of their outer products over each face half
     dun_t = mu_t[:, None, None] * np.einsum("fi,fskij,fj->fsk", tau,
                                              faces.grads, n)
-    int_trt, int_trt_trt = faces.integrals(faces.along(tau))
-    builder.add_blocks(faces.l2g[:, None, None], _nitsche_pair(
-        int_trt, dun_t, (coeffs.gamma / faces.h) * mu_t, int_trt_trt))
+    trt = np.einsum("fskqi,fi->fskq", faces.traces, tau)
+    int_trt = L[..., None] * np.einsum("q,fskq->fsk", qw, trt)
+    int_trt_trt = L[..., None, None] * np.einsum("q,fskq,fslq->fskl", qw,
+                                                 trt, trt)
+    # -c(u,v) - c(v,u) and the penalty, stacked on axis 2 as (nf, 2, 2, 9, 9)
+    cmat = int_trt[..., :, None] * dun_t[..., None, :]
+    penalty = (coeffs.gamma / faces.h) * mu_t
+    builder.add_blocks(faces.l2g[:, None, None], np.stack([
+        -(cmat + np.swapaxes(cmat, -1, -2)),
+        penalty[:, None, None, None] * int_trt_trt,
+    ], axis=2))
     return _reduce(space, builder, mesh.num_triangles)

@@ -563,12 +563,13 @@ def _numbered_rows(text):
 def read_mesh(source):
     """Parse the text format back into a MacroMesh.
 
-    Accepts a string, UTF-8 bytes, or a readable stream. Each section is
-    tokenized and converted in one numpy call. Non-CCW triangles are
-    reoriented with a warning; structural problems, non-finite coordinates
-    and undecodable bytes raise MeshFormatError with the offending line
-    number (the earliest one). A text stream that fails to decode its own
-    bytes raises MeshFormatError naming the byte, without a line number.
+    Accepts a string, UTF-8 bytes, or a readable stream; one leading
+    byte-order mark (U+FEFF) is skipped. Each section is tokenized and
+    converted in one numpy call. Non-CCW triangles are reoriented with a
+    warning; structural problems, non-finite coordinates and undecodable
+    bytes raise MeshFormatError with the offending line number (the
+    earliest one). A text stream that fails to decode its own bytes raises
+    MeshFormatError naming the byte, without a line number.
     """
     if hasattr(source, "read"):
         try:
@@ -580,7 +581,7 @@ def read_mesh(source):
             ) from None
     if isinstance(source, bytes):
         source = _decode(source)
-    rows, numbers, num_lines = _numbered_rows(source)
+    rows, numbers, num_lines = _numbered_rows(source.removeprefix("\ufeff"))
 
     def end_of_file():
         return MeshFormatError("unexpected end of file", num_lines)

@@ -148,7 +148,7 @@ def _exact_correction(system):
         lu, growth = _factor(A, system, "the velocity operator")
         return lu.solve, lu.nnz, growth
     space = system.space
-    bubbles = slice(vel.stop - int((~space.bubble_fixed).sum()), vel.stop)
+    bubbles = slice(space.n_vertex_unknowns, vel.stop)
     B = M[pre, bubbles]
     P = (B @ B.T).tocsr()
     free_level = _constant_in_kernel(M[vel, pre])

@@ -212,7 +212,9 @@ class FESpace:
 
     The velocity block is ordered [2 dofs per vertex ..., 1 per edge].
     Strong constraints are held as an affine map U = C x + lift with C the
-    sparse prolongation of the free dofs.
+    sparse prolongation of the free dofs. The reduced unknowns x keep that
+    order: the `n_vertex_unknowns` vertex unknowns first, the free bubbles
+    last.
     """
 
     subdiv: object
@@ -233,6 +235,12 @@ class FESpace:
     @property
     def n_free_velocity(self):
         return self.constraint.shape[1]
+
+    @property
+    def n_vertex_unknowns(self):
+        """Reduced vertex unknowns: 2, 1 or 0 per vertex (free, sliding,
+        fixed)."""
+        return int((2 - self.vertex_mode).sum())
 
     def expand_velocity(self, x):
         """Full velocity coefficients from reduced unknowns."""
@@ -395,13 +403,12 @@ def kernel_basis(space):
     group's, which would couple a whole boundary in Z^T A Z."""
     mesh, C = space.mesh, space.constraint
     nv, nfu = mesh.num_vertices, C.shape[1]
-    # each constraint row holds at most one entry; the reduced numbering
-    # puts every vertex unknown first and the free bubbles last
+    # each constraint row holds at most one entry
     col, val = np.full(C.shape[0], -1), np.zeros(C.shape[0])
     has = np.diff(C.indptr) > 0
     col[has], val[has] = C.indices, C.data
     free = np.flatnonzero(~space.bubble_fixed)
-    n_vertex = nfu - len(free)
+    n_vertex = space.n_vertex_unknowns
     ends = mesh.edges[free]
     normal = _perp_out(mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]])
     nu_n = _dot(space.subdiv.edge_nu[free], normal)  # |E| nu_E.n_E

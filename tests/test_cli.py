@@ -258,6 +258,21 @@ class TestMeshInfo:
         assert run(["mesh-info", "--mesh-file", str(path)]) == 0
         assert "vertices: 9" in capsys.readouterr().out
 
+    def test_mesh_file_with_bom(self, tmp_path, capsys):
+        # as an editor that saves UTF-8 with a byte-order mark writes it
+        # (one file name, as the output names the file)
+        text = write_mesh(generate_cook_mesh(3))
+        path = tmp_path / "cook.mesh"
+        path.write_text(text, encoding="utf-8")
+        assert run(["mesh-info", "--mesh-file", str(path)]) == 0
+        expected = capsys.readouterr().out
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfmce-mesh 1\n")
+        assert run(["mesh-info", "--mesh-file", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected and not captured.err
+        assert "valid: yes" in expected
+
     def test_sheared_cook_mesh_subdivides(self, tmp_path, capsys):
         # every boundary edge is cut at its midpoint, so Cook's sheared
         # cells subdivide

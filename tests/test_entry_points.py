@@ -8,7 +8,8 @@ subcommand that solves a pressure system builds the kernel basis.
 Every function and method defined in `src/mce` is reached by a
 subcommand run or listed in `NOT_REACHED` with its reason, so a helper
 that loses its last caller fails here; a listed name must still exist
-and stay unreached, so the table cannot go stale."""
+and stay unreached, so the table cannot go stale. No module imports a
+name that it never uses, a re-export through `mce.__all__` aside."""
 
 import ast
 import importlib
@@ -206,3 +207,17 @@ def test_every_listed_function_exists_and_stays_unreached(reached):
     stale = set(NOT_REACHED) & set().union(*reached.values())
     assert not stale, sorted(stale)
     assert set(NOT_REACHED.values()) <= REASONS
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(mce.__all__) if path.stem == "__init__" else set()
+    assert not imported - used - exported, sorted(imported - used - exported)

@@ -1083,6 +1083,22 @@ class TestNewRejections:
         assert_same_mesh(read_mesh(ODD_TOKENS.encode("utf-8")),
                          read_mesh(ODD_TOKENS))
 
+    @pytest.mark.parametrize("source", [
+        lambda text: text.encode("utf-8-sig"),
+        lambda text: "\ufeff" + text,
+        lambda text: io.BytesIO(text.encode("utf-8-sig")),
+        lambda text: io.StringIO("\ufeff" + text),
+    ], ids=["bytes", "text", "byte-stream", "text-stream"])
+    def test_leading_bom_skipped(self, source):
+        text = write_mesh(generate_cook_mesh(3))
+        assert_same_mesh(read_mesh(source(text)), read_mesh(text))
+
+    def test_second_bom_is_the_header(self):
+        with pytest.raises(MeshFormatError) as err:
+            read_mesh(("\ufeff\ufeff" + SQUARE).encode("utf-8"))
+        assert err.value.line == 1
+        assert "got '\\ufeffmce-mesh 1'" in str(err.value)
+
     @pytest.mark.parametrize("text", [
         _section_text("vertices 99999999999999", ["0 0", "1 0"]),
         _cut(9, SQUARE.replace("triangles 2", "triangles 99999999999")),

@@ -897,9 +897,17 @@ def vertex_groups(space):
 
 def check_kernel_basis(space):
     """D Z = 0 to rounding, Z a basis of ker D (dense ranks), with one
-    column per reduced vertex unknown and per vertex group but one."""
+    column per reduced vertex unknown and per vertex group but one. The
+    reduced numbering puts the `n_vertex_unknowns` vertex unknowns first:
+    every vertex row of the constraint has its entry in a column below
+    them, every free bubble row in a column at or above."""
     D, Z = divergence_block(space), kernel_basis(space).toarray()
     n_vertex = space.n_free_velocity - int((~space.bubble_fixed).sum())
+    k, C = space.n_vertex_unknowns, space.constraint.tocoo()
+    assert k == n_vertex
+    vertex_row = C.row < 2 * space.mesh.num_vertices
+    assert (C.col[vertex_row] < k).all()
+    assert (C.col[~vertex_row] >= k).all()
     assert Z.shape == (space.n_free_velocity,
                        n_vertex + vertex_groups(space) - 1)
     assert np.abs(D @ Z).max(initial=0.0) <= 1e-13 * np.abs(D).max()
