@@ -1,22 +1,27 @@
 """Solution of the assembled sparse systems.
 
-Every system takes one path: an exact solve from sparse factors, refined
-once with the same factors. Without a pressure block (elasticity) that is
-the factor of A. With one, the solve runs on the discrete kernel: div V_h
-is the P0 pressure space exactly, so the velocity-pressure block B has the
-explicit kernel basis Z of `mce.space.kernel_basis`, and P = B_b B_b^T,
-B_b the bubble columns of B, is a dual-graph Laplacian. A residual (f, g)
-is corrected by u = B_b^T P^-1 g + Z c, with Z^T A Z c = Z^T (f - A u), so
-B u = g holds by construction, and by p = P^-1 B_b (f - A u)_b. Every
-assembled system is symmetric, and none carries a row for the pressure
-level: the solve fixes it. Where the constant pressure lies in the kernel
-of B^T (a closed boundary), P is pinned at its first entry and p is
-shifted to area-weighted mean zero; mass data whose sum a free level
-cannot balance fail the certificate, and the failure names them. A
-negligible pivot is found by inverse iteration on a fixed probe, never by
-reading L or U, of which SciPy would build and keep CSC copies. Every
-solve is certified against the original matrix: relative residual or
-normwise backward error below 1e-9.
+Every system takes one path: an exact solve from one sparse factor,
+refined once with the same factor. Without a pressure block (elasticity)
+that is the factor of A. With one, the solve runs on the discrete kernel:
+div V_h is the P0 pressure space exactly, so the velocity-pressure block B
+has the explicit kernel basis Z of `mce.space.kernel_basis`, and B_b, the
+bubble columns of B, is a scaled incidence matrix of the dual graph. On
+the spanning tree of `mce.space.dual_tree` its block B_T is square and
+upper triangular in BFS order. A residual (f, g) is corrected by
+u = B_T^-1 g on the tree columns plus Z c, with Z^T A Z c = Z^T (f - A u),
+so B u = g holds by construction, and by p = B_T^-T (f - A u) on the tree
+rows; both tree solves are substitutions that store nothing beyond B_T,
+and Z^T A Z is the one factor. Z and the tree are built once per space.
+Every assembled system is symmetric, and none carries a row for the
+pressure level: the solve fixes it. Where no free bubble reaches the
+boundary (a closed boundary), the constant pressure lies in the kernel of
+B^T, the tree grows from triangle 0 and drops its row, and p is shifted to
+area-weighted mean zero; mass data whose sum a free level cannot balance
+fail the certificate, and the failure names them. A negligible pivot is
+found by inverse iteration on a fixed probe, never by reading L or U, of
+which SciPy would build and keep CSC copies. Every solve is certified
+against the original matrix: relative residual or normwise backward error
+below 1e-9.
 """
 
 import time
@@ -24,8 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import splu
-
-from .space import kernel_basis
 
 RESIDUAL_LIMIT = 1e-9
 
@@ -42,10 +45,10 @@ class SolveReport:
     `residual` is ||Ax-b|| / ||b||; `backward_error` is the normwise
     backward error ||Ax-b|| / (||A||_inf ||x|| + ||b||), the meaningful
     certificate when the matrix scale dwarfs the load (lambda -> inf).
-    `diagnostics` holds `nnz_LU` (the entries the factors store, summed,
-    supernodal padding included) and `inverse_growth` (the larger of
-    max|K| ||K^-1 y||_inf over the factored matrices K, from the pivot
-    check, each held below 1e13).
+    `diagnostics` holds `nnz_LU` (the entries of the one factor, of A or
+    of Z^T A Z, supernodal padding included; the tree solves store none)
+    and `inverse_growth` (max|K| ||K^-1 y||_inf of the factored matrix K,
+    from the pivot check, held below 1e13).
     """
 
     solution: np.ndarray
@@ -63,15 +66,6 @@ def _certificate(matrix, x, b, norm_b):
     return (r / norm_b if norm_b > 0 else r), (r / denom if denom > 0 else r)
 
 
-def _constant_in_kernel(C):
-    """True when the constant pressure lies in the kernel of the
-    velocity-pressure block C (up to rounding): nothing fixes the pressure
-    level. A block without entries couples no pressure and gives False."""
-    ones = np.ones(C.shape[1])
-    scale = (abs(C) @ ones).max(initial=0.0)
-    return bool(scale > 0 and np.abs(C @ ones).max() <= 1e-10 * scale)
-
-
 def _failure_cause(system, singular):
     """The cause of a failure where one shows, as "; cause": an empty row,
     named with its block; else "matrix is singular" after a negligible
@@ -86,9 +80,8 @@ def _failure_cause(system, singular):
         return f"; empty row {row} in the {name} block"
     if singular:
         return "; matrix is singular"
-    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
-    g = system.rhs[pre]
-    if (system.n_pressure and _constant_in_kernel(matrix[vel, pre])
+    g = system.rhs[system.blocks["pressure"]]
+    if (system.n_pressure and system.space.free_pressure_level
             and abs(g.sum()) > 1e-10 * np.abs(g).sum()):
         return (f"; incompatible mass data: the pressure level is free, "
                 f"and the mass sources minus the boundary flux sum to "
@@ -131,6 +124,9 @@ def _factor(K, system, name):
         lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
+        if "ALLOC FAILS" in str(exc).upper():  # SuperLU's own allocation
+            raise MemoryError(
+                f"factorization of {name}: {str(exc).strip()}") from exc
         raise SolverError(
             f"factorization of {name} failed "
             f"({exc}){_failure_cause(system, True)}"
@@ -140,7 +136,7 @@ def _factor(K, system, name):
 
 def _exact_correction(system):
     """Factor once; return the exact correction of a residual of the full
-    system, the entries the factors store and their larger growth."""
+    system, the entries the factor stores and its growth."""
     M = system.matrix
     vel, pre = system.blocks["velocity"], system.blocks["pressure"]
     A = M[vel, vel]
@@ -148,34 +144,56 @@ def _exact_correction(system):
         lu, growth = _factor(A, system, "the velocity operator")
         return lu.solve, lu.nnz, growth
     space = system.space
-    bubbles = slice(space.n_vertex_unknowns, vel.stop)
-    B = M[pre, bubbles]
-    P = (B @ B.T).tocsr()
-    free_level = _constant_in_kernel(M[vel, pre])
-    if free_level:  # B^T 1 = 0: pin the constant pressure
-        P[0, 0] *= 2.0
-        w = space.tables.areas
-    Z = kernel_basis(space)
-    lu_p, growth_p = _factor(P, system, "the pressure Laplacian B_b B_b^T")
-    lu_z, growth_z = _factor(Z.T @ A @ Z, system,
-                             "the kernel operator Z^T A Z")
+    free_level = space.free_pressure_level
+    rows, cols, parents, levels = space.tree
+    if len(rows) + free_level < system.n_pressure:
+        raise SolverError(
+            f"the dual tree of the free bubbles reaches "
+            f"{len(rows) + free_level} of the {system.n_pressure} macro "
+            f"triangles{_failure_cause(system, True)}")
+    # the tree block of B_b, upper triangular in BFS order: each column
+    # holds its row's entry and, below the root, its parent's
+    T = M[pre][rows][:, cols].tocoo()
+    own = T.row == T.col
+    diag, off = np.zeros(len(rows)), np.zeros(len(rows))
+    diag[T.col[own]] = T.data[own]
+    off[T.col[~own]] = T.data[~own]
+    w = space.tables.areas
+    Z = space.kernel
+    lu, growth = _factor(Z.T @ A @ Z, system, "the kernel operator Z^T A Z")
+
+    # substitutions by BFS level; slot -1 stands for the root, whose row
+    # the tree drops and whose pressure is 0 before any shift
+    def flux(g):  # T x = g, leaves first
+        x = np.append(g, 0.0)
+        for level in reversed(levels):
+            x[level] /= diag[level]
+            np.subtract.at(x, parents[level], off[level] * x[level])
+        return x[:-1]
+
+    def pressure(r):  # T^T p = r, root first
+        p = np.zeros(len(r) + 1)
+        for level in levels:
+            p[level] = (r[level] - off[level] * p[parents[level]]) / diag[level]
+        return p[:-1]
 
     def correction(res):
         f, g = res[vel], res[pre]
         u = np.zeros_like(f)
-        u[bubbles] = B.T @ lu_p.solve(g)  # B u = g
-        u += Z @ lu_z.solve(Z.T @ (f - A @ u))
-        p = lu_p.solve(B @ (f - A @ u)[bubbles])
+        u[cols] = flux(g[rows])  # B u = g
+        u += Z @ lu.solve(Z.T @ (f - A @ u))
+        p = np.zeros_like(g)
+        p[rows] = pressure((f - A @ u)[cols])
         if free_level:  # area-weighted mean zero
             p -= (w @ p) / w.sum()
         return np.concatenate([u, p])
 
-    return correction, lu_p.nnz + lu_z.nnz, max(growth_p, growth_z)
+    return correction, lu.nnz, growth
 
 
 def solve(system):
-    """Solve exactly with sparse factors, refined once with the same
-    factors; raises SolverError on structural singularity, or on failure
+    """Solve exactly with one sparse factor, refined once with the same
+    factor; raises SolverError on structural singularity, or on failure
     to certify the solve (neither the relative residual nor the normwise
     backward error below RESIDUAL_LIMIT, a NaN of either or a non-finite
     ||b|| included)."""

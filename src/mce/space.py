@@ -11,10 +11,11 @@ constants is matched exactly.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .mesh import MeshError, _cross2, _dot, _norm
 from .quadrature import edge_rule, triangle_barycentric
@@ -214,7 +215,9 @@ class FESpace:
     Strong constraints are held as an affine map U = C x + lift with C the
     sparse prolongation of the free dofs. The reduced unknowns x keep that
     order: the `n_vertex_unknowns` vertex unknowns first, the free bubbles
-    last.
+    last. The kernel basis and the dual tree of the solve are built on
+    first use and kept with the space (`kernel`, `tree`); a space made by
+    `dataclasses.replace` starts without them.
     """
 
     subdiv: object
@@ -241,6 +244,23 @@ class FESpace:
         """Reduced vertex unknowns: 2, 1 or 0 per vertex (free, sliding,
         fixed)."""
         return int((2 - self.vertex_mode).sum())
+
+    @property
+    def free_pressure_level(self):
+        """True where no free bubble lies on the boundary: no boundary flux
+        then fixes the pressure level, and the constant pressure lies in
+        the kernel of the velocity-pressure block."""
+        return bool(self.bubble_fixed[self.mesh.boundary_edges].all())
+
+    @cached_property
+    def kernel(self):
+        """`kernel_basis` of the space."""
+        return kernel_basis(self)
+
+    @cached_property
+    def tree(self):
+        """`dual_tree` of the space."""
+        return dual_tree(self)
 
     def expand_velocity(self, x):
         """Full velocity coefficients from reduced unknowns."""
@@ -431,6 +451,48 @@ def kernel_basis(space):
          (np.r_[np.arange(n_vertex), rows[on]],
           np.r_[np.arange(n_vertex), cols[on]])),
         shape=(nfu, n_vertex + n_groups - 1))
+
+
+def dual_tree(space):
+    """Spanning tree of the dual graph of the free bubbles, whose nodes are
+    the macro triangles and a ground node for the outside: the flux of a
+    free bubble leaves one triangle and enters its neighbour, or the
+    ground. The tree grows breadth first from the ground, or from triangle
+    0 where the pressure level is free and no bubble reaches the ground.
+
+    Returns (rows, columns, parents, levels): the triangles that the tree
+    reaches in BFS order, its root left out; the reduced velocity column of
+    the free bubble that joins each of them to its parent; the parent's
+    position in `rows`, -1 for the root; and one slice of `rows` per BFS
+    level. The velocity-pressure block on (rows, columns) is square and
+    upper triangular."""
+    mesh = space.mesh
+    nt = mesh.num_triangles
+    ends = mesh.edge_tris[~space.bubble_fixed]
+    ends[ends < 0] = nt
+    # one edge per pair of nodes (a triangle may have two to the ground),
+    # keyed by the ascending pair
+    key, first = np.unique(ends[:, 0] * (nt + 1) + ends[:, 1],
+                           return_index=True)
+    graph = sparse.coo_matrix((np.ones(len(key)), np.divmod(key, nt + 1)),
+                              shape=(nt + 1, nt + 1))
+    order, parent = breadth_first_order(
+        graph, 0 if space.free_pressure_level else nt, directed=False,
+        return_predecessors=True)
+    rows = order[1:].astype(np.int64)
+    pair = np.sort(np.c_[rows, parent[rows]], axis=1)
+    edge = first[np.searchsorted(key, pair[:, 0] * (nt + 1) + pair[:, 1])]
+    position = np.full(nt + 1, -1)
+    position[rows] = np.arange(len(rows))
+    parents = position[parent[rows]]
+    # BFS appends children in their parents' order, so `parents` does not
+    # decrease and level k + 1 starts at the first row whose parent lies
+    # at or past the start of level k
+    starts = [0]
+    while starts[-1] < len(rows):
+        starts.append(int(np.searchsorted(parents, starts[-1])))
+    return (rows, space.n_vertex_unknowns + edge, parents,
+            [slice(a, b) for a, b in zip(starts, starts[1:])])
 
 
 def fortin_interpolate(u, space):

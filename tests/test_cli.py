@@ -952,6 +952,23 @@ def test_memory_error_in_a_runner_exits_2_by_name(monkeypatch, capsys, error,
     assert capsys.readouterr().err == message + "\n"
 
 
+def test_superlu_allocation_failure_is_out_of_memory(monkeypatch, capsys,
+                                                     tmp_path):
+    # SuperLU reports a failed allocation as a RuntimeError whose message
+    # ends in a newline; the matrix is well posed, so no "singular"
+    def splu(*args, **kwargs):
+        raise RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc() at "
+                           "line 145 in file memory.c\n")
+
+    monkeypatch.setattr(sys.modules["mce.solve"], "splu", splu)
+    assert run(["stokes", "--levels", "2,3,4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: factorization of the "
+                          "kernel operator Z^T A Z: SUPERLU_MALLOC fails")
+    assert "singular" not in err
+    assert err.count("\n") == 1 and err.endswith("memory.c\n")
+
+
 @pytest.mark.parametrize("grid, code", [("2", 0), ("0", 1)])
 def test_console_main_exits_with_mains_code(monkeypatch, capsys, grid, code):
     monkeypatch.setattr(sys, "argv", ["mce", "mesh-info", "--grid", grid])

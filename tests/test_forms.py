@@ -19,7 +19,7 @@ from mce.mesh import (
     subdivide,
 )
 from mce.quadrature import edge_rule, triangle_barycentric
-from mce.solve import _constant_in_kernel, solve
+from mce.solve import solve
 from mce.space import (
     Dirichlet,
     Free,
@@ -602,9 +602,17 @@ class TestMultiplierRule:
         else:
             assert abs(areas @ p) <= 1e-12 * (areas @ np.abs(p))
 
-    def test_all_zero_coupling_is_not_a_free_level(self):
-        empty = sparse.csr_matrix((5, 3))
-        assert _constant_in_kernel(empty) is False
+    @pytest.mark.parametrize("mode", ["free", "normal", "dirichlet"])
+    def test_free_level_is_the_kernel_of_the_coupling(self, oracle_sub, mode):
+        # the structural rule that the solve reads, no free bubble on the
+        # boundary, against the algebra: B^T 1 = 0 up to rounding
+        space = build_space(oracle_sub, mode)
+        system = assemble_brinkman(space, ProblemCoefficients(
+            mu=1.0, sigma=0.5, f=_load))
+        C = system.matrix[system.blocks["velocity"], system.blocks["pressure"]]
+        flux = np.abs(C @ np.ones(C.shape[1])).max()
+        assert space.free_pressure_level == (mode != "free")
+        assert (flux <= 1e-12 * abs(C).max()) == space.free_pressure_level
 
     def test_viscosity_sweep_takes_the_rule_of_its_whole_system(self, sub3):
         # the swept part alone couples no pressure; the sweep at m has the

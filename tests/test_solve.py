@@ -1,4 +1,5 @@
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from mce.forms import (
     assemble_brinkman,
     assemble_elasticity,
 )
-from mce.mesh import generate_unit_square_mesh, subdivide
+from mce.cli import main
+from mce.mesh import build_mesh, generate_unit_square_mesh, subdivide
 from mce.solve import SolverError, solve
 from mce.space import build_space, macro_divergence, project_p0
 
@@ -117,12 +119,10 @@ def _bordered(system):
     column of the macro areas where the pressure level is free: the
     reference fixes that level at area-weighted mean zero itself."""
     M, b = system.matrix, system.rhs
-    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
-    if not (system.n_pressure
-            and solve_module._constant_in_kernel(M[vel, pre])):
+    if not (system.n_pressure and system.space.free_pressure_level):
         return M, b
     w = np.zeros((1, system.size))
-    w[0, pre] = system.space.tables.areas
+    w[0, system.blocks["pressure"]] = system.space.tables.areas
     return sparse.bmat([[M, w.T], [w, None]]), np.append(b, 0.0)
 
 
@@ -180,14 +180,14 @@ def _lu_entries(call):
                          ids=["stokes", "darcy"])
 def test_factor_fill_is_bounded(case, factored):
     # the pressure block stays out of the factorizations, and the free
-    # pressure level is pinned, not bordered; at n = 32 the LU of the whole
-    # matrix with a mean-zero border filled 60 x its nnz for Stokes and
-    # 15 x for Darcy, the factors of B_b B_b^T and Z^T A Z together 4.3 x
-    # and 4.6 x nnz(A)
+    # pressure level is fixed by the dual tree, not bordered; at n = 32 the
+    # LU of the whole matrix with a mean-zero border filled 60 x its nnz
+    # for Stokes and 15 x for Darcy, the one factor, of Z^T A Z, 3.8 x and
+    # 4.1 x nnz(A)
     system = _case_system(case(), 32)
-    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
-    assert solve_module._constant_in_kernel(system.matrix[vel, pre])
-    assert len(factored) == 2
+    vel = system.blocks["velocity"]
+    assert system.space.free_pressure_level
+    assert len(factored) == 1
     entries = sum(_lu_entries(call) for call in factored)
     assert entries <= 10 * system.matrix[vel, vel].nnz
 
@@ -243,8 +243,7 @@ def test_free_stokes_is_singular_in_velocity_not_pressure():
     # pressure has no nullspace to name
     system = assemble_brinkman(
         _free_space(8), ProblemCoefficients(mu=1.0, sigma=0.0, f=_load))
-    vel, pre = system.blocks["velocity"], system.blocks["pressure"]
-    assert not solve_module._constant_in_kernel(system.matrix[vel, pre])
+    assert not system.space.free_pressure_level
     with pytest.raises(SolverError,
                        match="negligible pivot.*; matrix is singular$"):
         solve(system)
@@ -279,3 +278,129 @@ def test_failed_certificate_is_named(monkeypatch):
                        match="^relative residual .* above 0$") as failure:
         solve(system)
     assert "singular" not in str(failure.value)
+
+
+# the dual tree -------------------------------------------------------------
+
+TREE_SYSTEMS = {
+    # closed: the level is free, the tree grows from triangle 0
+    "stokes-8": (lambda: _case_system(bench.case_stokes(), 8), True),
+    # free top and bottom: the tree grows from the ground
+    "coupling-normal": (lambda: _coupling_system("normal", 1e-2), False),
+    "coupling-tangential": (lambda: _coupling_system("tangential", 1.0),
+                            False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_SYSTEMS))
+def test_tree_block_is_triangular_in_bfs_order(name):
+    build, free_level = TREE_SYSTEMS[name]
+    system = build()
+    space, nt = system.space, system.n_pressure
+    rows, cols, parents, levels = space.tree
+    assert space.free_pressure_level == free_level
+    # a triangle root drops its row, the ground has none
+    assert len(rows) == len(cols) == nt - free_level
+    assert len(set(rows.tolist())) == len(rows)
+    assert (0 not in rows) == free_level
+    assert len(set(cols.tolist())) == len(cols)
+    assert cols.min() >= space.n_vertex_unknowns
+    T = system.matrix[system.blocks["pressure"]][rows][:, cols]
+    assert sparse.tril(T, -1).nnz == 0
+    assert np.all(T.diagonal() != 0)
+    # each tree column leaves its row's triangle: one entry more at most,
+    # its parent's, above the diagonal
+    T = T.tocoo()
+    off = T.row != T.col
+    assert np.array_equal(np.sort(T.col[off]), np.flatnonzero(parents >= 0))
+    assert np.all(T.row[off] == parents[T.col[off]])
+    # the levels cover the rows in order, each the children of the last
+    assert levels[0].start == 0 and levels[-1].stop == len(rows)
+    assert all(a.stop == b.start for a, b in zip(levels, levels[1:]))
+    assert np.all(parents[levels[0]] == -1)
+    for above, level in zip(levels, levels[1:]):
+        assert np.all((parents[level] >= above.start)
+                      & (parents[level] < above.stop))
+
+
+def test_tree_joins_each_triangle_to_an_earlier_one_past_int32_keys():
+    # at n = 160 the key nt (nt + 1) of a pair of dual nodes passes the
+    # int32 range of the BFS output
+    space = build_space(subdivide(generate_unit_square_mesh(160)),
+                        "dirichlet")
+    rows, cols, parents, _ = space.tree
+    nt = space.mesh.num_triangles
+    assert nt * (nt + 1) > np.iinfo(np.int32).max
+    assert len(rows) == nt - 1
+    edges = np.flatnonzero(~space.bubble_fixed)[cols - space.n_vertex_unknowns]
+    ends = space.mesh.edge_tris[edges]
+    own = ends == rows[:, None]
+    assert np.all(own.sum(axis=1) == 1)
+    # the other end is the parent, or the root, triangle 0
+    parent = np.where(parents >= 0, rows[parents], 0)
+    assert np.array_equal(ends[~own], parent)
+    assert np.all(parents < np.arange(len(rows)))
+
+
+def test_pressure_off_the_tree_is_named():
+    # two closed squares that touch at one vertex: each has a pressure
+    # level of its own, and the tree from triangle 0 reaches one square
+    vertices = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [2, 1], [2, 2],
+                         [1, 2]], dtype=float)
+    triangles = np.array([[0, 1, 2], [0, 2, 3], [2, 4, 5], [2, 5, 6]])
+    sides = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 2)]
+    mesh = build_mesh(vertices, triangles, {side: "wall" for side in sides})
+    system = assemble_brinkman(
+        build_space(subdivide(mesh), "dirichlet"),
+        ProblemCoefficients(mu=1.0, sigma=1.0, f=_load))
+    with pytest.raises(SolverError, match="^the dual tree of the free "
+                       "bubbles reaches 2 of the 4 macro triangles; matrix "
+                       "is singular$"):
+        solve(system)
+
+
+def test_each_space_builds_its_kernel_and_tree_once(monkeypatch, tmp_path):
+    # two scenarios of four viscosities each: two spaces, eight solves
+    space_module = importlib.import_module("mce.space")
+    built = []
+
+    def counted(name):
+        builder = getattr(space_module, name)
+
+        def build(space):
+            built.append((name, space))  # kept alive: ids stay distinct
+            return builder(space)
+        return build
+
+    for name in ("kernel_basis", "dual_tree"):
+        monkeypatch.setattr(space_module, name, counted(name))
+    assert main(["brinkman", "--grid", "40", "--out", str(tmp_path)]) == 0
+    assert sorted(name for name, _ in built) == ["dual_tree"] * 2 + [
+        "kernel_basis"] * 2
+    assert len({id(space) for _, space in built}) == 2
+
+
+def test_no_earlier_level_space_stays_alive(monkeypatch):
+    spaces = []
+    build = bench.build_space
+
+    def record(*args, **kwargs):
+        space = build(*args, **kwargs)
+        spaces.append(weakref.ref(space))
+        return space
+
+    monkeypatch.setattr(bench, "build_space", record)
+    finest = bench.run_convergence(bench.case_stokes(), [8, 16, 24]).finest
+    assert len(spaces) == 3
+    alive = [ref() for ref in spaces]
+    assert alive[:2] == [None, None] and alive[2] is finest.space
+    assert {"kernel", "tree"} <= set(vars(finest.space))
+
+
+def test_plain_affine_space_carries_no_cached_state():
+    space = bench._cooks_space(4)
+    assert space.kernel is space.kernel and space.tree is space.tree
+    affine = bench._plain_affine(space)
+    assert not {"kernel", "tree"} & set(vars(affine))
+    # the P1 space has no bubble: its kernel basis is its own
+    assert affine.kernel.shape[0] == space.n_vertex_unknowns
