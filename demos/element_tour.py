@@ -2,8 +2,9 @@
 
 Walks through the construction on a single reference triangle and a small
 mesh: the six-way subdivision, the divergence-equalizing centroid value of
-an edge bubble (solved from the 2x2 system and cross-checked against the
-closed form), and the elementwise-constant divergence of arbitrary fields.
+an edge bubble (the library's closed form, cross-checked by solving the
+2x2 equal-divergence system), and the elementwise-constant divergence of
+arbitrary fields.
 """
 
 import numpy as np
@@ -32,16 +33,20 @@ for e in range(mesh.num_edges):
 bottom = next(e for e in range(mesh.num_edges) if set(mesh.edges[e]) == {0, 1})
 loc = list(mesh.tri_edges[0]).index(bottom)
 tables = ElementTables(sub)
-print(f"\nbubble of the bottom edge: centroid value u_m = "
-      f"{tables.bubble_um[0, loc]}, constant divergence = "
+print(f"\nbubble of the bottom edge: constant divergence d = "
       f"{tables.bubble_div[0, loc]:.12f}")
-# closed form: d = nu . N / (2 |T|) with N the outward edge normal scaled
-# by the edge length, times (centroid - opposite vertex)
+print("closed form u_m = d*(centroid - opposite vertex):",
+      tables.bubble_um[0, loc])
+# cross-check: on the subtriangles off the bottom edge the bubble is 0 at
+# two corners on the other edges j, so its divergence there is d when
+# N_j . u_m = -2 |T| d / 3, N_j the outward normal of edge j scaled by its
+# length; solve those two equations
 verts = mesh.vertices[mesh.triangles[0]]
-edge = verts[(loc + 2) % 3] - verts[(loc + 1) % 3]
-d = sub.edge_nu[bottom] @ np.array([edge[1], -edge[0]]) / (2 * tables.areas[0])
-print("closed form d*(centroid - opposite vertex):",
-      d * (sub.centroids[0] - verts[loc]))
+edges = [verts[(j + 2) % 3] - verts[(j + 1) % 3] for j in range(3) if j != loc]
+N = np.array([[e[1], -e[0]] for e in edges])
+rhs = -2 * tables.areas[0] * tables.bubble_div[0, loc] / 3
+print("2x2 equal-divergence solve:                 ",
+      np.linalg.solve(N, [rhs, rhs]))
 
 print("divergence of that bubble on each of the 6 subtriangles:")
 # the bubble is P1 on every subtriangle: its corner values dotted with the

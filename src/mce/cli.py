@@ -15,6 +15,8 @@ import os
 import sys
 from collections import namedtuple
 
+import numpy as np
+
 from . import bench
 from .forms import ConfigurationError
 from .mesh import (
@@ -273,7 +275,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         config = make_config(args)
-        return _RUNNERS[config.subcommand](config)
+        # an overflow leaves a non-finite value that the solve names, so
+        # it ends in that one failure line, not in numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _RUNNERS[config.subcommand](config)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")

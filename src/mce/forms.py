@@ -2,9 +2,9 @@
 
 All variational forms are integrated exactly where the integrands are
 piecewise polynomial: gradient/divergence products are closed-form per
-subtriangle, mass terms use a degree-2 rule, load terms a degree-4 rule,
-and the pressure-velocity coupling uses the elementwise-constant divergence
-times the macro area.
+subtriangle, mass terms use the P1 hat mass |T| (1 + delta_cd) / 12, load
+terms a degree-4 rule, and the pressure-velocity coupling uses the
+elementwise-constant divergence times the macro area.
 
 Every velocity basis field is P1 on the 6 subtriangles, so the Brinkman
 volume terms are contracted on the 7-node patch (vertices, edge split
@@ -208,8 +208,7 @@ def _body_force_rhs(builder, tables, f):
 def _brinkman_matrix(tables, mu, sigma):
     """Element matrices (nt, 9, 9) of mu grad:grad + sigma u.v, as
     sum_i V_i N V_i^T over the 7-node patch (see the module docstring)."""
-    bary, wts = triangle_barycentric(2)
-    mass = 2.0 * np.einsum("q,qc,qd->cd", wts, bary, bary)
+    mass = (1.0 + np.eye(3)) / 12.0  # P1 hat mass on a unit-area triangle
     sub = tables.subdiv.SUBTRIANGLES
     pairs = (7 * sub[:, :, None] + sub[:, None, :]).reshape(6, 9)
     nt = len(tables.areas)

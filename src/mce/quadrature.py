@@ -1,8 +1,9 @@
 """Quadrature rules on the reference triangle and reference edge.
 
-The reference triangle is (0,0), (1,0), (0,1); weights sum to its area 1/2.
-The triangle rules are the symmetric Gauss rules of degree 2 (mass terms),
-4 (loads) and 6 (error norms), all with strictly positive weights.
+The triangle rules are the symmetric Gauss rules of degree 2, 4 (loads)
+and 6 (error norms), all with strictly positive weights, stored in
+barycentric form. The weights sum to 1/2, the area of the reference
+triangle (0,0), (1,0), (0,1), on which x = lambda_1 and y = lambda_2.
 """
 
 import numpy as np
@@ -37,9 +38,10 @@ _RULES = {
 }
 
 
-def triangle_rule(degree):
-    """Return points (n, 2) and weights (n,) exact up to `degree` on the
-    reference triangle. Weights sum to 1/2 and are all positive.
+def triangle_barycentric(degree):
+    """Barycentric coordinates (n, 3) and weights (n,) of the rule exact up
+    to `degree` on the reference triangle; weights sum to 1/2 and are all
+    positive.
 
     Raises ValueError for a degree other than 2, 4 or 6.
     """
@@ -47,21 +49,10 @@ def triangle_rule(degree):
         raise ValueError(
             f"unsupported quadrature degree {degree}; need 2, 4 or 6")
     bary, w = _RULES[degree]
-    bary = np.asarray(bary, dtype=float)
-    pts = bary[:, 1:].copy()  # x = lambda_1, y = lambda_2
-    wts = 0.5 * np.asarray(w, dtype=float)
-    return pts, wts
-
-
-def triangle_barycentric(degree):
-    """Barycentric coordinates (n, 3) and weights (n,) of the rule."""
-    pts, wts = triangle_rule(degree)
-    lam0 = 1.0 - pts[:, 0] - pts[:, 1]
-    return np.column_stack([lam0, pts]), wts
+    return np.array(bary), 0.5 * np.array(w)
 
 
 def edge_rule(npoints=3):
     """Gauss-Legendre points/weights on [0, 1]; exact to degree 2n-1."""
     x, w = leggauss(npoints)
     return 0.5 * (x + 1.0), 0.5 * w
-

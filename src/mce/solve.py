@@ -120,6 +120,9 @@ def _factor(K, system, name):
     checked inverse growth."""
     K = K.tocsc()
     scale = np.abs(K.data).max(initial=0.0)
+    if not np.isfinite(scale):
+        raise SolverError(f"{name} holds a non-finite entry: the system "
+                          f"overflows double precision")
     try:
         lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -193,10 +196,10 @@ def _exact_correction(system):
 
 def solve(system):
     """Solve exactly with one sparse factor, refined once with the same
-    factor; raises SolverError on structural singularity, or on failure
-    to certify the solve (neither the relative residual nor the normwise
-    backward error below RESIDUAL_LIMIT, a NaN of either or a non-finite
-    ||b|| included)."""
+    factor; raises SolverError on structural singularity, on a matrix to
+    factor that overflows double precision, or on failure to certify the
+    solve (neither the relative residual nor the normwise backward error
+    below RESIDUAL_LIMIT, a NaN of either or a non-finite ||b|| included)."""
     start = time.perf_counter()
     correction, nnz, growth = _exact_correction(system)
     M, b = system.matrix, system.rhs

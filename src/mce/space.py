@@ -3,9 +3,9 @@
 Velocities are piecewise linear on the 6 subtriangles of every macro
 triangle: a globally linear part with two unknowns per macro vertex, plus
 one scalar "bubble" unknown per edge. The bubble of edge E takes the value
-a*nu at the edge split node (nu the unit split direction) and a centroid
-value chosen so its divergence is one constant on all 6 subtriangles of
-each incident macro triangle; hence every member of the space has
+a*nu at the edge split node (nu the unit split direction) and, in each
+incident macro triangle, the interior-node value that makes its divergence
+one constant on all 6 subtriangles; hence every member of the space has
 elementwise constant divergence and the pressure space of per-triangle
 constants is matched exactly.
 """
@@ -56,7 +56,8 @@ class ElementTables:
     Local velocity dofs per macro triangle (9): the two components at each
     of the three vertices, then the three edge bubbles (edge i opposite
     local vertex i). The bubble of local edge i is nu_i at its split node
-    and `bubble_um[t, i]` at the centroid, which makes its divergence the
+    and `bubble_um[t, i]` = `bubble_div[t, i]` (m - v_i) at the interior
+    node m, v_i the opposite vertex, which makes its divergence the
     constant `bubble_div[t, i]` on all 6 subtriangles (unit amplitude).
 
     Every basis field is P1 on the 6 subtriangles, so the tables store it
@@ -112,17 +113,11 @@ class ElementTables:
         for a in range(3):
             for c in range(2):
                 vals[:, 2 * a + c, :, c] = bary[:, :, a]
-        # the centroid value u_m of bubble i solves [N_j; N_k] u_m =
-        # -(beta_i / 3)[1, 1]
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            a_, b_ = N[:, j, 0], N[:, j, 1]
-            c_, d_ = N[:, k, 0], N[:, k, 1]
-            det = a_ * d_ - b_ * c_
-            r = -beta[:, i] / 3.0
-            vals[:, 6 + i, 3 + i, :] = nu[:, i]
-            vals[:, 6 + i, 6, 0] = (d_ * r - b_ * r) / det
-            vals[:, 6 + i, 6, 1] = (-c_ * r + a_ * r) / det
+        vals[:, [6, 7, 8], [3, 4, 5]] = nu
+        # interior value bubble_div_i (m - v_i): N_j . (m - v_i) =
+        # -2 |T| lambda_j(m) for the other two edges j, which makes the
+        # divergence bubble_div_i on every subtriangle
+        vals[:, 6:, 6] = bubble_div[..., None] * (nodes[:, 6, None] - verts)
         self.basis_node_values = vals
 
         # the constant divergence of each basis field: d(lambda_a)/dx_c for
@@ -420,7 +415,8 @@ def kernel_basis(space):
     edge (a, b) carries the flux psi(b) - psi(a). psi is constant along the
     bubble-fixed edges, so the vertices they join share one column. The
     group columns sum to the curl of 1, so one is dropped: the largest
-    group's, which would couple a whole boundary in Z^T A Z."""
+    group's, which would couple a whole boundary in Z^T A Z. Z is CSC, so
+    Z^T is CSR and Z^T A reads the CSR A without converting it."""
     mesh, C = space.mesh, space.constraint
     nv, nfu = mesh.num_vertices, C.shape[1]
     # each constraint row holds at most one entry
@@ -446,7 +442,7 @@ def kernel_basis(space):
     on = np.c_[cols[:, :4] >= 0,
                (group[:, [0]] != group[:, [1]]) & (group != drop)]
     rows = np.broadcast_to(col[2 * nv + free, None], cols.shape)
-    return sparse.csr_matrix(
+    return sparse.csc_matrix(
         (np.r_[np.ones(n_vertex), vals[on]],
          (np.r_[np.arange(n_vertex), rows[on]],
           np.r_[np.arange(n_vertex), cols[on]])),

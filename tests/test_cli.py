@@ -113,6 +113,22 @@ class TestDarcyCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["darcy", "--sigma", "1e308", "--levels", "2,3,4"],
+    ["brinkman", "--grid", "2", "--mu", "1e308"],
+])
+def test_overflowing_system_is_named_not_singular(tmp_path, capsys, args):
+    # the coefficient overflows the assembled system: one line that names
+    # the overflow, exit 2, and no numpy warning (which the suite turns
+    # into an error)
+    assert run(args + ["--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("solver failure: ")
+    assert "overflows double precision" in lines[0]
+    assert "singular" not in lines[0]
+
+
 class TestCooksCommand:
     def test_writes_tips(self, tmp_path):
         code = run(

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mce.quadrature import edge_rule, triangle_rule
+from mce.quadrature import edge_rule, triangle_barycentric
+
+
+def xy_rule(degree):
+    """Points (x, y) = (lambda_1, lambda_2) on the reference triangle and
+    the weights of the barycentric rule."""
+    bary, wts = triangle_barycentric(degree)
+    return bary[:, 1:], wts
 
 
 def exact_monomial(i, j):
@@ -13,7 +20,7 @@ def exact_monomial(i, j):
 
 @pytest.mark.parametrize("degree", [2, 4, 6])
 def test_monomial_exactness(degree):
-    pts, wts = triangle_rule(degree)
+    pts, wts = xy_rule(degree)
     for i in range(degree + 1):
         for j in range(degree + 1 - i):
             approx = np.sum(wts * pts[:, 0] ** i * pts[:, 1] ** j)
@@ -22,29 +29,38 @@ def test_monomial_exactness(degree):
 
 @pytest.mark.parametrize("degree", [2, 4, 6])
 def test_weights_positive_and_sum_half(degree):
-    _, wts = triangle_rule(degree)
+    _, wts = xy_rule(degree)
     assert np.all(wts > 0)
     assert np.sum(wts) == pytest.approx(0.5, rel=1e-14)
 
 
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_barycentric_points_inside(degree):
+    # lambda_0 is stored, not derived: each point's coordinates are
+    # positive and sum to 1
+    bary, _ = triangle_barycentric(degree)
+    assert np.all(bary > 0)
+    np.testing.assert_allclose(bary.sum(axis=1), 1.0, rtol=1e-15)
+
+
 def test_x2y_integral():
-    pts, wts = triangle_rule(4)
+    pts, wts = xy_rule(4)
     val = np.sum(wts * pts[:, 0] ** 2 * pts[:, 1])
     assert val == pytest.approx(1 / 60, rel=1e-13)
 
 
 def test_unsupported_degree_rejected():
     with pytest.raises(ValueError):
-        triangle_rule(7)
+        triangle_barycentric(7)
     with pytest.raises(ValueError):
-        triangle_rule(0)
+        triangle_barycentric(0)
 
 
 @pytest.mark.parametrize("degree", [1, 3, 5])
 def test_odd_degrees_rejected(degree):
     # the library integrates at degrees 2, 4 and 6 only
     with pytest.raises(ValueError, match="need 2, 4 or 6"):
-        triangle_rule(degree)
+        triangle_barycentric(degree)
 
 
 def test_edge_rule_exactness():

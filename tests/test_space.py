@@ -144,6 +144,31 @@ def closed_form_bubble(subdiv, edge, t):
     return d * (subdiv.centroids[t] - verts[loc])
 
 
+def incenter_subdiv(mesh):
+    """SubdividedMesh whose interior nodes are the incenters: interior
+    edges split where the segment between the two incenters crosses them,
+    boundary edges at their midpoints, nu from the incenter of the
+    lower-indexed triangle (edge_tris is ascending)."""
+    corners = mesh.vertices[mesh.triangles]
+    sides = np.linalg.norm(corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]],
+                           axis=2)  # side i is opposite corner i
+    centers = np.einsum("ti,tik->tk", sides, corners) / sides.sum(1)[:, None]
+    a, b = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
+    t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+    splits = 0.5 * (a + b)
+    for e in np.flatnonzero(t1 >= 0):
+        c0, c1 = centers[t0[e]], centers[t1[e]]
+        # c0 + s (c1 - c0) = a + t (b - a)
+        s_t = np.linalg.solve(np.column_stack([c1 - c0, a[e] - b[e]]),
+                              a[e] - c0)
+        assert 0.0 < s_t[0] < 1.0 and 0.0 < s_t[1] < 1.0
+        splits[e] = a[e] + s_t[1] * (b[e] - a[e])
+    nu = splits - centers[t0]
+    nu /= np.linalg.norm(nu, axis=1)[:, None]
+    return SubdividedMesh(mesh=mesh, centroids=centers, edge_splits=splits,
+                          edge_nu=nu)
+
+
 class TestBubble:
     def test_reference_triangle_oracle(self):
         # independent oracle: build and solve the 2x2 equal-divergence
@@ -222,6 +247,19 @@ class TestBubble:
                 worst = max(worst, np.abs(np.asarray(divs) - d).max() / abs(d))
         assert worst < 1e-10
 
+    def test_equal_divergence_at_incenters(self):
+        # nothing in the bubble assumes the centroid: with the incenters as
+        # interior nodes every bubble still has one divergence on all 6
+        # subtriangles
+        mesh = generate_cook_mesh(6)
+        sub = incenter_subdiv(mesh)
+        centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+        assert np.abs(sub.centroids - centroids).max() > 0.1
+        tables = ElementTables(sub)
+        divs = np.stack([tables.sub_divergences(s)[:, 6:] for s in range(6)])
+        d = tables.bubble_div
+        assert (np.abs(divs - d) / np.abs(d)).max() <= 1e-10
+
     def test_closed_form_matches_system(self):
         rng = np.random.default_rng(11)
         for trial in range(50):
@@ -268,8 +306,8 @@ class TestBubble:
                         np.testing.assert_allclose(val, 0.0, atol=1e-12)
 
     def test_batched_tables_match_per_edge_solve(self):
-        # ElementTables solves the centroid values in a vectorized sweep;
-        # it must agree with the per-edge construction everywhere
+        # ElementTables takes the centroid values in closed form; they must
+        # agree with the per-edge 2x2 solve everywhere
         mesh = generate_unit_square_mesh(3)
         sub = subdivide(mesh)
         tables = ElementTables(sub)
