@@ -8,7 +8,7 @@ elementwise-constant divergence times the macro area.
 
 Every velocity basis field is P1 on the 6 subtriangles, so the Brinkman
 volume terms are contracted on the 7-node patch (vertices, edge split
-nodes, centroid) rather than per quadrature point. Viscous and mass terms
+nodes, interior node) rather than per quadrature point. Viscous and mass terms
 become one scalar 7x7 P1 patch matrix N, summed from each subtriangle's
 3x3 hat-gradient and hat-mass blocks, and the element matrix is
 sum_i V_i N V_i^T with V_i the i-th component of the basis values at the
@@ -259,7 +259,8 @@ def _reduce(space, builder, n_pressure=0):
     z0[:space.n_velocity] = space.lift
     if space.lift.any():
         b = b - K @ z0
-    K_red = (S.T @ K @ S).tocsr()
+    # S^T is CSC; as CSR it multiplies K without a CSC copy of K
+    K_red = S.T.tocsr() @ K @ S
     b_red = S.T @ b
     return SaddleSystem(space, K_red, b_red, n_pressure)
 

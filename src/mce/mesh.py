@@ -240,10 +240,11 @@ class SubdividedMesh:
     Attributes
     ----------
     mesh : the macro mesh
-    centroids : (nt, 2) centroid of each macro triangle
+    centroids : (nt, 2) interior node of each macro triangle, which
+        `subdivide` places at the centroid
     edge_splits : (ne, 2) split point x_m per edge
     edge_nu : (ne, 2) global unit split direction per edge; points from the
-        centroid of the lower-indexed incident triangle toward x_m
+        interior node of the lower-indexed incident triangle toward x_m
     """
 
     mesh: MacroMesh
@@ -252,8 +253,9 @@ class SubdividedMesh:
     edge_nu: np.ndarray
 
     # subtriangle corner indices into the 7 local nodes
-    # [v0, v1, v2, m0, m1, m2, centroid]; children (a, m_i, c), (m_i, b, c)
-    # for edge i with CCW endpoints a = v_{i+1}, b = v_{i+2}
+    # [v0, v1, v2, m0, m1, m2, c], c the interior node; children
+    # (a, m_i, c), (m_i, b, c) for edge i with CCW endpoints a = v_{i+1},
+    # b = v_{i+2}
     SUBTRIANGLES = np.array(
         [[1, 3, 6], [3, 2, 6], [2, 4, 6], [4, 0, 6], [0, 5, 6], [5, 1, 6]]
     )

@@ -66,11 +66,11 @@ def _certificate(matrix, x, b, norm_b):
     return (r / norm_b if norm_b > 0 else r), (r / denom if denom > 0 else r)
 
 
-def _failure_cause(system, singular):
+def _failure_cause(system, singular=""):
     """The cause of a failure where one shows, as "; cause": an empty row,
-    named with its block; else "matrix is singular" after a negligible
-    pivot (`singular`); else, after a failed certificate, mass data that a
-    free pressure level cannot balance. An empty string otherwise."""
+    named with its block; else `singular`, as a factor or the pivot check
+    found it; else, after a failed certificate, mass data that a free
+    pressure level cannot balance. An empty string otherwise."""
     matrix = system.matrix.tocsr()
     empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
     if empty.size:
@@ -79,7 +79,7 @@ def _failure_cause(system, singular):
                     if sl.start <= row < sl.stop)
         return f"; empty row {row} in the {name} block"
     if singular:
-        return "; matrix is singular"
+        return f"; {singular}"
     g = system.rhs[system.blocks["pressure"]]
     if (system.n_pressure and system.space.free_pressure_level
             and abs(g.sum()) > 1e-10 * np.abs(g).sum()):
@@ -107,10 +107,12 @@ def _checked_inverse_growth(lu, scale, system):
             growth = np.abs(x).max(initial=0.0)
     growth *= scale
     if not growth <= 1.0 / _PIVOT_RATIO_LIMIT:  # a non-finite growth too
+        cause = _failure_cause(system,
+                               "matrix is singular to working precision")
         raise SolverError(
             f"factorization produced a negligible pivot (inverse growth "
             f"{growth:.3e} above {1.0 / _PIVOT_RATIO_LIMIT:.0e} at matrix "
-            f"scale {scale:.3e}){_failure_cause(system, True)}"
+            f"scale {scale:.3e}){cause}"
         )
     return growth
 
@@ -132,7 +134,7 @@ def _factor(K, system, name):
                 f"factorization of {name}: {str(exc).strip()}") from exc
         raise SolverError(
             f"factorization of {name} failed "
-            f"({exc}){_failure_cause(system, True)}"
+            f"({exc}){_failure_cause(system, 'matrix is singular')}"
         ) from exc
     return lu, _checked_inverse_growth(lu, scale, system)
 
@@ -153,7 +155,7 @@ def _exact_correction(system):
         raise SolverError(
             f"the dual tree of the free bubbles reaches "
             f"{len(rows) + free_level} of the {system.n_pressure} macro "
-            f"triangles{_failure_cause(system, True)}")
+            f"triangles{_failure_cause(system, 'matrix is singular')}")
     # the tree block of B_b, upper triangular in BFS order: each column
     # holds its row's entry and, below the root, its parent's
     T = M[pre][rows][:, cols].tocoo()
@@ -220,7 +222,7 @@ def solve(system):
             )
         raise SolverError(
             f"relative residual {res:.3e} and backward error {bwd:.3e} "
-            f"above {RESIDUAL_LIMIT:g}{_failure_cause(system, False)}"
+            f"above {RESIDUAL_LIMIT:g}{_failure_cause(system)}"
         )
     return SolveReport(
         solution=x,

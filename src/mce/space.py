@@ -78,6 +78,7 @@ class ElementTables:
         verts = mesh.vertices[tris]  # (nt,3,2)
         nodes = subdiv.all_local_nodes()  # (nt,7,2)
         self.nodes = nodes
+        macro_grads, _ = _hat_gradients(verts)  # (nt,3,2)
 
         grads, areas = _hat_gradients(nodes[:, subdiv.SUBTRIANGLES])
         if np.any(areas <= 0):
@@ -86,43 +87,37 @@ class ElementTables:
         self.sub_areas = areas  # (nt,6)
         self.areas = areas.sum(axis=1)  # (nt,)
 
-        # barycentric coordinates (wrt the macro triangle) of the 7 nodes
+        # barycentric coordinates (wrt the macro triangle) of the 7 nodes:
+        # a split node's along its edge a -> b (the third is exactly 0), the
+        # interior node m's off the hat gradients, e_0 + grad . (m - v_0)
         bary = np.zeros((nt, 7, 3))
         bary[:, :3] = np.eye(3)
-        bary[:, 6] = 1.0 / 3.0
-        for i in range(3):
-            a = verts[:, (i + 1) % 3]
-            b = verts[:, (i + 2) % 3]
-            m = nodes[:, 3 + i]
-            t = np.einsum("nk,nk->n", m - a, b - a) / np.einsum(
-                "nk,nk->n", b - a, b - a
-            )
-            bary[:, 3 + i, (i + 1) % 3] = 1.0 - t
-            bary[:, 3 + i, (i + 2) % 3] = t
+        i = np.arange(3)
+        a, b = verts[:, (i + 1) % 3], verts[:, (i + 2) % 3]
+        t = np.einsum("nik,nik->ni", nodes[:, 3:6] - a, b - a) / np.einsum(
+            "nik,nik->ni", b - a, b - a)
+        bary[:, 3 + i, (i + 1) % 3] = 1.0 - t
+        bary[:, 3 + i, (i + 2) % 3] = t
+        bary[:, 6] = np.eye(3)[0] + np.einsum("nak,nk->na", macro_grads,
+                                              nodes[:, 6] - verts[:, 0])
 
-        # bubble data per local edge
+        # the unit bubble's flux |E_i| nu_i . n_i / 2 over |T|, n_i the
+        # outward unit normal: grad(lambda_i) = -|E_i| n_i / (2 |T|)
         nu = subdiv.edge_nu[mesh.tri_edges]  # (nt,3,2)
-        N = np.empty((nt, 3, 2))
-        for i in range(3):
-            N[:, i] = _perp_out(verts[:, (i + 2) % 3] - verts[:, (i + 1) % 3])
-        beta = np.einsum("nik,nik->ni", nu, N)  # (nt,3)
-        bubble_div = beta / (2.0 * self.areas)[:, None]  # (nt,3)
+        bubble_div = -np.einsum("nik,nik->ni", nu, macro_grads)  # (nt,3)
 
         # nodal values of the 9 local basis fields at the 7 nodes: (nt,9,7,2)
         vals = np.zeros((nt, 9, 7, 2))
-        for a in range(3):
-            for c in range(2):
-                vals[:, 2 * a + c, :, c] = bary[:, :, a]
+        vals[:, 0:6:2, :, 0] = vals[:, 1:6:2, :, 1] = np.swapaxes(bary, 1, 2)
         vals[:, [6, 7, 8], [3, 4, 5]] = nu
-        # interior value bubble_div_i (m - v_i): N_j . (m - v_i) =
-        # -2 |T| lambda_j(m) for the other two edges j, which makes the
+        # interior value bubble_div_i (m - v_i): grad(lambda_j) . (m - v_i)
+        # = lambda_j(m) for the other two edges j, which makes the
         # divergence bubble_div_i on every subtriangle
         vals[:, 6:, 6] = bubble_div[..., None] * (nodes[:, 6, None] - verts)
         self.basis_node_values = vals
 
         # the constant divergence of each basis field: d(lambda_a)/dx_c for
         # the vertex field lambda_a e_c, and bubble_div for the bubbles
-        macro_grads, _ = _hat_gradients(verts)
         self.basis_div = np.concatenate(
             [macro_grads.reshape(nt, 6), bubble_div], axis=1
         )  # (nt,9)
@@ -137,7 +132,8 @@ class ElementTables:
 
     @property
     def bubble_um(self):
-        """Centroid values (nt, 3, 2) of the three edge bubbles."""
+        """Values (nt, 3, 2) of the three edge bubbles at the interior
+        node."""
         return self.basis_node_values[:, 6:, 6]
 
     @property
@@ -556,24 +552,20 @@ def project_p0(f, subdiv):
 
 
 def _locate_subtriangle(tables, t, point, tol=1e-12):
-    corners = tables.nodes[t][tables.subdiv.SUBTRIANGLES]  # (6,3,2)
+    """(s, lambda): the subtriangle s of macro triangle t whose smallest
+    barycentric coordinate at the point is largest, and its coordinates."""
     point = np.asarray(point, dtype=float)
-    best, best_min = None, -np.inf
-    for s in range(6):
-        p0, p1, p2 = corners[s]
-        twoA = float(_cross2(p1 - p0, p2 - p0))
-        l1 = float(_cross2(point - p0, p2 - p0)) / twoA
-        l2 = float(_cross2(p1 - p0, point - p0)) / twoA
-        lam = np.array([1.0 - l1 - l2, l1, l2])
-        m = lam.min()
-        if m > best_min:
-            best, best_min = (s, lam), m
-    if best_min < -tol:
+    corner0 = tables.nodes[t][tables.subdiv.SUBTRIANGLES[:, 0]]  # (6,2)
+    lam = np.eye(3)[0] + np.einsum("sck,sk->sc", tables.hat_grads[t],
+                                   point - corner0)
+    smallest = lam.min(axis=1)
+    s = int(smallest.argmax())
+    if smallest[s] < -tol:
         raise GeometryError(
             f"point {point} outside macro triangle {t} (barycentric "
-            f"defect {best_min:.3g})"
+            f"defect {smallest[s]:.3g})"
         )
-    return best
+    return s, lam[s]
 
 
 def eval_velocity(space, coeffs, t, point):
@@ -588,20 +580,18 @@ def eval_velocity(space, coeffs, t, point):
 def macro_divergence(space, coeffs):
     """Constant divergence per macro triangle.
 
-    Verifies constancy across the 6 subtriangles (1e-9, scaled).
+    Verifies constancy across the 6 subtriangles (1e-9, scaled by the
+    largest coefficient times the largest basis divergence).
     """
     tables = space.tables
     local = tables.local_coeffs(coeffs)
-    nt = len(local)
-    div_sub = np.empty((nt, 6))
-    basis_max = 0.0
-    for s in range(6):
-        basis = tables.sub_divergences(s)
-        div_sub[:, s] = np.einsum("tk,tk->t", local, basis)
-        basis_max = max(basis_max, float(np.abs(basis).max(initial=0.0)))
+    corner_values = tables.field_node_values(coeffs)[
+        :, tables.subdiv.SUBTRIANGLES]  # (nt,6,3,2)
+    div_sub = np.einsum("tsci,tsci->ts", corner_values, tables.hat_grads)
     value = div_sub.mean(axis=1)
     deviation = np.abs(div_sub - value[:, None]).max(axis=1)
-    scale = max(1.0, float(np.abs(local).max(initial=0.0)) * basis_max)
+    scale = max(1.0, float(np.abs(local).max(initial=0.0))
+                * float(np.abs(tables.basis_div).max(initial=0.0)))
     if np.any(deviation > 1e-9 * scale):
         worst = int(np.argmax(deviation))
         raise GeometryError(

@@ -1,7 +1,7 @@
 """Binary legacy VTK output of solved fields on the subdivided mesh.
 
 Points are the deduplicated subdivision nodes (macro vertices, edge split
-nodes, centroids); every macro triangle contributes its 6 subtriangles as
+nodes, interior nodes); every macro triangle contributes its 6 subtriangles as
 cells. Velocity is point data; the per-macro-triangle pressure is cell
 data replicated over the 6 children. The velocity is affine on each
 subtriangle, so the file carries the discrete field exactly: points and

@@ -129,6 +129,20 @@ def test_overflowing_system_is_named_not_singular(tmp_path, capsys, args):
     assert "singular" not in lines[0]
 
 
+def test_viscosity_contrast_is_singular_to_working_precision(tmp_path,
+                                                             capsys):
+    # mu = 1e12 in one region against 1 in the other: the matrix is
+    # nonsingular, but its inverse growth, 1.4e13, passes the pivot
+    # check's 1e13, so it is singular to working precision, not exactly
+    assert run(["brinkman", "--grid", "2", "--mu", "1e12",
+                "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("solver failure: factorization produced a "
+                               "negligible pivot")
+    assert lines[0].endswith("; matrix is singular to working precision")
+
+
 class TestCooksCommand:
     def test_writes_tips(self, tmp_path):
         code = run(

@@ -82,7 +82,8 @@ NOT_REACHED = {
     ("mce.solve", "_failure_cause"): "error path",
     ("mce.space", "ElementTables.bubble_div"): "demo",
     ("mce.space", "ElementTables.bubble_um"): "demo",
-    # of macro_divergence
+    # the tests' per-subtriangle divergences, of which macro_divergence
+    # checks the constancy
     ("mce.space", "ElementTables.sub_divergences"): "public API",
     # of eval_velocity
     ("mce.space", "_locate_subtriangle"): "public API",

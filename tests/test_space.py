@@ -39,6 +39,7 @@ from mce.space import (
     project_p0,
 )
 from mce.solve import solve
+from split_meshes import incenter_subdiv
 
 
 def velocity_gradient(space, coeffs, t, point):
@@ -142,31 +143,6 @@ def closed_form_bubble(subdiv, edge, t):
         verts[1, 1] - verts[0, 1]) * (verts[2, 0] - verts[0, 0])
     d = float(subdiv.edge_nu[edge] @ np.array([e[1], -e[0]])) / twoA
     return d * (subdiv.centroids[t] - verts[loc])
-
-
-def incenter_subdiv(mesh):
-    """SubdividedMesh whose interior nodes are the incenters: interior
-    edges split where the segment between the two incenters crosses them,
-    boundary edges at their midpoints, nu from the incenter of the
-    lower-indexed triangle (edge_tris is ascending)."""
-    corners = mesh.vertices[mesh.triangles]
-    sides = np.linalg.norm(corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]],
-                           axis=2)  # side i is opposite corner i
-    centers = np.einsum("ti,tik->tk", sides, corners) / sides.sum(1)[:, None]
-    a, b = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
-    t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
-    splits = 0.5 * (a + b)
-    for e in np.flatnonzero(t1 >= 0):
-        c0, c1 = centers[t0[e]], centers[t1[e]]
-        # c0 + s (c1 - c0) = a + t (b - a)
-        s_t = np.linalg.solve(np.column_stack([c1 - c0, a[e] - b[e]]),
-                              a[e] - c0)
-        assert 0.0 < s_t[0] < 1.0 and 0.0 < s_t[1] < 1.0
-        splits[e] = a[e] + s_t[1] * (b[e] - a[e])
-    nu = splits - centers[t0]
-    nu /= np.linalg.norm(nu, axis=1)[:, None]
-    return SubdividedMesh(mesh=mesh, centroids=centers, edge_splits=splits,
-                          edge_nu=nu)
 
 
 class TestBubble:
@@ -577,6 +553,54 @@ class TestFortin:
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
 
 
+def incenter_space(constraint="free"):
+    """The space on Cook's mesh at n = 6 with the incenters as interior
+    nodes, which lie more than 0.1 from the centroids."""
+    return build_space(incenter_subdiv(generate_cook_mesh(6)), constraint)
+
+
+def affine_field(p):
+    return p @ np.array([[0.3, 0.7], [-1.2, 0.4]]) + [2.0, -1.0]
+
+
+class TestInteriorNodeOffCentroid:
+    """Every claim of the element holds for any interior node that gives
+    a valid split: with the incenters, the vertex fields stay affine and
+    every field's divergence one constant per macro triangle."""
+
+    def test_random_field_divergence_is_constant(self):
+        space = incenter_space()
+        tables = space.tables
+        coeffs = np.random.default_rng(29).standard_normal(space.n_velocity)
+        macro_divergence(space, coeffs)  # raises if not constant
+        scale = (np.abs(tables.local_coeffs(coeffs)).max()
+                 * np.abs(tables.basis_div).max())
+        assert divergence_deviation(space, coeffs).max() <= 1e-12 * scale
+
+    def test_fortin_reproduces_affine_fields_at_the_nodes(self):
+        space = incenter_space()
+        tables = space.tables
+        values = tables.field_node_values(fortin_interpolate(affine_field,
+                                                             space))
+        exact = affine_field(tables.nodes)
+        np.testing.assert_allclose(values, exact, rtol=0,
+                                   atol=1e-12 * np.abs(exact).max())
+
+    def test_affine_field_evaluated_inside_the_subtriangles(self):
+        space = incenter_space()
+        tables = space.tables
+        coeffs = fortin_interpolate(affine_field, space)
+        bary = np.random.default_rng(31).dirichlet([1, 1, 1], 2)
+        points = np.einsum("qc,tsci->tsqi", bary,
+                           tables.nodes[:, SubdividedMesh.SUBTRIANGLES])
+        scale = np.abs(affine_field(tables.nodes)).max()
+        for t, inside in enumerate(points.reshape(len(points), -1, 2)):
+            for pt in inside:
+                np.testing.assert_allclose(
+                    eval_velocity(space, coeffs, t, pt),
+                    affine_field(pt), rtol=0, atol=1e-12 * scale)
+
+
 class TestFieldSolution:
     def test_evaluators(self):
         from mce.space import FieldSolution
@@ -961,6 +985,8 @@ KERNEL_SPACES = {
         subdivide(rotated_jittered_square(7, seed=3)), mode))
        for mode in ("dirichlet", "normal", "free")},
     "cook-8": lambda: bench._cooks_space(8),
+    **{f"incenter-cook-6-{mode}": (lambda mode=mode: incenter_space(mode))
+       for mode in ("dirichlet", "normal", "free")},
     **{f"coupling-{scenario}-8": (lambda scenario=scenario: build_space(
         subdivide(bench._square2_mesh(8)),
         bench._coupling_boundary(scenario)))
