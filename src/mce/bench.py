@@ -11,6 +11,12 @@ compatible one. The solve, not the case, fixes the pressure level where
 no boundary does. The level list and the Poisson ratios are checked here,
 as ConfigurationError; `mce.cli` refuses an empty nu or mu list and
 non-positive levels or grid before a study starts.
+
+The manufactured cases evaluate their exact fields on contiguous x and y
+arrays and store them component by component. `error_norms` reads them
+so: per block of macro triangles, each norm is one contiguous array of
+squared differences, contracted with the rule's weights and then with the
+subtriangle areas.
 """
 
 import csv
@@ -43,21 +49,34 @@ from .space import (
 from .vtk import open_new
 
 
+def _coords(p):
+    """Contiguous x and y of points (n, 2), or of one point (2,)."""
+    x, y = np.atleast_2d(p).T.copy()
+    return x, y
+
+
 def _stack(fx, fy):
+    """The (n, 2) field (fx, fy), stored component by component: its
+    transpose is contiguous."""
     def fn(p):
-        p = np.atleast_2d(p)
-        return np.column_stack([fx(p[:, 0], p[:, 1]), fy(p[:, 0], p[:, 1])])
+        x, y = _coords(p)
+        out = np.empty((2, len(x)))
+        out[0] = fx(x, y)
+        out[1] = fy(x, y)
+        return out.T
 
     return fn
 
 
 def _grad_stack(four):
+    """The (n, 2, 2) gradient with entry (i, j) from `four[i, j]`, stored
+    entry by entry: moving its first axis last makes it contiguous."""
     def fn(p):
-        p = np.atleast_2d(p)
-        out = np.empty((len(p), 2, 2))
+        x, y = _coords(p)
+        out = np.empty((2, 2, len(x)))
         for (i, j), g in four.items():
-            out[:, i, j] = g(p[:, 0], p[:, 1])
-        return out
+            out[i, j] = g(x, y)
+        return out.transpose(2, 0, 1)
 
     return fn
 
@@ -108,21 +127,27 @@ class ManufacturedCase:
 def case_stokes():
     """Stokes on the unit square with the quartic divergence-free solution
     u = (20 x y^3, 5 x^4 - 5 y^4), p = 60 y x^2 - 20 y^3 - 5, f = 0."""
+    # powers as products: NumPy's y**3 and y**4 go through pow
     velocity = _stack(
-        lambda x, y: 20.0 * x * y**3, lambda x, y: 5.0 * x**4 - 5.0 * y**4
+        lambda x, y: 20.0 * x * (y * y * y),
+        lambda x, y: 5.0 * (x * x) ** 2 - 5.0 * (y * y) ** 2,
     )
     grad = _grad_stack(
         {
-            (0, 0): lambda x, y: 20.0 * y**3,
-            (0, 1): lambda x, y: 60.0 * x * y**2,
-            (1, 0): lambda x, y: 20.0 * x**3,
-            (1, 1): lambda x, y: -20.0 * y**3,
+            (0, 0): lambda x, y: 20.0 * (y * y * y),
+            (0, 1): lambda x, y: 60.0 * x * (y * y),
+            (1, 0): lambda x, y: 20.0 * (x * x * x),
+            (1, 1): lambda x, y: -20.0 * (y * y * y),
         }
     )
-    pressure = lambda p: 60.0 * p[:, 1] * p[:, 0] ** 2 - 20.0 * p[:, 1] ** 3 - 5.0
+
+    def pressure(p):
+        x, y = _coords(p)
+        return 60.0 * y * (x * x) - 20.0 * (y * y * y) - 5.0
+
     # f = 0: the viscous term balances the pressure gradient
     pressure_grad = laplacian = _stack(
-        lambda x, y: 120.0 * x * y, lambda x, y: 60.0 * x**2 - 60.0 * y**2
+        lambda x, y: 120.0 * x * y, lambda x, y: 60.0 * (x * x) - 60.0 * (y * y)
     )
     co = ProblemCoefficients(mu=1.0, sigma=0.0)
     bc = {tag: Dirichlet(velocity) for tag in ("left", "right", "top", "bottom")}
@@ -260,9 +285,14 @@ def error_norms(solution, case):
 
     The exact fields are evaluated one block of at most `space._BLOCK`
     macro triangles at a time, so the per-point tensors in memory do not
-    grow with the mesh. Each norm is kept per macro triangle, (nt,), and
-    summed over the whole mesh at the end, in the same order as when the
-    mesh was evaluated at once."""
+    grow with the mesh. In a block, each norm is one contiguous
+    (b, 6, nq) array of squared differences, contracted with twice the
+    rule's weights and then with the subtriangle areas. Both contractions
+    are einsums, which sum in an order that does not depend on the
+    block's size; a BLAS matrix-vector product rounds its last rows
+    differently and would not. Each norm is kept per macro triangle,
+    (nt,), and summed over the whole mesh at the end, so every value is
+    bitwise the one of the whole mesh at once."""
     space = solution.space
     tables = space.tables
     nt = space.mesh.num_triangles
@@ -272,42 +302,49 @@ def error_norms(solution, case):
     ph = solution.pressure
 
     bary, wts = triangle_barycentric(6)
+    w2 = 2.0 * wts
     div_h = solution.divergence()
     l2_u_t, h1_u_t, div_t = np.empty(nt), np.empty(nt), np.empty(nt)
     eps_t, l2_p_t, p_ex_t = np.empty(nt), np.empty(nt), np.empty(nt)
     for block, pts in _quadrature_blocks(tables, 6):
         flat = pts.reshape(-1, 2)
-        u_ex = case.velocity(flat).reshape(pts.shape)
-        gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
+        shape = pts.shape[:3]
+        # component first: u_ex[i] and gu_ex[i, j] are (b, 6, nq)
+        u_ex = np.moveaxis(case.velocity(flat), 1, 0).reshape((2,) + shape)
+        gu_ex = np.moveaxis(case.velocity_grad(flat), 0, -1).reshape(
+            (2, 2) + shape)
 
         node_vals = np.einsum("tk,tkni->tni",
                               solution.velocity[tables.loc2glob[block]],
                               tables.basis_node_values[block])
-        corner_vals = node_vals[:, tables.subdiv.SUBTRIANGLES]
-        uh = np.einsum("qc,tsci->tsqi", bary, corner_vals)
-        gh = np.einsum("tsci,tscj->tsij", corner_vals,
-                       tables.hat_grads[block])
-
-        du = u_ex - uh
-        dg = gu_ex - gh[:, :, None]
-        w_areas = 2.0 * wts[None, None, :] * tables.sub_areas[block, :, None]
+        # corner first, corners[c, i] and grads[c, j] (b, 6): the two
+        # einsums below run several times faster than on (b, 6, 3, 2)
+        corners = np.ascontiguousarray(
+            node_vals[:, tables.subdiv.SUBTRIANGLES].transpose(2, 3, 0, 1))
+        grads = np.ascontiguousarray(
+            tables.hat_grads[block].transpose(2, 3, 0, 1))
+        du = u_ex - np.einsum("qc,cits->itsq", bary, corners)
+        dg = gu_ex - np.einsum("cits,cjts->ijts", corners, grads)[..., None]
+        sub_areas = tables.sub_areas[block]
 
         def cell_int(values):  # values (b, 6, nq) -> per-triangle integrals
-            return np.einsum("tsq,tsq->t", w_areas, values)
+            return np.einsum("ts,ts->t", np.einsum("tsq,q->ts", values, w2),
+                             sub_areas)
 
-        l2_u_t[block] = cell_int((du**2).sum(axis=-1))
-        h1_u_t[block] = cell_int((dg**2).sum(axis=(-1, -2)))
-        div_ex = gu_ex[..., 0, 0] + gu_ex[..., 1, 1]
-        div_t[block] = cell_int((div_ex - div_h[block, None, None]) ** 2)
+        l2_u_t[block] = cell_int(du[0] ** 2 + du[1] ** 2)
+        h1_u_t[block] = cell_int(dg[0, 0] ** 2 + dg[0, 1] ** 2
+                                 + dg[1, 0] ** 2 + dg[1, 1] ** 2)
+        div_t[block] = cell_int(
+            (gu_ex[0, 0] + gu_ex[1, 1] - div_h[block, None, None]) ** 2)
         if co.lam is not None:
-            sym = 0.5 * (dg + np.swapaxes(dg, -1, -2))
-            eps_t[block] = cell_int((sym**2).sum(axis=(-1, -2)))
+            # |sym dg|^2, the off-diagonal pair as one square
+            eps_t[block] = cell_int(dg[0, 0] ** 2 + dg[1, 1] ** 2
+                                    + 0.5 * (dg[0, 1] + dg[1, 0]) ** 2)
         if with_pressure:
-            p_ex = case.pressure(flat).reshape(pts.shape[:3])
+            p_ex = case.pressure(flat).reshape(shape)
             l2_p_t[block] = cell_int((p_ex - ph[block, None, None]) ** 2)
             # the integral of p_ex as `space.cell_integrals` sums it
-            p_ex_t[block] = 2.0 * np.einsum("q,tsq,ts->t", wts, p_ex,
-                                            tables.sub_areas[block])
+            p_ex_t[block] = np.einsum("q,tsq,ts->t", w2, p_ex, sub_areas)
 
     record = ErrorRecord(
         l2_u=float(np.sqrt(l2_u_t.sum())),

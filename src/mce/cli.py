@@ -150,6 +150,21 @@ def _validate(name, values):
         raise ConfigurationError("cooks takes exactly one level")
     if name == "brinkman" and values["mu"] == ():
         raise ConfigurationError("brinkman needs at least one mu value")
+    if name == "brinkman" and values["mu"]:
+        # each value names its own output files
+        seen = {}
+        for mu in values["mu"]:
+            tag = _mu_tag(mu)
+            if tag in seen:
+                raise ConfigurationError(
+                    f"mu values {seen[tag]!r} and {mu!r} share the file "
+                    f"tag {tag}")
+            seen[tag] = mu
+
+
+def _mu_tag(mu):
+    """The part of a brinkman output file name that names its viscosity."""
+    return f"mu{mu:g}"
 
 
 def make_config(args):
@@ -216,7 +231,7 @@ def run_brinkman(config):
                                                n=config.grid):
         out = _ensure_out(config)
         for mu in result.mu_values:
-            tag = f"{result.scenario}_mu{mu:g}"
+            tag = f"{result.scenario}_{_mu_tag(mu)}"
             if result.scenario == "tangential":
                 result.profile_csv(
                     os.path.join(out, f"brinkman_{tag}_profile.csv"), mu

@@ -52,7 +52,19 @@ def triangle_barycentric(degree):
     return np.array(bary), 0.5 * np.array(w)
 
 
+# the edge rules computed so far, one read-only (points, weights) pair per
+# point count
+_EDGE_RULES = {}
+
+
 def edge_rule(npoints=3):
-    """Gauss-Legendre points/weights on [0, 1]; exact to degree 2n-1."""
-    x, w = leggauss(npoints)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss-Legendre points/weights on [0, 1]; exact to degree 2n-1.
+
+    Each point count's rule is computed once; the arrays are read-only."""
+    if npoints not in _EDGE_RULES:
+        x, w = leggauss(npoints)
+        rule = 0.5 * (x + 1.0), 0.5 * w
+        for values in rule:
+            values.flags.writeable = False
+        _EDGE_RULES[npoints] = rule
+    return _EDGE_RULES[npoints]

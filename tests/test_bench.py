@@ -354,8 +354,10 @@ def one_shot_cell_integrals(f, tables, degree=6):
 
 def one_shot_error_norms(solution, case, degree=6):
     """`error_norms` as it was before the blockwise loop: the exact fields
-    at every quadrature point of the mesh at once. The oracle of the
-    blockwise form."""
+    at every quadrature point of the mesh at once, with the per-point
+    arithmetic of the blockwise form (squared differences component by
+    component, contracted with twice the weights, then with the
+    subtriangle areas). The oracle of the blockwise form."""
     space = solution.space
     tables = space.tables
     nt = space.mesh.num_triangles
@@ -369,27 +371,28 @@ def one_shot_error_norms(solution, case, degree=6):
     corners = tables.nodes[:, SubdividedMesh.SUBTRIANGLES]
     pts = np.einsum("qc,tsci->tsqi", bary, corners)
     flat = pts.reshape(-1, 2)
-    u_ex = case.velocity(flat).reshape(pts.shape)
-    gu_ex = case.velocity_grad(flat).reshape(pts.shape[:3] + (2, 2))
-    corner_vals = tables.field_node_values(solution.velocity)[
-        :, tables.subdiv.SUBTRIANGLES
-    ]
-    uh = np.einsum("qc,tsci->tsqi", bary, corner_vals)
-    gh = np.einsum("tsci,tscj->tsij", corner_vals, tables.hat_grads)
-    du = u_ex - uh
-    dg = gu_ex - gh[:, :, None]
-    w_areas = 2.0 * wts[None, None, :] * tables.sub_areas[:, :, None]
+    shape = pts.shape[:3]
+    u_ex = np.moveaxis(case.velocity(flat), 1, 0).reshape((2,) + shape)
+    gu_ex = np.moveaxis(case.velocity_grad(flat), 0, -1).reshape(
+        (2, 2) + shape)
+    corner_vals = np.ascontiguousarray(tables.field_node_values(
+        solution.velocity)[:, SubdividedMesh.SUBTRIANGLES].transpose(
+            2, 3, 0, 1))
+    grads = np.ascontiguousarray(tables.hat_grads.transpose(2, 3, 0, 1))
+    du = u_ex - np.einsum("qc,cits->itsq", bary, corner_vals)
+    dg = gu_ex - np.einsum("cits,cjts->ijts", corner_vals, grads)[..., None]
 
     def cell_int(values):
-        return np.einsum("tsq,tsq->t", w_areas, values)
+        return np.einsum("ts,ts->t", np.einsum("tsq,q->ts", values, 2.0 * wts),
+                         tables.sub_areas)
 
-    l2_u_t = cell_int((du**2).sum(axis=-1))
-    h1_u_t = cell_int((dg**2).sum(axis=(-1, -2)))
-    div_ex = gu_ex[..., 0, 0] + gu_ex[..., 1, 1]
+    l2_u_t = cell_int(du[0] ** 2 + du[1] ** 2)
+    h1_u_t = cell_int(dg[0, 0] ** 2 + dg[0, 1] ** 2
+                      + dg[1, 0] ** 2 + dg[1, 1] ** 2)
     div_h = solution.divergence()
-    div_t = cell_int((div_ex - div_h[:, None, None]) ** 2)
-    sym = 0.5 * (dg + np.swapaxes(dg, -1, -2))
-    eps_t = cell_int((sym**2).sum(axis=(-1, -2)))
+    div_t = cell_int((gu_ex[0, 0] + gu_ex[1, 1] - div_h[:, None, None]) ** 2)
+    eps_t = cell_int(dg[0, 0] ** 2 + dg[1, 1] ** 2
+                     + 0.5 * (dg[0, 1] + dg[1, 0]) ** 2)
     record = ErrorRecord(
         l2_u=float(np.sqrt(l2_u_t.sum())),
         h1_u=float(np.sqrt(h1_u_t.sum())),
@@ -400,7 +403,7 @@ def one_shot_error_norms(solution, case, degree=6):
             np.sqrt(np.sum(2.0 * mu * eps_t) + co.lam * div_t.sum())
         )
     if case.pressure is not None and solution.pressure is not None:
-        p_ex = case.pressure(flat).reshape(pts.shape[:3])
+        p_ex = case.pressure(flat).reshape(shape)
         ph = solution.pressure
         l2_p_t = cell_int((p_ex - ph[:, None, None]) ** 2)
         p0 = one_shot_cell_integrals(case.pressure, tables) / tables.areas

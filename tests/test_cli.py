@@ -143,6 +143,69 @@ def test_viscosity_contrast_is_singular_to_working_precision(tmp_path,
     assert lines[0].endswith("; matrix is singular to working precision")
 
 
+class TestFlowOutputsPinned:
+    """Every error column but err_div, and every slope, of the Stokes and
+    Darcy convergence studies, pinned to 1e-12 of the column's largest
+    value, so a change that claims the same values is checked here. The
+    values agree with those of the error-norm kernel they replaced to
+    7e-14. err_div is rounding noise. The projected-pressure slope is the
+    most sensitive column: reordering the sum of the pressure mean moves
+    Darcy's by about 1e-12."""
+
+    TOL = 1e-12
+    LEVELS = {"stokes": "8,16,24,32", "darcy": "4,8,16,32"}
+    # one value per level for the errors, one per study for the slopes
+    PINNED = {
+        "stokes": {
+            "err_l2_u": (0.0492588943048498, 0.011894032791141854,
+                         0.005212995004547662, 0.0029102806269850354),
+            "err_h1_u": (2.793265677198906, 1.3337349802969114,
+                         0.874963843444497, 0.6508977137956682),
+            "err_l2_p": (1.740827033919537, 0.7789731005882448,
+                         0.5027731069052834, 0.37172246505938716),
+            "err_p0p": (1.0470547772539236, 0.3483273561161793,
+                        0.19198606666545698, 0.1291900728317174),
+            "slope_h1_u": 1.035278785929325,
+            "slope_l2_p": 1.068167577481248,
+            "slope_l2_u": 2.0312310854641504,
+            "slope_p0p": 1.4334609020310534,
+        },
+        "darcy": {
+            "err_l2_u": (0.14156373707357775, 0.032799309623292125,
+                         0.008003601085854182, 0.001986042923731196),
+            "err_h1_u": (5.27441142167047, 2.6087322405616895,
+                         1.2882100055859056, 0.6415460430413249),
+            "err_l2_p": (0.12990070545303298, 0.06532391862112695,
+                         0.0327091593006256, 0.016360490602827724),
+            "err_p0p": (0.0011778021656380024, 0.00010241614214321411,
+                        1.0065000786228936e-05, 1.1251212419742498e-06),
+            "slope_h1_u": 1.011862079623884,
+            "slope_l2_p": 0.9986976630630225,
+            "slope_l2_u": 2.0228483698698243,
+            "slope_p0p": 3.2541094188405846,
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_columns(self, tmp_path, name):
+        assert run([name, "--levels", self.LEVELS[name],
+                    "--out", str(tmp_path)]) == 0
+        header, *lines = (tmp_path / f"{name}_convergence.csv") \
+            .read_text().splitlines()
+        header = header.split(",")
+        columns = {key: np.array([float(line.split(",")[k])
+                                  for line in lines])
+                   for k, key in enumerate(header)}
+        pinned = self.PINNED[name]
+        assert {key for key in header if key.startswith(("err_", "slope_"))
+                and key != "err_div"} == set(pinned)
+        for key, want in pinned.items():
+            want = np.broadcast_to(want, (len(lines),))
+            np.testing.assert_allclose(columns[key], want, rtol=0,
+                                       atol=self.TOL * np.abs(want).max(),
+                                       err_msg=key)
+
+
 class TestCooksCommand:
     def test_writes_tips(self, tmp_path):
         code = run(
@@ -220,6 +283,24 @@ class TestBrinkmanCommand:
         assert code == 0
         assert (tmp_path / "brinkman_normal_mu1.vtk").exists()
         assert (tmp_path / "brinkman_normal_mu0.01.vtk").exists()
+
+    @pytest.mark.parametrize("mus, named", [
+        ("1,1.0000001", "1.0 and 1.0000001"),
+        ("0.01,1,1", "1.0 and 1.0"),
+    ])
+    def test_values_sharing_a_file_tag_exit_1_before_any_mesh(
+            self, tmp_path, capsys, monkeypatch, mus, named):
+        """Two viscosities that `{mu:g}` names alike would write one file;
+        the list is refused before a mesh is built."""
+        built = []
+        monkeypatch.setattr(bench, "_square2_mesh", built.append)
+        out = tmp_path / "out"
+        code = run(["brinkman", "--grid", "4", "--mu", mus, "--scenario",
+                    "tangential", "--out", str(out)])
+        assert code == 1
+        assert f"mu values {named} share the file tag mu1" \
+            in capsys.readouterr().err
+        assert not built and not out.exists()
 
     def test_failed_run_creates_no_directory(self, tmp_path, capsys):
         out = tmp_path / "D"

@@ -904,14 +904,21 @@ class TestPatchFormTables:
         np.testing.assert_allclose(derived, per_sub, rtol=0,
                                    atol=self.TOL * scale)
 
-    @pytest.mark.parametrize("make_case", [
-        bench.case_stokes,
-        lambda: bench.case_darcy(mu=0.5, sigma=1.0),
-        lambda: bench.case_elasticity(lam=1e3),
-    ], ids=["stokes", "brinkman", "elasticity"])
-    def test_error_norms(self, make_case):
-        case = make_case()
-        solution, *_ = bench.solve_case(case, 6)
+    ERROR_NORM_CASES = {
+        "stokes": bench.case_stokes,
+        "brinkman": lambda: bench.case_darcy(mu=0.5, sigma=1.0),
+        "darcy": bench.case_darcy,  # mu = 0
+        "elasticity": lambda: bench.case_elasticity(lam=1e3),
+    }
+
+    # n = 6 is one partial block, n = 13 (338 triangles) spans two blocks
+    @pytest.mark.parametrize("case_name, n", [
+        pytest.param(name, n, id=name if n == 6 else f"{name}-{n}")
+        for name in ERROR_NORM_CASES for n in (6, 13)
+    ])
+    def test_error_norms(self, case_name, n):
+        case = self.ERROR_NORM_CASES[case_name]()
+        solution, *_ = bench.solve_case(case, n)
         record = bench.error_norms(solution, case)
         reference = reference_error_norms(solution, case)
         for name, value in vars(reference).items():

@@ -67,3 +67,20 @@ def test_edge_rule_exactness():
     x, w = edge_rule(5)
     for k in range(10):  # 5-point Gauss exact through degree 9
         assert np.sum(w * x**k) == pytest.approx(1 / (k + 1), rel=1e-13)
+
+
+@pytest.mark.parametrize("npoints", [3, 5])
+def test_edge_rule_computed_once_and_read_only(npoints):
+    """Every call with the same point count returns the same two arrays,
+    bit for bit the Gauss-Legendre rule mapped to [0, 1], and no caller
+    can change them."""
+    x, w = edge_rule(npoints)
+    again = edge_rule(npoints)
+    assert again[0] is x and again[1] is w
+    ref_x, ref_w = np.polynomial.legendre.leggauss(npoints)
+    assert np.array_equal(x, 0.5 * (ref_x + 1.0))
+    assert np.array_equal(w, 0.5 * ref_w)
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        w *= 2.0
