@@ -148,6 +148,11 @@ def _validate(name, values):
         raise ConfigurationError("cooks needs at least one level")
     if name == "cooks" and len(levels) > 1:
         raise ConfigurationError("cooks takes exactly one level")
+    if name == "brinkman" and values["grid"] % 2:
+        raise ConfigurationError(
+            f"brinkman needs an even grid, not {values['grid']}: the "
+            f"interfaces x = 1 and y = 1 of (0,2)^2 are mesh lines only "
+            f"for an even grid")
     if name == "brinkman" and values["mu"] == ():
         raise ConfigurationError("brinkman needs at least one mu value")
     if name == "brinkman" and values["mu"]:

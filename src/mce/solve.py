@@ -10,8 +10,9 @@ the spanning tree of `mce.space.dual_tree` its block B_T is square and
 upper triangular in BFS order. A residual (f, g) is corrected by
 u = B_T^-1 g on the tree columns plus Z c, with Z^T A Z c = Z^T (f - A u),
 so B u = g holds by construction, and by p = B_T^-T (f - A u) on the tree
-rows; both tree solves are substitutions that store nothing beyond B_T,
-and Z^T A Z is the one factor. Z and the tree are built once per space.
+rows; both tree solves are SciPy's sparse triangular solves on B_T, which
+store no factor, and Z^T A Z is the one factor. Z and the tree are built
+once per space.
 Every assembled system is symmetric, and none carries a row for the
 pressure level: the solve fixes it. Where no free bubble reaches the
 boundary (a closed boundary), the constant pressure lies in the kernel of
@@ -28,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 RESIDUAL_LIMIT = 1e-9
 
@@ -150,45 +151,24 @@ def _exact_correction(system):
         return lu.solve, lu.nnz, growth
     space = system.space
     free_level = space.free_pressure_level
-    rows, cols, parents, levels = space.tree
+    rows, cols = space.tree
     if len(rows) + free_level < system.n_pressure:
         raise SolverError(
             f"the dual tree of the free bubbles reaches "
             f"{len(rows) + free_level} of the {system.n_pressure} macro "
             f"triangles{_failure_cause(system, 'matrix is singular')}")
-    # the tree block of B_b, upper triangular in BFS order: each column
-    # holds its row's entry and, below the root, its parent's
-    T = M[pre][rows][:, cols].tocoo()
-    own = T.row == T.col
-    diag, off = np.zeros(len(rows)), np.zeros(len(rows))
-    diag[T.col[own]] = T.data[own]
-    off[T.col[~own]] = T.data[~own]
+    T = M[pre][rows][:, cols]  # upper triangular in BFS order
     w = space.tables.areas
     Z = space.kernel
     lu, growth = _factor(Z.T @ A @ Z, system, "the kernel operator Z^T A Z")
 
-    # substitutions by BFS level; slot -1 stands for the root, whose row
-    # the tree drops and whose pressure is 0 before any shift
-    def flux(g):  # T x = g, leaves first
-        x = np.append(g, 0.0)
-        for level in reversed(levels):
-            x[level] /= diag[level]
-            np.subtract.at(x, parents[level], off[level] * x[level])
-        return x[:-1]
-
-    def pressure(r):  # T^T p = r, root first
-        p = np.zeros(len(r) + 1)
-        for level in levels:
-            p[level] = (r[level] - off[level] * p[parents[level]]) / diag[level]
-        return p[:-1]
-
     def correction(res):
         f, g = res[vel], res[pre]
         u = np.zeros_like(f)
-        u[cols] = flux(g[rows])  # B u = g
+        u[cols] = spsolve_triangular(T, g[rows], lower=False)  # B u = g
         u += Z @ lu.solve(Z.T @ (f - A @ u))
         p = np.zeros_like(g)
-        p[rows] = pressure((f - A @ u)[cols])
+        p[rows] = spsolve_triangular(T.T, (f - A @ u)[cols], lower=True)
         if free_level:  # area-weighted mean zero
             p -= (w @ p) / w.sum()
         return np.concatenate([u, p])

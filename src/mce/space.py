@@ -206,9 +206,9 @@ class FESpace:
     Strong constraints are held as an affine map U = C x + lift with C the
     sparse prolongation of the free dofs. The reduced unknowns x keep that
     order: the `n_vertex_unknowns` vertex unknowns first, the free bubbles
-    last. The kernel basis and the dual tree of the solve are built on
-    first use and kept with the space (`kernel`, `tree`); a space made by
-    `dataclasses.replace` starts without them.
+    last. The kernel basis and the dual tree (its rows and columns) of the
+    solve are built on first use and kept with the space (`kernel`,
+    `tree`); a space made by `dataclasses.replace` starts without them.
     """
 
     subdiv: object
@@ -452,12 +452,12 @@ def dual_tree(space):
     ground. The tree grows breadth first from the ground, or from triangle
     0 where the pressure level is free and no bubble reaches the ground.
 
-    Returns (rows, columns, parents, levels): the triangles that the tree
-    reaches in BFS order, its root left out; the reduced velocity column of
-    the free bubble that joins each of them to its parent; the parent's
-    position in `rows`, -1 for the root; and one slice of `rows` per BFS
-    level. The velocity-pressure block on (rows, columns) is square and
-    upper triangular."""
+    Returns (rows, columns): the triangles that the tree reaches in BFS
+    order, its root left out, and the reduced velocity column of the free
+    bubble that joins each of them to its parent. The velocity-pressure
+    block on (rows, columns) is square and upper triangular: each column
+    holds its row's entry and, below the root, its parent's, an earlier
+    row."""
     mesh = space.mesh
     nt = mesh.num_triangles
     ends = mesh.edge_tris[~space.bubble_fixed]
@@ -474,17 +474,7 @@ def dual_tree(space):
     rows = order[1:].astype(np.int64)
     pair = np.sort(np.c_[rows, parent[rows]], axis=1)
     edge = first[np.searchsorted(key, pair[:, 0] * (nt + 1) + pair[:, 1])]
-    position = np.full(nt + 1, -1)
-    position[rows] = np.arange(len(rows))
-    parents = position[parent[rows]]
-    # BFS appends children in their parents' order, so `parents` does not
-    # decrease and level k + 1 starts at the first row whose parent lies
-    # at or past the start of level k
-    starts = [0]
-    while starts[-1] < len(rows):
-        starts.append(int(np.searchsorted(parents, starts[-1])))
-    return (rows, space.n_vertex_unknowns + edge, parents,
-            [slice(a, b) for a, b in zip(starts, starts[1:])])
+    return rows, space.n_vertex_unknowns + edge
 
 
 def fortin_interpolate(u, space):

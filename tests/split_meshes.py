@@ -1,10 +1,22 @@
-"""Subdivisions that `mce.mesh.subdivide` does not make, shared by the test
-files: the element must hold for any interior node that gives a valid
-split, not only for the centroid that `subdivide` places."""
+"""Meshes and subdivisions beyond the diagonal grid and the centroid that
+`mce.mesh.subdivide` places, shared by the test files: the element must
+hold on perturbed grids and for any interior node that gives a valid
+split."""
 
 import numpy as np
 
-from mce.mesh import SubdividedMesh
+from mce.mesh import SubdividedMesh, generate_unit_square_mesh
+
+
+def jittered_square(n, seed, jitter=0.3):
+    """Unit-square grid with each interior vertex moved by up to jitter*h."""
+    mesh = generate_unit_square_mesh(n)
+    vertices = mesh.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-jitter / n, jitter / n,
+                                      (int(interior.sum()), 2))
+    return mesh.with_vertices(vertices)
 
 
 def incenter_subdiv(mesh):

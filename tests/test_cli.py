@@ -644,6 +644,25 @@ class TestConfigHandling:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--grid", "3"],
+        ["--grid", "5", "--scenario", "tangential"],
+    ])
+    def test_brinkman_odd_grid_exits_1_before_any_mesh(self, tmp_path,
+                                                        capsys, monkeypatch,
+                                                        args):
+        # on (0,2)^2 the interfaces x = 1 and y = 1 hold no vertex of an
+        # odd grid: the profile would be empty, the subdomains jagged
+        built = []
+        monkeypatch.setattr(bench, "_square2_mesh", built.append)
+        out = tmp_path / "out"
+        assert run(["brinkman", *args, "--out", str(out)]) == 1
+        grid = args[1]
+        assert (f"error: brinkman needs an even grid, not {grid}: the "
+                f"interfaces x = 1 and y = 1 of (0,2)^2 are mesh lines only "
+                f"for an even grid" in capsys.readouterr().err)
+        assert not built and not out.exists()
+
     def test_config_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wibble=3\n")

@@ -8,8 +8,9 @@ subcommand that solves a pressure system builds the kernel basis.
 Every function and method defined in `src/mce` is reached by a
 subcommand run or listed in `NOT_REACHED` with its reason, so a helper
 that loses its last caller fails here; a listed name must still exist
-and stay unreached, so the table cannot go stale. No module imports a
-name that it never uses, a re-export through `mce.__all__` aside."""
+and stay unreached, so the table cannot go stale. No module of
+`src/mce`, `tests` or `demos` imports a name that it never uses, a
+re-export through `mce.__all__` aside."""
 
 import ast
 import importlib
@@ -22,8 +23,10 @@ import mce
 from mce.cli import SUBCOMMANDS, main
 from mce.mesh import generate_unit_square_mesh, write_mesh
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 SOURCE = Path(mce.__file__).resolve().parent
+TESTS, DEMOS = ROOT / "tests", ROOT / "demos"
 # gone from mce; their rows await the benchmark's upkeep (ROADMAP 2(a))
 KNOWN_DEAD = {
     ("mce.solve", "refine_iteratively"),
@@ -210,8 +213,12 @@ def test_every_listed_function_exists_and_stays_unreached(reached):
     assert set(NOT_REACHED.values()) <= REASONS
 
 
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SOURCE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    + sorted(DEMOS.glob("*.py")),
+    ids=lambda path: (path.name if path.parent == SOURCE
+                      else f"{path.parent.name}/{path.name}"))
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     imported = set()

@@ -36,6 +36,7 @@ from face_loops import (
     reference_basis_grads,
     reference_boundary_normal_norm,
 )
+from split_meshes import jittered_square
 
 
 def sym_defect(A):
@@ -423,17 +424,6 @@ def assert_bitwise(system, reference):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
     assert system.rhs.tobytes() == reference.rhs.tobytes()
-
-
-def jittered_square(n, seed, jitter=0.3):
-    """Unit-square grid with each interior vertex moved by up to jitter*h."""
-    mesh = generate_unit_square_mesh(n)
-    vertices = mesh.vertices.copy()
-    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
-    rng = np.random.default_rng(seed)
-    vertices[interior] += rng.uniform(-jitter / n, jitter / n,
-                                      (int(interior.sum()), 2))
-    return mesh.with_vertices(vertices)
 
 
 SQUARE_TAGS = ("bottom", "right", "top", "left")

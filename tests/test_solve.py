@@ -318,7 +318,7 @@ def test_tree_block_is_triangular_in_bfs_order(name):
     build, free_level = TREE_SYSTEMS[name]
     system = build()
     space, nt = system.space, system.n_pressure
-    rows, cols, parents, levels = space.tree
+    rows, cols = space.tree
     assert space.free_pressure_level == free_level
     # a triangle root drops its row, the ground has none
     assert len(rows) == len(cols) == nt - free_level
@@ -330,18 +330,11 @@ def test_tree_block_is_triangular_in_bfs_order(name):
     assert sparse.tril(T, -1).nnz == 0
     assert np.all(T.diagonal() != 0)
     # each tree column leaves its row's triangle: one entry more at most,
-    # its parent's, above the diagonal
+    # its parent's, in an earlier row
     T = T.tocoo()
     off = T.row != T.col
-    assert np.array_equal(np.sort(T.col[off]), np.flatnonzero(parents >= 0))
-    assert np.all(T.row[off] == parents[T.col[off]])
-    # the levels cover the rows in order, each the children of the last
-    assert levels[0].start == 0 and levels[-1].stop == len(rows)
-    assert all(a.stop == b.start for a, b in zip(levels, levels[1:]))
-    assert np.all(parents[levels[0]] == -1)
-    for above, level in zip(levels, levels[1:]):
-        assert np.all((parents[level] >= above.start)
-                      & (parents[level] < above.stop))
+    assert len(set(T.col[off].tolist())) == off.sum()
+    assert np.all(T.row[off] < T.col[off])
 
 
 def test_tree_joins_each_triangle_to_an_earlier_one_past_int32_keys():
@@ -349,7 +342,7 @@ def test_tree_joins_each_triangle_to_an_earlier_one_past_int32_keys():
     # int32 range of the BFS output
     space = build_space(subdivide(generate_unit_square_mesh(160)),
                         "dirichlet")
-    rows, cols, parents, _ = space.tree
+    rows, cols = space.tree
     nt = space.mesh.num_triangles
     assert nt * (nt + 1) > np.iinfo(np.int32).max
     assert len(rows) == nt - 1
@@ -357,10 +350,34 @@ def test_tree_joins_each_triangle_to_an_earlier_one_past_int32_keys():
     ends = space.mesh.edge_tris[edges]
     own = ends == rows[:, None]
     assert np.all(own.sum(axis=1) == 1)
-    # the other end is the parent, or the root, triangle 0
-    parent = np.where(parents >= 0, rows[parents], 0)
-    assert np.array_equal(ends[~own], parent)
-    assert np.all(parents < np.arange(len(rows)))
+    # the other end is an earlier row, or the root, triangle 0
+    position = np.full(nt, -1)
+    position[rows] = np.arange(len(rows))
+    other = ends[~own]
+    earlier = position[other]
+    assert np.all((other == 0)
+                  | ((earlier >= 0) & (earlier < np.arange(len(rows)))))
+
+
+@pytest.mark.parametrize("name", sorted(TREE_SYSTEMS))
+def test_tree_solves_match_the_dense_block(monkeypatch, name):
+    system = TREE_SYSTEMS[name][0]()
+    calls = []
+    triangular = solve_module.spsolve_triangular
+
+    def record(T, b, lower):
+        x = triangular(T, b, lower=lower)
+        calls.append((T.toarray(), b, lower, x))
+        return x
+
+    monkeypatch.setattr(solve_module, "spsolve_triangular", record)
+    solve(system)
+    # B u = g, then the pressure, for the solve and for its refinement
+    assert [lower for _, _, lower, _ in calls] == [False, True] * 2
+    for T, b, lower, x in calls:
+        assert np.array_equal(np.tril(T) if lower else np.triu(T), T)
+        exact = np.linalg.solve(T, b)
+        assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_pressure_off_the_tree_is_named():
