@@ -5,9 +5,10 @@ Cook's membrane locking study (against plain affine elements on the same
 macro mesh), and the two coupled Stokes-Brinkman scenarios on (0,2)^2.
 
 A coupling scenario is assembled once for all its viscosities: its system
-at viscosity mu is S_rest + mu S_swept. The locking study assembles once
-per Poisson ratio on one space, and its plain-P1 system is a slice of the
-compatible one. The solve, not the case, fixes the pressure level where
+at viscosity mu is S_rest + mu S_swept. The locking study is assembled
+once for all its Poisson ratios: its system at (mu, lambda) is mu A_1 +
+lambda B^T W^-1 B, and its plain-P1 system is a slice of the compatible
+one. The solve, not the case, fixes the pressure level where
 no boundary does. The level list and the Poisson ratios are checked here,
 as ConfigurationError; `mce.cli` refuses an empty nu or mu list and
 non-positive levels or grid before a study starts.
@@ -31,6 +32,7 @@ from .forms import (
     SaddleSystem,
     assemble_elasticity,
     assemble_nitsche_brinkman_tangential,
+    _lame_sweep,
     _viscosity_sweep,
 )
 from .mesh import generate_cook_mesh, generate_unit_square_mesh, subdivide
@@ -504,15 +506,17 @@ def _plain_affine(space):
 
 
 def _cooks_system(space, problem):
-    co = ProblemCoefficients(mu=problem.mu, lam=problem.lam)
-    return assemble_elasticity(space, co, tractions={"loaded": COOK_TRACTION})
+    """The Cook system of one problem on `space`, on the locking study's
+    path."""
+    return _lame_sweep(space, {"loaded": COOK_TRACTION})(problem.mu,
+                                                          problem.lam)
 
 
 def _affine_slice(system, affine):
     """The plain-P1 system on `affine` (`_plain_affine` of the compatible
     `system`'s space) as the leading vertex block of `system`. Where the
     lift has no bubble part, as on Cook's clamp, this is bit for bit the
-    system `assemble_elasticity` gives on `affine`."""
+    system `_cooks_system` gives on `affine`."""
     k = affine.n_vertex_unknowns
     return SaddleSystem(affine, system.matrix[:k, :k], system.rhs[:k], 0)
 
@@ -556,17 +560,20 @@ class LockingRecord:
 
 def run_locking_study(nus, n):
     """Tip displacements of the compatible vs plain affine element. One
-    space serves every nu, only the Lame coefficients change; the plain-P1
-    system is the leading vertex block of the compatible one, so each nu is
-    assembled once. Every nu is checked before the space is built."""
+    space serves every nu, and only the Lame coefficients change: the
+    unit-mu operator A_1 and the tractions are assembled once, and B^T W^-1
+    B is formed once from the space's B, so each nu's system is the sparse
+    sum mu A_1 + lambda B^T W^-1 B, bit for bit the one `_cooks_system`
+    gives. The plain-P1 system is its leading vertex block. Every nu is
+    checked before the space is built."""
     problems = [case_cooks(nu) for nu in nus]
     record = LockingRecord()
     space = _cooks_space(n)
     affine = _plain_affine(space)
+    system_at = _lame_sweep(space, {"loaded": COOK_TRACTION})
     for problem in problems:
-        # sliced before the factorization, each system freed once solved:
-        # in this order the peak RSS stays that of separate assemblies
-        system = _cooks_system(space, problem)
+        # sliced before the factorization, each system freed once solved
+        system = system_at(problem.mu, problem.lam)
         sliced = _affine_slice(system, affine)
         tip_c, record.last = _cooks_tip(system)
         del system
@@ -684,6 +691,9 @@ def run_brinkman_scenarios(scenarios, mu_values=None, *, n):
         profiles = {mu_value: velocity_profile(solution)
                     for mu_value, solution in solutions.items()}
         yield CouplingResult(scenario, tuple(mus), solutions, profiles)
+        # the caller is done with this scenario: its space and solutions
+        # are not kept alive while the next one is solved
+        del space, solutions, profiles
 
 
 def _coupling_sweep(space, scenario, mus):

@@ -3,8 +3,9 @@
 All variational forms are integrated exactly where the integrands are
 piecewise polynomial: gradient/divergence products are closed-form per
 subtriangle, mass terms use the P1 hat mass |T| (1 + delta_cd) / 12, load
-terms a degree-4 rule, and the pressure-velocity coupling uses the
-elementwise-constant divergence times the macro area.
+terms a degree-4 rule, and the pressure-velocity coupling is B, the
+space's `divergence_block`: the elementwise-constant divergence times the
+macro area, built once per space. No assembler scatters B.
 
 Every velocity basis field is P1 on the 6 subtriangles, so the Brinkman
 volume terms are contracted on the 7-node patch (vertices, edge split
@@ -17,14 +18,20 @@ f against each subtriangle's hats are summed per patch node, then dotted
 with those basis values. The elastic term 2 mu eps:eps is a strain-matrix
 contraction on the same patch: per subtriangle s the three rows (xx, yy,
 sqrt(2) xy) of the symmetric gradient of a P1 vector field on the 7 nodes
-(14 values) are read off the hat gradients, stacked into B (18 x 14) and
-contracted with the basis values to Bv = B V^T (18 x 9); the element
-matrix is Bv^T diag(2 mu a_s) Bv, a_s the subtriangle areas, plus the
-lambda div div term from the constant divergences. The Brinkman and
-elastic kernels and the load run over the blocks of macro triangles of
-`space._blocks`, so their temporaries do not grow with the mesh.
+(14 values) are read off the hat gradients, stacked into E (18 x 14) and
+contracted with the basis values to Ev = E V^T (18 x 9); the element
+matrix is Ev^T diag(2 mu a_s) Ev, a_s the subtriangle areas. The Brinkman
+and elastic kernels and the load run over the blocks of macro triangles
+of `space._blocks`, so their temporaries do not grow with the mesh.
 
-Every assembler is its model's interior, its boundary terms and `_reduce`.
+div V_h is the P0 pressure space exactly, so the lambda div div term is
+lambda B^T W^-1 B with W = diag(|T|), whatever the Poisson ratio: it is
+added to the reduced 2 mu eps:eps block, and `_lame_sweep` assembles the
+unit-mu block and B^T W^-1 B once for a whole sweep of scalar Lame
+coefficients.
+
+Every assembler is its model's interior, its boundary terms and `_reduce`,
+then `_saddle` for the flow models.
 Local (..., 9, 9) blocks and local loads enter through one scatter each,
 `_Builder.add_blocks` and `_Builder.add_loads`, in a fixed order, so every
 sum is deterministic. Elasticity takes its boundary conditions strongly,
@@ -33,10 +40,10 @@ penalty, is the tangential Brinkman one, which its assembler builds on the
 faces of `_Faces`. mu = 0 with a Dirichlet side is ill-posed, and every
 Brinkman assembler and sweep value refuses it (`_brinkman_fields`).
 Strong constraints are eliminated through the space's affine map (never
-penalized); negating the pressure test block gives the Brinkman matrix
-[[A, -B^T], [-B, 0]] with right-hand side [f, -g]. No row fixes the
-pressure level: where no boundary term fixes it, `mce.solve` does. The
-reduced system is affine in the viscosity of one region, so
+penalized); `_saddle` stacks the reduced velocity block A and B into the
+Brinkman matrix [[A, -B^T], [-B, 0]] with right-hand side [f, -g]. No row
+fixes the pressure level: where no boundary term fixes it, `mce.solve`
+does. The reduced system is affine in the viscosity of one region, so
 `_viscosity_sweep` assembles its two parts once, not once per value.
 """
 
@@ -224,11 +231,10 @@ def _brinkman_matrix(tables, mu, sigma):
     return K
 
 
-def _elastic_matrix(tables, mu, lam):
-    """Element matrices (nt, 9, 9) of 2 mu eps:eps + lambda div div, the
-    first as the strain-matrix contraction Bv^T diag(2 mu a_s) Bv of the
-    module docstring."""
-    # B[3s + r, 2a + i]: strain component r (xx, yy, sqrt(2) xy) on
+def _elastic_matrix(tables, mu):
+    """Element matrices (nt, 9, 9) of 2 mu eps:eps, the strain-matrix
+    contraction Ev^T diag(2 mu a_s) Ev of the module docstring."""
+    # E[3s + r, 2a + i]: strain component r (xx, yy, sqrt(2) xy) on
     # subtriangle s of the P1 field with component i at patch node a
     rows = 3 * np.arange(6)[:, None, None] + np.array([0, 1, 2, 2])
     cols = 2 * tables.subdiv.SUBTRIANGLES[:, :, None] + np.array([0, 1, 0, 1])
@@ -237,32 +243,65 @@ def _elastic_matrix(tables, mu, lam):
     K = np.empty((nt, 9, 9))
     for c in _blocks(nt):
         V = tables.basis_node_values[c]
-        B = np.zeros((len(V), 18, 14))
-        B[:, rows, cols] = tables.hat_grads[c][..., [0, 1, 1, 0]] * scale
-        Bv = B @ np.swapaxes(V.reshape(len(V), 9, 14), 1, 2)
+        E = np.zeros((len(V), 18, 14))
+        E[:, rows, cols] = tables.hat_grads[c][..., [0, 1, 1, 0]] * scale
+        Ev = E @ np.swapaxes(V.reshape(len(V), 9, 14), 1, 2)
         w = np.repeat(2.0 * mu[c, None] * tables.sub_areas[c], 3, axis=1)
-        K[c] = np.swapaxes(Bv, 1, 2) @ (w[..., None] * Bv)
-    D = tables.basis_div
-    K += lam * np.einsum("t,tk,tl->tkl", tables.areas, D, D)
+        K[c] = np.swapaxes(Ev, 1, 2) @ (w[..., None] * Ev)
     return K
 
 
-def _reduce(space, builder, n_pressure=0):
-    """Eliminate the strong constraints: S^T (K S x + K lift) = S^T b."""
+def _reduce(space, builder):
+    """Eliminate the strong constraints from a velocity builder: the
+    reduced block C^T K C and load C^T (b - K lift)."""
     C = space.constraint
-    K = builder.matrix()
-    b = builder.rhs
-    S = sparse.block_diag(
-        [C, sparse.identity(n_pressure, format="csr")], format="csr"
-    ) if n_pressure else C.tocsr()
-    z0 = np.zeros(K.shape[0])
-    z0[:space.n_velocity] = space.lift
+    K, b = builder.matrix(), builder.rhs
     if space.lift.any():
-        b = b - K @ z0
-    # S^T is CSC; as CSR it multiplies K without a CSC copy of K
-    K_red = S.T.tocsr() @ K @ S
-    b_red = S.T @ b
-    return SaddleSystem(space, K_red, b_red, n_pressure)
+        b = b - K @ space.lift
+    # C^T is CSC; as CSR it multiplies K without a CSC copy of K
+    return C.T.tocsr() @ K @ C, C.T @ b
+
+
+def _lift_flux(space):
+    """The flux |T| div lift of the lifted boundary data out of each macro
+    triangle: B_full lift, B_full the velocity-pressure block on every
+    velocity dof, before the constraint reduces it."""
+    tables = space.tables
+    return tables.areas * tables.field_divergence(space.lift)
+
+
+def _saddle(space, builder, g=None):
+    """The reduced Brinkman system of a velocity builder: [[A, -B^T],
+    [-B, 0]] with A the reduced velocity block and B the space's
+    `divergence_block`, right-hand side [f, B_full lift - int g q]."""
+    A, f = _reduce(space, builder)
+    B = space.divergence_block
+    (nt, nfu), Bt = B.shape, B.T.tocsr()
+    rhs_p = _lift_flux(space)
+    if g is not None:
+        rhs_p -= cell_integrals(g, space.tables)
+    # A padded with empty pressure rows and columns, plus the coupling
+    # alone: no temporary copy of A
+    coupling = sparse.csr_matrix((
+        -np.concatenate([Bt.data, B.data]),
+        np.concatenate([nfu + Bt.indices, B.indices]),
+        np.concatenate([Bt.indptr, Bt.nnz + B.indptr[1:]])),
+        shape=(nfu + nt, nfu + nt))
+    A.resize(coupling.shape)
+    return SaddleSystem(space, A + coupling, np.concatenate([f, rhs_p]), nt)
+
+
+def _div_div(space):
+    """The lambda div div term at unit lambda, B^T W^-1 B with W =
+    diag(|T|), and its lift term -B^T W^-1 B_full lift, in the reduced
+    numbering."""
+    B = space.divergence_block
+    w = space.tables.areas
+    WB = B.copy()
+    WB.data /= np.repeat(w, np.diff(B.indptr))
+    G = B.T.tocsr() @ WB
+    G.sort_indices()
+    return G, -(WB.T @ _lift_flux(space))
 
 
 def _brinkman_fields(space, coeffs):
@@ -282,42 +321,71 @@ def _brinkman_fields(space, coeffs):
 
 
 def _brinkman_interior(space, coeffs, mu, sigma):
-    """A builder holding the volume terms at viscosity mu and drag sigma:
-    the viscous + mass block, the body load, the -B blocks and the
-    -int g q right-hand side."""
-    tables, n_vel = space.tables, space.n_velocity
-    nt = space.mesh.num_triangles
-    builder = _Builder(n_vel + nt)
+    """A velocity builder holding the volume terms at viscosity mu and drag
+    sigma: the viscous + mass block and the body load."""
+    tables = space.tables
+    builder = _Builder(space.n_velocity)
     builder.add_blocks(tables.loc2glob, _brinkman_matrix(tables, mu, sigma))
     _body_force_rhs(builder, tables, coeffs.f)
-    D = tables.basis_div * tables.areas[:, None]  # (nt,9): b(1_T, psi_k)
-    prows = n_vel + np.repeat(np.arange(nt), 9)
-    ucols = tables.loc2glob.ravel()
-    builder.add(prows, ucols, -D.ravel())
-    builder.add(ucols, prows, -D.ravel())
-    if coeffs.g is not None:
-        builder.rhs[n_vel:] -= cell_integrals(coeffs.g, tables)
     return builder
+
+
+def _lame_checked(mu, lam):
+    """mu > 0 everywhere and lambda > 0, or a ConfigurationError."""
+    if np.min(mu) <= 0:
+        raise ConfigurationError("elasticity requires mu > 0")
+    if lam is None or lam <= 0:
+        raise ConfigurationError("elasticity requires lambda > 0")
+
+
+def _elastic_block(space, mu, f=None, tractions=None):
+    """The reduced 2 mu eps:eps block and its load: body load f, tractions
+    and the lift term."""
+    tables = space.tables
+    builder = _Builder(space.n_velocity)
+    builder.add_blocks(tables.loc2glob, _elastic_matrix(tables, mu))
+    _body_force_rhs(builder, tables, f)
+    if tractions:
+        _traction_rhs(builder, space, tractions)
+    return _reduce(space, builder)
 
 
 def assemble_elasticity(space, coeffs, tractions=None):
     """Linear elasticity velocity block: int 2 mu sym-grad : sym-grad +
     lambda div div, with body load and optional boundary tractions
     (dict tag -> callable or constant traction density). mu > 0 and
-    lambda > 0, or a ConfigurationError."""
-    tables = space.tables
+    lambda > 0, or a ConfigurationError. The lambda term is lambda
+    B^T W^-1 B (`_div_div`)."""
     mu, _ = coeffs.fields(space.mesh.num_triangles)
-    if mu.min() <= 0:
-        raise ConfigurationError("elasticity requires mu > 0")
-    if coeffs.lam is None or coeffs.lam <= 0:
-        raise ConfigurationError("elasticity requires lambda > 0")
-    builder = _Builder(space.n_velocity)
-    builder.add_blocks(tables.loc2glob,
-                       _elastic_matrix(tables, mu, float(coeffs.lam)))
-    _body_force_rhs(builder, tables, coeffs.f)
+    _lame_checked(mu, coeffs.lam)
+    lam = float(coeffs.lam)
+    A, b = _elastic_block(space, mu, coeffs.f, tractions)
+    G, lifted = _div_div(space)
+    return SaddleSystem(space, A + lam * G, b + lam * lifted, 0)
+
+
+def _lame_sweep(space, tractions=None):
+    """Reduced elasticity systems at scalar Lame coefficients with the
+    given tractions and no body load: returns the map (mu, lam) ->
+    SaddleSystem, checked as `assemble_elasticity` checks it.
+
+    Both coefficients enter linearly, the lift terms too: the system is the
+    traction load plus mu (A_1, r_1) + lam (G, r_G), A_1 the unit-mu
+    2 eps:eps block and G = B^T W^-1 B, each assembled once. It agrees
+    with `assemble_elasticity` to rounding, not bit for bit."""
+    A1, r1 = _elastic_block(space, np.ones(space.mesh.num_triangles))
+    load = _Builder(space.n_velocity)
     if tractions:
-        _traction_rhs(builder, space, tractions)
-    return _reduce(space, builder)
+        _traction_rhs(load, space, tractions)
+    load = space.constraint.T @ load.rhs
+    G, rG = _div_div(space)
+
+    def system(mu, lam):
+        _lame_checked(mu, lam)
+        return SaddleSystem(space, mu * A1 + lam * G,
+                            load + mu * r1 + lam * rG, 0)
+
+    return system
 
 
 def assemble_brinkman(space, coeffs):
@@ -329,8 +397,8 @@ def assemble_brinkman(space, coeffs):
     coupling study's slip wall), where `assemble_nitsche_brinkman_tangential`
     imposes it weakly."""
     mu, sigma = _brinkman_fields(space, coeffs)
-    return _reduce(space, _brinkman_interior(space, coeffs, mu, sigma),
-                   space.mesh.num_triangles)
+    return _saddle(space, _brinkman_interior(space, coeffs, mu, sigma),
+                   coeffs.g)
 
 
 def _viscosity_sweep(space, coeffs, swept):
@@ -341,28 +409,32 @@ def _viscosity_sweep(space, coeffs, swept):
     mu enters the forms linearly, the lift term too, so the system at m is
     S_rest + m S_swept, matrix and right-hand side alike. S_rest is the
     whole system with mu = 0 on `swept`; S_swept the unit viscous term on
-    `swept` alone (no load, no pressure coupling, no mass). Both are
-    assembled and reduced once, each m costs one sparse sum and is checked
-    by `_brinkman_fields` (S_rest is not: its mu is zero on `swept` by
-    construction). The values agree with `assemble_brinkman` at the same
-    coefficients to rounding, not bit for bit."""
+    `swept` alone (no load, no pressure coupling, no mass), padded with
+    empty pressure rows and columns. Both are assembled and reduced once,
+    each m costs one sparse sum and is checked by `_brinkman_fields`
+    (S_rest is not: its mu is zero on `swept` by construction). The values
+    agree with `assemble_brinkman` at the same coefficients to rounding,
+    not bit for bit."""
     tables = space.tables
     nt = space.mesh.num_triangles
     mu, sigma = coeffs.fields(nt)
     # the smaller part first: its reduced form is what stays alive while
     # the other one is assembled
-    unit = _Builder(space.n_velocity + nt)
+    unit = _Builder(space.n_velocity)
     unit.add_blocks(tables.loc2glob, _brinkman_matrix(
         tables, swept.astype(float), np.zeros(nt)), swept)
-    unit = _reduce(space, unit, nt)
-    rest = _reduce(space, _brinkman_interior(
-        space, coeffs, np.where(swept, 0.0, mu), sigma), nt)
+    unit, unit_rhs = _reduce(space, unit)
+    size = space.n_free_velocity + nt
+    unit.resize((size, size))
+    unit_rhs = np.concatenate([unit_rhs, np.zeros(nt)])
+    rest = _saddle(space, _brinkman_interior(
+        space, coeffs, np.where(swept, 0.0, mu), sigma), coeffs.g)
 
     def system(m):
         _brinkman_fields(space, ProblemCoefficients(
             mu=np.where(swept, m, mu), sigma=sigma))
-        return SaddleSystem(space, rest.matrix + m * unit.matrix,
-                            rest.rhs + m * unit.rhs, nt)
+        return SaddleSystem(space, rest.matrix + m * unit,
+                            rest.rhs + m * unit_rhs, nt)
 
     return system
 
@@ -470,4 +542,4 @@ def assemble_nitsche_brinkman_tangential(space, coeffs):
         -(cmat + np.swapaxes(cmat, -1, -2)),
         penalty[:, None, None, None] * int_trt_trt,
     ], axis=2))
-    return _reduce(space, builder, mesh.num_triangles)
+    return _saddle(space, builder, coeffs.g)

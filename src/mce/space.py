@@ -16,9 +16,11 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.linalg import splu
 
 from .mesh import MeshError, _cross2, _dot, _norm
 from .quadrature import edge_rule, triangle_barycentric
+from .solve import _SUPERLU_PANEL_SIZE, _SUPERLU_RELAX
 
 # a vertex slides only where its NormalZero sides meet straight to
 # rounding: |n0 x n| = |sin| of the bend, linear in the angle
@@ -206,9 +208,11 @@ class FESpace:
     Strong constraints are held as an affine map U = C x + lift with C the
     sparse prolongation of the free dofs. The reduced unknowns x keep that
     order: the `n_vertex_unknowns` vertex unknowns first, the free bubbles
-    last. The kernel basis and the dual tree (its rows and columns) of the
-    solve are built on first use and kept with the space (`kernel`,
-    `tree`); a space made by `dataclasses.replace` starts without them.
+    last. The velocity-pressure block B, the kernel basis and the dual tree
+    (its rows and columns) with the factor of B on it are built on first
+    use and kept with the space (`divergence_block`, `kernel`, `tree`,
+    `tree_factor`); a space made by `dataclasses.replace` starts without
+    them.
     """
 
     subdiv: object
@@ -244,6 +248,22 @@ class FESpace:
         return bool(self.bubble_fixed[self.mesh.boundary_edges].all())
 
     @cached_property
+    def divergence_block(self):
+        """B, the velocity-pressure block in the reduced numbering, the one
+        construction every assembler reads: row T holds |T| div psi_j of
+        each free basis field psi_j, built as the triangle's `basis_div`
+        times area at its `loc2glob` and reduced by the constraint."""
+        tables = self.tables
+        nt = len(tables.areas)
+        full = sparse.csr_matrix(
+            ((tables.basis_div * tables.areas[:, None]).ravel(),
+             tables.loc2glob.ravel(), 9 * np.arange(nt + 1)),
+            shape=(nt, self.n_velocity))
+        B = full @ self.constraint
+        B.sort_indices()  # a sparse product leaves its rows unsorted
+        return B
+
+    @cached_property
     def kernel(self):
         """`kernel_basis` of the space."""
         return kernel_basis(self)
@@ -252,6 +272,18 @@ class FESpace:
     def tree(self):
         """`dual_tree` of the space."""
         return dual_tree(self)
+
+    @cached_property
+    def tree_factor(self):
+        """SuperLU factor of B_T, the block of `divergence_block` on the
+        rows and columns of `tree`: upper triangular, so in its natural
+        order and without pivoting L is the identity and U is B_T, with no
+        fill. It takes the supernode pair of `mce.solve`, with which it
+        touches half the memory that SuperLU's defaults touch."""
+        rows, cols = self.tree
+        return splu(self.divergence_block[rows][:, cols].tocsc(),
+                    permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                    relax=_SUPERLU_RELAX, panel_size=_SUPERLU_PANEL_SIZE)
 
     def expand_velocity(self, x):
         """Full velocity coefficients from reduced unknowns."""
@@ -400,7 +432,7 @@ def build_space(subdiv, constraint="dirichlet"):
 
 
 def kernel_basis(space):
-    """Sparse basis Z of ker D in the reduced velocity numbering, D the
+    """Sparse basis Z of ker B in the reduced velocity numbering, B the
     velocity-pressure block: the curls of the Powell-Sabin Hermite basis.
 
     The flux through edge E is |E|/2 (u_a + u_b + a_E nu_E).n_E: no other

@@ -888,19 +888,29 @@ class TestLockingStudy:
             assert row["tip_compatible"] == bench._cooks_tip(system)[0]
 
     def test_assembled_once_per_nu(self, monkeypatch):
-        # the plain-P1 reference is sliced out of the compatible system,
-        # with the tips of separate assemblies and solves
-        assemblies = []
-        real_assemble = bench.assemble_elasticity
+        # one unit-mu operator serves the three nu, each the sum mu A_1 +
+        # lambda B^T W^-1 B; the plain-P1 reference is sliced out of the
+        # compatible system, with the tips of separate assemblies and
+        # solves
+        from mce import forms
 
-        def counting_assemble(space, *args, **kwargs):
-            assemblies.append(space)
-            return real_assemble(space, *args, **kwargs)
+        sweeps, operators = [], []
+        real_sweep, real_elastic = bench._lame_sweep, forms._elastic_matrix
 
-        monkeypatch.setattr(bench, "assemble_elasticity", counting_assemble)
+        def counting_sweep(space, *args, **kwargs):
+            sweeps.append(space)
+            return real_sweep(space, *args, **kwargs)
+
+        def counting_elastic(tables, mu):
+            operators.append(mu)
+            return real_elastic(tables, mu)
+
+        monkeypatch.setattr(bench, "_lame_sweep", counting_sweep)
+        monkeypatch.setattr(forms, "_elastic_matrix", counting_elastic)
         record = bench.run_locking_study([0.3, 0.4, 0.49999], n=4)
-        assert len(assemblies) == 3
-        assert all(space is record.last.space for space in assemblies)
+        assert len(record.rows) == 3
+        assert len(sweeps) == 1 and sweeps[0] is record.last.space
+        assert len(operators) == 1 and np.all(operators[0] == 1.0)
         monkeypatch.undo()
         for row in record.rows:
             problem = case_cooks(row["nu"])

@@ -44,11 +44,12 @@ SUBCOMMAND_RUNS = [
     ["mesh-info", "--mesh-file", "grid.mesh"],
 ]
 # the one assembly path of each subcommand's model: the `mce.forms`
-# assemblers and the coupling sweep that it calls
+# assemblers and the coupling and Lame sweeps that it calls
+SWEEPS = {"_viscosity_sweep", "_lame_sweep"}
 PATHS = {
     "stokes": {"assemble_nitsche_brinkman_tangential"},
     "darcy": {"assemble_nitsche_brinkman_tangential"},
-    "cooks": {"assemble_elasticity"},
+    "cooks": {"_lame_sweep"},
     "brinkman": {"_viscosity_sweep"},
     "mesh-info": set(),
 }
@@ -67,6 +68,8 @@ NOT_REACHED = {
     ("mce.bench", "case_elasticity"): "test reference",  # criterion 5
     ("mce.bench", "second_difference_sign_changes"): "demo",
     ("mce.bench", "solve_cooks_affine"): "tracer entry point",
+    # of solve_cooks_affine; the locking study takes the same Lame sweep
+    ("mce.bench", "_cooks_system"): "tracer entry point",
     ("mce.cli", "_Parser.error"): "error path",
     ("mce.cli", "console_main"): "public API",  # the `mce` script
     ("mce.forms", "SaddleSystem.size"): "public API",
@@ -74,6 +77,9 @@ NOT_REACHED = {
     # reference of `_viscosity_sweep`, and acceptance criterion 3 solves
     # with it
     ("mce.forms", "assemble_brinkman"): "public API",
+    # the one-shot form of the Lame sweep: tests take it as the reference
+    # of `_lame_sweep`, and acceptance criterion 5 solves with it
+    ("mce.forms", "assemble_elasticity"): "public API",
     ("mce.mesh", "MeshFormatError.__init__"): "error path",
     ("mce.mesh", "_check_boundary"): "error path",
     ("mce.mesh", "_check_triangle"): "error path",
@@ -191,7 +197,7 @@ def test_every_exported_assembler_is_reached_by_a_subcommand(reached):
 def test_subcommand_takes_one_assembly_path(reached, subcommand):
     taken = {name for module, name in reached[subcommand]
              if module == "mce.forms"
-             and (name.startswith("assemble_") or name == "_viscosity_sweep")}
+             and (name.startswith("assemble_") or name in SWEEPS)}
     assert taken == PATHS[subcommand]
 
 

@@ -8,6 +8,7 @@ from mce import bench, forms
 from mce.forms import (
     ConfigurationError,
     ProblemCoefficients,
+    SaddleSystem,
     assemble_brinkman,
     assemble_elasticity,
     assemble_nitsche_brinkman_tangential,
@@ -25,7 +26,6 @@ from mce.space import (
     Free,
     NormalZero,
     build_space,
-    cell_integrals,
     fortin_interpolate,
     macro_divergence,
     project_p0,
@@ -344,29 +344,56 @@ def _eval_points(fn, points):
 
 def _reference_brinkman_interior(space, coeffs):
     tables = space.tables
-    nt = space.mesh.num_triangles
-    mu, sigma = coeffs.fields(nt)
-    builder = forms._Builder(space.n_velocity + nt)
+    mu, sigma = coeffs.fields(space.mesh.num_triangles)
+    builder = forms._Builder(space.n_velocity)
     _add_element_matrices(builder, tables,
                           forms._brinkman_matrix(tables, mu, sigma))
     forms._body_force_rhs(builder, tables, coeffs.f)
+    return builder, mu, sigma
+
+
+def reference_coupling_builder(space):
+    """A full-numbering builder holding only the pressure coupling, -B
+    and -B^T scattered from each triangle's basis divergences times its
+    area, as every Brinkman assembler scattered them before B was built
+    once per space."""
+    tables = space.tables
+    nt = space.mesh.num_triangles
+    builder = forms._Builder(space.n_velocity + nt)
     D = tables.basis_div * tables.areas[:, None]
     prows = space.n_velocity + np.repeat(np.arange(nt), 9)
     ucols = tables.loc2glob.ravel()
     builder.add(prows, ucols, -D.ravel())
     builder.add(ucols, prows, -D.ravel())
-    if coeffs.g is not None:
-        builder.rhs[space.n_velocity:] -= cell_integrals(coeffs.g, tables)
-    return builder, mu, sigma
+    return builder
+
+
+def reference_reduce(space, builder, n_pressure=0):
+    """The constraint elimination S^T (K S x + K lift) = S^T b with S =
+    diag(C, I) of a full-numbering builder that holds the pressure
+    coupling: the reduction every assembler ran before the saddle systems
+    were stacked from the space's B."""
+    C = space.constraint
+    K = builder.matrix()
+    b = builder.rhs
+    S = sparse.block_diag(
+        [C, sparse.identity(n_pressure, format="csr")], format="csr"
+    ) if n_pressure else C.tocsr()
+    z0 = np.zeros(K.shape[0])
+    z0[:space.n_velocity] = space.lift
+    if space.lift.any():
+        b = b - K @ z0
+    return SaddleSystem(space, S.T.tocsr() @ K @ S, S.T @ b, n_pressure)
 
 
 def reference_assemble_elasticity(space, coeffs, tractions=None):
+    """The 2 mu eps:eps block with the tractions of the per-face loops,
+    plus the lambda term as `assemble_elasticity` adds it."""
     tables = space.tables
     mu, _ = coeffs.fields(space.mesh.num_triangles)
     lam = float(coeffs.lam)
     builder = forms._Builder(space.n_velocity)
-    _add_element_matrices(builder, tables,
-                          forms._elastic_matrix(tables, mu, lam))
+    _add_element_matrices(builder, tables, forms._elastic_matrix(tables, mu))
     forms._body_force_rhs(builder, tables, coeffs.f)
     if tractions:
         qx, qw = edge_rule(3)
@@ -384,7 +411,9 @@ def reference_assemble_elasticity(space, coeffs, tractions=None):
                 traces = seg.traces(qx)  # (9, nq, 2)
                 vals = seg.length * np.einsum("q,qi,kqi->k", qw, tv, traces)
                 np.add.at(builder.rhs, space.tables.loc2glob[face.tri], vals)
-    return forms._reduce(space, builder)
+    A, b = forms._reduce(space, builder)
+    G, lifted = forms._div_div(space)
+    return SaddleSystem(space, A + lam * G, b + lam * lifted, 0)
 
 
 def reference_assemble_nitsche_brinkman_tangential(space, coeffs):
@@ -413,7 +442,7 @@ def reference_assemble_nitsche_brinkman_tangential(space, coeffs):
             cmat = np.outer(int_trt, dun_t)
             builder.add(rows, cols, -(cmat + cmat.T))
             builder.add(rows, cols, (gamma / h) * mu[t] * int_trt_trt)
-    return forms._reduce(space, builder, space.mesh.num_triangles)
+    return forms._saddle(space, builder, coeffs.g)
 
 
 def assert_bitwise(system, reference):
@@ -856,12 +885,22 @@ class TestPatchFormTables:
 
     @pytest.mark.parametrize("lam", [0.0, 1e4])
     def test_elastic_matrices(self, space, lam):
+        # the 2 mu eps:eps kernel element by element; with the lambda
+        # term, lambda B^T W^-1 B of the space's B, the assembled operator
+        # against the per-element lambda div div of the stored form
         tables = space.tables
         nt = space.mesh.num_triangles
         mu = 1.0 + 0.5 * np.cos(np.arange(nt))
-        K = forms._elastic_matrix(tables, mu, lam)
-        assert _rel_max(K, reference_elastic_matrix(tables, mu, lam)) \
-            <= self.TOL
+        reference = reference_elastic_matrix(tables, mu, lam)
+        if not lam:
+            assert _rel_max(forms._elastic_matrix(tables, mu), reference) \
+                <= self.TOL
+        A, _ = forms._elastic_block(space, mu)
+        G, _ = forms._div_div(space)
+        builder = forms._Builder(space.n_velocity)
+        _add_element_matrices(builder, tables, reference)
+        want = reference_reduce(space, builder).matrix
+        assert abs(A + lam * G - want).max() <= self.TOL * abs(want).max()
 
     def test_basis_div(self, space):
         G = reference_basis_grads(space.tables)
@@ -923,11 +962,104 @@ class TestPatchFormTables:
         against a solve that assembles with the stored-form kernel."""
         nus = (0.3, 0.4999, 0.49999)
         rows = bench.run_locking_study(nus, n=8).rows
-        monkeypatch.setattr(forms, "_elastic_matrix", reference_elastic_matrix)
+        monkeypatch.setattr(forms, "_elastic_matrix",
+                            lambda tables, mu: reference_elastic_matrix(
+                                tables, mu, 0.0))
         references = bench.run_locking_study(nus, n=8).rows
         for row, reference in zip(rows, references):
             assert row["tip_compatible"] == pytest.approx(
                 reference["tip_compatible"], rel=1e-8), row["nu"]
+
+
+def _square_space(n, boundary):
+    return build_space(subdivide(generate_unit_square_mesh(n)), boundary)
+
+
+class TestDivergenceBlock:
+    """B, the velocity-pressure block, has one construction, the space's
+    `divergence_block`. It is bit for bit the pressure block that the
+    assemblers scattered into their coordinate lists and reduced before,
+    Z spans its kernel, and lambda B^T W^-1 B, the lambda div div term,
+    matches the per-element term of the stored form to rounding."""
+
+    SPACES = {
+        "stokes-8": lambda: _square_space(8, bench.case_stokes().boundary),
+        "darcy-8": lambda: _square_space(8, bench.case_darcy().boundary),
+        "coupling-normal-8": lambda: build_space(
+            subdivide(bench._square2_mesh(8)),
+            bench._coupling_boundary("normal")),
+        "coupling-tangential-8": lambda: build_space(
+            subdivide(bench._square2_mesh(8)),
+            bench._coupling_boundary("tangential")),
+        "cook-8": lambda: bench._cooks_space(8),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_block_of_the_coupled_assembly(self, name):
+        space = self.SPACES[name]()
+        nfu = space.n_free_velocity
+        M = reference_reduce(space, reference_coupling_builder(space),
+                             space.mesh.num_triangles).matrix
+        want = -M[nfu:, :nfu]
+        want.sort_indices()
+        B = space.divergence_block
+        assert B.shape == want.shape
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(B, attr).tobytes() == getattr(want, attr).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_kernel_basis_spans_no_divergence(self, name):
+        space = self.SPACES[name]()
+        B, Z = space.divergence_block, space.kernel
+        # each entry of B Z sums a few products of at most |B| |Z|
+        assert abs(B @ Z).max() <= 1e-14 * abs(B).max() * abs(Z).max()
+
+    # Cook clamps at zero; case_elasticity lifts its Dirichlet data
+    LAME_SPACES = {
+        "cook-4": (lambda: bench._cooks_space(4),
+                   {"loaded": bench.COOK_TRACTION}),
+        "cook-16": (lambda: bench._cooks_space(16),
+                    {"loaded": bench.COOK_TRACTION}),
+        "elasticity-8": (lambda: _square_space(
+            8, bench.case_elasticity(1.0).boundary), None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAME_SPACES))
+    def test_lambda_term_is_the_per_element_term(self, name):
+        space = self.LAME_SPACES[name][0]()
+        tables = space.tables
+        lam = 1e4
+        builder = forms._Builder(space.n_velocity)
+        _add_element_matrices(builder, tables, reference_elastic_matrix(
+            tables, np.zeros(space.mesh.num_triangles), lam))
+        want = reference_reduce(space, builder)
+        G, lifted = forms._div_div(space)
+        assert abs(lam * G - want.matrix).max() <= (
+            1e-13 * abs(want.matrix).max())
+        np.testing.assert_allclose(lam * lifted, want.rhs, rtol=0,
+                                   atol=1e-13 * np.abs(want.rhs).max())
+        assert space.lift.any() == (name == "elasticity-8")
+
+    @pytest.mark.parametrize("name", sorted(LAME_SPACES))
+    def test_lame_sweep_is_the_assembly(self, name):
+        # the sweep's parts, scaled and summed, against one assembly at
+        # the same coefficients: equal to rounding, the lift terms too
+        make_space, tractions = self.LAME_SPACES[name]
+        space = make_space()
+        got = forms._lame_sweep(space, tractions)(80.0, 1e4)
+        want = assemble_elasticity(
+            space, ProblemCoefficients(mu=80.0, lam=1e4), tractions)
+        assert abs(got.matrix - want.matrix).max() <= (
+            1e-13 * abs(want.matrix).max())
+        np.testing.assert_allclose(got.rhs, want.rhs, rtol=0,
+                                   atol=1e-13 * np.abs(want.rhs).max())
+
+    def test_lame_sweep_checks_every_value(self):
+        system = forms._lame_sweep(bench._cooks_space(2))
+        with pytest.raises(ConfigurationError, match="requires mu > 0"):
+            system(0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="requires lambda > 0"):
+            system(1.0, -1.0)
 
 
 class TestBuildSpaceMemory:

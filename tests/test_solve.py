@@ -359,25 +359,58 @@ def test_tree_joins_each_triangle_to_an_earlier_one_past_int32_keys():
                   | ((earlier >= 0) & (earlier < np.arange(len(rows)))))
 
 
-@pytest.mark.parametrize("name", sorted(TREE_SYSTEMS))
-def test_tree_solves_match_the_dense_block(monkeypatch, name):
-    system = TREE_SYSTEMS[name][0]()
-    calls = []
-    triangular = solve_module.spsolve_triangular
+class _RecordedFactor:
+    """A factor whose solves are recorded: (right-hand side, trans,
+    solution)."""
 
-    def record(T, b, lower):
-        x = triangular(T, b, lower=lower)
-        calls.append((T.toarray(), b, lower, x))
+    def __init__(self, lu):
+        self._lu, self.calls = lu, []
+
+    def solve(self, b, trans="N"):
+        x = self._lu.solve(b, trans=trans)
+        self.calls.append((b, trans, x))
         return x
 
-    monkeypatch.setattr(solve_module, "spsolve_triangular", record)
+
+@pytest.mark.parametrize("name", sorted(TREE_SYSTEMS))
+def test_tree_solves_match_the_dense_block(name):
+    system = TREE_SYSTEMS[name][0]()
+    space = system.space
+    rows, cols = space.tree
+    T = space.divergence_block[rows][:, cols].toarray()
+    assert np.array_equal(np.triu(T), T)
+    recorded = _RecordedFactor(space.tree_factor)
+    space.tree_factor = recorded
     solve(system)
-    # B u = g, then the pressure, for the solve and for its refinement
-    assert [lower for _, _, lower, _ in calls] == [False, True] * 2
-    for T, b, lower, x in calls:
-        assert np.array_equal(np.tril(T) if lower else np.triu(T), T)
-        exact = np.linalg.solve(T, b)
+    # B u = -g, then the pressure, for the solve and for its refinement
+    assert [trans for _, trans, _ in recorded.calls] == ["N", "T"] * 2
+    for b, trans, x in recorded.calls:
+        exact = np.linalg.solve(T.T if trans == "T" else T, b)
         assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("name", sorted(TREE_SYSTEMS))
+def test_tree_factor_stores_no_fill(name):
+    # L is the identity and U the tree block: n + nnz(B_T) entries
+    space = TREE_SYSTEMS[name][0]().space
+    rows, cols = space.tree
+    T = space.divergence_block[rows][:, cols]
+    assert space.tree_factor.nnz == T.nnz + len(rows)
+
+
+def test_pressure_free_solve_factors_the_system_matrix(monkeypatch):
+    # no sliced copy of the operator: the factor reads the matrix itself
+    system = _cooks_system(0.3, 4)
+    factored = []
+    factor = solve_module._factor
+
+    def record(K, *args):
+        factored.append(K)
+        return factor(K, *args)
+
+    monkeypatch.setattr(solve_module, "_factor", record)
+    solve(system)
+    assert len(factored) == 1 and factored[0] is system.matrix
 
 
 def test_pressure_off_the_tree_is_named():
@@ -435,10 +468,30 @@ def test_no_earlier_level_space_stays_alive(monkeypatch):
     assert {"kernel", "tree"} <= set(vars(finest.space))
 
 
+def test_no_earlier_scenario_space_stays_alive(monkeypatch):
+    # the caller drops each scenario's result before asking for the next:
+    # its space, with the factors cached on it, is gone by then
+    spaces = []
+    sweep = bench._coupling_sweep
+
+    def record(space, *args):
+        assert all(ref() is None for ref in spaces)
+        spaces.append(weakref.ref(space))
+        return sweep(space, *args)
+
+    monkeypatch.setattr(bench, "_coupling_sweep", record)
+    for result in bench.run_brinkman_scenarios(bench.SCENARIOS, (1.0,), n=4):
+        del result
+    assert len(spaces) == 2
+
+
 def test_plain_affine_space_carries_no_cached_state():
     space = bench._cooks_space(4)
     assert space.kernel is space.kernel and space.tree is space.tree
+    assert space.divergence_block is space.divergence_block
+    assert space.tree_factor is space.tree_factor
     affine = bench._plain_affine(space)
-    assert not {"kernel", "tree"} & set(vars(affine))
+    assert not {"kernel", "tree", "divergence_block", "tree_factor"} & set(
+        vars(affine))
     # the P1 space has no bubble: its kernel basis is its own
     assert affine.kernel.shape[0] == space.n_vertex_unknowns
