@@ -7,14 +7,16 @@ macro mesh), and the two coupled Stokes-Brinkman scenarios on (0,2)^2.
 A coupling scenario is assembled once for all its viscosities: its system
 at viscosity mu is S_rest + mu S_swept. The locking study is assembled
 once for all its Poisson ratios: its system at (mu, lambda) is mu A_1 +
-lambda B^T W^-1 B, and its plain-P1 system is a slice of the compatible
-one. The solve, not the case, fixes the pressure level where
-no boundary does. The level list and the Poisson ratios are checked here,
+lambda B^T W^-1 B; its plain-P1 system is a slice of the compatible one,
+and its nearly incompressible ratios share one compatible factor.
+The solve, not the case, fixes the pressure level where no boundary
+does. The level list and the Poisson ratios are checked here,
 as ConfigurationError; `mce.cli` refuses an empty nu or mu list and
 non-positive levels or grid before a study starts.
 
 The manufactured cases evaluate their exact fields on contiguous x and y
-arrays and store them component by component. `error_norms` reads them
+arrays (Darcy's on the sines and cosines of pi x and pi y) and store them
+component by component. `error_norms` reads them
 so: per block of macro triangles, each norm is one contiguous array of
 squared differences, contracted with the rule's weights and then with the
 subtriangle areas.
@@ -57,27 +59,36 @@ def _coords(p):
     return x, y
 
 
-def _stack(fx, fy):
+def _half_turns(p):
+    """sin and cos of pi x and of pi y at points (n, 2), or at one point
+    (2,)."""
+    x, y = _coords(np.pi * np.atleast_2d(p))
+    return np.sin(x), np.cos(x), np.sin(y), np.cos(y)
+
+
+def _stack(fx, fy, of=_coords):
     """The (n, 2) field (fx, fy), stored component by component: its
-    transpose is contiguous."""
+    transpose is contiguous. Each component is a function of the arrays
+    `of(p)`, by default x and y."""
     def fn(p):
-        x, y = _coords(p)
-        out = np.empty((2, len(x)))
-        out[0] = fx(x, y)
-        out[1] = fy(x, y)
+        args = of(p)
+        out = np.empty((2, len(args[0])))
+        out[0] = fx(*args)
+        out[1] = fy(*args)
         return out.T
 
     return fn
 
 
-def _grad_stack(four):
+def _grad_stack(four, of=_coords):
     """The (n, 2, 2) gradient with entry (i, j) from `four[i, j]`, stored
-    entry by entry: moving its first axis last makes it contiguous."""
+    entry by entry: moving its first axis last makes it contiguous. Each
+    entry is a function of the arrays `of(p)`, by default x and y."""
     def fn(p):
-        x, y = _coords(p)
-        out = np.empty((2, 2, len(x)))
+        args = of(p)
+        out = np.empty((2, 2, len(args[0])))
         for (i, j), g in four.items():
-            out[i, j] = g(x, y)
+            out[i, j] = g(*args)
         return out.transpose(2, 0, 1)
 
     return fn
@@ -175,22 +186,29 @@ def case_darcy(mu=0.0, sigma=1.0, gamma=10.0):
     friction and viscosity terms; that makes this case double as the
     viscosity-robustness sweep.
     """
+    # every field from sin and cos of pi x and pi y (`_half_turns`), with
+    # sin(2a) = 2 sin(a) cos(a) and cos(2a) = cos(a)^2 - sin(a)^2
     pi = np.pi
     velocity = _stack(
-        lambda x, y: -pi * np.sin(pi * x) ** 2 * np.sin(2 * pi * y),
-        lambda x, y: pi * np.sin(2 * pi * x) * np.sin(pi * y) ** 2,
+        lambda sx, cx, sy, cy: -2 * pi * sx**2 * sy * cy,
+        lambda sx, cx, sy, cy: 2 * pi * sx * cx * sy**2,
+        of=_half_turns,
     )
     grad = _grad_stack(
         {
-            (0, 0): lambda x, y: -(pi**2) * np.sin(2 * pi * x) * np.sin(2 * pi * y),
-            (0, 1): lambda x, y: -2 * pi**2 * np.sin(pi * x) ** 2 * np.cos(2 * pi * y),
-            (1, 0): lambda x, y: 2 * pi**2 * np.cos(2 * pi * x) * np.sin(pi * y) ** 2,
-            (1, 1): lambda x, y: pi**2 * np.sin(2 * pi * x) * np.sin(2 * pi * y),
-        }
+            (0, 0): lambda sx, cx, sy, cy: -4 * pi**2 * sx * cx * sy * cy,
+            (0, 1): lambda sx, cx, sy, cy: (
+                -2 * pi**2 * sx**2 * (cy**2 - sy**2)),
+            (1, 0): lambda sx, cx, sy, cy: (
+                2 * pi**2 * (cx**2 - sx**2) * sy**2),
+            (1, 1): lambda sx, cx, sy, cy: 4 * pi**2 * sx * cx * sy * cy,
+        },
+        of=_half_turns,
     )
     laplacian = _stack(
-        lambda x, y: 2 * pi**3 * np.sin(2 * pi * y) * (4 * np.sin(pi * x) ** 2 - 1),
-        lambda x, y: 2 * pi**3 * np.sin(2 * pi * x) * (1 - 4 * np.sin(pi * y) ** 2),
+        lambda sx, cx, sy, cy: 4 * pi**3 * sy * cy * (4 * sx**2 - 1),
+        lambda sx, cx, sy, cy: 4 * pi**3 * sx * cx * (1 - 4 * sy**2),
+        of=_half_turns,
     )
     pressure = lambda p: np.sin(pi * p[:, 0]) - 2.0 / pi
     pressure_grad = _stack(
@@ -253,10 +271,11 @@ def solve_case(case, n):
     return solution, space, system, report
 
 
-def _field(system):
-    """Solve a system and expand the solution over its space; returns
-    (FieldSolution, SolveReport)."""
-    report = solve(system)
+def _field(system, report=None):
+    """Solve a system, unless `report` is its solve, and expand the
+    solution over its space; returns (FieldSolution, SolveReport)."""
+    if report is None:
+        report = solve(system)
     u, p, _ = system.expand(report.solution)
     return FieldSolution(system.space, u, p), report
 
@@ -454,6 +473,8 @@ def run_convergence(case, levels):
 # the shear traction density on the loaded side, and the tip vertex
 COOK_TRACTION = (0.0, 1.0)
 COOK_TIP = (48.0, 60.0)
+# lambda / mu from which the locking study's nu share one compatible factor
+NEARLY_INCOMPRESSIBLE = 1e3
 
 
 @dataclass
@@ -521,9 +542,10 @@ def _affine_slice(system, affine):
     return SaddleSystem(affine, system.matrix[:k, :k], system.rhs[:k], 0)
 
 
-def _cooks_tip(system):
-    """Tip vertical displacement and FieldSolution of a Cook system."""
-    solution, _ = _field(system)
+def _cooks_tip(system, report=None):
+    """Tip vertical displacement and FieldSolution of a Cook system, solved
+    here unless `report` is its solve."""
+    solution, _ = _field(system, report)
     tip = _vertex_at(system.space.mesh, COOK_TIP)
     return float(solution.velocity[2 * tip + 1]), solution
 
@@ -565,23 +587,42 @@ def run_locking_study(nus, n):
     B is formed once from the space's B, so each nu's system is the sparse
     sum mu A_1 + lambda B^T W^-1 B, bit for bit the one `_cooks_system`
     gives. The plain-P1 system is its leading vertex block. Every nu is
-    checked before the space is built."""
+    checked before the space is built.
+
+    The compatible operator is factored once for every nu with lambda / mu
+    >= NEARLY_INCOMPRESSIBLE, at the first such nu: every other one is
+    solved by CG preconditioned with that factor (`solve` with `nearby`).
+    There the inf-sup stability of the element clusters the preconditioned
+    spectrum in two places, near 1 on ker B and near the ratio of the two
+    lambda on its range, so CG takes a few steps at any n. Each other nu
+    is factored on its own, as is every plain-P1 system: locking spreads
+    that spectrum. All compatible systems are solved first, and each
+    plain-P1 system is sliced from its own sum only when it is solved, so
+    no factor outlives its last use."""
     problems = [case_cooks(nu) for nu in nus]
     record = LockingRecord()
     space = _cooks_space(n)
     affine = _plain_affine(space)
     system_at = _lame_sweep(space, {"loaded": COOK_TRACTION})
+    # the factor and lambda of the first nearly incompressible nu
+    shared = lam0 = None
     for problem in problems:
-        # sliced before the factorization, each system freed once solved
         system = system_at(problem.mu, problem.lam)
-        sliced = _affine_slice(system, affine)
-        tip_c, record.last = _cooks_tip(system)
-        del system
-        tip_a, _ = _cooks_tip(sliced)
-        del sliced
-        record.rows.append(
-            {"nu": problem.nu, "tip_compatible": tip_c, "tip_affine": tip_a}
-        )
+        if problem.lam < NEARLY_INCOMPRESSIBLE * problem.mu:
+            report = solve(system)
+        elif shared is None:
+            report = solve(system)
+            shared, lam0 = report.factor, problem.lam
+        else:
+            spread = max(problem.lam / lam0, lam0 / problem.lam)
+            report = solve(system, (shared, spread))
+        tip_c, record.last = _cooks_tip(system, report)
+        del system, report
+        record.rows.append({"nu": problem.nu, "tip_compatible": tip_c})
+    del shared
+    for problem, row in zip(problems, record.rows):
+        row["tip_affine"] = _cooks_tip(_affine_slice(
+            system_at(problem.mu, problem.lam), affine))[0]
     return record
 
 

@@ -1,20 +1,29 @@
 """Solution of the assembled sparse systems.
 
-Every system takes one path: an exact solve from one sparse factor,
-refined once with the same factor. Without a pressure block (elasticity)
-that is the factor of the system's matrix itself, with no copy. With one,
-the solve runs on the discrete kernel: div V_h is the P0 pressure space
-exactly, so the velocity-pressure block B (`FESpace.divergence_block`)
-has the explicit kernel basis Z of `mce.space.kernel_basis`, and B_b, the
-bubble columns of B, is a scaled incidence matrix of the dual graph. On
-the spanning tree of `mce.space.dual_tree` its block B_T is square and
-upper triangular in BFS order. A residual (f, g) of the system
-[[A, -B^T], [-B, 0]] is corrected by u = -B_T^-1 g on the tree columns
-plus Z c, with Z^T A Z c = Z^T (f - A u), so B u = -g holds by
-construction, and by p = B_T^-T (A u - f) on the tree rows. Both tree
-solves read `FESpace.tree_factor`, the space's fill-free SuperLU factor of
-B_T, and Z^T A Z is the one factor of the solve. Z, the tree and its
-factor are built once per space.
+Every system is solved from one sparse factor, used one of two ways.
+Refinement: an exact solve from the system's own factor, refined once
+with the same factor. Without a pressure block (elasticity) that is the
+factor of the system's matrix itself, with no copy. CG: a system without
+a pressure block may instead be solved by conjugate gradients
+preconditioned with the factor of a nearby SPD matrix, as Cook's operator
+mu A_1 + lambda B^T W^-1 B at one nearly incompressible Poisson ratio is
+for another (one eigenvalue cluster on ker B, one on its range, so a few
+steps). CG runs to its own floor, not to the certificate: at lambda ~
+1e5 the backward error alone would pass a loose iterate.
+
+With a pressure block, the own factor is of the discrete kernel: div V_h
+is the P0 pressure space exactly, so the velocity-pressure block B
+(`FESpace.divergence_block`) has the explicit kernel basis Z of
+`mce.space.kernel_basis`, and B_b, the bubble columns of B, is a scaled
+incidence matrix of the dual graph. On the spanning tree of
+`mce.space.dual_tree` its block B_T is square and upper triangular in BFS
+order. A residual (f, g) of the system [[A, -B^T], [-B, 0]] is corrected
+by u = -B_T^-1 g on the tree columns plus Z c, with
+Z^T A Z c = Z^T (f - A u), so B u = -g holds by construction, and by
+p = B_T^-T (A u - f) on the tree rows. Both tree solves read
+`FESpace.tree_factor`, the space's fill-free SuperLU factor of B_T, and
+Z^T A Z is the one factor of the solve. Z, the tree and its factor are
+built once per space.
 Every assembled system is symmetric, and none carries a row for the
 pressure level: the solve fixes it. Where no free bubble reaches the
 boundary (a closed boundary), the constant pressure lies in the kernel of
@@ -24,7 +33,8 @@ fail the certificate, and the failure names them. A negligible pivot is
 found by inverse iteration on a fixed probe, never by reading L or U, of
 which SciPy would build and keep CSC copies. Every solve is certified
 against the original matrix: relative residual or normwise backward error
-below 1e-9.
+below 1e-9, with ||M||_inf read off the row sums of |M.data|, no copy of
+M.
 
 SuperLU's default supernode relaxation and panel size, 10 and 20, pad the
 small supernodes of these 2-D element matrices and work on panels wider
@@ -43,6 +53,11 @@ RESIDUAL_LIMIT = 1e-9
 # SuperLU's supernode relaxation and panel size (see the module docstring)
 _SUPERLU_RELAX = 2
 _SUPERLU_PANEL_SIZE = 8
+# CG with a nearby factor stops once its updated residual falls below
+# _PCG_FLOOR ||b||; without that within _PCG_STEP_CAP steps, the system is
+# factored
+_PCG_FLOOR = 1e-14
+_PCG_STEP_CAP = 30
 
 
 class SolverError(Exception):
@@ -59,9 +74,13 @@ class SolveReport:
     certificate when the matrix scale dwarfs the load (lambda -> inf).
     `diagnostics` holds `nnz_LU` (the entries of the one factor, of A or
     of Z^T A Z, supernodal padding included; the space's tree factor is
-    not counted)
-    and `inverse_growth` (max|K| ||K^-1 y||_inf of the factored matrix K,
-    from the pivot check, held below 1e13).
+    not counted),
+    `inverse_growth` (max|K| ||K^-1 y||_inf of the factored matrix K,
+    from the pivot check, held below 1e13; after CG with a nearby factor,
+    that factor's growth times the spread, the bound that was checked)
+    and `pcg_steps` (the CG steps, 0 for a solve by the system's own
+    factor). `factor` is the `Factor` the solution came from where the
+    system has no pressure block, for a nearby system's CG; else None.
     """
 
     solution: np.ndarray
@@ -69,13 +88,28 @@ class SolveReport:
     backward_error: float = 0.0
     diagnostics: dict = field(default_factory=dict)
     wall_time: float = 0.0
+    factor: "Factor | None" = None
+
+
+@dataclass(frozen=True)
+class Factor:
+    """The checked SuperLU factor `lu` of one matrix and its inverse
+    growth."""
+
+    lu: object
+    growth: float
 
 
 def _certificate(matrix, x, b, norm_b):
     """(relative residual, normwise backward error) of x, both from the
-    one residual b - Mx."""
+    one residual b - Mx of the CSR matrix M. ||M||_inf sums |M.data| over
+    the rows that hold entries (an empty row sums to 0)."""
     r = np.linalg.norm(b - matrix @ x)
-    denom = np.abs(matrix).sum(axis=1).max() * np.linalg.norm(x) + norm_b
+    indptr = matrix.indptr
+    filled = indptr[:-1][np.diff(indptr) > 0]
+    norm_m = (np.add.reduceat(np.abs(matrix.data), filled).max()
+              if filled.size else 0.0)
+    denom = norm_m * np.linalg.norm(x) + norm_b
     return (r / norm_b if norm_b > 0 else r), (r / denom if denom > 0 else r)
 
 
@@ -155,11 +189,11 @@ def _factor(K, system, name):
 
 def _exact_correction(system):
     """Factor once; return the exact correction of a residual of the full
-    system, the entries the factor stores and its growth."""
+    system and the `Factor` it solves with."""
     M = system.matrix
     if not system.n_pressure:
         lu, growth = _factor(M, system, "the velocity operator")
-        return lu.solve, lu.nnz, growth
+        return lu.solve, Factor(lu, growth)
     vel, pre = system.blocks["velocity"], system.blocks["pressure"]
     space = system.space
     free_level = space.free_pressure_level
@@ -186,24 +220,86 @@ def _exact_correction(system):
             p -= (w @ p) / w.sum()
         return np.concatenate([u, p])
 
-    return correction, lu.nnz, growth
+    return correction, Factor(lu, growth)
 
 
-def solve(system):
-    """Solve exactly with one sparse factor, refined once with the same
-    factor; raises SolverError on structural singularity, on a matrix to
-    factor that overflows double precision, or on failure to certify the
-    solve (neither the relative residual nor the normwise backward error
-    below RESIDUAL_LIMIT, a NaN of either or a non-finite ||b|| included)."""
+def _pcg(M, b, precondition, norm_b):
+    """CG on the SPD system M x = b from x = 0, preconditioned with
+    `precondition`: (x, steps) once the updated residual falls below
+    _PCG_FLOOR ||b||, or (x, None) if it does not within _PCG_STEP_CAP
+    steps."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = precondition(r)
+    rz = r @ p
+    for step in range(1, _PCG_STEP_CAP + 1):
+        q = M @ p
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) < _PCG_FLOOR * norm_b:
+            return x, step
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return x, None
+
+
+def _nearby_solve(system, nearby, norm_b):
+    """(x, residual, backward error, growth bound, CG steps) of CG
+    preconditioned with the nearby factor, or None where the bound passes
+    the pivot check's limit or CG does not reach its floor and certify."""
+    factor, spread = nearby
+    growth = factor.growth * spread
+    if not growth <= 1.0 / _PIVOT_RATIO_LIMIT:
+        return None
+    M, b = system.matrix, system.rhs
+    x, steps = _pcg(M, b, factor.lu.solve, norm_b)
+    if steps is None:
+        return None
+    res, bwd = _certificate(M, x, b, norm_b)
+    if not (res < RESIDUAL_LIMIT or bwd < RESIDUAL_LIMIT):
+        return None
+    return x, res, bwd, growth, steps
+
+
+def solve(system, nearby=None):
+    """Solve from one sparse factor. Without `nearby`, the system's own:
+    an exact solve, refined once with the same factor. `nearby`, for a
+    system without a pressure block, is a pair (factor, spread): the
+    `Factor` of a nearby SPD matrix K_0 (`SolveReport.factor` of its
+    solve) and a spread s >= 1 such that the system's inverse growth is at
+    most s times K_0's (for Cook's operator at lambda and lambda_0,
+    max(lambda / lambda_0, lambda_0 / lambda)). The system is then solved
+    by CG preconditioned with that factor, run to its floor and certified
+    against its own matrix; where s times K_0's growth passes the pivot
+    check's limit, or CG does not reach its floor and certify within
+    _PCG_STEP_CAP steps, the system is factored as without `nearby`.
+
+    Raises SolverError on structural singularity, on a matrix to factor
+    that overflows double precision, or on failure to certify the solve
+    (neither the relative residual nor the normwise backward error below
+    RESIDUAL_LIMIT, a NaN of either or a non-finite ||b|| included)."""
     start = time.perf_counter()
-    correction, nnz, growth = _exact_correction(system)
+    if nearby is not None and system.n_pressure:
+        raise ValueError("CG with a nearby factor needs a system without a "
+                         "pressure block")
     M, b = system.matrix, system.rhs
     # an overflow or NaN here is named by the certificate, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         norm_b = np.linalg.norm(b)
-        x = correction(b)
-        x += correction(b - M @ x)
-        res, bwd = _certificate(M, x, b, norm_b)
+        done = (None if nearby is None
+                else _nearby_solve(system, nearby, norm_b))
+    if done is not None:
+        factor = nearby[0]
+        x, res, bwd, growth, steps = done
+    else:
+        correction, factor = _exact_correction(system)
+        growth, steps = factor.growth, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = correction(b)
+            x += correction(b - M @ x)
+            res, bwd = _certificate(M, x, b, norm_b)
     if not (np.isfinite(norm_b)
             and (res < RESIDUAL_LIMIT or bwd < RESIDUAL_LIMIT)):
         if not np.isfinite([norm_b, res, bwd]).all():
@@ -221,6 +317,8 @@ def solve(system):
         solution=x,
         residual=res,
         backward_error=bwd,
-        diagnostics={"nnz_LU": nnz, "inverse_growth": float(growth)},
+        diagnostics={"nnz_LU": factor.lu.nnz,
+                     "inverse_growth": float(growth), "pcg_steps": steps},
         wall_time=time.perf_counter() - start,
+        factor=None if system.n_pressure else factor,
     )

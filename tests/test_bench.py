@@ -1,3 +1,4 @@
+import importlib
 import math
 import weakref
 from dataclasses import replace
@@ -915,6 +916,111 @@ class TestLockingStudy:
         for row in record.rows:
             problem = case_cooks(row["nu"])
             assert row["tip_affine"] == bench.solve_cooks_affine(problem, n=4)
+
+
+class TestOneFactorNearIncompressibility:
+    """The locking study factors the compatible operator once for every nu
+    with lambda / mu >= NEARLY_INCOMPRESSIBLE and solves the others by CG
+    preconditioned with that factor; every other nu, and every plain-P1
+    system, is factored on its own."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """The order of every matrix that mce.solve factors, and the
+        report of every solve the locking study makes."""
+        solve_module = importlib.import_module("mce.solve")
+        sizes, reports = [], []
+        factor, real_solve = solve_module.splu, bench.solve
+
+        def record_factor(K, **options):
+            sizes.append(K.shape[0])
+            return factor(K, **options)
+
+        def record_solve(*args):
+            reports.append(real_solve(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(solve_module, "splu", record_factor)
+        monkeypatch.setattr(bench, "solve", record_solve)
+        return sizes, reports
+
+    @staticmethod
+    def _sizes(n):
+        space = bench._cooks_space(n)
+        return (space.n_free_velocity,
+                bench._plain_affine(space).n_free_velocity)
+
+    def test_default_nu_factor_two_compatible_and_three_affine(self,
+                                                               factored):
+        sizes, reports = factored
+        compatible, affine = self._sizes(16)
+        record = run_locking_study((0.3, 0.4999, 0.49999), n=16)
+        assert sizes.count(compatible) == 2 and sizes.count(affine) == 3
+        assert len(sizes) == 5
+        steps = [r.diagnostics["pcg_steps"] for r in reports]
+        assert len(steps) == 6
+        # the compatible solves come first: nu = 0.49999 is the CG one
+        assert steps[:2] == [0, 0] and 0 < steps[2] <= 12
+        assert steps[3:] == [0, 0, 0]
+        assert record.last.space.n_free_velocity == compatible
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_cg_steps_stay_bounded_in_n(self, factored, n):
+        _, reports = factored
+        run_locking_study((0.4999, 0.49999), n=n)
+        assert 0 < reports[1].diagnostics["pcg_steps"] <= 10
+
+    def test_plain_p1_locks_in_the_solver(self, monkeypatch):
+        # under the same preconditioning, nu = 0.4999 for 0.49999, plain
+        # P1 takes at least three times the compatible element's CG steps:
+        # locking spreads its spectrum (38 against 8)
+        solve_module = importlib.import_module("mce.solve")
+        monkeypatch.setattr(solve_module, "_PCG_STEP_CAP", 200)
+        space = bench._cooks_space(32)
+        system_at = bench._lame_sweep(space, {"loaded": bench.COOK_TRACTION})
+        near, far = case_cooks(0.4999), case_cooks(0.49999)
+        spread = far.lam / near.lam
+        steps = []
+        for restrict in (lambda s: s,
+                         lambda s: bench._affine_slice(
+                             s, bench._plain_affine(space))):
+            factor = bench.solve(restrict(system_at(near.mu,
+                                                    near.lam))).factor
+            report = bench.solve(restrict(system_at(far.mu, far.lam)),
+                                 (factor, spread))
+            steps.append(report.diagnostics["pcg_steps"])
+        assert 0 < steps[0] <= 10
+        assert steps[1] >= 3 * steps[0]
+
+    def test_compressible_nu_keep_one_factor_each(self, factored):
+        # lambda / mu is 499 at nu = 0.499, below NEARLY_INCOMPRESSIBLE
+        sizes, reports = factored
+        compatible, affine = self._sizes(4)
+        run_locking_study((0.3, 0.4, 0.45, 0.499), n=4)
+        assert sizes.count(compatible) == 4 and sizes.count(affine) == 4
+        assert all(r.diagnostics["pcg_steps"] == 0 for r in reports)
+
+    def test_cg_tip_agrees_with_the_factored_one(self):
+        # within the case's rounding floor (1.2e-9 relative here)
+        tip = run_locking_study((0.4999, 0.49999), n=16).rows[1][
+            "tip_compatible"]
+        direct = run_locking_study((0.49999,), n=16).rows[0][
+            "tip_compatible"]
+        assert tip == pytest.approx(direct, rel=2e-9)
+
+    def test_step_cap_falls_back_to_the_factor(self, factored, monkeypatch):
+        # CG that does not reach its floor within the cap is not taken:
+        # the nu is factored, and its tip is the direct one bit for bit
+        sizes, reports = factored
+        monkeypatch.setattr(importlib.import_module("mce.solve"),
+                            "_PCG_STEP_CAP", 1)
+        compatible, _ = self._sizes(8)
+        tip = run_locking_study((0.4999, 0.49999), n=8).rows[1][
+            "tip_compatible"]
+        assert sizes.count(compatible) == 2
+        assert all(r.diagnostics["pcg_steps"] == 0 for r in reports)
+        direct = run_locking_study((0.49999,), n=8).rows[0]["tip_compatible"]
+        assert tip == direct
 
 
 class TestRobustnessSweeps:

@@ -248,6 +248,18 @@ class TestCooksCommand:
         assert (tmp_path / "cooks_solution.vtk").read_bytes() == \
             expected.read_bytes()
 
+    def test_shared_factor_keeps_the_pivot_failure(self, tmp_path, capsys):
+        # nu = 0.4999999999 would reuse nu = 0.4999's factor, but the bound
+        # on its inverse growth passes 1e13, so it is factored, and that
+        # factor fails the pivot check by name as it did on its own
+        assert run(["cooks", "--nu", "0.4999,0.4999999999", "--levels", "32",
+                    "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(
+            "solver failure: factorization produced a negligible pivot "
+            "(inverse growth 4.336e+13 above 1e+13 ")
+
     @pytest.mark.parametrize("levels", ["2,4,16", "16,4"])
     def test_more_than_one_level_exits_1(self, tmp_path, capsys, levels):
         out = tmp_path / "out"

@@ -38,7 +38,7 @@ KNOWN_DEAD = {
 SUBCOMMAND_RUNS = [
     ["stokes", "--config", "stokes.cfg", "--out", "stokes"],
     ["darcy", "--mu", "0.1", "--levels", "2,3,4", "--out", "darcy"],
-    ["cooks", "--levels", "2", "--nu", "0.3", "--out", "cooks"],
+    ["cooks", "--levels", "2", "--nu", "0.3,0.4999,0.49999", "--out", "cooks"],
     ["brinkman", "--grid", "2", "--mu", "1", "--out", "brinkman"],
     ["mesh-info", "--grid", "2"],
     ["mesh-info", "--mesh-file", "grid.mesh"],

@@ -144,7 +144,9 @@ def test_solution_matches_full_matrix_lu(name):
     M = system.matrix
     assert sparse.linalg.norm(M - M.T) <= 1e-12 * sparse.linalg.norm(M)
     report = solve(system)
-    assert set(report.diagnostics) == {"nnz_LU", "inverse_growth"}
+    assert report.diagnostics.keys() == {"nnz_LU", "inverse_growth",
+                                         "pcg_steps"}
+    assert report.diagnostics["pcg_steps"] == 0
     K, b = _bordered(system)
     reference = splu(K.tocsc()).solve(b)[:system.size]
     error = np.linalg.norm(report.solution - reference)
@@ -299,6 +301,86 @@ def test_failed_certificate_is_named(monkeypatch):
                        match="^relative residual .* above 0$") as failure:
         solve(system)
     assert "singular" not in str(failure.value)
+
+
+def test_certificate_norm_skips_empty_rows():
+    # ||M||_inf from the row sums of |M.data| over the rows that hold
+    # entries: bitwise the largest absolute row sum, with empty rows first,
+    # inside and last, and 0 for a matrix without entries
+    M = sparse.csr_matrix(np.array([[0.0, 0.0, 0.0], [1.0, -3.0, 0.5],
+                                    [0.0, 0.0, 0.0], [-2.0, 0.0, 0.25],
+                                    [0.0, 0.0, 0.0]]))
+    x, b = np.array([1.0, 2.0, -1.0]), np.arange(5.0)
+    r = np.linalg.norm(b - M @ x)
+    res, bwd = solve_module._certificate(M, x, b, np.linalg.norm(b))
+    assert bwd == r / (4.5 * np.linalg.norm(x) + np.linalg.norm(b))
+    empty = sparse.csr_matrix((3, 3))
+    assert solve_module._certificate(empty, x, np.ones(3), 3.0**0.5) == (
+        1.0, 1.0)
+
+
+def _cooks_pair(n, near=0.4999, far=0.49999):
+    """The Cook systems at two Poisson ratios, of one Lame sweep, and the
+    spread of their lambda."""
+    sweep = bench._lame_sweep(bench._cooks_space(n),
+                              {"loaded": bench.COOK_TRACTION})
+    a, b = bench.case_cooks(near), bench.case_cooks(far)
+    return (sweep(a.mu, a.lam), sweep(b.mu, b.lam),
+            max(a.lam / b.lam, b.lam / a.lam))
+
+
+def test_cg_with_a_nearby_factor_certifies_on_its_own_matrix():
+    near, far, spread = _cooks_pair(16)
+    factor = solve(near).factor
+    report = solve(far, (factor, spread))
+    assert report.factor is factor
+    assert 0 < report.diagnostics["pcg_steps"] <= 12
+    assert report.diagnostics["inverse_growth"] == factor.growth * spread
+    assert report.diagnostics["nnz_LU"] == factor.lu.nnz
+    # the certificate, recomputed from the system's own matrix
+    M, x, b = far.matrix, report.solution, far.rhs
+    r = np.linalg.norm(b - M @ x)
+    backward = r / (np.abs(M).sum(axis=1).max() * np.linalg.norm(x)
+                    + np.linalg.norm(b))
+    assert backward == report.backward_error < solve_module.RESIDUAL_LIMIT
+    direct = solve(far).solution
+    assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
+def test_cg_runs_to_its_floor():
+    # CG stops on its updated residual below 1e-14 ||b||, not at the 1e-9
+    # certificate, which at large lambda would pass a loose iterate
+    rng = np.random.default_rng(0)
+    Q = rng.standard_normal((40, 40))
+    M = sparse.csr_matrix(Q @ Q.T + 1000.0 * np.eye(40))
+    b = rng.standard_normal(40)
+    x, steps = solve_module._pcg(M, b, lambda r: r / M.diagonal(),
+                                 np.linalg.norm(b))
+    assert 0 < steps <= solve_module._PCG_STEP_CAP
+    assert np.linalg.norm(b - M @ x) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_growth_bound_above_the_limit_factors_the_system(monkeypatch):
+    # lambda grows 1e6-fold from nu = 0.4999 to 0.4999999999: the bound,
+    # 4.3e13 at n = 32, passes 1e13, so the system is factored, and the
+    # factor's own pivot check names the failure
+    near, far, spread = _cooks_pair(32, far=0.4999999999)
+    factor = solve(near).factor
+    assert factor.growth * spread == pytest.approx(4.34e13, rel=1e-2)
+    cg_runs = []
+    monkeypatch.setattr(solve_module, "_pcg", cg_runs.append)
+    with pytest.raises(SolverError, match=r"negligible pivot \(inverse "
+                       r"growth 4\.336e\+13 above 1e\+13"):
+        solve(far, (factor, spread))
+    assert not cg_runs
+
+
+def test_nearby_factor_needs_a_system_without_pressure():
+    system = _case_system(bench.case_stokes(), 4)
+    elastic = solve(_cooks_system(0.3, 2))
+    with pytest.raises(ValueError, match="without a pressure block"):
+        solve(system, (elastic.factor, 1.0))
+    assert solve(system).factor is None
 
 
 # the dual tree -------------------------------------------------------------
